@@ -47,6 +47,7 @@ from .expansion import (
     base_coefficients,
     derive_coefficients,
     derive_multi,
+    derive_tree,
     export_table_json,
     load_table,
     make_quadrature,
@@ -79,7 +80,6 @@ from .reference import (
 from .special import (
     assoc_legendre_p,
     bessel_moment,
-    clebsch_gordan,
     legendre_p_at_zero,
     legendre_q_at_zero,
     sph_harm,

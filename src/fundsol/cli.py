@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +38,9 @@ from .expansion import (
     MultiIndex,
     base_coefficients,
     derive_multi,
+    derive_tree,
     load_table,
     make_quadrature,
-    multi_indices_up_to,
     save_table,
 )
 from .materials import builtin, extend, format_material, load_material_json, zener_family
@@ -66,7 +66,6 @@ class RunConfig:
     seed: int = 42
     max_order: int = DEFAULT_MAX_ORDER
     out: Path | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def _fmt(x: float) -> str:
@@ -151,9 +150,9 @@ def cmd_build(args) -> int:
         f"base table: L={base_degree} nodes={quad.node_count} "
         f"build={base_time:.3f}s"
     )
-    for mi in multi_indices_up_to(order):
-        t0 = time.perf_counter()
-        tab = derive_multi(base, mi, max_order=cfg.max_order)
+    # each table is one ladder step from its parent, in depth-first order
+    t0 = time.perf_counter()
+    for mi, tab in derive_tree(base, order, max_order=cfg.max_order):
         tab = tab.truncated(cfg.L)
         dt = time.perf_counter() - t0
         path = table_path(cfg.tables_dir, cfg.ext.material_hash, cfg.L, mi.astuple())
@@ -163,6 +162,7 @@ def cmd_build(args) -> int:
             f"table {mi.astuple()}: L={tab.max_degree} entries={count} "
             f"derive={dt:.3f}s -> {path}"
         )
+        t0 = time.perf_counter()
     return EXIT_OK
 
 

@@ -12,6 +12,13 @@ component maps degree-l harmonics onto degrees l-1 and l+1 only, so each
 derivative costs one pass over the table and lowers the usable truncation by
 one degree.
 
+The ladder factors couple (1, l, k) and have closed forms (`_cg_one`).  The
+factor c^{1lk}_{000} vanishes at k = l, so target degree l reads source
+degrees l - 1 and l + 1 only.  Each step is a fixed set of whole-array
+shifted-slice multiply-adds over the (l, m) grid: two for x3 (m' = 0), four
+for x1 and x2 (m' = -1 and +1, reading source orders m + 1 and m - 1, the
+latter through the stored negative-order column at m = 0).
+
 Both parities of l are stored even though kernel evaluation of a given
 derivative order uses only one parity: the recurrences consume the
 opposite-parity coefficients.
@@ -21,18 +28,18 @@ both confirmed against exact scalar-kernel coefficients and the direct
 quadrature oracle (see tests):
   * the x2 ladder carries a -i prefactor (the +i variant produces the wrong
     sign for every x2 derivative);
-  * the inner sum runs over all k in [max(l-1, 0), l+1]; selection rules of
-    the Clebsch-Gordan factors enforce the order constraint automatically.
+  * the order constraint of the inner sum is enforced by the selection rules
+    of the Clebsch-Gordan factors, which are zero where |m' - m| > k.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +50,7 @@ from .errors import (
     TableRangeError,
 )
 from .materials import ExtendedTensor
-from .special import clebsch_gordan, norm_legendre_table
+from .special import norm_legendre_table
 from .symbol import inverse_symbol_batch
 
 __all__ = [
@@ -54,6 +61,7 @@ __all__ = [
     "base_coefficients",
     "derive_coefficients",
     "derive_multi",
+    "derive_tree",
     "save_table",
     "load_table",
     "export_table_json",
@@ -217,10 +225,10 @@ class CoeffTable:
 
 
 def _fill_negative_orders(coeffs: np.ndarray, L: int) -> None:
-    # entry(l, -m) = (-1)^m conj(entry(l, m)); exact in floating point
-    for m in range(1, L + 1):
-        sign = -1.0 if m % 2 else 1.0
-        coeffs[:, L - m] = sign * np.conj(coeffs[:, L + m])
+    # entry(l, -m) = (-1)^m conj(entry(l, m)); exact in floating point.
+    # Columns 0..L-1 hold m = L..1 and mirror columns 2L..L+1.
+    sign = np.where(np.arange(L, 0, -1) % 2, -1.0, 1.0)
+    coeffs[:, :L] = sign[:, None, None] * np.conj(coeffs[:, : L : -1])
 
 
 def base_coefficients(
@@ -265,20 +273,64 @@ def base_coefficients(
     return CoeffTable(ext.material_hash, n, L, (0, 0, 0), coeffs)
 
 
-def _ladder_factors(l: int, k: int, m: int, m_prime: int) -> float:
-    # c^{1 l k}_{000} * c^{1 l k}_{m' (-m) (m'-m)} / sqrt(2k+1)
-    c0 = clebsch_gordan(1, l, k, 0, 0, 0)
-    if c0 == 0.0:
-        return 0.0
-    c1 = clebsch_gordan(1, l, k, m_prime, -m, m_prime - m)
-    return c0 * c1 / math.sqrt(2.0 * k + 1.0)
+def _cg_one(l, k, m1, m2) -> np.ndarray:
+    """Clebsch-Gordan coefficients <1 m1; l m2 | k, m1 + m2> for k = l +- 1.
+
+    Evaluated over broadcast integer arrays from the closed forms for
+    j2 = 1 (Varshalovich, Moskalev & Khersonskii 1988, Table 8.2), using
+    <1 m1; l m2 | k M> = <l m2; 1 m1 | k M>, which holds for k = l +- 1.
+    Each value is the square root of one ratio of exact integers, so it is
+    correctly rounded.  Entries outside the valid range (|m2| > l, |M| > k,
+    which includes k < 0) are zero, masked before any sqrt or division.
+    """
+    l, k, m1, m2 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.int64) for v in (l, k, m1, m2))
+    )
+    M = m1 + m2
+    d = k - l  # +1 or -1
+    # |m1| = 1: (j)(j + 1) / ((2l + 1)(2l + 1 + d)) with j = l + d m1 M
+    j = l + d * m1 * M
+    num = np.where(m1 == 0, (l + (d + 1) // 2) ** 2 - M * M, j * (j + 1))
+    den = np.where(m1 == 0, (2 * l + 1) * (l + (d + 1) // 2), (2 * l + 1) * (2 * l + 1 + d))
+    sign = np.where(m1 == 0, d, 1)
+    valid = (np.abs(m2) <= l) & (np.abs(M) <= k)
+    out = np.zeros(l.shape)
+    out[valid] = sign[valid] * np.sqrt(num[valid] / den[valid])
+    return out
+
+
+@lru_cache(maxsize=32)
+def _step_terms(Lt: int, axis: int) -> tuple[tuple[int, int, bool, np.ndarray], ...]:
+    """Ladder terms of one derivative step to target degree Lt.
+
+    Each term is (d, shift, subtract, factor): target (l, m) takes
+    factor[l, m] times the source block of degree l + d and order m + shift,
+    where factor = c^{1lk}_{000} c^{1lk}_{m',-m,m'-m} / sqrt(2k + 1) on the
+    target grid l, m = 0..Lt.  Terms are listed in the order they are summed.
+    Cached because building the factors costs as much as applying them; the
+    arrays are read-only.
+    """
+    l = np.arange(Lt + 1)[:, None]
+    m = np.arange(Lt + 1)[None, :]
+    # m' = 0 reads order m; m' = -1 reads m + 1 (subtracted on x1); m' = +1 reads m - 1
+    orders = ((0, 0, False),) if axis == 3 else ((-1, 1, axis == 1), (1, -1, False))
+    terms = []
+    for d in (-1, 1):
+        k = l + d
+        c0 = _cg_one(l, k, 0, 0)
+        root = np.sqrt(2.0 * np.maximum(k, 0) + 1.0)
+        for m_prime, shift, subtract in orders:
+            factor = c0 * _cg_one(l, k, m_prime, -m) / root
+            factor.setflags(write=False)
+            terms.append((d, shift, subtract, factor))
+    return tuple(terms)
 
 
 def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
     """Coefficient table of the kernel differentiated once along `axis` (1, 2 or 3).
 
     The result keeps degrees 0..L-1, one less than the source, because each
-    target degree l consumes source degrees l-1, l and l+1.
+    target degree l consumes source degrees l-1 and l+1.
     """
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
@@ -290,48 +342,44 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
     Lt = L_src - 1
     n = table.field_dim
     src = table.coeffs
+    acc = np.zeros((Lt + 1, Lt + 1, n, n), dtype=np.complex128)
+    for d, shift, subtract, factor in _step_terms(Lt, axis):
+        # target row l reads source row l + d; source degree l - 1 exists
+        # for target rows 1..Lt only
+        rows, src_rows = (slice(1, None), slice(0, Lt)) if d < 0 else (slice(None), slice(1, None))
+        cols = slice(L_src + shift, L_src + shift + Lt + 1)
+        term = factor[rows, :, None, None] * src[src_rows, cols]
+        if subtract:
+            acc[rows] -= term
+        else:
+            acc[rows] += term
+    l = np.arange(Lt + 1, dtype=np.float64)
+    if axis == 1:
+        pref = np.sqrt((2.0 * l + 1.0) / 2.0)
+    elif axis == 2:
+        pref = -1j * np.sqrt((2.0 * l + 1.0) / 2.0)
+    else:
+        pref = np.sqrt(2.0 * l + 1.0)
     out = np.zeros((Lt + 1, 2 * Lt + 1, n, n), dtype=np.complex128)
-
-    def src_entry(k: int, mm: int) -> np.ndarray | None:
-        if abs(mm) > k:
-            return None
-        return src[k, mm + L_src]
-
-    for l in range(Lt + 1):
-        pref = math.sqrt((2.0 * l + 1.0) / 2.0)
-        for m in range(0, l + 1):
-            acc = np.zeros((n, n), dtype=np.complex128)
-            for k in range(max(l - 1, 0), min(l + 1, L_src) + 1):
-                if axis == 3:
-                    fac = _ladder_factors(l, k, m, 0)
-                    if fac != 0.0:
-                        block = src_entry(k, m)
-                        if block is not None:
-                            acc += fac * block
-                else:
-                    fac_up = _ladder_factors(l, k, m, -1)  # consumes order m+1
-                    if fac_up != 0.0:
-                        block = src_entry(k, m + 1)
-                        if block is not None:
-                            if axis == 1:
-                                acc -= fac_up * block
-                            else:
-                                acc += fac_up * block
-                    fac_dn = _ladder_factors(l, k, m, +1)  # consumes order m-1
-                    if fac_dn != 0.0:
-                        block = src_entry(k, m - 1)
-                        if block is not None:
-                            acc += fac_dn * block
-            if axis == 1:
-                out[l, m + Lt] = pref * acc
-            elif axis == 2:
-                out[l, m + Lt] = -1j * pref * acc
-            else:
-                out[l, m + Lt] = math.sqrt(2.0 * l + 1.0) * acc
+    out[:, Lt:] = pref[:, None, None, None] * acc
     _fill_negative_orders(out, Lt)
     mi = list(table.multi_index)
     mi[axis - 1] += 1
     return CoeffTable(table.material_hash, n, Lt, tuple(mi), out)
+
+
+def _check_ladder_start(table: CoeffTable, order: int, max_order: int) -> None:
+    if table.multi_index != (0, 0, 0):
+        raise TableRangeError(
+            f"the ladder starts from a base table, got multi-index {table.multi_index}"
+        )
+    if order > max_order:
+        raise ValueError(f"total derivative order {order} exceeds limit {max_order}")
+    if table.max_degree < order:
+        raise TableRangeError(
+            f"base table degree {table.max_degree} too small for order "
+            f"{order}; build to L + {order}"
+        )
 
 
 def derive_multi(
@@ -345,24 +393,33 @@ def derive_multi(
     partials commute.
     """
     target = MultiIndex.coerce(target)
-    if table.multi_index != (0, 0, 0):
-        raise TableRangeError(
-            f"derive_multi starts from a base table, got multi-index {table.multi_index}"
-        )
-    if target.order > max_order:
-        raise ValueError(
-            f"total derivative order {target.order} exceeds limit {max_order}"
-        )
-    if table.max_degree < target.order:
-        raise TableRangeError(
-            f"base table degree {table.max_degree} too small for order "
-            f"{target.order}; build to L + {target.order}"
-        )
+    _check_ladder_start(table, target.order, max_order)
     out = table
     for axis, count in ((1, target.i1), (2, target.i2), (3, target.i3)):
         for _ in range(count):
             out = derive_coefficients(out, axis)
     return out
+
+
+def derive_tree(
+    table: CoeffTable, order: int, max_order: int = DEFAULT_MAX_ORDER
+) -> Iterator[tuple[MultiIndex, CoeffTable]]:
+    """Yield (multi-index, table) for every derivative of total order <= order.
+
+    Depth first from the base table, which is yielded first: each child is
+    one ladder step from its parent along an axis >= the parent's last axis,
+    so every table equals `derive_multi(table, mi)` bit for bit, at one step
+    per table instead of mi.order.  Only the chain of ancestors stays alive.
+    """
+    _check_ladder_start(table, order, max_order)
+
+    def grow(parent: CoeffTable, last_axis: int):
+        yield MultiIndex(*parent.multi_index), parent
+        if parent.order < order:
+            for axis in range(last_axis, 4):
+                yield from grow(derive_coefficients(parent, axis), axis)
+
+    return grow(table, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +443,13 @@ def save_table(table: CoeffTable, path) -> None:
         "parity": table.parity,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    L = table.max_degree
-    blocks = io.BytesIO()
-    for l in range(L + 1):
-        for m in range(0, l + 1):
-            raw = np.ascontiguousarray(table.entry(l, m), dtype="<c16").tobytes()
-            blocks.write(struct.pack("<I", len(raw)))
-            blocks.write(raw)
-    payload = blocks.getvalue()
+    L, n = table.max_degree, table.field_dim
+    # one record per (l, m >= 0) block in row-major (l, m) order
+    ls, ms = np.tril_indices(L + 1)
+    records = np.empty(ls.size, dtype=[("length", "<u4"), ("block", "<c16", (n, n))])
+    records["length"] = 16 * n * n
+    records["block"] = table.coeffs[ls, L + ms]
+    payload = records.tobytes()
     digest = hashlib.sha256(payload).digest()[:16]
     with open(path, "wb") as f:
         f.write(_MAGIC)

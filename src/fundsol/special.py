@@ -1,5 +1,6 @@
-"""Associated Legendre polynomials, spherical harmonics, Clebsch-Gordan
-coefficients and the radial Bessel-moment prefactors.
+"""Associated Legendre polynomials, spherical harmonics and the radial
+Bessel-moment prefactors.  (The Clebsch-Gordan factors of the derivative
+ladder are closed forms and live with the ladder in `expansion`.)
 
 Convention note: the Condon-Shortley phase (-1)^m is INCLUDED in P_l^m and
 therefore in Y_l^m.  Libraries and tables differ on this point; everything in
@@ -12,8 +13,6 @@ All functions here are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "sph_harm",
     "sph_harm_table",
     "norm_legendre_table",
-    "clebsch_gordan",
     "bessel_moment",
 ]
 
@@ -165,67 +163,6 @@ def sph_harm_table(ell_max: int, theta, phi) -> np.ndarray:
     base = norm_legendre_table(ell_max, np.cos(theta))
     phase = np.exp(1j * np.outer(np.arange(ell_max + 1), phi))
     return base * phase[np.newaxis, :, :]
-
-
-def _fact(n: int) -> int:
-    return math.factorial(n)
-
-
-@lru_cache(maxsize=None)
-def _cg_exact(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
-    # Racah sum with exact rational arithmetic; the square of the result is
-    # rational, so the only rounding is the final square root.
-    pref2 = Fraction(
-        (2 * l3 + 1)
-        * _fact(l3 + l1 - l2)
-        * _fact(l3 - l1 + l2)
-        * _fact(l1 + l2 - l3),
-        _fact(l1 + l2 + l3 + 1),
-    ) * Fraction(
-        _fact(l3 + m3)
-        * _fact(l3 - m3)
-        * _fact(l1 - m1)
-        * _fact(l1 + m1)
-        * _fact(l2 - m2)
-        * _fact(l2 + m2)
-    )
-    k_lo = max(0, l2 - l3 - m1, l1 + m2 - l3)
-    k_hi = min(l1 + l2 - l3, l1 - m1, l2 + m2)
-    total = Fraction(0)
-    for k in range(k_lo, k_hi + 1):
-        den = (
-            _fact(k)
-            * _fact(l1 + l2 - l3 - k)
-            * _fact(l1 - m1 - k)
-            * _fact(l2 + m2 - k)
-            * _fact(l3 - l2 + m1 + k)
-            * _fact(l3 - l1 - m2 + k)
-        )
-        total += Fraction(-1 if k % 2 else 1, den)
-    if total == 0:
-        return 0.0
-    sign = 1.0 if total > 0 else -1.0
-    return sign * math.sqrt(float(pref2 * total * total))
-
-
-def clebsch_gordan(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
-    """Clebsch-Gordan coefficient <l1 l2 m1 m2 | l1 l2 l3 m3> for integer indices.
-
-    Selection-rule violations (m3 != m1 + m2, triangle inequality, |m| > l)
-    return 0 rather than raising.  Evaluated through the Racah closed-form sum
-    with exact integer arithmetic, so small-index values are correct to the
-    last bit; this matters because the derivative recurrences amplify
-    coefficient errors.
-    """
-    if l1 < 0 or l2 < 0 or l3 < 0:
-        raise ValueError("degrees must be nonnegative")
-    if m3 != m1 + m2:
-        return 0.0
-    if not (abs(l1 - l2) <= l3 <= l1 + l2):
-        return 0.0
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
-        return 0.0
-    return _cg_exact(l1, l2, l3, m1, m2, m3)
 
 
 def _signed_lgamma(x: float) -> tuple[float, float]:

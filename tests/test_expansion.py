@@ -1,4 +1,9 @@
+import functools
+import hashlib
+import json
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from fundsol.expansion import (
     base_coefficients,
     derive_coefficients,
     derive_multi,
+    derive_tree,
     make_quadrature,
     multi_indices_up_to,
 )
@@ -44,6 +50,62 @@ def quadrature_coefficient_oracle(ext, mi, L, degree):
             block = np.einsum("p,pjk->jk", np.conj(Y[l, m]), f)
             out[l, L + m] = block
             out[l, L - m] = (-1.0) ** m * np.conj(block)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def racah_cg(l1, l2, l3, m1, m2, m3):
+    """<l1 m1; l2 m2 | l3 m3> by the Racah sum in exact rationals; the only
+    rounding is the final square root."""
+    if m3 != m1 + m2 or not abs(l1 - l2) <= l3 <= l1 + l2:
+        return 0.0
+    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
+        return 0.0
+    f = math.factorial
+    pref2 = Fraction(
+        (2 * l3 + 1) * f(l3 + l1 - l2) * f(l3 - l1 + l2) * f(l1 + l2 - l3),
+        f(l1 + l2 + l3 + 1),
+    ) * (f(l3 + m3) * f(l3 - m3) * f(l1 - m1) * f(l1 + m1) * f(l2 - m2) * f(l2 + m2))
+    total = Fraction(0)
+    for k in range(
+        max(0, l2 - l3 - m1, l1 + m2 - l3), min(l1 + l2 - l3, l1 - m1, l2 + m2) + 1
+    ):
+        den = (
+            f(k) * f(l1 + l2 - l3 - k) * f(l1 - m1 - k) * f(l2 + m2 - k)
+            * f(l3 - l2 + m1 + k) * f(l3 - l1 - m2 + k)
+        )
+        total += Fraction(-1 if k % 2 else 1, den)
+    if total == 0:
+        return 0.0
+    return math.copysign(math.sqrt(float(pref2 * total * total)), total)
+
+
+def loop_ladder_step(table, axis):
+    """One ladder step as a loop over target (l, m) and source degree k with
+    exact-rational Clebsch-Gordan factors, summed in the same order as the
+    vectorised ladder."""
+    L_src, n = table.max_degree, table.field_dim
+    Lt = L_src - 1
+    out = np.zeros((Lt + 1, 2 * Lt + 1, n, n), dtype=np.complex128)
+    for l in range(Lt + 1):
+        for m in range(l + 1):
+            acc = np.zeros((n, n), dtype=np.complex128)
+            for k in range(max(l - 1, 0), l + 2):
+                c0 = racah_cg(1, l, k, 0, 0, 0)
+                if axis == 3:
+                    terms = ((0, 1.0),)  # (m', sign): m' = -1 reads order m + 1
+                else:
+                    terms = ((-1, -1.0 if axis == 1 else 1.0), (1, 1.0))
+                for m_prime, sign in terms:
+                    mm = m - m_prime
+                    fac = c0 * racah_cg(1, l, k, m_prime, -m, -mm) / math.sqrt(2.0 * k + 1.0)
+                    if fac != 0.0 and abs(mm) <= k:
+                        acc += sign * fac * table.coeffs[k, mm + L_src]
+            pref = math.sqrt((2.0 * l + 1.0) / 2.0)
+            scale = {1: pref, 2: -1j * pref, 3: math.sqrt(2.0 * l + 1.0)}[axis]
+            out[l, m + Lt] = scale * acc
+            for mn in range(1, l + 1):
+                out[l, Lt - mn] = (-1.0 if mn % 2 else 1.0) * np.conj(out[l, Lt + mn])
     return out
 
 
@@ -260,6 +322,49 @@ class TestDeriveAnisotropic:
                 assert np.max(np.abs(block - block.T)) <= 1e-12 * scale
 
 
+class TestLoopReference:
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_vectorised_step_matches_loop_bit_for_bit(self, base_cu, base_m2, axis):
+        for base in (base_cu.truncated(12), base_m2.truncated(9)):
+            table = base
+            for _ in range(2):
+                expect = loop_ladder_step(table, axis)
+                table = derive_coefficients(table, axis)
+                assert table.coeffs.tobytes() == expect.tobytes()
+
+
+class TestDeriveTree:
+    @pytest.mark.parametrize("base_name", ["base_laplace", "base_m2"])
+    def test_matches_derive_multi(self, base_name, request, monkeypatch):
+        base = request.getfixturevalue(base_name)
+        steps = []
+        step = fs.expansion.derive_coefficients
+        monkeypatch.setattr(
+            fs.expansion, "derive_coefficients", lambda t, a: steps.append(a) or step(t, a)
+        )
+        tree = list(derive_tree(base, 4))
+        monkeypatch.undo()
+        # one ladder step per derived table, made through the module attribute
+        assert len(steps) == 34
+        mis = [mi for mi, _ in tree]
+        assert len(set(mis)) == len(mis) == 35
+        assert set(mis) == set(multi_indices_up_to(4))
+        for mi, table in tree:
+            assert table.multi_index == mi.astuple()
+            assert np.array_equal(table.coeffs, derive_multi(base, mi).coeffs)
+
+    def test_base_first_and_eager_checks(self, base_laplace):
+        first = next(derive_tree(base_laplace, 2))
+        assert first[0] == MultiIndex(0, 0, 0) and first[1] is base_laplace
+        d1 = derive_coefficients(base_laplace, 1)
+        with pytest.raises(TableRangeError):
+            derive_tree(d1, 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            derive_tree(base_laplace, 5)
+        with pytest.raises(TableRangeError):
+            derive_tree(base_laplace.truncated(1), 2)
+
+
 class TestDeriveMulti:
     def test_zero_target_returns_input(self, base_laplace):
         assert derive_multi(base_laplace, (0, 0, 0)) is base_laplace
@@ -300,6 +405,32 @@ class TestPersistence:
         path2 = tmp_path / "m2b.fsct"
         fs.save_table(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_file_layout(self, base_m2, tmp_path):
+        # magic | u16 version | u32 header length | header JSON |
+        # (u32 length, N*N little-endian complex128) per (l, m >= 0) block |
+        # first 16 bytes of the sha256 of all block bytes
+        table = base_m2.truncated(4)
+        path = tmp_path / "m2.fsct"
+        fs.save_table(table, path)
+        data = path.read_bytes()
+        assert data[:4] == b"FSCT"
+        (version,) = struct.unpack_from("<H", data, 4)
+        (hlen,) = struct.unpack_from("<I", data, 6)
+        assert version == 1
+        header = json.loads(data[10 : 10 + hlen].decode("utf-8"))
+        assert header["N"] == 5 and header["L"] == 4
+        assert header["multi_index"] == [0, 0, 0]
+        offset = start = 10 + hlen
+        for l in range(5):
+            for m in range(l + 1):
+                (blen,) = struct.unpack_from("<I", data, offset)
+                assert blen == 16 * 25
+                block = np.frombuffer(data, "<c16", 25, offset + 4).reshape(5, 5)
+                assert np.array_equal(block, table.entry(l, m))
+                offset += 4 + blen
+        assert len(data) == offset + 16
+        assert data[offset:] == hashlib.sha256(data[start:offset]).digest()[:16]
 
     def test_hash_mismatch_rejected(self, base_laplace, tmp_path):
         path = tmp_path / "lap.fsct"
@@ -342,8 +473,6 @@ class TestPersistence:
             fs.load_table(path)
 
     def test_json_export(self, base_laplace, tmp_path):
-        import json
-
         path = tmp_path / "lap.json"
         fs.export_table_json(base_laplace, path)
         doc = json.loads(path.read_text())

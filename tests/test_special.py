@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,16 @@ import scipy.special as sps
 from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
 
-from fundsol.expansion import make_quadrature
+from fundsol.expansion import (
+    CoeffTable,
+    _cg_one,
+    _step_terms,
+    derive_coefficients,
+    make_quadrature,
+)
 from fundsol.special import (
     assoc_legendre_p,
     bessel_moment,
-    clebsch_gordan,
     legendre_p_at_zero,
     legendre_q_at_zero,
     norm_legendre_table,
@@ -166,34 +172,62 @@ class TestSphHarm:
 
 
 class TestClebschGordan:
+    """The closed-form <1 m1; l m2 | k M> factors (k = l +- 1) of the
+    derivative ladder, against sympy."""
+
     def test_spec_values(self):
-        assert clebsch_gordan(1, 1, 2, 0, 0, 0) == pytest.approx(math.sqrt(2 / 3), rel=1e-15)
-        assert clebsch_gordan(1, 1, 0, 1, -1, 0) == pytest.approx(1 / math.sqrt(3), rel=1e-15)
+        assert float(_cg_one(1, 2, 0, 0)) == pytest.approx(math.sqrt(2 / 3), rel=1e-15)
+        assert float(_cg_one(1, 0, 1, -1)) == pytest.approx(1 / math.sqrt(3), rel=1e-15)
 
     def test_selection_rules_return_zero(self):
-        assert clebsch_gordan(1, 2, 3, 1, 1, 0) == 0.0  # m3 != m1 + m2
-        assert clebsch_gordan(1, 1, 3, 0, 0, 0) == 0.0  # triangle violated
-        assert clebsch_gordan(1, 1, 2, 2, 0, 2) == 0.0  # |m1| > l1
-
-    def test_negative_degree_raises(self):
-        with pytest.raises(ValueError):
-            clebsch_gordan(-1, 1, 1, 0, 0, 0)
+        assert _cg_one(2, 3, 0, 3) == 0.0  # |m2| > l
+        assert _cg_one(2, 1, -1, -3) == 0.0  # |m2| > l
+        assert _cg_one(2, 1, 1, 1) == 0.0  # |M| > k
+        assert _cg_one(0, -1, 0, 0) == 0.0  # k < 0
+        # k = l: c^{1ll}_{000} vanishes, so the ladder never reads it ...
+        for ell in range(41):
+            assert CG(S(1), S(0), S(ell), S(0), S(ell), S(0)).doit() == 0
+        # ... and target degree l does not depend on source degree l
+        rng = np.random.default_rng(5)
+        shape = (8, 15, 2, 2)
+        src = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        bumped = src.copy()
+        bumped[4] += 1.0
+        for axis in (1, 2, 3):
+            a = derive_coefficients(CoeffTable("x", 2, 7, (0, 0, 0), src), axis).coeffs
+            b = derive_coefficients(CoeffTable("x", 2, 7, (0, 0, 0), bumped), axis).coeffs
+            assert np.array_equal(a[4], b[4])
+            assert not np.array_equal(a[3], b[3]) and not np.array_equal(a[5], b[5])
 
     def test_against_sympy(self):
-        rng = np.random.default_rng(9)
-        for _ in range(60):
-            l1 = int(rng.integers(0, 5))
-            l2 = int(rng.integers(0, 5))
-            l3 = int(rng.integers(abs(l1 - l2), l1 + l2 + 1))
-            m1 = int(rng.integers(-l1, l1 + 1))
-            m2 = int(rng.integers(-l2, l2 + 1))
-            m3 = m1 + m2
-            if abs(m3) > l3:
-                continue
-            ref = float(CG(S(l1), S(m1), S(l2), S(m2), S(l3), S(m3)).doit())
-            assert clebsch_gordan(l1, l2, l3, m1, m2, m3) == pytest.approx(
-                ref, rel=1e-13, abs=1e-14
-            )
+        for ell in range(41):
+            m2 = np.arange(-ell, ell + 1)
+            for k in (ell - 1, ell + 1):
+                for m1 in (-1, 0, 1):
+                    got = _cg_one(ell, k, m1, m2)
+                    for i, mm in enumerate(m2):
+                        if k < 0 or abs(m1 + mm) > k:
+                            assert got[i] == 0.0
+                            continue
+                        ref = CG(S(1), S(m1), S(ell), S(int(mm)), S(k), S(m1 + int(mm)))
+                        assert got[i] == pytest.approx(float(ref.doit()), rel=0, abs=1e-15)
+
+    def test_edge_rows_finite_without_warnings(self):
+        # l = 0 (where k = l - 1 = -1) and m = l sit on the edge of the
+        # valid range; they must be masked before any sqrt or division
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(_cg_one(0, -1, np.array([-1, 0, 1]), 0) == 0.0)
+            for ell in (0, 1, 5):
+                m2 = np.array([-ell, ell])
+                for k in (ell - 1, ell + 1):
+                    for m1 in (-1, 0, 1):
+                        assert np.all(np.isfinite(_cg_one(ell, k, m1, m2)))
+                for axis in (1, 2, 3):
+                    for d, shift, subtract, factor in _step_terms.__wrapped__(ell, axis):
+                        assert np.all(np.isfinite(factor))
+                        if d < 0:
+                            assert np.all(factor[0] == 0.0)
 
 
 class TestBesselMoment:
