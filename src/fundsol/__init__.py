@@ -30,7 +30,6 @@ from .errors import (
     UnsupportedOracleError,
 )
 from .evaluator import (
-    KernelValue,
     SphereField,
     evaluate,
     evaluate_batch,
@@ -77,13 +76,7 @@ from .reference import (
     unit_circle,
     unit_circle_field,
 )
-from .special import (
-    assoc_legendre_p,
-    bessel_moment,
-    legendre_p_at_zero,
-    legendre_q_at_zero,
-    sph_harm,
-)
+from .special import legendre_p_at_zero
 from .symbol import (
     EllipticityReport,
     ellipticity_check,

@@ -3,7 +3,9 @@
 Exit codes are stable and documented:
 
     0  success
-    2  invalid input (material validation failure, bad arguments)
+    2  invalid input (material validation failure, bad arguments, damaged
+       or malformed table file, non-finite evaluation point; the message
+       names the row)
     3  singular operator symbol
     4  coefficient-table / material hash mismatch
     5  invalid evaluation point (zero length), message names the row
@@ -180,14 +182,13 @@ def cmd_eval(args) -> int:
     points = _read_points(args.points)
     values = evaluate_batch(table, points)
     n = table.field_dim
-    lines = ["x,y,z,i,j,value,imag_residual"]
+    lines = ["x,y,z,i,j,value"]
     for p, val in enumerate(values):
         x, y, z = points[p]
         for i in range(n):
             for j in range(n):
                 lines.append(
-                    f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{i + 1},{j + 1},"
-                    f"{_fmt(val.matrix[i, j])},{_fmt(val.imag_residual)}"
+                    f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{i + 1},{j + 1},{_fmt(val[i, j])}"
                 )
     _write_lines(cfg.out, lines)
     return EXIT_OK
@@ -283,9 +284,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         vals = evaluate_batch(tab, pts)
         dt = time.perf_counter() - t0
-        err = max(
-            float(np.max(np.abs(v.matrix - ref[p]))) for p, v in enumerate(vals)
-        ) / ref_scale
+        err = float(np.max(np.abs(vals - ref))) / ref_scale
         rows.append(
             f"series,{L},{_fmt(dt / n_pts * 1e9)},{_fmt(err)},{_fmt(build_time)}"
         )

@@ -5,9 +5,11 @@ A table of derivative order I evaluates as
     kernel(r) = 1 / (4 pi r^(I+1)) * sum_l P_l^I(0) sum_m C[l, m] Y_l^m(rhat)
 
 where the degree sum runs over l >= I with the parity of I (the P_l^I(0)
-prefactor kills every other term exactly).  The angular sum is real up to
-quadrature noise in the coefficients; the discarded imaginary part is
-reported so callers can monitor table convergence.
+prefactor kills every other term exactly).  Negative orders are the
+conjugates of positive ones, so the angular sum is real: it is evaluated as
+one real contraction of cos(m phi) / sin(m phi) Legendre rows with the real
+and imaginary parts of the m >= 0 coefficients (the real, parity-split basis
+of Schaeffer 2013, SHTns).
 
 Units: with r in meters and SI material constants, a table of order I yields
 values in (base kernel units) * m^-(I+1).
@@ -22,10 +24,9 @@ import numpy as np
 from .errors import SingularPointError, TableConsistencyError
 from .expansion import CoeffTable
 from .materials import ExtendedTensor
-from .special import legendre_p_at_zero, sph_harm_table
+from .special import legendre_p_at_zero, norm_legendre_table
 
 __all__ = [
-    "KernelValue",
     "evaluate",
     "evaluate_batch",
     "traction_kernel",
@@ -37,80 +38,59 @@ __all__ = [
     "regular_part_at",
 ]
 
-_CHUNK = 4096  # directions per harmonic-table chunk
-
-
-def _degree_prefactors(table: CoeffTable) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees with the parity of the derivative order and their P_l^I(0)."""
-    I = table.order
-    ells = np.arange(I, table.max_degree + 1, 2, dtype=int)
-    prefs = np.array([legendre_p_at_zero(l, I) for l in ells])
-    return ells, prefs
+_CHUNK = 4096  # directions per basis chunk
 
 
 def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     """Angular (regular) factor sum_l P_l^I(0) sum_m C[l,m] Y_l^m at directions.
 
-    Returns complex (P, N, N); the physical kernel is real(...) / (4 pi r^(I+1)).
-    Exploits the conjugation symmetry of the table: orders m >= 1 contribute
-    2 Re(C Y), so only nonnegative orders are evaluated.
+    Returns real (P, N, N); the physical kernel is this / (4 pi r^(I+1)).
+    Orders m >= 1 and -m together contribute 2 Re(C Y), so each (l, m >= 0)
+    with l of the parity of I gives a cos(m phi) row weighted by Re C and,
+    for m >= 1, a sin(m phi) row weighted by -Im C.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     n = table.field_dim
-    L = table.max_degree
-    ells, prefs = _degree_prefactors(table)
-    out = np.zeros((theta.size, n, n), dtype=np.complex128)
+    L, I = table.max_degree, table.order
+    out = np.zeros((theta.size, n * n))
+    ells = np.arange(I, L + 1, 2)
     if ells.size == 0:
-        return out
-    # m >= 0 slice of the table, weighted by the degree prefactor
-    weighted = table.coeffs[:, L:, :, :].copy()
-    pref_all = np.zeros(L + 1)
-    pref_all[ells] = prefs
-    weighted *= pref_all[:, None, None, None]
+        return out.reshape(-1, n, n)
+    ls = np.repeat(ells, ells + 1)
+    ms = np.concatenate([np.arange(l + 1) for l in ells])
+    sin_rows = ms > 0
+    pref = np.array([legendre_p_at_zero(int(l), I) for l in ells])
+    scale = np.repeat(pref, ells + 1) * np.where(sin_rows, 2.0, 1.0)
+    C = table.coeffs[ls, ms].reshape(ls.size, n * n) * scale[:, None]
+    W = np.concatenate([C.real, -C.imag[sin_rows]])  # (K, N*N)
     for start in range(0, theta.size, _CHUNK):
         sl = slice(start, min(start + _CHUNK, theta.size))
-        Y = sph_harm_table(L, theta[sl], phi[sl])  # (L+1, L+1, u)
-        acc = np.zeros((sl.stop - sl.start, n, n), dtype=np.complex128)
-        for l in ells[::-1]:  # high degrees first: add the small terms early
-            # negative orders mirror the positive ones through conjugation,
-            # so they contribute 2 Re(C Y); only the (real up to quadrature
-            # noise) m = 0 block can leave an imaginary residual
-            acc += np.einsum("jk,u->ujk", weighted[l, 0], Y[l, 0])
-            if l > 0:
-                acc += 2.0 * np.einsum(
-                    "mjk,mu->ujk", weighted[l, 1 : l + 1], Y[l, 1 : l + 1]
-                ).real
-        out[sl] = acc
-    return out
+        P = norm_legendre_table(L, np.cos(theta[sl]))[ls, ms]  # (rows, u)
+        mphi = np.outer(np.arange(L + 1), phi[sl])
+        B = np.concatenate([P * np.cos(mphi)[ms], P[sin_rows] * np.sin(mphi)[ms[sin_rows]]])
+        # not a BLAS matmul: gemm sums in an order that depends on the
+        # batch width, so a point alone and in a batch would differ
+        out[sl] = np.einsum("kq,ku->uq", W, B)
+    return out.reshape(-1, n, n)
 
 
-def _imag_residual(acc: np.ndarray) -> float:
-    re_max = float(np.max(np.abs(acc.real)))
-    im_max = float(np.max(np.abs(acc.imag)))
-    return im_max / re_max if re_max > 0.0 else im_max
+def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
+    """Kernel values (P, N, N) at a batch of field points (P x 3, meters).
 
-
-@dataclass(frozen=True)
-class KernelValue:
-    """Real kernel matrix plus the relative size of the discarded imaginary part."""
-
-    matrix: np.ndarray
-    imag_residual: float
-
-
-def evaluate_batch(table: CoeffTable, points) -> list[KernelValue]:
-    """Evaluate the table at a batch of field points (list of 3-vectors).
-
-    Points sharing a direction reuse one harmonic evaluation; the returned
-    list preserves input order.  A zero-length point raises
-    SingularPointError naming its index.
+    Points sharing a direction reuse one basis evaluation; rows follow the
+    input order.  A non-finite point raises ValueError and a zero-length
+    point raises SingularPointError, each naming the first offending index.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    n = table.field_dim
     if pts.size == 0:
-        return []
+        return np.zeros((0, n, n))
     if pts.shape[1] != 3:
         raise ValueError(f"points must be 3-vectors, got shape {pts.shape}")
+    bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
+    if bad.size:
+        raise ValueError(f"non-finite evaluation point (point index {int(bad[0])})")
     radii = np.linalg.norm(pts, axis=1)
     zero = np.nonzero(radii == 0.0)[0]
     if zero.size:
@@ -121,15 +101,11 @@ def evaluate_batch(table: CoeffTable, points) -> list[KernelValue]:
     phi = np.arctan2(uniq[:, 1], uniq[:, 0])
     reg = regular_part_at(table, theta, phi)[inverse]
     scale = 1.0 / (4.0 * np.pi * radii ** (table.order + 1))
-    out = []
-    for p in range(pts.shape[0]):
-        acc = reg[p] * scale[p]
-        out.append(KernelValue(matrix=acc.real.copy(), imag_residual=_imag_residual(acc)))
-    return out
+    return reg * scale[:, None, None]
 
 
-def evaluate(table: CoeffTable, r) -> KernelValue:
-    """Kernel value at a single field point r (meters)."""
+def evaluate(table: CoeffTable, r) -> np.ndarray:
+    """Kernel value (N, N) at a single field point r (meters)."""
     return evaluate_batch(table, np.asarray(r, dtype=np.float64)[np.newaxis, :])[0]
 
 
@@ -157,7 +133,7 @@ def traction_kernel(
                 f"material {ext.material_hash[:12]}..."
             )
     n_hat = np.asarray(n_hat, dtype=np.float64)
-    grads = np.stack([evaluate(tab, r).matrix for tab in tables])  # (l, P, K)
+    grads = np.stack([evaluate(tab, r) for tab in tables])  # (l, P, K)
     return np.einsum("i,ijkl,lpk->pj", n_hat, ext.c, grads)
 
 
@@ -173,7 +149,6 @@ class SphereField:
     phi: np.ndarray
     values: np.ndarray  # (n_theta, n_phi, N, N)
     weights: np.ndarray  # (n_theta, n_phi)
-    imag_residual: float = 0.0
 
     @property
     def field_dim(self) -> int:
@@ -196,17 +171,10 @@ def sample_sphere(table: CoeffTable, n_theta: int, n_phi: int) -> SphereField:
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     th_grid = np.repeat(theta, n_phi)
     ph_grid = np.tile(phi, n_theta)
-    reg = regular_part_at(table, th_grid, ph_grid)
     n = table.field_dim
-    vals = reg.reshape(n_theta, n_phi, n, n) / (4.0 * np.pi)
+    vals = regular_part_at(table, th_grid, ph_grid).reshape(n_theta, n_phi, n, n)
     weights = np.outer(wt, np.full(n_phi, 2.0 * np.pi / n_phi))
-    return SphereField(
-        theta=theta,
-        phi=phi,
-        values=vals.real.copy(),
-        weights=weights,
-        imag_residual=_imag_residual(reg),
-    )
+    return SphereField(theta=theta, phi=phi, values=vals / (4.0 * np.pi), weights=weights)
 
 
 def sphere_field_from_values(field: SphereField, values: np.ndarray) -> SphereField:

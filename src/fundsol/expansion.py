@@ -5,7 +5,8 @@ conjugate spherical harmonics,
 
     C[l, m] = integral over the unit sphere of  invsymbol(xi) conj(Y_l^m)(xi),
 
-as N x N complex blocks for every degree l = 0..L and order |m| <= l.  Tables
+as N x N complex blocks for every degree l = 0..L and order 0 <= m <= l
+(negative orders follow from the conjugation rule, see CoeffTable).  Tables
 for derivative kernels are obtained WITHOUT further integration through a
 Clebsch-Gordan recurrence ladder: multiplying the integrand by a direction
 component maps degree-l harmonics onto degrees l-1 and l+1 only, so each
@@ -16,8 +17,8 @@ The ladder factors couple (1, l, k) and have closed forms (`_cg_one`).  The
 factor c^{1lk}_{000} vanishes at k = l, so target degree l reads source
 degrees l - 1 and l + 1 only.  Each step is a fixed set of whole-array
 shifted-slice multiply-adds over the (l, m) grid: two for x3 (m' = 0), four
-for x1 and x2 (m' = -1 and +1, reading source orders m + 1 and m - 1, the
-latter through the stored negative-order column at m = 0).
+for x1 and x2 (m' = -1 and +1, reading source orders m + 1 and m - 1; order
+-1 at m = 0 follows from order 1 through the conjugation rule).
 
 Both parities of l are stored even though kernel evaluation of a given
 derivative order uses only one parity: the recurrences consume the
@@ -173,10 +174,10 @@ def make_quadrature(exactness_degree: int) -> SphereQuadrature:
 class CoeffTable:
     """Expansion coefficients of one kernel (one derivative multi-index).
 
-    coeffs is complex128 of shape (L+1, 2L+1, N, N) with order m stored at
-    column m + L.  Negative orders always satisfy the conjugation rule
-    entry(l, -m) == (-1)^m conj(entry(l, m)) exactly: they are constructed
-    from the m >= 0 entries, never recomputed.
+    coeffs is complex128 of shape (L+1, L+1, N, N) indexed [l, m] for the
+    orders m >= 0 only; entries with m > l are zero.  This is the layout of
+    the FSCT payload.  Negative orders follow from the conjugation rule
+    entry(l, -m) == (-1)^m conj(entry(l, m)), which `entry` applies.
     """
 
     material_hash: str
@@ -184,11 +185,10 @@ class CoeffTable:
     max_degree: int
     multi_index: tuple[int, int, int]
     coeffs: np.ndarray
-    parity: str = "full"
 
     def __post_init__(self):
         L, n = self.max_degree, self.field_dim
-        if self.coeffs.shape != (L + 1, 2 * L + 1, n, n):
+        if self.coeffs.shape != (L + 1, L + 1, n, n):
             raise ValueError(
                 f"coefficient array shape {self.coeffs.shape} inconsistent with L={L}, N={n}"
             )
@@ -202,7 +202,10 @@ class CoeffTable:
             raise TableRangeError(
                 f"entry (l={ell}, m={m}) outside stored degrees 0..{self.max_degree}"
             )
-        return self.coeffs[ell, m + self.max_degree]
+        if m >= 0:
+            return self.coeffs[ell, m]
+        block = np.conj(self.coeffs[ell, -m])
+        return -block if m % 2 else block
 
     def truncated(self, max_degree: int) -> "CoeffTable":
         """Copy of the table keeping only degrees 0..max_degree."""
@@ -210,25 +213,16 @@ class CoeffTable:
             raise TableRangeError(
                 f"cannot extend table of degree {self.max_degree} to {max_degree}"
             )
-        L, L2 = self.max_degree, max_degree
         return CoeffTable(
             self.material_hash,
             self.field_dim,
-            L2,
+            max_degree,
             self.multi_index,
-            self.coeffs[: L2 + 1, L - L2 : L + L2 + 1].copy(),
-            self.parity,
+            self.coeffs[: max_degree + 1, : max_degree + 1].copy(),
         )
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-
-def _fill_negative_orders(coeffs: np.ndarray, L: int) -> None:
-    # entry(l, -m) = (-1)^m conj(entry(l, m)); exact in floating point.
-    # Columns 0..L-1 hold m = L..1 and mirror columns 2L..L+1.
-    sign = np.where(np.arange(L, 0, -1) % 2, -1.0, 1.0)
-    coeffs[:, :L] = sign[:, None, None] * np.conj(coeffs[:, : L : -1])
 
 
 def base_coefficients(
@@ -264,13 +258,8 @@ def base_coefficients(
     G *= quad.theta_weights[np.newaxis, :, np.newaxis, np.newaxis]
     # polar projection against normalised Legendre values
     P = norm_legendre_table(L, t)  # (L+1, L+1, n_theta)
-    C = np.einsum("lma,majk->lmjk", P, G, optimize=True)
-
-    coeffs = np.zeros((L + 1, 2 * L + 1, n, n), dtype=np.complex128)
-    for l in range(L + 1):
-        coeffs[l, L : L + l + 1] = C[l, : l + 1]
-    _fill_negative_orders(coeffs, L)
-    return CoeffTable(ext.material_hash, n, L, (0, 0, 0), coeffs)
+    C = np.einsum("lma,majk->lmjk", P, G, optimize=True)  # zero where m > l, as P is
+    return CoeffTable(ext.material_hash, n, L, (0, 0, 0), C)
 
 
 def _cg_one(l, k, m1, m2) -> np.ndarray:
@@ -341,13 +330,17 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
         )
     Lt = L_src - 1
     n = table.field_dim
-    src = table.coeffs
+    # column c holds source order c - 1: x1 and x2 read order -1 at m = 0,
+    # which is -conj(order 1)
+    src = np.empty((L_src + 1, L_src + 2, n, n), dtype=np.complex128)
+    src[:, 1:] = table.coeffs
+    src[:, 0] = -np.conj(table.coeffs[:, 1])
     acc = np.zeros((Lt + 1, Lt + 1, n, n), dtype=np.complex128)
     for d, shift, subtract, factor in _step_terms(Lt, axis):
         # target row l reads source row l + d; source degree l - 1 exists
         # for target rows 1..Lt only
         rows, src_rows = (slice(1, None), slice(0, Lt)) if d < 0 else (slice(None), slice(1, None))
-        cols = slice(L_src + shift, L_src + shift + Lt + 1)
+        cols = slice(1 + shift, 2 + shift + Lt)
         term = factor[rows, :, None, None] * src[src_rows, cols]
         if subtract:
             acc[rows] -= term
@@ -360,12 +353,9 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
         pref = -1j * np.sqrt((2.0 * l + 1.0) / 2.0)
     else:
         pref = np.sqrt(2.0 * l + 1.0)
-    out = np.zeros((Lt + 1, 2 * Lt + 1, n, n), dtype=np.complex128)
-    out[:, Lt:] = pref[:, None, None, None] * acc
-    _fill_negative_orders(out, Lt)
     mi = list(table.multi_index)
     mi[axis - 1] += 1
-    return CoeffTable(table.material_hash, n, Lt, tuple(mi), out)
+    return CoeffTable(table.material_hash, n, Lt, tuple(mi), pref[:, None, None, None] * acc)
 
 
 def _check_ladder_start(table: CoeffTable, order: int, max_order: int) -> None:
@@ -426,11 +416,16 @@ def derive_tree(
 # persistence
 #
 # Layout: magic "FSCT" | u16 version | u32 header length | header JSON |
-# length-prefixed little-endian complex128 blocks in (l, m >= 0, row, col)
-# order | first 16 bytes of the sha256 of all block bytes.  Negative orders
-# are reconstructed on load from the conjugation rule, which halves the file
-# and lets the stored m = 0 blocks act as an integrity check (they must be
-# real up to quadrature noise).
+# one record per (l, m >= 0) block in row-major (l, m) order, each a u32
+# byte length (16 N^2) and N x N little-endian complex128 | first 16 bytes
+# of the sha256 of all record bytes.  The records are CoeffTable.coeffs
+# without its m > l zeros; the stored m = 0 blocks act as an integrity check
+# (they must be real up to quadrature noise).  Headers written before the
+# m >= 0 layout carry a "parity" key, which is ignored.
+
+
+def _record_dtype(n: int) -> np.dtype:
+    return np.dtype([("length", "<u4"), ("block", "<c16", (n, n))])
 
 
 def save_table(table: CoeffTable, path) -> None:
@@ -440,15 +435,13 @@ def save_table(table: CoeffTable, path) -> None:
         "N": table.field_dim,
         "L": table.max_degree,
         "multi_index": list(table.multi_index),
-        "parity": table.parity,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     L, n = table.max_degree, table.field_dim
-    # one record per (l, m >= 0) block in row-major (l, m) order
     ls, ms = np.tril_indices(L + 1)
-    records = np.empty(ls.size, dtype=[("length", "<u4"), ("block", "<c16", (n, n))])
+    records = np.empty(ls.size, dtype=_record_dtype(n))
     records["length"] = 16 * n * n
-    records["block"] = table.coeffs[ls, L + ms]
+    records["block"] = table.coeffs[ls, ms]
     payload = records.tobytes()
     digest = hashlib.sha256(payload).digest()[:16]
     with open(path, "wb") as f:
@@ -467,9 +460,38 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return data
 
 
+def _header_fields(header) -> tuple[int, int, tuple[int, int, int], str]:
+    """(N, L, multi-index, material hash) of a parsed header.
+
+    A missing or ill-typed key raises TableFormatError naming it.
+    """
+    if not isinstance(header, dict):
+        raise TableFormatError("table header is not a JSON object")
+    for key in ("N", "L", "multi_index", "material_hash"):
+        if key not in header:
+            raise TableFormatError(f"table header lacks {key!r}")
+
+    def is_count(v, low):
+        return type(v) is int and v >= low
+
+    n, L, mi, file_hash = (header[k] for k in ("N", "L", "multi_index", "material_hash"))
+    if not is_count(n, 1):
+        raise TableFormatError(f"table header 'N' must be an integer >= 1, got {n!r}")
+    if not is_count(L, 0):
+        raise TableFormatError(f"table header 'L' must be an integer >= 0, got {L!r}")
+    if not (isinstance(mi, list) and len(mi) == 3 and all(is_count(v, 0) for v in mi)):
+        raise TableFormatError(
+            f"table header 'multi_index' must be three nonnegative integers, got {mi!r}"
+        )
+    if not isinstance(file_hash, str):
+        raise TableFormatError(f"table header 'material_hash' must be a string, got {file_hash!r}")
+    return n, L, tuple(mi), file_hash
+
+
 def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
-    """Read a coefficient table; verifies format version, checksum and, when
-    an expectation is supplied, the material hash."""
+    """Read a coefficient table; verifies format version, header fields,
+    payload size, checksum and, when an expectation is supplied, the
+    material hash."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
@@ -484,52 +506,43 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
             header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TableCorruptionError(f"unreadable table header: {exc}") from exc
+        n, L, mi, file_hash = _header_fields(header)
         rest = f.read()
-    if len(rest) < 16:
-        raise TableCorruptionError("truncated table file: missing checksum")
+    # in Python integers, so a header claiming a huge N or L cannot overflow
+    expected = (L + 1) * (L + 2) // 2 * (4 + 16 * n * n) + 16
+    if len(rest) != expected:
+        raise TableCorruptionError(
+            f"table file holds {len(rest)} bytes after its header; N={n}, L={L} "
+            f"need {expected} (payload and checksum)"
+        )
     payload, digest = rest[:-16], rest[-16:]
     if hashlib.sha256(payload).digest()[:16] != digest:
         raise TableCorruptionError("table payload fails checksum")
-
-    n = int(header["N"])
-    L = int(header["L"])
-    mi = tuple(int(v) for v in header["multi_index"])
-    file_hash = str(header["material_hash"])
     if expected_material_hash is not None and file_hash != expected_material_hash:
         raise TableHashMismatchError(
             f"table belongs to material {file_hash[:12]}..., expected "
             f"{expected_material_hash[:12]}..."
         )
 
-    coeffs = np.zeros((L + 1, 2 * L + 1, n, n), dtype=np.complex128)
-    offset = 0
-    block_bytes = 16 * n * n
-    for l in range(L + 1):
-        for m in range(0, l + 1):
-            if offset + 4 > len(payload):
-                raise TableCorruptionError("table payload shorter than header promises")
-            (blen,) = struct.unpack_from("<I", payload, offset)
-            offset += 4
-            if blen != block_bytes or offset + blen > len(payload):
-                raise TableCorruptionError(
-                    f"bad block length {blen} at (l={l}, m={m})"
-                )
-            coeffs[l, L + m] = np.frombuffer(
-                payload, dtype="<c16", count=n * n, offset=offset
-            ).reshape(n, n)
-            offset += blen
-    if offset != len(payload):
-        raise TableCorruptionError("trailing bytes after last coefficient block")
-    _fill_negative_orders(coeffs, L)
+    records = np.frombuffer(payload, dtype=_record_dtype(n))
+    ls, ms = np.tril_indices(L + 1)
+    bad = np.nonzero(records["length"] != 16 * n * n)[0]
+    if bad.size:
+        k = bad[0]
+        raise TableCorruptionError(
+            f"bad block length {records['length'][k]} at (l={ls[k]}, m={ms[k]})"
+        )
+    coeffs = np.zeros((L + 1, L + 1, n, n), dtype=np.complex128)
+    coeffs[ls, ms] = records["block"]
 
     scale = float(np.max(np.abs(coeffs)))
     if scale > 0:
-        worst_im = float(np.max(np.abs(coeffs[:, L].imag)))
+        worst_im = float(np.max(np.abs(coeffs[:, 0].imag)))
         if worst_im > 1e-6 * scale:
             raise TableCorruptionError(
                 f"m = 0 blocks are not real (max imag {worst_im:.3e}); file damaged"
             )
-    return CoeffTable(file_hash, n, L, mi, coeffs, str(header.get("parity", "full")))
+    return CoeffTable(file_hash, n, L, mi, coeffs)
 
 
 def export_table_json(table: CoeffTable, path) -> None:
@@ -547,7 +560,6 @@ def export_table_json(table: CoeffTable, path) -> None:
         "N": table.field_dim,
         "L": table.max_degree,
         "multi_index": list(table.multi_index),
-        "parity": table.parity,
         "entries_m_nonnegative": entries,
     }
     with open(path, "w", encoding="utf-8") as f:

@@ -214,8 +214,8 @@ def finite_diff(table, r, axis: int, h: float) -> np.ndarray:
     e[axis - 1] = 1.0
 
     def central(step):
-        plus = evaluate(table, r + step * e).matrix
-        minus = evaluate(table, r - step * e).matrix
+        plus = evaluate(table, r + step * e)
+        minus = evaluate(table, r - step * e)
         return (plus - minus) / (2.0 * step)
 
     coarse = central(h)

@@ -101,21 +101,13 @@ def _first_singular(S_eq: np.ndarray) -> int:
 
 
 def inverse_symbol(ext: ExtendedTensor, xi) -> np.ndarray:
-    """Inverse of the symbol at one direction, via symmetric eigendecomposition.
+    """Inverse of the symbol at one direction: `inverse_symbol_batch` of one.
 
-    Raises SingularSymbolError when the equilibrated condition number exceeds
-    COND_LIMIT, which signals a non-elliptic material.
+    Raises SingularSymbolError naming the direction when the equilibrated
+    inverse signals a non-elliptic material.
     """
     xi = np.asarray(xi, dtype=np.float64)
-    S = symbol_matrix(ext, xi)
-    S_eq, d = _equilibrate(S[np.newaxis])
-    S_eq, d = S_eq[0], d[0]
-    w, V = np.linalg.eigh(0.5 * (S_eq + S_eq.T))
-    amax, amin = np.max(np.abs(w)), np.min(np.abs(w))
-    if amin == 0.0 or amax / amin > COND_LIMIT:
-        raise SingularSymbolError(xi, cond=np.inf if amin == 0.0 else amax / amin)
-    inv_eq = (V / w) @ V.T
-    return inv_eq * np.outer(d, d)
+    return inverse_symbol_batch(ext, xi[np.newaxis])[0]
 
 
 def inversion_residual(ext: ExtendedTensor, xi) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ class TestEval:
         )
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
-        assert lines[0] == "x,y,z,i,j,value,imag_residual"
+        assert lines[0] == "x,y,z,i,j,value"
         value = float(lines[1].split(",")[5])
         assert value == pytest.approx(0.03978873577, rel=1e-10)
 
@@ -115,6 +116,41 @@ class TestEval:
         )
         assert code == 5
         assert "index 1" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("coord", [0, 1, 2])
+    def test_non_finite_point_exit_2(self, capsys, tmp_path, coord, bad):
+        self.setup_tables(capsys, tmp_path)
+        rows = [["1.0", "0.0", "0.0"], ["0.0", "2.0", "0.0"], ["0.0", "0.0", "3.0"]]
+        rows[2][coord] = bad
+        pts = tmp_path / "pts.csv"
+        write_points(pts, rows)
+        code, out, err = run(
+            capsys, "eval", "--material", "Laplace", "--L", "4",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "non-finite" in err and "index 2" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_table_header_claiming_huge_degree_exit_2(self, capsys, tmp_path):
+        self.setup_tables(capsys, tmp_path)
+        lap = fs.extend(fs.builtin("Laplace"))
+        path = table_path(tmp_path, lap.material_hash, 4, (0, 0, 0))
+        data = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", data, 6)
+        header = json.loads(data[10 : 10 + hlen])
+        header["L"] = 10**9
+        body = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:6] + struct.pack("<I", len(body)) + body + data[10 + hlen :])
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[0.0, 0.0, 1.0]])
+        code, _, err = run(
+            capsys, "eval", "--material", "Laplace", "--L", "4",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "L=1000000000" in err
 
     def test_row_count_n_squared(self, capsys, tmp_path):
         self.setup_tables(capsys, tmp_path, material="Cu", L=8)

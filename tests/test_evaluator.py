@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 import fundsol as fs
 from fundsol.errors import SingularPointError, TableConsistencyError
@@ -17,20 +18,43 @@ def first_derivative_tables(base):
     return [derive_multi(base, mi) for mi in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
 
 
+def complex_series(table, points):
+    """Kernel values (P, N, N) as the full complex sum over -l <= m <= l with
+    scipy harmonics and P_l^I(0) from scipy; no conjugation folding."""
+    pts = np.asarray(points, dtype=np.float64)
+    r = np.linalg.norm(pts, axis=1)
+    theta = np.arccos(np.clip(pts[:, 2] / r, -1, 1))
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    I = table.order
+    n = table.field_dim
+    acc = np.zeros((len(pts), n, n), dtype=np.complex128)
+    for l in range(table.max_degree + 1):
+        pref = float(sps.lpmv(I, l, 0.0))
+        for m in range(-l, l + 1):
+            Y = sps.sph_harm_y(l, m, theta, phi)
+            acc += pref * Y[:, None, None] * table.entry(l, m)
+    return acc / (4 * math.pi * r[:, None, None] ** (I + 1))
+
+
+def imag_residual(values):
+    """max |imag| / max |real| of each point's matrix."""
+    return np.max(np.abs(values.imag), axis=(1, 2)) / np.max(np.abs(values.real), axis=(1, 2))
+
+
 class TestEvaluate:
     def test_laplace_base_kernel(self, base_laplace):
         val = fs.evaluate(base_laplace, [0.0, 0.0, 2.0])
-        assert val.matrix[0, 0] == pytest.approx(1 / (8 * math.pi), rel=1e-13)
-        assert val.imag_residual < 1e-14
+        assert val.shape == (1, 1)
+        assert val[0, 0] == pytest.approx(1 / (8 * math.pi), rel=1e-13)
 
     def test_laplace_third_derivative(self, base_laplace):
         table = derive_multi(base_laplace, (2, 1, 0)).truncated(3)
         val = fs.evaluate(table, [0.0, 1.0, 0.0])
-        assert val.matrix[0, 0] == pytest.approx(3 / FOUR_PI, rel=1e-12)
+        assert val[0, 0] == pytest.approx(3 / FOUR_PI, rel=1e-12)
 
     def test_kelvin_component(self, base_iso):
         val = fs.evaluate(base_iso.truncated(2), [1.0, 0.0, 0.0])
-        assert val.matrix[0, 0] == pytest.approx(2.8 / (16 * math.pi * 0.7), rel=1e-12)
+        assert val[0, 0] == pytest.approx(2.8 / (16 * math.pi * 0.7), rel=1e-12)
 
     def test_zero_point_raises(self, base_laplace):
         with pytest.raises(SingularPointError):
@@ -44,38 +68,42 @@ class TestEvaluate:
             table = derive_multi(base, mi)
             power = sum(mi) + 1
             r = np.array([0.31, -0.44, 0.84])
-            v1 = fs.evaluate(table, r).matrix
+            v1 = fs.evaluate(table, r)
             for s in (0.5, 2.0, 10.0):
-                v2 = fs.evaluate(table, s * r).matrix
+                v2 = fs.evaluate(table, s * r)
                 scale = np.max(np.abs(v1))
                 assert np.max(np.abs(v2 * s**power - v1)) <= 1e-12 * scale
 
+    # the evaluator returns the real part only; the full complex sum over
+    # all orders must be real, so that nothing is dropped
     def test_realness_isotropic(self, base_laplace, base_iso, rng):
         for table in (base_laplace, derive_multi(base_iso, (1, 1, 0))):
-            for d in random_directions(rng, 10):
-                assert fs.evaluate(table, d).imag_residual < 1e-10
+            d = random_directions(rng, 10)
+            full = complex_series(table, d)
+            assert np.all(imag_residual(full) < 1e-10)
+            assert np.allclose(fs.evaluate_batch(table, d), full.real, rtol=1e-12, atol=0)
 
     def test_realness_anisotropic(self, base_cu, rng):
         table = derive_multi(base_cu, (1, 1, 1)).truncated(40)
-        for d in random_directions(rng, 10):
-            assert fs.evaluate(table, d).imag_residual < 1e-8
+        d = random_directions(rng, 10)
+        assert np.all(imag_residual(complex_series(table, d)) < 1e-8)
 
     def test_matrix_symmetry_all_builtins(self, rng):
         for name in ("Cu", "Au", "Ni", "PZT-4", "PVDF", "M1", "M2"):
             base = fs.base_coefficients(fs.extend(fs.builtin(name)), 24)
             for d in random_directions(rng, 5):
-                m = fs.evaluate(base, d).matrix
+                m = fs.evaluate(base, d)
                 assert np.max(np.abs(m - m.T)) <= 1e-10 * np.max(np.abs(m))
 
     def test_antipodal_parity(self, base_cu, rng):
         even = base_cu.truncated(20)  # order 0
         odd = derive_multi(base_cu.truncated(21), (1, 0, 0))
         for d in random_directions(rng, 10):
-            ve = fs.evaluate(even, d).matrix
-            ve_m = fs.evaluate(even, -d).matrix
+            ve = fs.evaluate(even, d)
+            ve_m = fs.evaluate(even, -d)
             assert np.max(np.abs(ve - ve_m)) <= 1e-12 * np.max(np.abs(ve))
-            vo = fs.evaluate(odd, d).matrix
-            vo_m = fs.evaluate(odd, -d).matrix
+            vo = fs.evaluate(odd, d)
+            vo_m = fs.evaluate(odd, -d)
             assert np.max(np.abs(vo + vo_m)) <= 1e-12 * np.max(np.abs(vo))
 
 
@@ -85,25 +113,33 @@ class TestEvaluateBatch:
             base_laplace, [[0, 0, 1.0], [0, 0, 2.0], [0, 0, 3.0]]
         )
         for s, v in zip((1.0, 2.0, 3.0), vals):
-            assert v.matrix[0, 0] == pytest.approx(1 / (FOUR_PI * s), rel=1e-13)
+            assert v[0, 0] == pytest.approx(1 / (FOUR_PI * s), rel=1e-13)
 
     def test_empty_list(self, base_laplace):
-        assert fs.evaluate_batch(base_laplace, np.zeros((0, 3))) == []
+        assert fs.evaluate_batch(base_laplace, np.zeros((0, 3))).shape == (0, 1, 1)
 
     def test_batch_matches_single(self, base_cu, rng):
         pts = rng.normal(size=(100, 3))
         batch = fs.evaluate_batch(base_cu, pts)
+        assert batch.shape == (100, 3, 3) and batch.dtype == np.float64
         for p, v in enumerate(batch):
             single = fs.evaluate(base_cu, pts[p])
-            assert np.max(np.abs(v.matrix - single.matrix)) <= 1e-15 * np.max(
-                np.abs(single.matrix)
-            )
+            assert np.max(np.abs(v - single)) <= 1e-15 * np.max(np.abs(single))
 
     def test_zero_point_names_index(self, base_laplace):
         pts = [[1.0, 0, 0], [0, 0, 0], [0, 1.0, 0]]
         with pytest.raises(SingularPointError) as err:
             fs.evaluate_batch(base_laplace, pts)
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("coord", [0, 1, 2])
+    def test_non_finite_point_names_index(self, base_laplace, coord, bad):
+        pts = np.array([[1.0, 0, 0], [0, 0.5, 0], [0, 0, 2.0], [1.0, 1.0, 1.0]])
+        pts[2, coord] = bad
+        pts[3, coord] = bad
+        with pytest.raises(ValueError, match=r"point index 2\b"):
+            fs.evaluate_batch(base_laplace, pts)
 
 
 class TestDerivativeConsistency:
@@ -118,7 +154,7 @@ class TestDerivativeConsistency:
         for p in pts[:50]:
             axis = int(rng.integers(1, 4))
             fd = fs.finite_diff(base.truncated(L), p, axis, 1e-2 * np.linalg.norm(p))
-            series = fs.evaluate(tables[axis - 1].truncated(L), p).matrix
+            series = fs.evaluate(tables[axis - 1].truncated(L), p)
             scale = np.max(np.abs(series))
             assert np.max(np.abs(fd - series)) <= 1e-7 * scale
 
@@ -200,7 +236,7 @@ class TestSampleSphere:
                     math.sin(fld.theta[a]) * math.sin(fld.phi[b]),
                     math.cos(fld.theta[a]),
                 ]
-                v = fs.evaluate(base_cu.truncated(20), d).matrix
+                v = fs.evaluate(base_cu.truncated(20), d)
                 assert np.max(np.abs(fld.values[a, b] - v)) <= 1e-14 * np.max(np.abs(v))
 
     def test_grid_floor(self, base_laplace):
@@ -234,6 +270,21 @@ class TestRegularPart:
         trunc = table.truncated(3)
         reg_trunc = regular_part_at(trunc, [0.7], [1.1])[0, 0, 0]
         assert reg_full == pytest.approx(reg_trunc, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "name,mi", [("Cu", (0, 0, 0)), ("M2", (0, 0, 1)), ("PZT-4", (1, 1, 0))]
+    )
+    def test_matches_complex_sum(self, name, mi, rng):
+        # the real cos/sin contraction against the direct complex sum
+        base = fs.base_coefficients(fs.extend(fs.builtin(name)), 20)
+        table = derive_multi(base, mi)
+        pts = random_directions(rng, 64) * rng.uniform(0.5, 2.0, size=(64, 1))
+        got = fs.evaluate_batch(table, pts)
+        ref = complex_series(table, pts)
+        assert got.dtype == np.float64
+        err = np.max(np.abs(got - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+        assert np.all(err <= 1e-13)
+        assert np.all(imag_residual(ref) <= 1e-13)
 
     def test_field_override_shape_guard(self, base_laplace):
         fld = fs.sample_sphere(base_laplace, 4, 6)

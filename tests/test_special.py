@@ -14,32 +14,63 @@ from fundsol.expansion import (
     derive_coefficients,
     make_quadrature,
 )
-from fundsol.special import (
-    assoc_legendre_p,
-    bessel_moment,
-    legendre_p_at_zero,
-    legendre_q_at_zero,
-    norm_legendre_table,
-    sph_harm,
-    sph_harm_table,
-)
+from fundsol.special import legendre_p_at_zero, norm_legendre_table
 
 SQRT_PI = math.sqrt(math.pi)
 
 
+def harm_norm(ell, m):
+    """sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!), the normalisation of Y_l^m."""
+    return math.sqrt(
+        (2 * ell + 1) / (4.0 * math.pi) * math.exp(math.lgamma(ell - m + 1) - math.lgamma(ell + m + 1))
+    )
+
+
+def legendre(ell, m, t):
+    """P_l^m(t) from the normalised table."""
+    return norm_legendre_table(ell, [t])[ell, m, 0] / harm_norm(ell, m)
+
+
+def harmonic(ell, m, theta, phi):
+    """Y_l^m from the package basis, norm_legendre_table * exp(i m phi), with
+    negative orders through the conjugation rule of CoeffTable.entry."""
+    y = norm_legendre_table(ell, [math.cos(theta)])[ell, abs(m), 0] * np.exp(1j * abs(m) * phi)
+    return complex(y if m >= 0 else (-1.0) ** m * np.conj(y))
+
+
+def loop_norm_legendre_table(ell_max, t):
+    """norm_legendre_table as the double loop over (m, l) it replaced."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    L = int(ell_max)
+    out = np.zeros((L + 1, L + 1, t.size))
+    s = np.sqrt(np.maximum(0.0, (1.0 - t) * (1.0 + t)))
+    out[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, L + 1):
+        out[m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * out[m - 1, m - 1]
+    for m in range(0, L):
+        out[m + 1, m] = math.sqrt(2 * m + 3.0) * t * out[m, m]
+        for l in range(m + 2, L + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            out[l, m] = a * (t * out[l - 1, m] - b * out[l - 2, m])
+    return out
+
+
 class TestAssocLegendre:
+    """P_l^m values of the normalised table, divided by their normalisation."""
+
     def test_degree_zero_is_one(self):
-        assert assoc_legendre_p(0, 0, 0.37) == 1.0
+        assert legendre(0, 0, 0.37) == pytest.approx(1.0, rel=1e-15)
 
     def test_p11_at_zero(self):
-        assert assoc_legendre_p(1, 1, 0.0) == pytest.approx(-1.0, abs=1e-15)
+        assert legendre(1, 1, 0.0) == pytest.approx(-1.0, abs=1e-15)
 
     def test_p31_explicit_polynomial(self):
         # independent oracle: P_3^1(t) = -(3/2)(5 t^2 - 1) sqrt(1 - t^2)
         for t in (0.0, 0.3, -0.73, 0.99):
             expect = -1.5 * (5 * t * t - 1) * math.sqrt(1 - t * t)
-            assert assoc_legendre_p(3, 1, t) == pytest.approx(expect, rel=1e-14, abs=1e-15)
-        assert assoc_legendre_p(3, 1, 0.0) == pytest.approx(1.5, rel=1e-15)
+            assert legendre(3, 1, t) == pytest.approx(expect, rel=1e-14, abs=1e-15)
+        assert legendre(3, 1, 0.0) == pytest.approx(1.5, rel=1e-15)
 
     def test_against_scipy(self):
         rng = np.random.default_rng(3)
@@ -48,12 +79,23 @@ class TestAssocLegendre:
             m = int(rng.integers(0, ell + 1))
             t = float(rng.uniform(-1, 1))
             ref = float(sps.lpmv(m, ell, t))
-            assert assoc_legendre_p(ell, m, t) == pytest.approx(ref, rel=1e-11, abs=1e-12)
+            assert legendre(ell, m, t) == pytest.approx(ref, rel=1e-11, abs=1e-12)
 
-    @pytest.mark.parametrize("ell,m,t", [(2, 3, 0.0), (1, -1, 0.0), (2, 0, 1.5)])
-    def test_domain_errors(self, ell, m, t):
-        with pytest.raises(ValueError):
-            assoc_legendre_p(ell, m, t)
+
+class TestNormLegendreTable:
+    def test_bit_identical_to_double_loop(self):
+        rng = np.random.default_rng(8)
+        nodes = make_quadrature(2 * 43 + 12).cos_nodes
+        assert nodes.size == 51
+        for L, t in (
+            (43, nodes),
+            (40, rng.uniform(-1, 1, 1024)),
+            (84, np.array([-1.0, -0.5, 0.0, 0.5, 1.0])),
+            (0, [0.3]),
+            (1, [0.3]),
+            (2, [0.3]),
+        ):
+            assert np.array_equal(norm_legendre_table(L, t), loop_norm_legendre_table(L, t))
 
 
 class TestLegendreAtZero:
@@ -76,7 +118,7 @@ class TestLegendreAtZero:
     def test_matches_recurrence_at_zero(self):
         for ell in range(21):
             for m in range(ell + 1):
-                direct = assoc_legendre_p(ell, m, 0.0)
+                direct = float(sps.lpmv(m, ell, 0.0))
                 closed = legendre_p_at_zero(ell, m)
                 scale = max(abs(direct), 1.0)
                 assert abs(direct - closed) <= 1e-13 * scale
@@ -89,27 +131,28 @@ class TestLegendreAtZero:
                     fac * legendre_p_at_zero(ell, m), rel=1e-13, abs=1e-300
                 )
 
-    def test_q_values(self):
-        assert legendre_q_at_zero(0, 0) == 0.0
-        assert legendre_q_at_zero(1, 0) == pytest.approx(-1.0, rel=1e-14)
-        assert legendre_q_at_zero(0, 1) == pytest.approx(-1.0, rel=1e-14)
-
 
 class TestSphHarm:
+    """The package's harmonic basis: norm_legendre_table * exp(i m phi)."""
+
     def test_constant_harmonic(self):
-        assert sph_harm(0, 0, 1.1, 2.2) == pytest.approx(1.0 / (2 * SQRT_PI), rel=1e-14)
+        assert harmonic(0, 0, 1.1, 2.2) == pytest.approx(1.0 / (2 * SQRT_PI), rel=1e-14)
 
     def test_y10_at_pole(self):
-        assert sph_harm(1, 0, 0.0, 0.0) == pytest.approx(math.sqrt(3 / (4 * math.pi)), rel=1e-14)
+        assert harmonic(1, 0, 0.0, 0.0) == pytest.approx(math.sqrt(3 / (4 * math.pi)), rel=1e-14)
 
     def test_negative_order_by_conjugation(self):
         # Y_1^1(pi/2, 0) = -sqrt(3/8pi); the conjugation rule flips the sign
-        got = sph_harm(1, -1, math.pi / 2, 0.0)
+        got = harmonic(1, -1, math.pi / 2, 0.0)
         assert got == pytest.approx(math.sqrt(3 / (8 * math.pi)), rel=1e-14)
+        assert got == pytest.approx(complex(sps.sph_harm_y(1, -1, math.pi / 2, 0.0)), rel=1e-14)
 
     def test_order_out_of_range(self):
-        with pytest.raises(ValueError):
-            sph_harm(2, 3, 0.1, 0.2)
+        # entries with m > l are exact zeros: base_coefficients relies on
+        # them to leave its m > l cells empty
+        tab = norm_legendre_table(7, [-1.0, -0.2, 0.0, 0.6, 1.0])
+        for ell in range(8):
+            assert np.all(tab[ell, ell + 1 :] == 0.0)
 
     def test_against_scipy(self):
         rng = np.random.default_rng(5)
@@ -119,7 +162,7 @@ class TestSphHarm:
             th = float(rng.uniform(0, np.pi))
             ph = float(rng.uniform(0, 2 * np.pi))
             ref = complex(sps.sph_harm_y(ell, m, th, ph))
-            assert sph_harm(ell, m, th, ph) == pytest.approx(ref, rel=1e-10, abs=1e-12)
+            assert harmonic(ell, m, th, ph) == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
     def test_orthonormality_over_sphere(self):
         # quadrature of Y_l1^m1 conj(Y_l2^m2) = delta delta for all l <= 12
@@ -153,21 +196,21 @@ class TestSphHarm:
             thb, phb = math.acos(np.clip(b[2], -1, 1)), math.atan2(b[1], b[0])
             ell = int(rng.integers(0, 11))
             total = sum(
-                sph_harm(ell, m, tha, pha) * np.conj(sph_harm(ell, m, thb, phb))
+                harmonic(ell, m, tha, pha) * np.conj(harmonic(ell, m, thb, phb))
                 for m in range(-ell, ell + 1)
             )
-            expect = (2 * ell + 1) / (4 * math.pi) * assoc_legendre_p(ell, 0, float(a @ b))
+            expect = (2 * ell + 1) / (4 * math.pi) * float(sps.lpmv(0, ell, float(a @ b)))
             assert abs(total - expect) < 1e-12
 
     def test_table_matches_scalar(self):
         th = np.array([0.3, 1.2, 2.9])
         ph = np.array([0.1, 4.0, 5.5])
-        tab = sph_harm_table(6, th, ph)
+        tab = norm_legendre_table(6, np.cos(th)) * np.exp(1j * np.outer(np.arange(7), ph))
         for ell in range(7):
             for m in range(ell + 1):
                 for p in range(3):
                     assert tab[ell, m, p] == pytest.approx(
-                        sph_harm(ell, m, th[p], ph[p]), rel=1e-13, abs=1e-15
+                        complex(sps.sph_harm_y(ell, m, th[p], ph[p])), rel=1e-13, abs=1e-15
                     )
 
 
@@ -189,7 +232,7 @@ class TestClebschGordan:
             assert CG(S(1), S(0), S(ell), S(0), S(ell), S(0)).doit() == 0
         # ... and target degree l does not depend on source degree l
         rng = np.random.default_rng(5)
-        shape = (8, 15, 2, 2)
+        shape = (8, 8, 2, 2)
         src = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         bumped = src.copy()
         bumped[4] += 1.0
@@ -228,45 +271,3 @@ class TestClebschGordan:
                         assert np.all(np.isfinite(factor))
                         if d < 0:
                             assert np.all(factor[0] == 0.0)
-
-
-class TestBesselMoment:
-    def test_spec_values(self):
-        assert bessel_moment(0, -2) == pytest.approx(math.pi / 4, rel=1e-14)
-        assert bessel_moment(1, -2) == pytest.approx(0.5j, rel=1e-14)
-        assert bessel_moment(0, 0) == 0.0
-
-    def test_gamma_pole_forces_zero(self):
-        # (l - n)/2 a non-positive integer
-        assert bessel_moment(0, 0) == 0.0
-        assert bessel_moment(1, 1) == 0.0
-        assert bessel_moment(2, 2) == 0.0
-        assert bessel_moment(0, 2) == 0.0
-
-    @pytest.mark.parametrize("n", [-2, -1, 0, 1, 2])
-    def test_matches_legendre_split(self, n):
-        # real/imaginary parts follow the P/Q values at zero with order n + 2
-        for ell in range(21):
-            val = bessel_moment(ell, n)
-            m = n + 2
-            if n % 2 == 0:
-                parity = 1.0 if (n // 2) % 2 == 0 else -1.0
-                re = -math.pi * parity / 4.0 * legendre_p_at_zero(ell, m)
-                im = parity / 2.0 * legendre_q_at_zero(ell, m)
-            else:
-                parity = 1.0 if ((n - 1) // 2) % 2 == 0 else -1.0
-                re = parity / 2.0 * legendre_q_at_zero(ell, m)
-                im = math.pi * parity / 4.0 * legendre_p_at_zero(ell, m)
-            scale = max(abs(val), 1e-30)
-            assert abs(val.real - re) <= 1e-12 * scale
-            assert abs(val.imag - im) <= 1e-12 * scale
-
-    def test_parity(self):
-        # purely real for even l, purely imaginary for odd l
-        for n in (-2, -1, 0, 1, 2):
-            for ell in range(16):
-                val = bessel_moment(ell, n)
-                if ell % 2 == 0:
-                    assert val.imag == 0.0
-                else:
-                    assert val.real == 0.0

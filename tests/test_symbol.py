@@ -16,6 +16,15 @@ from conftest import random_directions
 ALL_BUILTINS = ["Laplace", "Cu", "Au", "Ni", "PZT-4", "PVDF", "M1", "M2"]
 
 
+def eigh_inverse(ext, xi):
+    """Inverse symbol by a symmetric eigendecomposition of the row-max
+    scaled symbol, a route independent of the package's LU inversion."""
+    S = fs.symbol_matrix(ext, xi)
+    d = 1.0 / np.sqrt(np.max(np.abs(S), axis=1))
+    w, V = np.linalg.eigh(d[:, None] * S * d[None, :])
+    return d[:, None] * ((V / w) @ V.T) * d[None, :]
+
+
 def degenerate_scalar_material():
     # symbol xi_1^2, singular everywhere on the circle xi_1 = 0; bypasses
     # material validation on purpose
@@ -109,8 +118,11 @@ class TestInverseSymbol:
         batch = inverse_symbol_batch(ext_m2, dirs)
         for p, xi in enumerate(dirs):
             got = fs.inverse_symbol(ext_m2, xi)
+            assert np.array_equal(got, inverse_symbol_batch(ext_m2, xi[None])[0])
+            oracle = eigh_inverse(ext_m2, xi)
             # norm-relative: tiny near-cancelling entries carry no relative accuracy
-            assert np.max(np.abs(batch[p] - got)) <= 1e-12 * np.max(np.abs(got))
+            for value in (batch[p], got):
+                assert np.max(np.abs(value - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 class TestEllipticityCheck:
