@@ -18,6 +18,7 @@ printed with 17 significant digits so reruns can be diffed byte for byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -113,6 +114,8 @@ def _parse_multi_index(text: str) -> MultiIndex:
 
 
 def _read_points(path) -> np.ndarray:
+    """x,y,z rows of a points CSV; a first line that does not parse is a
+    header.  A bad data row raises ValueError naming the file and line."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -121,11 +124,17 @@ def _read_points(path) -> np.ndarray:
                 continue
             parts = line.split(",")
             try:
-                rows.append([float(p) for p in parts[:3]])
+                row = [float(p) for p in parts]
             except ValueError:
                 if lineno == 1:
                     continue  # header row
-                raise ValueError(f"unparsable point row {lineno}: {line!r}")
+                raise ValueError(f"{path}, line {lineno}: unparsable point row {line!r}") from None
+            if len(row) != 3:
+                raise ValueError(
+                    f"{path}, line {lineno}: point row has {len(row)} fields, "
+                    f"expected 3 (x,y,z): {line!r}"
+                )
+            rows.append(row)
     return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
 
 
@@ -182,14 +191,12 @@ def cmd_eval(args) -> int:
     points = _read_points(args.points)
     values = evaluate_batch(table, points)
     n = table.field_dim
+    # each point's coordinates are formatted once; rows run over (point, i, j)
+    prefixes = [f"{_fmt(x)},{_fmt(y)},{_fmt(z)}," for x, y, z in points.tolist()]
+    middles = [f"{i + 1},{j + 1}," for i in range(n) for j in range(n)]
+    cells = map("{:.17g}".format, values.reshape(-1).tolist())
     lines = ["x,y,z,i,j,value"]
-    for p, val in enumerate(values):
-        x, y, z = points[p]
-        for i in range(n):
-            for j in range(n):
-                lines.append(
-                    f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{i + 1},{j + 1},{_fmt(val[i, j])}"
-                )
+    lines += [pre + mid + v for (pre, mid), v in zip(itertools.product(prefixes, middles), cells)]
     _write_lines(cfg.out, lines)
     return EXIT_OK
 
@@ -288,13 +295,21 @@ def cmd_bench(args) -> int:
         rows.append(
             f"series,{L},{_fmt(dt / n_pts * 1e9)},{_fmt(err)},{_fmt(build_time)}"
         )
+    # the contender is the batched contour in unit_circle_field's chunks of
+    # 128 directions; one unit_circle call per point would time Python overhead
+    def contour(nodes, dirs):
+        return np.concatenate([
+            reference._contour_batch(cfg.ext, dirs[s : s + 128], 0, None, nodes)
+            for s in range(0, len(dirs), 128)
+        ])
+
     for nodes in node_list:
         for _ in range(warmup):
-            reference.unit_circle(cfg.ext, pts[0], n_nodes=nodes)
+            contour(nodes, pts[:64])
         t0 = time.perf_counter()
-        vals = [reference.unit_circle(cfg.ext, p, n_nodes=nodes) for p in pts]
+        vals = contour(nodes, pts)
         dt = time.perf_counter() - t0
-        err = float(np.max(np.abs(np.stack(vals) - ref))) / ref_scale
+        err = float(np.max(np.abs(vals - ref))) / ref_scale
         rows.append(f"contour,{nodes},{_fmt(dt / n_pts * 1e9)},{_fmt(err)},0")
     _write_lines(cfg.out, rows)
     return EXIT_OK

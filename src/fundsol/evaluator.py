@@ -6,10 +6,14 @@ A table of derivative order I evaluates as
 
 where the degree sum runs over l >= I with the parity of I (the P_l^I(0)
 prefactor kills every other term exactly).  Negative orders are the
-conjugates of positive ones, so the angular sum is real: it is evaluated as
-one real contraction of cos(m phi) / sin(m phi) Legendre rows with the real
-and imaginary parts of the m >= 0 coefficients (the real, parity-split basis
-of Schaeffer 2013, SHTns).
+conjugates of positive ones, so the angular sum is real: it is evaluated in
+the real, parity-split basis of Schaeffer 2013 (SHTns).  The basis is built
+point-major, Bt (P, K): as the Legendre recurrence yields each row l of the
+parity of I, it is multiplied by cos(m phi) and sin(m phi) straight into the
+2l+1 columns of degree l.  The real and imaginary parts of the m >= 0
+coefficients, weighted by P_l^I(0), form W^T (N*N, K), and every point's
+kernel is the same product W^T Bt[p] (a stack of identical matrix-vector
+products), so a point gives the same bits alone and in any batch.
 
 Units: with r in meters and SI material constants, a table of order I yields
 values in (base kernel units) * m^-(I+1).
@@ -24,7 +28,7 @@ import numpy as np
 from .errors import SingularPointError, TableConsistencyError
 from .expansion import CoeffTable
 from .materials import ExtendedTensor
-from .special import legendre_p_at_zero, norm_legendre_table
+from .special import legendre_p_at_zero, norm_legendre_rows
 
 __all__ = [
     "evaluate",
@@ -46,33 +50,53 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
 
     Returns real (P, N, N); the physical kernel is this / (4 pi r^(I+1)).
     Orders m >= 1 and -m together contribute 2 Re(C Y), so each (l, m >= 0)
-    with l of the parity of I gives a cos(m phi) row weighted by Re C and,
-    for m >= 1, a sin(m phi) row weighted by -Im C.
+    with l of the parity of I gives a cos(m phi) column weighted by Re C and,
+    for m >= 1, a sin(m phi) column weighted by -Im C.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     n = table.field_dim
     L, I = table.max_degree, table.order
     out = np.zeros((theta.size, n * n))
-    ells = np.arange(I, L + 1, 2)
-    if ells.size == 0:
+    ells = range(I, L + 1, 2)
+    if not ells:
         return out.reshape(-1, n, n)
-    ls = np.repeat(ells, ells + 1)
-    ms = np.concatenate([np.arange(l + 1) for l in ells])
-    sin_rows = ms > 0
-    pref = np.array([legendre_p_at_zero(int(l), I) for l in ells])
-    scale = np.repeat(pref, ells + 1) * np.where(sin_rows, 2.0, 1.0)
-    C = table.coeffs[ls, ms].reshape(ls.size, n * n) * scale[:, None]
-    W = np.concatenate([C.real, -C.imag[sin_rows]])  # (K, N*N)
+    # degree l owns 2l+1 columns: cos(m phi) for m = 0..l, then sin(m phi)
+    # for m = 1..l; WT is contiguous, as the product below needs
+    K = sum(2 * l + 1 for l in ells)
+    WT = np.empty((n * n, K))
+    off = 0
+    for l in ells:
+        C = table.coeffs[l, : l + 1].reshape(l + 1, n * n) * legendre_p_at_zero(l, I)
+        C[1:] *= 2.0
+        WT[:, off : off + l + 1] = C.real.T
+        WT[:, off + l + 1 : off + 2 * l + 1] = -C.imag[1:].T
+        off += 2 * l + 1
     for start in range(0, theta.size, _CHUNK):
         sl = slice(start, min(start + _CHUNK, theta.size))
-        P = norm_legendre_table(L, np.cos(theta[sl]))[ls, ms]  # (rows, u)
-        mphi = np.outer(np.arange(L + 1), phi[sl])
-        B = np.concatenate([P * np.cos(mphi)[ms], P[sin_rows] * np.sin(mphi)[ms[sin_rows]]])
-        # not a BLAS matmul: gemm sums in an order that depends on the
-        # batch width, so a point alone and in a batch would differ
-        out[sl] = np.einsum("kq,ku->uq", W, B)
+        Bt = _basis(L, I, K, theta[sl], phi[sl])
+        # one identical (N*N, K) x (K,) product per point, so a point alone
+        # and the same point in any batch give the same bits (a gemm over
+        # the whole batch sums in an order that depends on its width)
+        np.matmul(WT, Bt[:, :, None], out=out[sl, :, None])
     return out.reshape(-1, n, n)
+
+
+def _basis(L: int, I: int, K: int, theta, phi) -> np.ndarray:
+    """Point-major real harmonic basis Bt (P, K) in the column order of
+    regular_part_at, filled from each Legendre row of the parity of I as the
+    recurrence produces it."""
+    mphi = np.outer(phi, np.arange(L + 1))
+    cos_m, sin_m = np.cos(mphi), np.sin(mphi)
+    Bt = np.empty((theta.size, K))
+    off = 0
+    for l, row in enumerate(norm_legendre_rows(L, np.cos(theta))):
+        if l < I or (l - I) % 2:
+            continue
+        np.multiply(row.T, cos_m[:, : l + 1], out=Bt[:, off : off + l + 1])
+        np.multiply(row[1:].T, sin_m[:, 1 : l + 1], out=Bt[:, off + l + 1 : off + 2 * l + 1])
+        off += 2 * l + 1
+    return Bt
 
 
 def evaluate_batch(table: CoeffTable, points) -> np.ndarray:

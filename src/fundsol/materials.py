@@ -140,7 +140,7 @@ class ExtendedTensor:
 
 
 def validate(material: MaterialConstants) -> list[str]:
-    """Check tensor symmetries and elastic positive definiteness.
+    """Check finite entries, tensor symmetries and elastic positive definiteness.
 
     Returns a list of human-readable violation strings; an empty list means
     the material is valid.  Nothing is raised here so callers can report all
@@ -153,6 +153,17 @@ def validate(material: MaterialConstants) -> list[str]:
     C = material.elastic
     if C.shape != (6, 6):
         return [f"elastic matrix must be 6x6, got {C.shape}"]
+    # every check below assumes finite entries (NaN fails the eigenvalue
+    # solve, inf - inf warns), so a non-finite entry is reported alone
+    for attr in ("elastic", "e", "q", "eps", "lam", "kappa"):
+        val = getattr(material, attr)
+        if val is None:
+            continue
+        for idx in np.argwhere(~np.isfinite(val)):
+            at = ",".join(str(i + 1) for i in idx)
+            v.append(f"block '{attr}' entry [{at}] is not finite ({val[tuple(idx)]})")
+    if v:
+        return v
 
     block = C[:3, :3] if n == 1 else C
     dim = 3 if n == 1 else 6

@@ -1,5 +1,5 @@
-"""Normalised associated Legendre values and P_l^m(0), the two special
-functions the coefficient tables and the evaluator read.  (The Clebsch-Gordan
+"""Normalised associated Legendre values and P_l^m(0), the special functions
+the coefficient tables and the evaluator read.  (The Clebsch-Gordan
 factors of the derivative ladder are closed forms and live with the ladder
 in `expansion`.)
 
@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "legendre_p_at_zero",
+    "norm_legendre_rows",
     "norm_legendre_table",
 ]
 
@@ -49,26 +50,59 @@ def legendre_p_at_zero(ell: int, m: int) -> float:
     return sign * (2.0**m) / _SQRT_PI * math.exp(logr)
 
 
+def norm_legendre_rows(ell_max: int, t):
+    """Rows l = 0..ell_max of the normalised associated Legendre table.
+
+    Yields row l as an (l+1, len(t)) array indexed [m, point] holding
+    c_l^m P_l^m(t) for m = 0..l, from the normalised three-term recurrence
+    (which avoids the factorial overflow of the plain recurrence at high
+    degree); row l is one set of whole-row operations over m.  Rows live in
+    three rotating buffers, so a yielded row is overwritten three rows later:
+    copy what must outlive that.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    L = int(ell_max)
+    s = np.sqrt(np.maximum(0.0, (1.0 - t) * (1.0 + t)))
+    # recurrence factors of row l >= 2 at orders m <= l - 2, as a[l - 2, m]
+    # and b[l - 2, m]; every intermediate is an exact integer, so each
+    # factor is correctly rounded
+    ls = np.arange(2, L + 1)[:, None]
+    ms = np.arange(max(L - 1, 0))[None, :]
+    live = ms <= ls - 2
+    a = np.sqrt((4.0 * ls * ls - 1.0) / np.where(live, ls * ls - ms * ms, 1))
+    b = np.sqrt(np.where(live, (ls - 1.0) ** 2 - ms * ms, 0.0) / (4.0 * (ls - 1.0) ** 2 - 1.0))
+    bufs = np.empty((3, L + 1, t.size))
+    tmp = np.empty((max(L - 1, 0), t.size))
+    prev = bufs[0, :1]
+    prev[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    yield prev
+    for l in range(1, L + 1):
+        row = bufs[l % 3, : l + 1]
+        np.multiply(-math.sqrt((2 * l + 1) / (2.0 * l)), s, out=row[l])
+        row[l] *= prev[l - 1]
+        np.multiply(math.sqrt(2 * l + 1.0), t, out=row[l - 1])
+        row[l - 1] *= prev[l - 1]
+        if l >= 2:
+            k = l - 1
+            # row[m] = a * (t * prev[m] - b * prev2[m]) for m <= l - 2
+            np.multiply(t, prev[:k], out=row[:k])
+            np.multiply(b[l - 2, :k, None], prev2[:k], out=tmp[:k])
+            row[:k] -= tmp[:k]
+            row[:k] *= a[l - 2, :k, None]
+        yield row
+        prev2, prev = prev, row
+
+
 def norm_legendre_table(ell_max: int, t) -> np.ndarray:
     """Fully normalised associated Legendre values c_l^m P_l^m(t) for m >= 0.
 
     Returns an array of shape (ell_max+1, ell_max+1, len(t)) indexed
-    [l, m, point]; entries with m > l are zero.  Uses the normalised
-    three-term recurrence, which avoids the factorial overflow of the plain
-    recurrence at high degree; row l is one set of whole-row operations over
-    m.  Y_l^m equals table * exp(i m phi).
+    [l, m, point]; entries with m > l are zero.  The rows are those of
+    `norm_legendre_rows`.  Y_l^m equals table * exp(i m phi).
     """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     L = int(ell_max)
     out = np.zeros((L + 1, L + 1, t.size))
-    s = np.sqrt(np.maximum(0.0, (1.0 - t) * (1.0 + t)))
-    out[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for l in range(1, L + 1):
-        out[l, l] = -math.sqrt((2 * l + 1) / (2.0 * l)) * s * out[l - 1, l - 1]
-        out[l, l - 1] = math.sqrt(2 * l + 1.0) * t * out[l - 1, l - 1]
-        if l >= 2:
-            m = np.arange(l - 1)
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
-            out[l, : l - 1] = a * (t * out[l - 1, : l - 1] - b * out[l - 2, : l - 1])
+    for l, row in enumerate(norm_legendre_rows(L, t)):
+        out[l, : l + 1] = row
     return out

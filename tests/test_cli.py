@@ -66,6 +66,21 @@ class TestBuild:
         assert code == 2
         assert "validation" in err
 
+    def test_non_finite_material_file_exits_2(self, capsys, tmp_path):
+        # json writes NaN as the bare token NaN, which json.load reads back
+        path = tmp_path / "nan.json"
+        fs.save_material_json(fs.builtin("PZT-4"), path)
+        doc = json.loads(path.read_text())
+        doc["eps"][2][2] = math.nan
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "build", "--material", str(path), "--L", "4",
+            "--tables-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "validation" in err and "block 'eps' entry [3,3] is not finite" in err
+        assert "Traceback" not in err and not list(tmp_path.glob("*.fsct"))
+
     def test_laplace_sparsity_pattern(self, capsys, tmp_path):
         run(
             capsys, "build", "--material", "Laplace", "--L", "4", "--order", "3",
@@ -209,6 +224,59 @@ class TestEval:
             outs.append(out_file.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_output_bytes_match_per_component_format(self, capsys, tmp_path):
+        # N = 5 and an odd order, so the (i, j) order and signs both show
+        self.setup_tables(capsys, tmp_path, material="M2", L=6, order=1)
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(7, 3)) * rng.uniform(0.1, 10.0, size=(7, 1))
+        rows[3] = -rows[1]
+        pts = tmp_path / "pts.csv"
+        write_points(pts, rows.tolist())
+        out_file = tmp_path / "vals.csv"
+        code, _, _ = run(
+            capsys, "eval", "--material", "M2", "--L", "6", "--multi-index", "0,0,1",
+            "--points", str(pts), "--tables-dir", str(tmp_path), "--out", str(out_file),
+        )
+        assert code == 0
+        ext = fs.extend(fs.builtin("M2"))
+        table = fs.load_table(table_path(tmp_path, ext.material_hash, 6, (0, 0, 1)))
+        points = [[float(v) for v in line.split(",")] for line in pts.read_text().splitlines()[1:]]
+        values = fs.evaluate_batch(table, points)
+        expect = ["x,y,z,i,j,value"]
+        for (x, y, z), val in zip(points, values):
+            for i in range(5):
+                for j in range(5):
+                    expect.append(f"{x:.17g},{y:.17g},{z:.17g},{i + 1},{j + 1},{val[i, j]:.17g}")
+        assert out_file.read_bytes() == ("\n".join(expect) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "row,fields", [("2.0,1.0", 2), ("2.0,1.0,0.5,7.0", 4)], ids=["short", "long"]
+    )
+    def test_bad_field_count_names_file_and_line_exit_2(self, capsys, tmp_path, row, fields):
+        self.setup_tables(capsys, tmp_path)
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"x,y,z\n1.0,0.0,0.0\n\n{row}\n0.0,0.0,1.0\n")
+        code, out, err = run(
+            capsys, "eval", "--material", "Laplace", "--L", "4",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert f"{pts}, line 4: point row has {fields} fields" in err
+        assert "Traceback" not in err
+
+    def test_header_row_skipped(self, capsys, tmp_path):
+        self.setup_tables(capsys, tmp_path)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y,z\n0.0,0.0,2.0\n")
+        code, out, _ = run(
+            capsys, "eval", "--material", "Laplace", "--L", "4",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "x,y,z,i,j,value" and len(lines) == 2
+        assert lines[1].startswith("0,0,2,1,1,")
+
 
 class TestSweep:
     def test_laplace_noise_floor(self, capsys, tmp_path):
@@ -279,6 +347,27 @@ class TestBench:
         # contour error decreases as nodes double
         contour = [r for r in rows if r[0] == "contour"]
         assert float(contour[1][3]) <= float(contour[0][3])
+
+    def test_contour_errors_match_per_point_contour(self, capsys, tmp_path):
+        # the batched contour rows report the errors of one unit_circle call
+        # per point; 200 points cross a chunk boundary
+        out_file = tmp_path / "bench.csv"
+        code, _, _ = run(
+            capsys, "bench", "--material", "Cu", "--L-list", "8",
+            "--nodes-list", "16,32", "--points-count", "200",
+            "--out", str(out_file), "--tables-dir", str(tmp_path),
+        )
+        assert code == 0
+        rows = [r.split(",") for r in out_file.read_text().strip().splitlines()[1:]]
+        got = {int(r[1]): float(r[3]) for r in rows if r[0] == "contour"}
+        ext = fs.extend(fs.builtin("Cu"))
+        pts = np.random.default_rng(42).normal(size=(200, 3))  # bench's default seed
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        ref = np.stack([fs.unit_circle(ext, p, n_nodes=512) for p in pts])
+        for nodes in (16, 32):
+            vals = np.stack([fs.unit_circle(ext, p, n_nodes=nodes) for p in pts])
+            expect = float(np.max(np.abs(vals - ref))) / np.max(np.abs(ref))
+            assert got[nodes] == pytest.approx(expect, rel=1e-12)
 
 
 class TestPlot:

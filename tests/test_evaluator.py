@@ -128,6 +128,20 @@ class TestEvaluateBatch:
             single = fs.evaluate(base_cu, pts[p])
             assert np.max(np.abs(v - single)) <= 1e-15 * np.max(np.abs(single))
 
+    @pytest.mark.parametrize("name,L,mi", [("Cu", 40, (0, 0, 0)), ("M2", 16, (0, 0, 1))])
+    def test_rows_bit_identical_across_batch_widths(self, name, L, mi, base_cu, base_m2, rng):
+        # every point gets the same per-point product, so its row has the
+        # same bits alone and in any batch, also across the basis chunk
+        # boundary (4097 points are two chunks)
+        base = {"Cu": base_cu, "M2": base_m2}[name]
+        table = derive_multi(base, mi).truncated(L)
+        pts = rng.normal(size=(4097, 3))
+        full = fs.evaluate_batch(table, pts)
+        for width in (1, 2, 3, 64, 1000, 4097):
+            for start in sorted({0, 1, 4097 - width}):
+                rows = fs.evaluate_batch(table, pts[start : start + width])
+                assert np.array_equal(rows, full[start : start + width])
+
     def test_zero_point_names_index(self, base_laplace):
         pts = [[1.0, 0, 0], [0, 0, 0], [0, 1.0, 0]]
         with pytest.raises(SingularPointError) as err:

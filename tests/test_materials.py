@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,21 @@ class TestValidate:
         el[0, 1] += 1e7
         with pytest.raises(MaterialValidationError):
             fs.extend(MaterialConstants("bad", 3, el))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "attr,idx", [("elastic", (3, 4)), ("e", (2, 0)), ("q", (0, 4)),
+                     ("eps", (1, 1)), ("lam", (2, 2)), ("kappa", (0, 2))],
+    )
+    def test_non_finite_entry_named(self, attr, idx, bad):
+        m2 = fs.builtin("M2")
+        val = np.array(getattr(m2, attr))
+        val[idx] = bad
+        broken = dataclasses.replace(m2, **{attr: val})
+        at = f"[{idx[0] + 1},{idx[1] + 1}]"
+        assert fs.validate(broken) == [f"block '{attr}' entry {at} is not finite ({bad})"]
+        with pytest.raises(MaterialValidationError, match=rf"'{attr}' entry \[{idx[0] + 1},"):
+            fs.extend(broken)
 
 
 class TestExtend:
