@@ -47,7 +47,6 @@ from .expansion import (
     derive_coefficients,
     derive_multi,
     derive_tree,
-    export_table_json,
     load_table,
     make_quadrature,
     multi_indices_up_to,

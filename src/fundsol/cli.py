@@ -152,13 +152,13 @@ def cmd_build(args) -> int:
         return EXIT_INVALID
     cfg.tables_dir.mkdir(parents=True, exist_ok=True)
     base_degree = cfg.L + order
-    quad = make_quadrature(cfg.quad_degree or (2 * base_degree + 12))
+    quad_degree = 2 * base_degree + 12 if cfg.quad_degree is None else cfg.quad_degree
 
     t0 = time.perf_counter()
-    base = base_coefficients(cfg.ext, base_degree, quad)
+    base = base_coefficients(cfg.ext, base_degree, quad_degree)
     base_time = time.perf_counter() - t0
     print(
-        f"base table: L={base_degree} nodes={quad.node_count} "
+        f"base table: L={base_degree} nodes={make_quadrature(quad_degree).node_count} "
         f"build={base_time:.3f}s"
     )
     # each table is one ladder step from its parent, in depth-first order
@@ -168,7 +168,8 @@ def cmd_build(args) -> int:
         dt = time.perf_counter() - t0
         path = table_path(cfg.tables_dir, cfg.ext.material_hash, cfg.L, mi.astuple())
         save_table(tab, path)
-        count = sum(2 * l + 1 for l in range(tab.max_degree + 1))
+        # stored (l, m >= 0) blocks, l of the table's parity
+        count = sum(l + 1 for l in range(tab.parity, tab.max_degree + 1, 2))
         print(
             f"table {mi.astuple()}: L={tab.max_degree} entries={count} "
             f"derive={dt:.3f}s -> {path}"

@@ -67,7 +67,7 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     WT = np.empty((n * n, K))
     off = 0
     for l in ells:
-        C = table.coeffs[l, : l + 1].reshape(l + 1, n * n) * legendre_p_at_zero(l, I)
+        C = table.blocks(l).reshape(l + 1, n * n) * legendre_p_at_zero(l, I)
         C[1:] *= 2.0
         WT[:, off : off + l + 1] = C.real.T
         WT[:, off + l + 1 : off + 2 * l + 1] = -C.imag[1:].T

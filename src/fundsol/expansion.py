@@ -5,13 +5,12 @@ conjugate spherical harmonics,
 
     C[l, m] = integral over the unit sphere of  invsymbol(xi) conj(Y_l^m)(xi),
 
-as N x N complex blocks for every degree l = 0..L and order 0 <= m <= l
-(negative orders follow from the conjugation rule, see CoeffTable).  Tables
-for derivative kernels are obtained WITHOUT further integration through a
-Clebsch-Gordan recurrence ladder: multiplying the integrand by a direction
-component maps degree-l harmonics onto degrees l-1 and l+1 only, so each
-derivative costs one pass over the table and lowers the usable truncation by
-one degree.
+as N x N complex blocks for orders 0 <= m <= l (negative orders follow from
+the conjugation rule, see CoeffTable).  Tables for derivative kernels are
+obtained WITHOUT further integration through a Clebsch-Gordan recurrence
+ladder: multiplying the integrand by a direction component maps degree-l
+harmonics onto degrees l-1 and l+1 only, so each derivative costs one pass
+over the table and lowers the usable truncation by one degree.
 
 The ladder factors couple (1, l, k) and have closed forms (`_cg_one`).  The
 factor c^{1lk}_{000} vanishes at k = l, so target degree l reads source
@@ -20,9 +19,14 @@ shifted-slice multiply-adds over the (l, m) grid: two for x3 (m' = 0), four
 for x1 and x2 (m' = -1 and +1, reading source orders m + 1 and m - 1; order
 -1 at m = 0 follows from order 1 through the conjugation rule).
 
-Both parities of l are stored even though kernel evaluation of a given
-derivative order uses only one parity: the recurrences consume the
-opposite-parity coefficients.
+Parity.  The inverse symbol is even, invsymbol(-xi) = invsymbol(xi), so its
+coefficients of odd degree vanish, and the kernel of derivative order I has
+the parity of I: its coefficients vanish at every degree of the other
+parity.  A ladder step reads degrees l - 1 and l + 1 only, so the two parity
+classes never mix, and evaluation of order I reads degrees of the parity of
+I only.  A table therefore stores the degrees of parity p = I mod 2 alone
+(see CoeffTable), and the base projection inverts the symbol at half the
+quadrature nodes: the rule holds every node's antipode (make_quadrature).
 
 Two transcription corrections relative to the usual statement of the ladder,
 both confirmed against exact scalar-kernel coefficients and the direct
@@ -65,7 +69,6 @@ __all__ = [
     "derive_tree",
     "save_table",
     "load_table",
-    "export_table_json",
     "multi_indices_up_to",
     "DEFAULT_MAX_ORDER",
 ]
@@ -73,7 +76,7 @@ __all__ = [
 DEFAULT_MAX_ORDER = 4
 
 _MAGIC = b"FSCT"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,8 @@ class SphereQuadrature:
     """Product rule on the unit sphere: Gauss-Legendre in cos(theta) x uniform azimuth.
 
     Integrates every product Y_l1^m1 conj(Y_l2^m2) with l1 + l2 <= degree
-    exactly.  Weights are positive and sum to 4 pi.
+    exactly.  Weights are positive and sum to 4 pi.  The azimuthal node count
+    is even, so azimuth b + n_phi/2 is azimuth b plus pi.
     """
 
     degree: int
@@ -126,16 +130,27 @@ class SphereQuadrature:
     phi_nodes: np.ndarray  # (n_phi,)
     phi_weight: float
 
+    def __post_init__(self):
+        if self.phi_nodes.size % 2:
+            raise ValueError(f"azimuthal node count must be even, got {self.phi_nodes.size}")
+
     @property
     def node_count(self) -> int:
         return self.cos_nodes.size * self.phi_nodes.size
 
     def nodes(self) -> np.ndarray:
-        """All quadrature directions as a (node_count, 3) array."""
+        """All quadrature directions as a (node_count, 3) array, theta-major.
+
+        The Gauss-Legendre nodes are exactly symmetric, and the cosines and
+        sines of the second azimuthal half are taken as the exact negatives of
+        the first (rather than rounded on their own), so node
+        (a, b + n_phi/2) is the exact antipode of node (n_theta - 1 - a, b).
+        """
         t = self.cos_nodes[:, None]
         s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        cp = np.cos(self.phi_nodes)[None, :]
-        sp = np.sin(self.phi_nodes)[None, :]
+        half = self.phi_nodes[: self.phi_nodes.size // 2]
+        cp = np.concatenate([np.cos(half), -np.cos(half)])[None, :]
+        sp = np.concatenate([np.sin(half), -np.sin(half)])[None, :]
         xyz = np.stack(
             [s * cp, s * sp, np.broadcast_to(t, (t.size, cp.size))], axis=-1
         )
@@ -153,14 +168,23 @@ class SphereQuadrature:
         )
 
 
+@lru_cache(maxsize=16)
 def make_quadrature(exactness_degree: int) -> SphereQuadrature:
-    """Quadrature exact for spherical polynomials up to the given degree."""
+    """Quadrature exact for spherical polynomials up to the given degree.
+
+    The azimuthal node count exactness + 2 is rounded up to an even number,
+    which keeps the rule at least as exact and makes it hold every node's
+    antipode (SphereQuadrature.nodes).  Cached, as the Gauss-Legendre nodes
+    cost about as much as a small projection; the arrays are read-only.
+    """
     if exactness_degree < 0:
         raise ValueError("exactness degree must be nonnegative")
     n_theta = (exactness_degree + 1 + 1) // 2 + 1
-    n_phi = exactness_degree + 2
+    n_phi = exactness_degree + 2 + exactness_degree % 2
     t, w = np.polynomial.legendre.leggauss(n_theta)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    for a in (t, w, phis):
+        a.setflags(write=False)
     return SphereQuadrature(
         degree=exactness_degree,
         cos_nodes=t,
@@ -170,14 +194,22 @@ def make_quadrature(exactness_degree: int) -> SphereQuadrature:
     )
 
 
+def _degree_rows(L: int, parity: int) -> int:
+    """Number of degrees of the given parity in 0..L (0 when L < parity)."""
+    return (L - parity) // 2 + 1
+
+
 @dataclass(frozen=True)
 class CoeffTable:
     """Expansion coefficients of one kernel (one derivative multi-index).
 
-    coeffs is complex128 of shape (L+1, L+1, N, N) indexed [l, m] for the
-    orders m >= 0 only; entries with m > l are zero.  This is the layout of
-    the FSCT payload.  Negative orders follow from the conjugation rule
-    entry(l, -m) == (-1)^m conj(entry(l, m)), which `entry` applies.
+    Only the degrees of the table's parity p = order mod 2 are stored: the
+    others vanish (see the module docstring).  coeffs is complex128 of shape
+    (n_p, L+1, N, N) indexed [j, m], where row j holds degree l = p + 2j for
+    the orders m >= 0 and entries with m > l are zero; n_p counts the degrees
+    of parity p in 0..L.  This is the layout of the FSCT payload.  `entry`
+    returns a zero block at a degree of the other parity, and negative orders
+    through the conjugation rule entry(l, -m) == (-1)^m conj(entry(l, m)).
     """
 
     material_hash: str
@@ -188,23 +220,36 @@ class CoeffTable:
 
     def __post_init__(self):
         L, n = self.max_degree, self.field_dim
-        if self.coeffs.shape != (L + 1, L + 1, n, n):
+        if self.coeffs.shape != (_degree_rows(L, self.parity), L + 1, n, n):
             raise ValueError(
-                f"coefficient array shape {self.coeffs.shape} inconsistent with L={L}, N={n}"
+                f"coefficient array shape {self.coeffs.shape} inconsistent with "
+                f"L={L}, N={n}, parity {self.parity}"
             )
 
     @property
     def order(self) -> int:
         return sum(self.multi_index)
 
+    @property
+    def parity(self) -> int:
+        return self.order % 2
+
+    def blocks(self, ell: int) -> np.ndarray:
+        """The stored blocks of degree ell, orders m = 0..ell, as an
+        (ell + 1, N, N) view; ell must be of the table's parity."""
+        return self.coeffs[(ell - self.parity) // 2, : ell + 1]
+
     def entry(self, ell: int, m: int) -> np.ndarray:
         if not (0 <= ell <= self.max_degree and abs(m) <= ell):
             raise TableRangeError(
                 f"entry (l={ell}, m={m}) outside stored degrees 0..{self.max_degree}"
             )
+        if (ell - self.parity) % 2:
+            return np.zeros((self.field_dim, self.field_dim), dtype=np.complex128)
+        block = self.blocks(ell)[abs(m)]
         if m >= 0:
-            return self.coeffs[ell, m]
-        block = np.conj(self.coeffs[ell, -m])
+            return block
+        block = np.conj(block)
         return -block if m % 2 else block
 
     def truncated(self, max_degree: int) -> "CoeffTable":
@@ -218,7 +263,7 @@ class CoeffTable:
             self.field_dim,
             max_degree,
             self.multi_index,
-            self.coeffs[: max_degree + 1, : max_degree + 1].copy(),
+            self.coeffs[: _degree_rows(max_degree, self.parity), : max_degree + 1].copy(),
         )
 
     def max_abs(self) -> float:
@@ -226,38 +271,44 @@ class CoeffTable:
 
 
 def base_coefficients(
-    ext: ExtendedTensor, L: int, quad: SphereQuadrature | None = None
+    ext: ExtendedTensor, L: int, quad_degree: int | None = None
 ) -> CoeffTable:
-    """Project the inverse symbol onto conjugate harmonics up to degree L.
+    """Project the inverse symbol onto conjugate harmonics of even degree up to L.
 
-    The default quadrature has exactness 2L + 12.  The doubling is not
-    cosmetic: an azimuthal rule with n nodes aliases spectral content at
-    frequency n - m onto order m, so a rule sized close to L pollutes the
-    top coefficients with low-frequency energy of the symbol (measured at
-    ~1e-4 relative for cubic crystals at L = 40 with exactness L + 12).
-    With 2L + 12 the alias floor sits below the series truncation error at
-    every L.  A caller-supplied rule must at least resolve degree-L
-    harmonics.
+    The rule is make_quadrature(quad_degree), by default of exactness
+    2L + 12.  The doubling is not cosmetic: an azimuthal rule with n nodes
+    aliases spectral content at frequency n - m onto order m, so a rule
+    sized close to L pollutes the top coefficients with low-frequency energy
+    of the symbol (measured at ~1e-4 relative for cubic crystals at L = 40
+    with exactness L + 12).  With 2L + 12 the alias floor sits below the
+    series truncation error at every L.  A caller-supplied exactness must at
+    least resolve degree-L harmonics.
+
+    The symbol is inverted at the nodes with azimuth in [0, pi) only.  It is
+    even, and its inverse at -xi has the same bits as at xi, so the other
+    half are copies: node (a, b + n_phi/2) takes node (n_theta - 1 - a, b).
     """
     if L < 0:
         raise ValueError("truncation degree must be nonnegative")
-    if quad is None:
-        quad = make_quadrature(2 * L + 12)
-    elif quad.degree < L:
+    if quad_degree is None:
+        quad_degree = 2 * L + 12
+    elif quad_degree < L:
         raise ValueError(
-            f"quadrature exactness {quad.degree} cannot project onto degree {L}"
+            f"quadrature exactness {quad_degree} cannot project onto degree {L}"
         )
+    quad = make_quadrature(quad_degree)
     n = ext.field_dim
     t = quad.cos_nodes
-    inv = inverse_symbol_batch(ext, quad.nodes()).reshape(
-        t.size, quad.phi_nodes.size, n, n
-    )
+    half = quad.phi_nodes.size // 2
+    dirs = quad.nodes().reshape(t.size, 2 * half, 3)[:, :half]
+    inv = inverse_symbol_batch(ext, dirs.reshape(-1, 3)).reshape(t.size, half, n, n)
+    inv = np.concatenate([inv, inv[::-1]], axis=1)
     # azimuthal transform: G[m, a] = sum_b inv[a, b] exp(-i m phi_b) w_phi
     phases = np.exp(-1j * np.outer(np.arange(L + 1), quad.phi_nodes)) * quad.phi_weight
     G = np.einsum("mb,abjk->majk", phases, inv, optimize=True)
     G *= quad.theta_weights[np.newaxis, :, np.newaxis, np.newaxis]
-    # polar projection against normalised Legendre values
-    P = norm_legendre_table(L, t)  # (L+1, L+1, n_theta)
+    # polar projection against the normalised Legendre values of even degree
+    P = norm_legendre_table(L, t)[0::2]  # (n_0, L+1, n_theta)
     C = np.einsum("lma,majk->lmjk", P, G, optimize=True)  # zero where m > l, as P is
     return CoeffTable(ext.material_hash, n, L, (0, 0, 0), C)
 
@@ -319,7 +370,8 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
     """Coefficient table of the kernel differentiated once along `axis` (1, 2 or 3).
 
     The result keeps degrees 0..L-1, one less than the source, because each
-    target degree l consumes source degrees l-1 and l+1.
+    target degree l consumes source degrees l-1 and l+1.  Those are of the
+    source's parity, so the result holds the other parity, p.
     """
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
@@ -330,23 +382,29 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
         )
     Lt = L_src - 1
     n = table.field_dim
+    p = 1 - table.parity
+    rows_t = _degree_rows(Lt, p)
     # column c holds source order c - 1: x1 and x2 read order -1 at m = 0,
     # which is -conj(order 1)
-    src = np.empty((L_src + 1, L_src + 2, n, n), dtype=np.complex128)
+    src = np.empty((table.coeffs.shape[0], L_src + 2, n, n), dtype=np.complex128)
     src[:, 1:] = table.coeffs
     src[:, 0] = -np.conj(table.coeffs[:, 1])
-    acc = np.zeros((Lt + 1, Lt + 1, n, n), dtype=np.complex128)
+    acc = np.zeros((rows_t, Lt + 1, n, n), dtype=np.complex128)
     for d, shift, subtract, factor in _step_terms(Lt, axis):
-        # target row l reads source row l + d; source degree l - 1 exists
-        # for target rows 1..Lt only
-        rows, src_rows = (slice(1, None), slice(0, Lt)) if d < 0 else (slice(None), slice(1, None))
+        # target row j (degree p + 2j) reads source degree p + 2j + d, which
+        # is source row j + first; target degree 0 has no degree -1 to read
+        first = p + (d - 1) // 2
+        rows, src_rows = (
+            (slice(1, None), slice(0, rows_t - 1)) if first < 0
+            else (slice(None), slice(first, first + rows_t))
+        )
         cols = slice(1 + shift, 2 + shift + Lt)
-        term = factor[rows, :, None, None] * src[src_rows, cols]
+        term = factor[p::2][rows, :, None, None] * src[src_rows, cols]
         if subtract:
             acc[rows] -= term
         else:
             acc[rows] += term
-    l = np.arange(Lt + 1, dtype=np.float64)
+    l = np.arange(p, Lt + 1, 2, dtype=np.float64)
     if axis == 1:
         pref = np.sqrt((2.0 * l + 1.0) / 2.0)
     elif axis == 2:
@@ -415,17 +473,27 @@ def derive_tree(
 # ---------------------------------------------------------------------------
 # persistence
 #
-# Layout: magic "FSCT" | u16 version | u32 header length | header JSON |
-# one record per (l, m >= 0) block in row-major (l, m) order, each a u32
-# byte length (16 N^2) and N x N little-endian complex128 | first 16 bytes
-# of the sha256 of all record bytes.  The records are CoeffTable.coeffs
+# Layout (format version 2): magic "FSCT" | u16 version | u32 header length |
+# header JSON | one record per stored block, degrees l of the table's parity
+# in increasing order and m = 0..l within each, each a u32 byte length
+# (16 N^2) and N x N little-endian complex128 | first 16 bytes of the sha256
+# of all bytes before it, header included, so an edited header fails the
+# checksum as a damaged block does.  The records are CoeffTable.coeffs
 # without its m > l zeros; the stored m = 0 blocks act as an integrity check
-# (they must be real up to quadrature noise).  Headers written before the
-# m >= 0 layout carry a "parity" key, which is ignored.
+# (they must be real up to quadrature noise).  Version 1 stored both
+# parities and hashed the blocks only; its files are refused, as a table
+# rebuilds in milliseconds.
 
 
 def _record_dtype(n: int) -> np.dtype:
     return np.dtype([("length", "<u4"), ("block", "<c16", (n, n))])
+
+
+def _stored_blocks(L: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, m) of every stored block, in file order."""
+    j = np.arange(_degree_rows(L, parity))[:, None]
+    m = np.arange(L + 1)[None, :]
+    return np.nonzero(m <= parity + 2 * j)
 
 
 def save_table(table: CoeffTable, path) -> None:
@@ -437,20 +505,18 @@ def save_table(table: CoeffTable, path) -> None:
         "multi_index": list(table.multi_index),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    L, n = table.max_degree, table.field_dim
-    ls, ms = np.tril_indices(L + 1)
-    records = np.empty(ls.size, dtype=_record_dtype(n))
+    n = table.field_dim
+    js, ms = _stored_blocks(table.max_degree, table.parity)
+    records = np.empty(js.size, dtype=_record_dtype(n))
     records["length"] = 16 * n * n
-    records["block"] = table.coeffs[ls, ms]
-    payload = records.tobytes()
-    digest = hashlib.sha256(payload).digest()[:16]
+    records["block"] = table.coeffs[js, ms]
+    prefix = _MAGIC + struct.pack("<HI", _FORMAT_VERSION, len(header_bytes)) + header_bytes
+    digest = hashlib.sha256(prefix)
+    digest.update(records)
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<H", _FORMAT_VERSION))
-        f.write(struct.pack("<I", len(header_bytes)))
-        f.write(header_bytes)
-        f.write(payload)
-        f.write(digest)
+        f.write(prefix)
+        f.write(records)
+        f.write(digest.digest()[:16])
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
@@ -496,28 +562,37 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
         magic = f.read(4)
         if magic != _MAGIC:
             raise TableFormatError(f"not a coefficient table file: magic {magic!r}")
-        (version,) = struct.unpack("<H", _read_exact(f, 2, "version"))
+        version_bytes = _read_exact(f, 2, "version")
+        (version,) = struct.unpack("<H", version_bytes)
         if version != _FORMAT_VERSION:
             raise TableFormatError(
-                f"unsupported format version {version} (expected {_FORMAT_VERSION})"
+                f"table file format version {version} is not readable (this version "
+                f"reads {_FORMAT_VERSION}); rebuild the table with `fundsol build`"
             )
-        (hlen,) = struct.unpack("<I", _read_exact(f, 4, "header length"))
+        hlen_bytes = _read_exact(f, 4, "header length")
+        (hlen,) = struct.unpack("<I", hlen_bytes)
+        header_bytes = _read_exact(f, hlen, "header")
         try:
-            header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
+            header = json.loads(header_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TableCorruptionError(f"unreadable table header: {exc}") from exc
         n, L, mi, file_hash = _header_fields(header)
         rest = f.read()
-    # in Python integers, so a header claiming a huge N or L cannot overflow
-    expected = (L + 1) * (L + 2) // 2 * (4 + 16 * n * n) + 16
+    parity = sum(mi) % 2
+    # in Python integers, so a header claiming a huge N or L cannot overflow;
+    # degrees p + 2j for j < rows hold rows * (rows + p) blocks in all
+    rows = _degree_rows(L, parity)
+    expected = rows * (rows + parity) * (4 + 16 * n * n) + 16
     if len(rest) != expected:
         raise TableCorruptionError(
-            f"table file holds {len(rest)} bytes after its header; N={n}, L={L} "
-            f"need {expected} (payload and checksum)"
+            f"table file holds {len(rest)} bytes after its header; N={n}, L={L}, "
+            f"parity {parity} need {expected} (payload and checksum)"
         )
     payload, digest = rest[:-16], rest[-16:]
-    if hashlib.sha256(payload).digest()[:16] != digest:
-        raise TableCorruptionError("table payload fails checksum")
+    check = hashlib.sha256(magic + version_bytes + hlen_bytes + header_bytes)
+    check.update(payload)
+    if check.digest()[:16] != digest:
+        raise TableCorruptionError("table header or payload fails checksum")
     if expected_material_hash is not None and file_hash != expected_material_hash:
         raise TableHashMismatchError(
             f"table belongs to material {file_hash[:12]}..., expected "
@@ -525,17 +600,17 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
         )
 
     records = np.frombuffer(payload, dtype=_record_dtype(n))
-    ls, ms = np.tril_indices(L + 1)
+    js, ms = _stored_blocks(L, parity)
     bad = np.nonzero(records["length"] != 16 * n * n)[0]
     if bad.size:
         k = bad[0]
         raise TableCorruptionError(
-            f"bad block length {records['length'][k]} at (l={ls[k]}, m={ms[k]})"
+            f"bad block length {records['length'][k]} at (l={parity + 2 * js[k]}, m={ms[k]})"
         )
-    coeffs = np.zeros((L + 1, L + 1, n, n), dtype=np.complex128)
-    coeffs[ls, ms] = records["block"]
+    coeffs = np.zeros((rows, L + 1, n, n), dtype=np.complex128)
+    coeffs[js, ms] = records["block"]
 
-    scale = float(np.max(np.abs(coeffs)))
+    scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
     if scale > 0:
         worst_im = float(np.max(np.abs(coeffs[:, 0].imag)))
         if worst_im > 1e-6 * scale:
@@ -543,25 +618,3 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
                 f"m = 0 blocks are not real (max imag {worst_im:.3e}); file damaged"
             )
     return CoeffTable(file_hash, n, L, mi, coeffs)
-
-
-def export_table_json(table: CoeffTable, path) -> None:
-    """Debug export: complex entries as [re, im] pairs keyed by "l,m"."""
-    entries = {}
-    for l in range(table.max_degree + 1):
-        for m in range(0, l + 1):
-            block = table.entry(l, m)
-            entries[f"{l},{m}"] = [
-                [[float(z.real), float(z.imag)] for z in row] for row in block
-            ]
-    doc = {
-        "format_version": _FORMAT_VERSION,
-        "material_hash": table.material_hash,
-        "N": table.field_dim,
-        "L": table.max_degree,
-        "multi_index": list(table.multi_index),
-        "entries_m_nonnegative": entries,
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-        f.write("\n")

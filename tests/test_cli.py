@@ -97,6 +97,53 @@ class TestBuild:
                 assert abs(table.entry(l, m)[0, 0]) < 1e-12
 
 
+    def test_entries_count_stored_blocks(self, capsys, tmp_path):
+        # a table stores the (l, m >= 0) blocks of its parity: degrees
+        # 0, 2, 4 for order 0 and 1, 3 for order 1 at L = 4
+        code, out, _ = run(
+            capsys, "build", "--material", "Laplace", "--L", "4", "--order", "1",
+            "--tables-dir", str(tmp_path),
+        )
+        assert code == 0
+        counts = {line.split(":")[0]: line.split("entries=")[1].split()[0]
+                  for line in out.splitlines() if "entries=" in line}
+        assert counts == {
+            "table (0, 0, 0)": "9", "table (1, 0, 0)": "6",
+            "table (0, 1, 0)": "6", "table (0, 0, 1)": "6",
+        }
+
+    def test_odd_quad_degree_matches_even(self, capsys, tmp_path):
+        # an odd exactness rounds the azimuthal node count up to even; the
+        # tables agree with the next even exactness to the alias floor
+        ext = fs.extend(fs.builtin("Cu"))
+        tables = {}
+        # n_theta x n_phi: 51 x 102 for exactness 99, 52 x 102 for 100
+        for degree, nodes in (("99", 5202), ("100", 5304)):
+            out = tmp_path / degree
+            code, stdout, _ = run(
+                capsys, "build", "--material", "Cu", "--L", "8", "--order", "1",
+                "--quad-degree", degree, "--tables-dir", str(out),
+            )
+            assert code == 0 and f"nodes={nodes} " in stdout
+            tables[degree] = [fs.load_table(table_path(out, ext.material_hash, 8, mi))
+                              for mi in ((0, 0, 0), (1, 0, 0), (0, 0, 1))]
+        for odd, even in zip(tables["99"], tables["100"]):
+            scale = even.max_abs()
+            assert np.max(np.abs(odd.coeffs - even.coeffs)) <= 1e-12 * scale
+
+
+    @pytest.mark.parametrize("degree", ["0", "1"])
+    def test_quad_degree_below_L_exit_2(self, capsys, tmp_path, degree):
+        # 0 is a value like any other, not a request for the default
+        code, _, err = run(
+            capsys, "build", "--material", "Laplace", "--L", "2",
+            "--quad-degree", degree, "--tables-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert f"exactness {degree} cannot project onto degree 2" in err
+        assert not list(tmp_path.glob("*.fsct"))
+
+
 class TestEval:
     def setup_tables(self, capsys, tmp_path, material="Laplace", L=4, order=0):
         code, _, _ = run(
@@ -166,6 +213,40 @@ class TestEval:
         )
         assert code == 2
         assert "L=1000000000" in err
+
+    def test_rewritten_header_exit_2(self, capsys, tmp_path):
+        # a multi-index rewritten in place fails the checksum instead of
+        # loading as the wrong kernel
+        self.setup_tables(capsys, tmp_path, order=1)
+        lap = fs.extend(fs.builtin("Laplace"))
+        path = table_path(tmp_path, lap.material_hash, 4, (0, 0, 1))
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b'"multi_index": [0, 0, 1]', b'"multi_index": [1, 0, 0]'))
+        assert path.read_bytes() != data
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[0.0, 0.0, 1.0]])
+        code, out, err = run(
+            capsys, "eval", "--material", "Laplace", "--L", "4", "--multi-index", "0,0,1",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "checksum" in err and out == ""
+
+    def test_version_1_table_exit_2(self, capsys, tmp_path):
+        self.setup_tables(capsys, tmp_path)
+        lap = fs.extend(fs.builtin("Laplace"))
+        path = table_path(tmp_path, lap.material_hash, 4, (0, 0, 0))
+        data = bytearray(path.read_bytes())
+        data[4:6] = struct.pack("<H", 1)
+        path.write_bytes(bytes(data))
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[0.0, 0.0, 1.0]])
+        code, _, err = run(
+            capsys, "eval", "--material", "Laplace", "--L", "4",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "version 1" in err and "fundsol build" in err
 
     def test_row_count_n_squared(self, capsys, tmp_path):
         self.setup_tables(capsys, tmp_path, material="Cu", L=8)

@@ -25,9 +25,11 @@ from fundsol.expansion import (
     make_quadrature,
     multi_indices_up_to,
 )
+from fundsol.special import norm_legendre_table
 from fundsol.symbol import inverse_symbol_batch
 
 SQRT_PI = math.sqrt(math.pi)
+ALL_BUILTINS = ["Laplace", "Cu", "Au", "Ni", "PZT-4", "PVDF", "M1", "M2"]
 
 
 def quadrature_coefficient_oracle(ext, mi, L, degree):
@@ -51,6 +53,18 @@ def quadrature_coefficient_oracle(ext, mi, L, degree):
             Y = sps.sph_harm_y(l, m, theta, phi)
             out[l, L + m] = np.einsum("p,pjk->jk", np.conj(Y), f)
     return out
+
+
+def full_inversion_base(ext, L):
+    """Base coefficients of every degree 0..L, indexed [l, m], from the
+    symbol inverted at every node of the default rule: no use of its
+    antipode symmetry, and einsum without path optimisation."""
+    quad = make_quadrature(2 * L + 12)
+    n, t = ext.field_dim, quad.cos_nodes
+    inv = inverse_symbol_batch(ext, quad.nodes()).reshape(t.size, -1, n, n)
+    phases = np.exp(-1j * np.outer(np.arange(L + 1), quad.phi_nodes)) * quad.phi_weight
+    G = np.einsum("mb,abjk->majk", phases, inv) * quad.theta_weights[None, :, None, None]
+    return np.einsum("lma,majk->lmjk", norm_legendre_table(L, t), G)
 
 
 def all_orders(table):
@@ -93,7 +107,8 @@ def racah_cg(l1, l2, l3, m1, m2, m3):
 def loop_ladder_step(table, axis):
     """One ladder step as a loop over target (l, m) and source degree k with
     exact-rational Clebsch-Gordan factors, summed in the same order as the
-    vectorised ladder."""
+    vectorised ladder.  Every degree 0..L-1 is computed, indexed [l, m]; the
+    source's zero blocks of the other parity enter like any other."""
     L_src, n = table.max_degree, table.field_dim
     Lt = L_src - 1
     out = np.zeros((Lt + 1, Lt + 1, n, n), dtype=np.complex128)
@@ -149,6 +164,17 @@ class TestQuadrature:
         assert quad.nodes().shape == (quad.node_count, 3)
         assert quad.node_count == quad.cos_nodes.size * quad.phi_nodes.size
 
+    @pytest.mark.parametrize("degree", [0, 1, 10, 11, 98, 99])
+    def test_nodes_hold_exact_antipodes(self, degree):
+        # an odd exactness rounds the azimuthal count up to even; node
+        # (a, b + n_phi/2) is then the exact negative of (n_theta - 1 - a, b)
+        quad = make_quadrature(degree)
+        n_theta, n_phi = quad.cos_nodes.size, quad.phi_nodes.size
+        assert n_phi % 2 == 0 and n_phi >= degree + 2
+        xyz = quad.nodes().reshape(n_theta, n_phi, 3)
+        half = n_phi // 2
+        assert np.array_equal(xyz[:, half:], -xyz[::-1, :half])
+
 
 class TestBaseCoefficients:
     def test_laplace_single_entry(self, base_laplace):
@@ -183,8 +209,8 @@ class TestBaseCoefficients:
     def test_quadrature_refinement_agreement(self, ext_cu):
         # two independent rules must agree once both alias floors are below
         # target; exactness ~L+60 puts the floor near 1e-13 for copper
-        b1 = fs.base_coefficients(ext_cu, 20, make_quadrature(82))
-        b2 = fs.base_coefficients(ext_cu, 20, make_quadrature(102))
+        b1 = fs.base_coefficients(ext_cu, 20, 82)
+        b2 = fs.base_coefficients(ext_cu, 20, 102)
         scale = np.max(np.abs(b2.coeffs))
         assert np.max(np.abs(b1.coeffs - b2.coeffs)) <= 1e-11 * scale
 
@@ -196,9 +222,35 @@ class TestBaseCoefficients:
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(all_orders(table) - oracle)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("name", ALL_BUILTINS)
+    def test_mirrored_inversion_matches_full_inversion(self, name):
+        # base_coefficients inverts the symbol on half the nodes and mirrors
+        # it, as the inverse at -xi has the bits of the inverse at xi; the
+        # reference inverts at every node and projects every degree
+        ext = fs.extend(fs.builtin(name))
+        nodes = make_quadrature(2 * 24 + 12).nodes()
+        assert np.array_equal(inverse_symbol_batch(ext, -nodes), inverse_symbol_batch(ext, nodes))
+        table = fs.base_coefficients(ext, 24)
+        full = full_inversion_base(ext, 24)
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(table.coeffs - full[0::2])) <= 1e-15 * scale
+        # the odd degrees it does not store are rounding noise
+        assert np.max(np.abs(full[1::2])) <= 1e-14 * scale
+
+    def test_other_parity_entries_are_zero_blocks(self, base_m2):
+        d = derive_coefficients(base_m2, 3)
+        assert base_m2.coeffs.shape == (13, 25, 5, 5)
+        assert d.coeffs.shape == (12, 24, 5, 5)
+        assert d.truncated(10).coeffs.shape == (5, 11, 5, 5)
+        for table in (base_m2, d):
+            for l in range(1 - table.parity, table.max_degree + 1, 2):
+                for m in (-l, 0, l):
+                    block = table.entry(l, m)
+                    assert block.shape == (5, 5) and not np.any(block)
+
     def test_quadrature_too_coarse_rejected(self, ext_laplace):
         with pytest.raises(ValueError):
-            fs.base_coefficients(ext_laplace, 10, make_quadrature(8))
+            fs.base_coefficients(ext_laplace, 10, 8)
 
 
 class TestConjugationInvariant:
@@ -307,7 +359,7 @@ class TestDeriveIsotropic:
 class TestDeriveAnisotropic:
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_cu_ladder_matches_quadrature(self, ext_cu, axis):
-        base = fs.base_coefficients(ext_cu, 12, make_quadrature(80))
+        base = fs.base_coefficients(ext_cu, 12, 80)
         d = derive_coefficients(base, axis)
         mi = [0, 0, 0]
         mi[axis - 1] = 1
@@ -342,7 +394,10 @@ class TestLoopReference:
             for _ in range(2):
                 expect = loop_ladder_step(table, axis)
                 table = derive_coefficients(table, axis)
-                assert table.coeffs.tobytes() == expect.tobytes()
+                # the stored degrees are the loop's degrees of the table's
+                # parity, bit for bit; the loop's other degrees are zeros
+                assert table.coeffs.tobytes() == expect[table.parity :: 2].tobytes()
+                assert not np.any(expect[1 - table.parity :: 2])
 
 
 class TestDeriveTree:
@@ -405,11 +460,14 @@ class TestDeriveMulti:
 
 
 def rewrite_header(path, edit):
-    """Replace the header JSON of a table file by edit(header)."""
+    """Replace the header JSON of a table file by edit(header) and re-seal
+    the checksum, so that the loader's header checks, not the checksum, must
+    catch the edit."""
     data = path.read_bytes()
     (hlen,) = struct.unpack_from("<I", data, 6)
     body = json.dumps(edit(json.loads(data[10 : 10 + hlen]))).encode("utf-8")
-    path.write_bytes(data[:6] + struct.pack("<I", len(body)) + body + data[10 + hlen :])
+    data = data[:6] + struct.pack("<I", len(body)) + body + data[10 + hlen : -16]
+    path.write_bytes(data + hashlib.sha256(data).digest()[:16])
 
 
 class TestPersistence:
@@ -428,29 +486,31 @@ class TestPersistence:
 
     def test_file_layout(self, base_m2, tmp_path):
         # magic | u16 version | u32 header length | header JSON |
-        # (u32 length, N*N little-endian complex128) per (l, m >= 0) block |
-        # first 16 bytes of the sha256 of all block bytes
-        table = base_m2.truncated(4)
-        path = tmp_path / "m2.fsct"
-        fs.save_table(table, path)
-        data = path.read_bytes()
-        assert data[:4] == b"FSCT"
-        (version,) = struct.unpack_from("<H", data, 4)
-        (hlen,) = struct.unpack_from("<I", data, 6)
-        assert version == 1
-        header = json.loads(data[10 : 10 + hlen].decode("utf-8"))
-        assert header["N"] == 5 and header["L"] == 4
-        assert header["multi_index"] == [0, 0, 0]
-        offset = start = 10 + hlen
-        for l in range(5):
-            for m in range(l + 1):
-                (blen,) = struct.unpack_from("<I", data, offset)
-                assert blen == 16 * 25
-                block = np.frombuffer(data, "<c16", 25, offset + 4).reshape(5, 5)
-                assert np.array_equal(block, table.entry(l, m))
-                offset += 4 + blen
-        assert len(data) == offset + 16
-        assert data[offset:] == hashlib.sha256(data[start:offset]).digest()[:16]
+        # (u32 length, N*N little-endian complex128) per (l, m >= 0) block,
+        # l of the table's parity only | first 16 bytes of the sha256 of all
+        # bytes before it
+        for mi, degrees in (((0, 0, 0), (0, 2, 4)), ((0, 1, 0), (1, 3))):
+            table = derive_multi(base_m2, mi).truncated(4)
+            path = tmp_path / "m2.fsct"
+            fs.save_table(table, path)
+            data = path.read_bytes()
+            assert data[:4] == b"FSCT"
+            (version,) = struct.unpack_from("<H", data, 4)
+            (hlen,) = struct.unpack_from("<I", data, 6)
+            assert version == 2
+            header = json.loads(data[10 : 10 + hlen].decode("utf-8"))
+            assert header["N"] == 5 and header["L"] == 4
+            assert header["multi_index"] == list(mi)
+            offset = 10 + hlen
+            for l in degrees:
+                for m in range(l + 1):
+                    (blen,) = struct.unpack_from("<I", data, offset)
+                    assert blen == 16 * 25
+                    block = np.frombuffer(data, "<c16", 25, offset + 4).reshape(5, 5)
+                    assert np.array_equal(block, table.entry(l, m))
+                    offset += 4 + blen
+            assert len(data) == offset + 16
+            assert data[offset:] == hashlib.sha256(data[:offset]).digest()[:16]
 
     def test_hash_mismatch_rejected(self, base_laplace, tmp_path):
         path = tmp_path / "lap.fsct"
@@ -489,7 +549,26 @@ class TestPersistence:
         wrong_version = bytearray(data)
         wrong_version[4] = 99
         path.write_bytes(bytes(wrong_version))
-        with pytest.raises(TableFormatError):
+        with pytest.raises(TableFormatError, match="version 99"):
+            fs.load_table(path)
+        # version 1 files (both parities, payload-only checksum) are refused
+        # with a pointer to the rebuild
+        old = bytearray(data)
+        old[4:6] = struct.pack("<H", 1)
+        path.write_bytes(bytes(old))
+        with pytest.raises(TableFormatError, match=r"version 1 .*fundsol build"):
+            fs.load_table(path)
+
+    def test_rewritten_header_fails_checksum(self, base_laplace, tmp_path):
+        # the checksum covers the header: a multi-index rewritten in place to
+        # another of the same parity would otherwise load as the wrong kernel
+        table = derive_multi(base_laplace, (0, 0, 1))
+        path = tmp_path / "lap.fsct"
+        fs.save_table(table, path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b'"multi_index": [0, 0, 1]', b'"multi_index": [1, 0, 0]'))
+        assert path.read_bytes() != data
+        with pytest.raises(TableCorruptionError, match="checksum"):
             fs.load_table(path)
 
     @pytest.mark.parametrize("key", ["N", "L", "multi_index", "material_hash"])
@@ -531,9 +610,8 @@ class TestPersistence:
         with pytest.raises(TableCorruptionError, match="N=1000000000"):
             fs.load_table(path)
         # trailing bytes under a valid checksum
-        (hlen,) = struct.unpack_from("<I", good, 6)
-        payload = good[10 + hlen : -16] + bytes(8)
-        path.write_bytes(good[: 10 + hlen] + payload + hashlib.sha256(payload).digest()[:16])
+        body = good[:-16] + bytes(8)
+        path.write_bytes(body + hashlib.sha256(body).digest()[:16])
         with pytest.raises(TableCorruptionError, match="bytes after its header"):
             fs.load_table(path)
 
@@ -543,30 +621,12 @@ class TestPersistence:
         data = bytearray(path.read_bytes())
         (hlen,) = struct.unpack_from("<I", data, 6)
         start, record = 10 + hlen, 4 + 16 * 25
-        # record 4 in (l, m) order is (l=2, m=1)
-        struct.pack_into("<I", data, start + 4 * record, 16 * 25 + 1)
-        data[-16:] = hashlib.sha256(bytes(data[start:-16])).digest()[:16]
+        # the even degrees are stored: record 2 is (l=2, m=1)
+        struct.pack_into("<I", data, start + 2 * record, 16 * 25 + 1)
+        data[-16:] = hashlib.sha256(bytes(data[:-16])).digest()[:16]
         path.write_bytes(bytes(data))
         with pytest.raises(TableCorruptionError, match=r"\(l=2, m=1\)"):
             fs.load_table(path)
-
-    def test_header_with_parity_key_loads(self, base_m2, tmp_path):
-        # files written before the m >= 0 layout carry "parity": "full"
-        table = derive_multi(base_m2, (0, 1, 0)).truncated(5)
-        path = tmp_path / "m2.fsct"
-        fs.save_table(table, path)
-        rewrite_header(path, lambda h: {**h, "parity": "full"})
-        back = fs.load_table(path)
-        assert np.array_equal(back.coeffs, table.coeffs)
-        assert back.multi_index == (0, 1, 0)
-
-    def test_json_export(self, base_laplace, tmp_path):
-        path = tmp_path / "lap.json"
-        fs.export_table_json(base_laplace, path)
-        doc = json.loads(path.read_text())
-        assert doc["N"] == 1
-        entry = doc["entries_m_nonnegative"]["0,0"]
-        assert entry[0][0][0] == pytest.approx(2 * SQRT_PI, rel=1e-13)
 
     def test_truncated_view(self, base_cu):
         small = base_cu.truncated(10)
