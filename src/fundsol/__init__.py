@@ -67,12 +67,12 @@ from .materials import (
     zener_family,
 )
 from .reference import (
-    ErrorReport,
     error_over_sphere,
     finite_diff,
     kelvin_closed,
     laplace_closed,
     unit_circle,
+    unit_circle_batch,
     unit_circle_field,
 )
 from .special import legendre_p_at_zero

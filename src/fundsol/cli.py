@@ -22,7 +22,6 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,20 +56,6 @@ EXIT_BAD_POINT = 5
 ENV_TABLES_DIR = "FUNDSOL_TABLES_DIR"
 
 
-@dataclass
-class RunConfig:
-    """Resolved options shared by the table-consuming commands."""
-
-    material: object
-    ext: object
-    L: int
-    quad_degree: int | None
-    tables_dir: Path
-    seed: int = 42
-    max_order: int = DEFAULT_MAX_ORDER
-    out: Path | None = None
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -81,24 +66,8 @@ def _load_material(spec: str):
     return builtin(spec)
 
 
-def _resolve_config(args) -> RunConfig:
-    material = _load_material(args.material)
-    ext = extend(material)
-    tables_dir = Path(
-        args.tables_dir
-        or os.environ.get(ENV_TABLES_DIR)
-        or (Path.cwd() / "tables")
-    )
-    return RunConfig(
-        material=material,
-        ext=ext,
-        L=args.L,
-        quad_degree=getattr(args, "quad_degree", None),
-        tables_dir=tables_dir,
-        seed=getattr(args, "seed", 42),
-        max_order=getattr(args, "max_order", DEFAULT_MAX_ORDER),
-        out=Path(args.out) if getattr(args, "out", None) else None,
-    )
+def _tables_dir(args) -> Path:
+    return Path(args.tables_dir or os.environ.get(ENV_TABLES_DIR) or (Path.cwd() / "tables"))
 
 
 def table_path(tables_dir: Path, material_hash: str, L: int, mi) -> Path:
@@ -142,20 +111,21 @@ def _read_points(path) -> np.ndarray:
 
 
 def cmd_build(args) -> int:
-    cfg = _resolve_config(args)
+    ext = extend(_load_material(args.material))
+    tables_dir = _tables_dir(args)
     order = args.order
-    if order > cfg.max_order:
+    if order > args.max_order:
         print(
-            f"error: --order {order} exceeds --max-order {cfg.max_order}",
+            f"error: --order {order} exceeds --max-order {args.max_order}",
             file=sys.stderr,
         )
         return EXIT_INVALID
-    cfg.tables_dir.mkdir(parents=True, exist_ok=True)
-    base_degree = cfg.L + order
-    quad_degree = 2 * base_degree + 12 if cfg.quad_degree is None else cfg.quad_degree
+    tables_dir.mkdir(parents=True, exist_ok=True)
+    base_degree = args.L + order
+    quad_degree = 2 * base_degree + 12 if args.quad_degree is None else args.quad_degree
 
     t0 = time.perf_counter()
-    base = base_coefficients(cfg.ext, base_degree, quad_degree)
+    base = base_coefficients(ext, base_degree, quad_degree)
     base_time = time.perf_counter() - t0
     print(
         f"base table: L={base_degree} nodes={make_quadrature(quad_degree).node_count} "
@@ -163,10 +133,10 @@ def cmd_build(args) -> int:
     )
     # each table is one ladder step from its parent, in depth-first order
     t0 = time.perf_counter()
-    for mi, tab in derive_tree(base, order, max_order=cfg.max_order):
-        tab = tab.truncated(cfg.L)
+    for mi, tab in derive_tree(base, order, max_order=args.max_order):
+        tab = tab.truncated(args.L)
         dt = time.perf_counter() - t0
-        path = table_path(cfg.tables_dir, cfg.ext.material_hash, cfg.L, mi.astuple())
+        path = table_path(tables_dir, ext.material_hash, args.L, mi.astuple())
         save_table(tab, path)
         # stored (l, m >= 0) blocks, l of the table's parity
         count = sum(l + 1 for l in range(tab.parity, tab.max_degree + 1, 2))
@@ -182,13 +152,13 @@ def cmd_build(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _resolve_config(args)
+    ext = extend(_load_material(args.material))
     mi = _parse_multi_index(args.multi_index)
-    path = table_path(cfg.tables_dir, cfg.ext.material_hash, cfg.L, mi.astuple())
+    path = table_path(_tables_dir(args), ext.material_hash, args.L, mi.astuple())
     if not path.exists():
         print(f"error: table {path} not found; run build first", file=sys.stderr)
         return EXIT_INVALID
-    table = load_table(path, expected_material_hash=cfg.ext.material_hash)
+    table = load_table(path, expected_material_hash=ext.material_hash)
     points = _read_points(args.points)
     values = evaluate_batch(table, points)
     n = table.field_dim
@@ -198,7 +168,7 @@ def cmd_eval(args) -> int:
     cells = map("{:.17g}".format, values.reshape(-1).tolist())
     lines = ["x,y,z,i,j,value"]
     lines += [pre + mid + v for (pre, mid), v in zip(itertools.product(prefixes, middles), cells)]
-    _write_lines(cfg.out, lines)
+    _write_lines(args.out, lines)
     return EXIT_OK
 
 
@@ -229,16 +199,16 @@ def _convergence_rows(ext, L_list, order_mi, grid, n_nodes, label):
     rows = []
     for L in L_list:
         test = sample_sphere(derived.truncated(L), *grid)
-        rep = reference.error_over_sphere(test, ref, truncation=L, oracle_id="unit-circle")
-        n = rep.e_s1.shape[0]
+        e_s1 = reference.error_over_sphere(test, ref)
+        n = e_s1.shape[0]
         for i in range(n):
             for j in range(n):
-                rows.append(f"{label},{L},{i + 1},{j + 1},{_fmt(rep.e_s1[i, j])}")
+                rows.append(f"{label},{L},{i + 1},{j + 1},{_fmt(e_s1[i, j])}")
     return rows
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
+    material = _load_material(args.material)
     L_list = [int(v) for v in args.L_list.split(",")]
     if L_list != sorted(L_list):
         print("error: --L-list must be ascending", file=sys.stderr)
@@ -252,9 +222,9 @@ def cmd_sweep(args) -> int:
             rows += _convergence_rows(ext, L_list, mi, grid, args.nodes, f"A={A:g}")
     else:
         rows += _convergence_rows(
-            cfg.ext, L_list, mi, grid, args.nodes, cfg.material.name
+            extend(material), L_list, mi, grid, args.nodes, material.name
         )
-    _write_lines(cfg.out, rows)
+    _write_lines(args.out, rows)
     return EXIT_OK
 
 
@@ -267,8 +237,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def cmd_bench(args) -> int:
-    cfg = _resolve_config(args)
-    rng = np.random.default_rng(cfg.seed)
+    ext = extend(_load_material(args.material))
+    rng = np.random.default_rng(args.seed)
     n_pts = args.points_count
     pts = rng.normal(size=(n_pts, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
@@ -276,14 +246,13 @@ def cmd_bench(args) -> int:
 
     L_list = [int(v) for v in args.L_list.split(",")]
     node_list = [int(v) for v in args.nodes_list.split(",")]
-    ref_nodes = 512
-    ref = np.stack([reference.unit_circle(cfg.ext, p, n_nodes=ref_nodes) for p in pts])
+    ref = reference.unit_circle_batch(ext, pts, n_nodes=512)
     ref_scale = np.max(np.abs(ref))
 
     rows = ["method,param,ns_per_point,max_rel_error,setup_seconds"]
     base_degree = max(L_list)
     t0 = time.perf_counter()
-    base = base_coefficients(cfg.ext, base_degree)
+    base = base_coefficients(ext, base_degree)
     build_time = time.perf_counter() - t0
     for L in L_list:
         tab = base.truncated(L)
@@ -296,23 +265,17 @@ def cmd_bench(args) -> int:
         rows.append(
             f"series,{L},{_fmt(dt / n_pts * 1e9)},{_fmt(err)},{_fmt(build_time)}"
         )
-    # the contender is the batched contour in unit_circle_field's chunks of
-    # 128 directions; one unit_circle call per point would time Python overhead
-    def contour(nodes, dirs):
-        return np.concatenate([
-            reference._contour_batch(cfg.ext, dirs[s : s + 128], 0, None, nodes)
-            for s in range(0, len(dirs), 128)
-        ])
-
+    # the contender is the batched contour; one unit_circle call per point
+    # would time Python overhead
     for nodes in node_list:
         for _ in range(warmup):
-            contour(nodes, pts[:64])
+            reference.unit_circle_batch(ext, pts[:64], n_nodes=nodes)
         t0 = time.perf_counter()
-        vals = contour(nodes, pts)
+        vals = reference.unit_circle_batch(ext, pts, n_nodes=nodes)
         dt = time.perf_counter() - t0
         err = float(np.max(np.abs(vals - ref))) / ref_scale
         rows.append(f"contour,{nodes},{_fmt(dt / n_pts * 1e9)},{_fmt(err)},0")
-    _write_lines(cfg.out, rows)
+    _write_lines(args.out, rows)
     return EXIT_OK
 
 
@@ -320,14 +283,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    cfg = _resolve_config(args)
+    material = _load_material(args.material)
     mi = _parse_multi_index(args.multi_index)
     grid = _parse_grid(args.grid)
-    base = base_coefficients(cfg.ext, cfg.L + mi.order)
-    table = derive_multi(base, mi).truncated(cfg.L)
+    base = base_coefficients(extend(material), args.L + mi.order)
+    table = derive_multi(base, mi).truncated(args.L)
     fld = sample_sphere(table, *grid)
     i, j = (int(v) - 1 for v in args.component.split(","))
-    out = cfg.out or Path(f"plot_{cfg.material.name}_{mi.astuple()}.csv")
+    out = args.out or Path(f"plot_{material.name}_{mi.astuple()}.csv")
     export_field_csv(fld, i, j, out)
     print(f"wrote {grid[0] * grid[1]} rows to {out}")
     if args.mesh:
@@ -347,18 +310,19 @@ def cmd_materials(args) -> int:
     return EXIT_INVALID
 
 
-def _add_common(p, with_L=True):
-    p.add_argument("--material", required=True, help="builtin name or JSON path")
-    if with_L:
-        p.add_argument("--L", type=int, default=40, help="series truncation degree")
-    p.add_argument("--quad-degree", type=int, default=None, dest="quad_degree")
-    p.add_argument("--tables-dir", default=None, dest="tables_dir")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", default=None)
-    p.add_argument(
-        "--max-order", type=int, default=DEFAULT_MAX_ORDER, dest="max_order",
-        help="override the derivative-order cap",
-    )
+# options read by more than one sub-command; each declares only those it reads
+_SHARED = {
+    "--material": dict(required=True, help="builtin name or JSON path"),
+    "--L": dict(type=int, default=40, help="series truncation degree"),
+    "--tables-dir": dict(help=f"default: ${ENV_TABLES_DIR}, else ./tables"),
+    "--out": dict(type=Path),
+    "--multi-index": dict(default="0,0,0"),
+}
+
+
+def _add_shared(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **_SHARED[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,37 +333,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="precompute coefficient tables")
-    _add_common(p)
+    _add_shared(p, "--material", "--L", "--tables-dir")
     p.add_argument("--order", type=int, default=0, help="max total derivative order")
+    p.add_argument("--quad-degree", type=int)
+    p.add_argument(
+        "--max-order", type=int, default=DEFAULT_MAX_ORDER,
+        help="override the derivative-order cap",
+    )
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("eval", help="evaluate kernels at points from a CSV")
-    _add_common(p)
-    p.add_argument("--multi-index", default="0,0,0", dest="multi_index")
+    _add_shared(p, "--material", "--L", "--tables-dir", "--out", "--multi-index")
     p.add_argument("--points", required=True, help="CSV of x,y,z rows (meters)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="convergence sweep against the contour oracle")
-    _add_common(p, with_L=False)
-    p.add_argument("--L-list", default="8,16,24,32,40", dest="L_list")
-    p.add_argument("--multi-index", default="0,0,0", dest="multi_index")
+    _add_shared(p, "--material", "--out", "--multi-index")
+    p.add_argument("--L-list", default="8,16,24,32,40")
     p.add_argument("--grid", default="24x48")
     p.add_argument("--nodes", type=int, default=512, help="contour oracle nodes")
-    p.add_argument("--zener-list", default=None, dest="zener_list",
+    p.add_argument("--zener-list", default=None,
                    help="sweep cubic anisotropy ratios instead of one material")
-    p.set_defaults(func=cmd_sweep, L=40)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="series vs contour timing at matched accuracy")
-    _add_common(p, with_L=False)
-    p.add_argument("--L-list", default="10,20,40", dest="L_list")
-    p.add_argument("--nodes-list", default="16,32,64,128", dest="nodes_list")
-    p.add_argument("--points-count", type=int, default=512, dest="points_count")
+    _add_shared(p, "--material", "--out")
+    p.add_argument("--L-list", default="10,20,40")
+    p.add_argument("--nodes-list", default="16,32,64,128")
+    p.add_argument("--points-count", type=int, default=512)
     p.add_argument("--warmup", type=int, default=1)
-    p.set_defaults(func=cmd_bench, L=40)
+    p.add_argument("--seed", type=int, default=42)
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("plot", help="spherical amplitude-plot CSV / mesh export")
-    _add_common(p)
-    p.add_argument("--multi-index", default="0,0,0", dest="multi_index")
+    _add_shared(p, "--material", "--L", "--out", "--multi-index")
     p.add_argument("--grid", default="64x128")
     p.add_argument("--component", default="1,1")
     p.add_argument("--mesh", default=None, help="also write a Wavefront mesh here")

@@ -99,17 +99,15 @@ def _basis(L: int, I: int, K: int, theta, phi) -> np.ndarray:
     return Bt
 
 
-def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
-    """Kernel values (P, N, N) at a batch of field points (P x 3, meters).
+def _directions(points) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions (P, 3) and radii (P,) of a batch of field points.
 
-    Points sharing a direction reuse one basis evaluation; rows follow the
-    input order.  A non-finite point raises ValueError and a zero-length
-    point raises SingularPointError, each naming the first offending index.
+    A non-finite point raises ValueError and a zero-length point raises
+    SingularPointError, each naming the first offending index.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n = table.field_dim
     if pts.size == 0:
-        return np.zeros((0, n, n))
+        return np.zeros((0, 3)), np.zeros(0)
     if pts.shape[1] != 3:
         raise ValueError(f"points must be 3-vectors, got shape {pts.shape}")
     bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
@@ -119,7 +117,20 @@ def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
     zero = np.nonzero(radii == 0.0)[0]
     if zero.size:
         raise SingularPointError(index=int(zero[0]))
-    rhat = pts / radii[:, None]
+    return pts / radii[:, None], radii
+
+
+def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
+    """Kernel values (P, N, N) at a batch of field points (P x 3, meters).
+
+    Points sharing a direction reuse one basis evaluation; rows follow the
+    input order.  A non-finite point raises ValueError and a zero-length
+    point raises SingularPointError, each naming the first offending index.
+    """
+    rhat, radii = _directions(points)
+    n = table.field_dim
+    if radii.size == 0:
+        return np.zeros((0, n, n))
     uniq, inverse = np.unique(rhat, axis=0, return_inverse=True)
     theta = np.arccos(np.clip(uniq[:, 2], -1.0, 1.0))
     phi = np.arctan2(uniq[:, 1], uniq[:, 0])
@@ -174,17 +185,6 @@ class SphereField:
     values: np.ndarray  # (n_theta, n_phi, N, N)
     weights: np.ndarray  # (n_theta, n_phi)
 
-    @property
-    def field_dim(self) -> int:
-        return self.values.shape[-1]
-
-    def integrate_abs(self) -> np.ndarray:
-        """Integral of |values| over the sphere, per component (N, N)."""
-        return np.einsum("ab,abjk->jk", self.weights, np.abs(self.values))
-
-    def integrate(self) -> np.ndarray:
-        return np.einsum("ab,abjk->jk", self.weights, self.values)
-
 
 def sample_sphere(table: CoeffTable, n_theta: int, n_phi: int) -> SphereField:
     """Evaluate a table on an n_theta x n_phi direction grid at unit radius."""
@@ -199,14 +199,6 @@ def sample_sphere(table: CoeffTable, n_theta: int, n_phi: int) -> SphereField:
     vals = regular_part_at(table, th_grid, ph_grid).reshape(n_theta, n_phi, n, n)
     weights = np.outer(wt, np.full(n_phi, 2.0 * np.pi / n_phi))
     return SphereField(theta=theta, phi=phi, values=vals / (4.0 * np.pi), weights=weights)
-
-
-def sphere_field_from_values(field: SphereField, values: np.ndarray) -> SphereField:
-    """Same grid as `field` but with replacement values (oracle fields)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != field.values.shape:
-        raise ValueError(f"value shape {values.shape} != grid shape {field.values.shape}")
-    return SphereField(field.theta, field.phi, values, field.weights)
 
 
 def spherical_plot_mesh(field: SphereField, i: int, j: int):

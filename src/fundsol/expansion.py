@@ -159,14 +159,6 @@ class SphereQuadrature:
     def weights(self) -> np.ndarray:
         return np.repeat(self.theta_weights, self.phi_nodes.size) * self.phi_weight
 
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Integrate node samples over the sphere; leading axis is the node axis."""
-        values = np.asarray(values)
-        w = self.weights()
-        return np.tensordot(w, values.reshape(w.size, -1), axes=1).reshape(
-            values.shape[1:]
-        )
-
 
 @lru_cache(maxsize=16)
 def make_quadrature(exactness_degree: int) -> SphereQuadrature:

@@ -3,7 +3,10 @@
 Everything in this module deliberately avoids the spherical-harmonics
 machinery so it can arbitrate it: exact closed forms for the scalar-potential
 and isotropic-elastic kernels, the classical unit-circle contour integral for
-general materials, and finite differences for derivatives.
+general materials, finite differences for derivatives, and the
+sphere-integrated relative L1 error.  The contour has one implementation,
+`unit_circle_batch`; `unit_circle`, `unit_circle_field` and the CLI's
+`sweep` and `bench` all call it.
 
 The order-1 contour integrand follows from writing the plane delta-prime as a
 transverse derivative on the sphere; integrating delta' against a test
@@ -14,34 +17,26 @@ forms (see tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import UnsupportedOracleError
-from .evaluator import SphereField, evaluate
+from .evaluator import SphereField, _directions, evaluate
 from .expansion import MultiIndex
 from .materials import ExtendedTensor
-from .symbol import inverse_symbol_batch, symbol_matrix_batch
+from .symbol import inverse_symbol_batch
 
 __all__ = [
     "laplace_closed",
     "kelvin_closed",
     "unit_circle",
+    "unit_circle_batch",
     "unit_circle_field",
     "finite_diff",
     "error_over_sphere",
-    "ErrorReport",
     "contour_frame",
 ]
 
-
-def _unit(r):
-    r = np.asarray(r, dtype=np.float64)
-    rn = float(np.linalg.norm(r))
-    if rn == 0.0:
-        raise ValueError("oracle evaluation at r = 0")
-    return r / rn, rn
+_CONTOUR_BUDGET = 4096  # directions x contour nodes per batched inversion
 
 
 def laplace_closed(mi, r) -> float:
@@ -53,7 +48,7 @@ def laplace_closed(mi, r) -> float:
     UnsupportedOracleError.
     """
     mi = MultiIndex.coerce(mi).astuple()
-    rhat, rn = _unit(r)
+    (rhat,), (rn,) = _directions([r])
     four_pi = 4.0 * np.pi
     srt = tuple(sorted(mi, reverse=True))
     if srt == (0, 0, 0):
@@ -84,7 +79,7 @@ def kelvin_closed(mu: float, nu: float, selector: str, r) -> float:
         raise ValueError(f"shear modulus must be positive, got {mu}")
     if not (-1.0 < nu < 0.5):
         raise ValueError(f"Poisson ratio must lie in (-1, 0.5), got {nu}")
-    rhat, rn = _unit(r)
+    (rhat,), (rn,) = _directions([r])
     den = 16.0 * np.pi * mu * (1.0 - nu)
     if selector == "phi11":
         return (3.0 - 4.0 * nu + rhat[0] ** 2) / (den * rn)
@@ -111,70 +106,37 @@ def contour_frame(rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, np.cross(rhat, u)
 
 
-def unit_circle(
-    ext: ExtendedTensor, r, order: int = 0, axis: int | None = None, n_nodes: int = 256
+def unit_circle_batch(
+    ext: ExtendedTensor, points, order: int = 0, axis: int | None = None, n_nodes: int = 256
 ) -> np.ndarray:
-    """Contour-integral kernel reference on the circle perpendicular to r.
+    """Contour-integral kernel reference (P, N, N) at a batch of points (P x 3).
 
-    order 0: kernel itself, 1/(8 pi^2 r) * contour integral of invsymbol.
-    order 1: derivative along `axis` (1, 2 or 3); the integrand adds the
-    directional derivative of the inverse symbol transverse to the circle
-    plane.  Trapezoid rule on the periodic parameterisation, so convergence
-    in n_nodes is geometric for smooth symbols.
+    order 0: kernel itself, 1/(8 pi^2 r) * integral of invsymbol over the unit
+    circle perpendicular to r.  order 1: derivative along `axis` (1, 2 or 3);
+    the integrand adds the directional derivative of the inverse symbol
+    transverse to the circle plane.  Values scale as r^-(order+1).  Trapezoid
+    rule on the periodic parameterisation, so convergence in n_nodes is
+    geometric for smooth symbols.  Points are inverted in chunks of at most
+    _CONTOUR_BUDGET directions x nodes, which bounds the working set at any
+    node count.  A non-finite point raises ValueError and a zero point
+    SingularPointError, each naming the point index.
     """
     if n_nodes < 16:
         raise ValueError("contour rule needs at least 16 nodes")
-    rhat, rn = _unit(r)
-    u, v = contour_frame(rhat)
-    psi = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    xi = np.outer(np.cos(psi), u) + np.outer(np.sin(psi), v)
-    inv = inverse_symbol_batch(ext, xi)
-    if order == 0:
-        return inv.mean(axis=0) / (4.0 * np.pi * rn)
-    if order != 1 or axis not in (1, 2, 3):
+    if order not in (0, 1) or (order == 1 and axis not in (1, 2, 3)):
         raise ValueError("order must be 0, or 1 with axis in {1,2,3}")
-    # d(invsymbol)/ds along rhat: -inv * dS * inv, where dS is the symbol
-    # gradient c[i,J,K,l] (rhat_i xi_l + xi_i rhat_l)
-    dS = np.einsum("ijkl,i,pl->pjk", ext.c, rhat, xi, optimize=True)
-    dS = dS + np.einsum("ijkl,pi,l->pjk", ext.c, xi, rhat, optimize=True)
-    dinv = -np.einsum("pjk,pkm,pmn->pjn", inv, dS, inv, optimize=True)
-    integrand = dinv * xi[:, axis - 1, None, None] + inv * rhat[axis - 1]
-    return -integrand.mean(axis=0) / (4.0 * np.pi * rn**2)
-
-
-def unit_circle_field(
-    ext: ExtendedTensor,
-    grid: SphereField,
-    order: int = 0,
-    axis: int | None = None,
-    n_nodes: int = 512,
-    chunk: int = 128,
-) -> SphereField:
-    """Contour-oracle values on an existing sphere grid (reference fields).
-
-    Evaluates unit_circle at |r| = 1 for every grid direction, chunked to
-    bound the memory of the batched symbol inversions.
-    """
-    nt, np_ = grid.theta.size, grid.phi.size
-    st = np.sin(grid.theta)[:, None]
-    dirs = np.stack(
-        [
-            st * np.cos(grid.phi)[None, :],
-            st * np.sin(grid.phi)[None, :],
-            np.broadcast_to(np.cos(grid.theta)[:, None], (nt, np_)),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
+    rhat, radii = _directions(points)
     n = ext.field_dim
-    out = np.empty((dirs.shape[0], n, n))
-    for start in range(0, dirs.shape[0], chunk):
-        sl = slice(start, min(start + chunk, dirs.shape[0]))
-        out[sl] = _contour_batch(ext, dirs[sl], order, axis, n_nodes)
-    return SphereField(grid.theta, grid.phi, out.reshape(nt, np_, n, n), grid.weights)
+    out = np.empty((radii.size, n, n))
+    step = max(1, _CONTOUR_BUDGET // n_nodes)
+    for start in range(0, radii.size, step):
+        sl = slice(start, start + step)
+        out[sl] = _circle_mean(ext, rhat[sl], order, axis, n_nodes)
+    return out / (4.0 * np.pi * radii[:, None, None] ** (order + 1))
 
 
-def _contour_batch(ext, dirs, order, axis, n_nodes):
-    """unit_circle vectorised over a small batch of directions."""
+def _circle_mean(ext, dirs, order, axis, n_nodes):
+    """Mean over the contour nodes of each unit direction's integrand."""
     P = dirs.shape[0]
     n = ext.field_dim
     frames = np.empty((P, 2, 3))
@@ -186,15 +148,44 @@ def _contour_batch(ext, dirs, order, axis, n_nodes):
         np.cos(psi)[None, :, None] * frames[:, 0, None, :]
         + np.sin(psi)[None, :, None] * frames[:, 1, None, :]
     )
-    flat = xi.reshape(-1, 3)
-    inv = inverse_symbol_batch(ext, flat).reshape(P, n_nodes, n, n)
+    inv = inverse_symbol_batch(ext, xi.reshape(-1, 3)).reshape(P, n_nodes, n, n)
     if order == 0:
-        return inv.mean(axis=1) / (4.0 * np.pi)
+        return inv.mean(axis=1)
+    # d(invsymbol)/ds along rhat: -inv * dS * inv, where dS is the symbol
+    # gradient c[i,J,K,l] (rhat_i xi_l + xi_i rhat_l)
     dS = np.einsum("ijkl,pql,pi->pqjk", ext.c, xi, dirs, optimize=True)
     dS = dS + np.einsum("ijkl,pqi,pl->pqjk", ext.c, xi, dirs, optimize=True)
     dinv = -np.einsum("pqjk,pqkm,pqmn->pqjn", inv, dS, inv, optimize=True)
     integrand = dinv * xi[:, :, axis - 1, None, None] + inv * dirs[:, None, axis - 1, None, None]
-    return -integrand.mean(axis=1) / (4.0 * np.pi)
+    return -integrand.mean(axis=1)
+
+
+def unit_circle(
+    ext: ExtendedTensor, r, order: int = 0, axis: int | None = None, n_nodes: int = 256
+) -> np.ndarray:
+    """Contour-integral kernel reference (N, N) at one point: unit_circle_batch of one."""
+    return unit_circle_batch(ext, [r], order, axis, n_nodes)[0]
+
+
+def unit_circle_field(
+    ext: ExtendedTensor, grid: SphereField, order: int = 0, axis: int | None = None,
+    n_nodes: int = 512,
+) -> SphereField:
+    """Contour-oracle values at |r| = 1 on every direction of an existing sphere
+    grid (reference fields)."""
+    nt, np_ = grid.theta.size, grid.phi.size
+    st = np.sin(grid.theta)[:, None]
+    dirs = np.stack(
+        [
+            st * np.cos(grid.phi)[None, :],
+            st * np.sin(grid.phi)[None, :],
+            np.broadcast_to(np.cos(grid.theta)[:, None], (nt, np_)),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    n = ext.field_dim
+    values = unit_circle_batch(ext, dirs, order, axis, n_nodes).reshape(nt, np_, n, n)
+    return SphereField(grid.theta, grid.phi, values, grid.weights)
 
 
 def finite_diff(table, r, axis: int, h: float) -> np.ndarray:
@@ -223,49 +214,18 @@ def finite_diff(table, r, axis: int, h: float) -> np.ndarray:
     return (4.0 * fine - coarse) / 3.0
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Sphere-integrated relative L1 error of a test field against a reference.
+def error_over_sphere(test: SphereField, ref: SphereField) -> np.ndarray:
+    """Relative L1 error e_S1 (N, N) over the sphere, with the grid's own weights.
 
-    e_s1[i, j] = integral |test - ref| / integral |ref| per component;
-    delta is the pointwise difference field normalised by the reference's
-    integral norm (the same normalisation for every direction).
+    e_S1[i, j] = integral |test - ref| / integral |ref| per component; a
+    component whose reference vanishes everywhere reads 0.
     """
-
-    e_s1: np.ndarray  # (N, N)
-    delta: np.ndarray  # (n_theta, n_phi, N, N)
-    truncation: int | None = None
-    oracle_id: str = ""
-
-    def worst(self) -> float:
-        return float(np.max(self.e_s1))
-
-
-def error_over_sphere(
-    test: SphereField, ref: SphereField, truncation: int | None = None, oracle_id: str = ""
-) -> ErrorReport:
-    """Relative L1 error over the sphere, computed with the grid's own weights."""
     if test.values.shape != ref.values.shape:
         raise ValueError(
             f"grid mismatch: test {test.values.shape} vs ref {ref.values.shape}"
         )
     if test.theta.shape != ref.theta.shape or not np.allclose(test.theta, ref.theta):
         raise ValueError("fields sampled on different theta grids")
-    diff = test.values - ref.values
     norm_ref = np.einsum("ab,abjk->jk", ref.weights, np.abs(ref.values))
     norm_ref = np.where(norm_ref == 0.0, np.inf, norm_ref)
-    e = np.einsum("ab,abjk->jk", ref.weights, np.abs(diff)) / norm_ref
-    return ErrorReport(
-        e_s1=e, delta=diff / norm_ref, truncation=truncation, oracle_id=oracle_id
-    )
-
-
-def error_report_csv(reports, path) -> None:
-    """CSV rows (L, i, j, e_S1) across a list of ErrorReport for curve plotting."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("L,i,j,e_S1\n")
-        for rep in reports:
-            n = rep.e_s1.shape[0]
-            for i in range(n):
-                for j in range(n):
-                    f.write(f"{rep.truncation},{i + 1},{j + 1},{rep.e_s1[i, j]:.17g}\n")
+    return np.einsum("ab,abjk->jk", ref.weights, np.abs(test.values - ref.values)) / norm_ref

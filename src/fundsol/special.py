@@ -29,18 +29,11 @@ _SQRT_PI = math.sqrt(math.pi)
 def legendre_p_at_zero(ell: int, m: int) -> float:
     """P_l^m(0) via the Gamma-ratio identity.
 
-    Total on every integer index pair: exactly zero when l+m is odd (the
-    cosine factor vanishes) and when m > l (Gamma pole in the denominator).
-    Negative orders are mapped through the standard parity/factorial factor.
+    Defined for l, m >= 0: exactly zero when l+m is odd (the cosine factor
+    vanishes) and when m > l (Gamma pole in the denominator).
     """
-    if ell < 0:
-        raise ValueError(f"require l >= 0, got {ell}")
-    if m < 0:
-        ma = -m
-        if ma > ell:
-            return 0.0
-        fac = math.exp(math.lgamma(ell - ma + 1) - math.lgamma(ell + ma + 1))
-        return (-1.0 if ma % 2 else 1.0) * fac * legendre_p_at_zero(ell, ma)
+    if ell < 0 or m < 0:
+        raise ValueError(f"require l, m >= 0, got l={ell}, m={m}")
     if (ell + m) % 2 == 1:
         return 0.0
     if m > ell:

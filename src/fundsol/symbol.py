@@ -9,9 +9,9 @@ evaluates.
 Multi-field materials mix SI magnitudes from 1e11 (stiffness) down to 1e-11
 (permittivity), so the raw symbol can be graded over ~20 orders of magnitude.
 All inversions therefore run through a symmetric Ruiz-style equilibration
-D S D with diagonal D; condition numbers and residuals quoted by this module
-refer to the equilibrated matrix, which is the scale-free notion of how close
-the symbol is to singular.
+D S D with diagonal D; condition numbers quoted by this module refer to the
+equilibrated matrix, which is the scale-free notion of how close the symbol
+is to singular.
 """
 
 from __future__ import annotations
@@ -66,14 +66,12 @@ def _equilibrate(S: np.ndarray, iterations: int = 3) -> tuple[np.ndarray, np.nda
     return S_eq, d
 
 
-def inverse_symbol_batch(
-    ext: ExtendedTensor, dirs: np.ndarray, check: bool = True
-) -> np.ndarray:
+def inverse_symbol_batch(ext: ExtendedTensor, dirs: np.ndarray) -> np.ndarray:
     """Inverse symbols at many directions, shape (P, N, N).
 
-    Uses equilibration + LU inversion; when `check` is set, a direction whose
-    equilibrated inverse has infinity-norm above COND_LIMIT raises
-    SingularSymbolError naming the offending direction.
+    Uses equilibration + LU inversion; a direction whose equilibrated inverse
+    has infinity-norm above COND_LIMIT raises SingularSymbolError naming the
+    offending direction.
     """
     dirs = np.asarray(dirs, dtype=np.float64)
     S = symbol_matrix_batch(ext, dirs)
@@ -83,12 +81,11 @@ def inverse_symbol_batch(
     except np.linalg.LinAlgError:
         bad = _first_singular(S_eq)
         raise SingularSymbolError(dirs[bad]) from None
-    if check:
-        # after equilibration every row max is ~1, so ||inv_eq|| estimates cond
-        worst = np.max(np.abs(inv_eq), axis=(-2, -1))
-        bad = np.argmax(worst)
-        if not np.isfinite(worst[bad]) or worst[bad] > COND_LIMIT:
-            raise SingularSymbolError(dirs[bad], cond=float(worst[bad]))
+    # after equilibration every row max is ~1, so ||inv_eq|| estimates cond
+    worst = np.max(np.abs(inv_eq), axis=(-2, -1))
+    bad = np.argmax(worst)
+    if not np.isfinite(worst[bad]) or worst[bad] > COND_LIMIT:
+        raise SingularSymbolError(dirs[bad], cond=float(worst[bad]))
     inv = inv_eq * d[..., :, np.newaxis] * d[..., np.newaxis, :]
     # the true inverse of the symmetric symbol is symmetric; remove the
     # LU-factorisation asymmetry
@@ -108,22 +105,6 @@ def inverse_symbol(ext: ExtendedTensor, xi) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=np.float64)
     return inverse_symbol_batch(ext, xi[np.newaxis])[0]
-
-
-def inversion_residual(ext: ExtendedTensor, xi) -> float:
-    """Scale-free inversion quality at one direction.
-
-    Max-norm of D S D (D^-1 X D^-1) - I with the equilibration diagonal D;
-    this is the residual measure that is meaningful for symbols graded over
-    many orders of magnitude.  Converged inversions sit near 1e-14.
-    """
-    xi = np.asarray(xi, dtype=np.float64)
-    S = symbol_matrix(ext, xi)
-    X = inverse_symbol(ext, xi)
-    S_eq, d = _equilibrate(S[np.newaxis])
-    S_eq, d = S_eq[0], d[0]
-    X_eq = X / np.outer(d, d)
-    return float(np.max(np.abs(S_eq @ X_eq - np.eye(ext.field_dim))))
 
 
 def fibonacci_directions(count: int) -> np.ndarray:

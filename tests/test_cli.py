@@ -19,6 +19,31 @@ def write_points(path, rows):
     path.write_text("x,y,z\n" + "\n".join(",".join(str(v) for v in r) for r in rows) + "\n")
 
 
+class TestOptions:
+    # each sub-command declares only the options it reads
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("build", "--seed"), ("build", "--out"),
+            ("eval", "--quad-degree"), ("eval", "--seed"), ("eval", "--max-order"),
+            ("sweep", "--quad-degree"), ("sweep", "--tables-dir"), ("sweep", "--seed"),
+            ("sweep", "--max-order"),
+            ("bench", "--quad-degree"), ("bench", "--tables-dir"), ("bench", "--max-order"),
+            ("plot", "--quad-degree"), ("plot", "--tables-dir"), ("plot", "--seed"),
+            ("plot", "--max-order"),
+        ],
+    )
+    def test_unread_option_exits_2(self, capsys, command, flag):
+        # e.g. plot --quad-degree 20 would otherwise build with the default rule
+        argv = [command, "--material", "Cu", flag, "20"]
+        if command == "eval":
+            argv += ["--points", "points.csv"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 20" in capsys.readouterr().err
+
+
 class TestMaterialsShow:
     def test_builtin(self, capsys):
         code, out, _ = run(capsys, "materials", "show", "Cu")
@@ -365,7 +390,6 @@ class TestSweep:
         code, _, _ = run(
             capsys, "sweep", "--material", "Laplace", "--L-list", "2,4",
             "--grid", "8x16", "--nodes", "64", "--out", str(out_file),
-            "--tables-dir", str(tmp_path),
         )
         assert code == 0
         rows = out_file.read_text().strip().splitlines()[1:]
@@ -377,7 +401,6 @@ class TestSweep:
         code, _, _ = run(
             capsys, "sweep", "--material", "Cu", "--L-list", "8,16,24",
             "--grid", "12x24", "--nodes", "256", "--out", str(out_file),
-            "--tables-dir", str(tmp_path),
         )
         assert code == 0
         rows = [r.split(",") for r in out_file.read_text().strip().splitlines()[1:]]
@@ -388,10 +411,9 @@ class TestSweep:
             for a, b in zip(series, series[1:]):
                 assert b <= a + 1e-13
 
-    def test_descending_list_rejected(self, capsys, tmp_path):
+    def test_descending_list_rejected(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--material", "Cu", "--L-list", "24,8",
-            "--tables-dir", str(tmp_path),
         )
         assert code == 2
         assert "ascending" in err
@@ -401,7 +423,7 @@ class TestSweep:
         code, _, _ = run(
             capsys, "sweep", "--material", "Cu", "--L-list", "16",
             "--zener-list", "0.1,1,10", "--grid", "12x24", "--nodes", "256",
-            "--out", str(out_file), "--tables-dir", str(tmp_path),
+            "--out", str(out_file),
         )
         assert code == 0
         rows = [r.split(",") for r in out_file.read_text().strip().splitlines()[1:]]
@@ -418,7 +440,7 @@ class TestBench:
         code, _, _ = run(
             capsys, "bench", "--material", "Cu", "--L-list", "8,16",
             "--nodes-list", "16,32", "--points-count", "32",
-            "--out", str(out_file), "--tables-dir", str(tmp_path),
+            "--out", str(out_file),
         )
         assert code == 0
         rows = [r.split(",") for r in out_file.read_text().strip().splitlines()[1:]]
@@ -436,7 +458,7 @@ class TestBench:
         code, _, _ = run(
             capsys, "bench", "--material", "Cu", "--L-list", "8",
             "--nodes-list", "16,32", "--points-count", "200",
-            "--out", str(out_file), "--tables-dir", str(tmp_path),
+            "--out", str(out_file),
         )
         assert code == 0
         rows = [r.split(",") for r in out_file.read_text().strip().splitlines()[1:]]
@@ -457,7 +479,7 @@ class TestPlot:
         code, out, _ = run(
             capsys, "plot", "--material", "Cu", "--L", "8",
             "--multi-index", "0,0,0", "--grid", "8x16", "--component", "1,1",
-            "--out", str(out_file), "--tables-dir", str(tmp_path),
+            "--out", str(out_file),
         )
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
@@ -481,7 +503,6 @@ class TestPlot:
         code, _, _ = run(
             capsys, "plot", "--material", "Laplace", "--L", "2",
             "--grid", "4x6", "--out", str(out_file), "--mesh", str(mesh_file),
-            "--tables-dir", str(tmp_path),
         )
         assert code == 0
         assert mesh_file.read_text().startswith("v ")

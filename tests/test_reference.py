@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -7,10 +8,9 @@ import pytest
 import sympy as sp
 
 import fundsol as fs
-from fundsol.errors import SingularSymbolError, UnsupportedOracleError
+from fundsol.errors import SingularPointError, SingularSymbolError, UnsupportedOracleError
 from fundsol.expansion import derive_coefficients, derive_multi
-from fundsol.reference import contour_frame, error_report_csv, unit_circle_field
-from fundsol.evaluator import sphere_field_from_values
+from fundsol.reference import _CONTOUR_BUDGET, contour_frame, unit_circle_field
 
 from conftest import random_directions
 from test_symbol import degenerate_scalar_material
@@ -200,8 +200,11 @@ class TestUnitCircle:
             assert abs(u1 @ v1) < 1e-14
 
     def test_field_matches_pointwise(self, ext_cu, base_cu):
+        # at 512 nodes a chunk holds 8 directions, so the 24 grid directions
+        # span three chunks: chunk boundaries must not change values
+        assert 4 * 6 > _CONTOUR_BUDGET // 512
         grid = fs.sample_sphere(base_cu.truncated(10), 4, 6)
-        fld = unit_circle_field(ext_cu, grid, order=0, n_nodes=128, chunk=7)
+        fld = unit_circle_field(ext_cu, grid, order=0, n_nodes=512)
         for a in range(4):
             for b in range(6):
                 d = [
@@ -209,9 +212,42 @@ class TestUnitCircle:
                     math.sin(grid.theta[a]) * math.sin(grid.phi[b]),
                     math.cos(grid.theta[a]),
                 ]
-                point = fs.unit_circle(ext_cu, d, order=0, n_nodes=128)
+                point = fs.unit_circle(ext_cu, d, order=0, n_nodes=512)
                 tol = 1e-13 * np.max(np.abs(point))
                 assert np.allclose(fld.values[a, b], point, rtol=1e-13, atol=tol)
+
+    @pytest.mark.parametrize("order,axis", [(0, None), (1, 1), (1, 2), (1, 3)])
+    def test_batch_matches_single_points(self, ext_cu, order, axis, rng):
+        # radii away from 1 exercise the r^-(order+1) scaling; 40 points at
+        # 256 nodes span three chunks
+        pts = random_directions(rng, 40) * rng.uniform(0.3, 3.0, size=(40, 1))
+        got = fs.unit_circle_batch(ext_cu, pts, order=order, axis=axis, n_nodes=256)
+        assert got.shape == (40, 3, 3)
+        for p, value in zip(pts, got):
+            point = fs.unit_circle(ext_cu, p, order=order, axis=axis, n_nodes=256)
+            assert np.max(np.abs(value - point)) <= 1e-15 * np.max(np.abs(point))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_names_index(self, ext_cu, bad):
+        with pytest.raises(ValueError, match="non-finite.*point index 0"):
+            fs.unit_circle(ext_cu, [1.0, bad, 0.0])
+        pts = np.ones((5, 3))
+        pts[3, 2] = bad
+        with pytest.raises(ValueError, match="non-finite.*point index 3"):
+            fs.unit_circle_batch(ext_cu, pts)
+
+    def test_zero_point_names_index(self, ext_cu):
+        with pytest.raises(SingularPointError, match="point index 0"):
+            fs.unit_circle(ext_cu, [0.0, 0.0, 0.0])
+        pts = np.ones((5, 3))
+        pts[2] = 0.0
+        with pytest.raises(SingularPointError, match="point index 2"):
+            fs.unit_circle_batch(ext_cu, pts, order=1, axis=2)
+
+    def test_order_and_axis_checked(self, ext_laplace):
+        for order, axis in [(2, None), (1, None), (1, 4)]:
+            with pytest.raises(ValueError, match="order must be"):
+                fs.unit_circle(ext_laplace, [0, 0, 1.0], order=order, axis=axis)
 
 
 class TestFiniteDiff:
@@ -247,19 +283,13 @@ class TestFiniteDiff:
 class TestErrorOverSphere:
     def test_identical_fields(self, base_laplace):
         fld = fs.sample_sphere(base_laplace, 8, 16)
-        rep = fs.error_over_sphere(fld, fld)
-        assert np.all(rep.e_s1 == 0)
+        e_s1 = fs.error_over_sphere(fld, fld)
+        assert e_s1.shape == (1, 1) and np.all(e_s1 == 0)
 
     def test_doubled_field(self, base_cu):
         fld = fs.sample_sphere(base_cu.truncated(20), 8, 16)
-        doubled = sphere_field_from_values(fld, 2 * fld.values)
-        rep = fs.error_over_sphere(doubled, fld)
-        assert np.allclose(rep.e_s1, 1.0, rtol=1e-12)
-        # delta is normalised by the reference integral norm
-        norm = np.einsum("ab,abjk->jk", fld.weights, np.abs(fld.values))
-        assert np.allclose(
-            rep.delta, fld.values / norm[np.newaxis, np.newaxis], rtol=1e-12
-        )
+        doubled = dataclasses.replace(fld, values=2 * fld.values)
+        assert np.allclose(fs.error_over_sphere(doubled, fld), 1.0, rtol=1e-12)
 
     def test_grid_mismatch(self, base_laplace):
         a = fs.sample_sphere(base_laplace, 8, 16)
@@ -269,22 +299,9 @@ class TestErrorOverSphere:
 
     def test_self_reference_convergence(self, base_cu):
         ref = fs.sample_sphere(base_cu.truncated(40), 16, 32)
-        e10 = fs.error_over_sphere(
-            fs.sample_sphere(base_cu.truncated(10), 16, 32), ref
-        ).worst()
-        e20 = fs.error_over_sphere(
-            fs.sample_sphere(base_cu.truncated(20), 16, 32), ref
-        ).worst()
+        e10 = np.max(fs.error_over_sphere(fs.sample_sphere(base_cu.truncated(10), 16, 32), ref))
+        e20 = np.max(fs.error_over_sphere(fs.sample_sphere(base_cu.truncated(20), 16, 32), ref))
         assert e10 > e20 > 0
-
-    def test_report_csv(self, base_cu, tmp_path):
-        fld = fs.sample_sphere(base_cu.truncated(10), 8, 16)
-        rep = fs.error_over_sphere(fld, fld, truncation=10)
-        path = tmp_path / "err.csv"
-        error_report_csv([rep], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "L,i,j,e_S1"
-        assert len(lines) == 1 + 9
 
 
 class TestOracleAgreement:

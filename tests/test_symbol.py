@@ -5,9 +5,9 @@ import fundsol as fs
 from fundsol.errors import SingularSymbolError
 from fundsol.materials import ExtendedTensor
 from fundsol.symbol import (
+    _equilibrate,
     fibonacci_directions,
     inverse_symbol_batch,
-    inversion_residual,
     symbol_matrix_batch,
 )
 
@@ -23,6 +23,18 @@ def eigh_inverse(ext, xi):
     d = 1.0 / np.sqrt(np.max(np.abs(S), axis=1))
     w, V = np.linalg.eigh(d[:, None] * S * d[None, :])
     return d[:, None] * ((V / w) @ V.T) * d[None, :]
+
+
+def inversion_residual(ext, xi):
+    """Scale-free inversion quality at one direction: max-norm of
+    D S D (D^-1 X D^-1) - I with the equilibration diagonal D, the residual
+    that is meaningful for symbols graded over many orders of magnitude."""
+    S = fs.symbol_matrix(ext, xi)
+    X = fs.inverse_symbol(ext, xi)
+    S_eq, d = _equilibrate(S[np.newaxis])
+    S_eq, d = S_eq[0], d[0]
+    X_eq = X / np.outer(d, d)
+    return float(np.max(np.abs(S_eq @ X_eq - np.eye(ext.field_dim))))
 
 
 def degenerate_scalar_material():
