@@ -111,15 +111,11 @@ def _read_points(path) -> np.ndarray:
 
 
 def cmd_build(args) -> int:
+    order = args.order
+    if not 0 <= order <= DEFAULT_MAX_ORDER:
+        raise ValueError(f"--order must lie in 0..{DEFAULT_MAX_ORDER}, got {order}")
     ext = extend(_load_material(args.material))
     tables_dir = _tables_dir(args)
-    order = args.order
-    if order > args.max_order:
-        print(
-            f"error: --order {order} exceeds --max-order {args.max_order}",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
     tables_dir.mkdir(parents=True, exist_ok=True)
     base_degree = args.L + order
     quad_degree = 2 * base_degree + 12 if args.quad_degree is None else args.quad_degree
@@ -133,7 +129,7 @@ def cmd_build(args) -> int:
     )
     # each table is one ladder step from its parent, in depth-first order
     t0 = time.perf_counter()
-    for mi, tab in derive_tree(base, order, max_order=args.max_order):
+    for mi, tab in derive_tree(base, order):
         tab = tab.truncated(args.L)
         dt = time.perf_counter() - t0
         path = table_path(tables_dir, ext.material_hash, args.L, mi.astuple())
@@ -189,13 +185,7 @@ def _convergence_rows(ext, L_list, order_mi, grid, n_nodes, label):
     base = base_coefficients(ext, base_degree)
     derived = derive_multi(base, order_mi)
     ref_grid = sample_sphere(derived.truncated(L_list[0]), *grid)
-    if order_mi.order == 0:
-        ref = reference.unit_circle_field(ext, ref_grid, order=0, n_nodes=n_nodes)
-    elif order_mi.order == 1:
-        axis = order_mi.astuple().index(1) + 1
-        ref = reference.unit_circle_field(ext, ref_grid, order=1, axis=axis, n_nodes=n_nodes)
-    else:
-        raise ValueError("sweep supports derivative orders 0 and 1")
+    ref = reference.unit_circle_field(ext, ref_grid, order_mi, n_nodes=n_nodes)
     rows = []
     for L in L_list:
         test = sample_sphere(derived.truncated(L), *grid)
@@ -284,12 +274,14 @@ def cmd_bench(args) -> int:
 
 def cmd_plot(args) -> int:
     material = _load_material(args.material)
+    ext = extend(material)
     mi = _parse_multi_index(args.multi_index)
     grid = _parse_grid(args.grid)
-    base = base_coefficients(extend(material), args.L + mi.order)
-    table = derive_multi(base, mi).truncated(args.L)
-    fld = sample_sphere(table, *grid)
     i, j = (int(v) - 1 for v in args.component.split(","))
+    if not (0 <= i < ext.field_dim and 0 <= j < ext.field_dim):
+        raise ValueError(f"--component {args.component}: indices must lie in 1..{ext.field_dim}")
+    base = base_coefficients(ext, args.L + mi.order)
+    fld = sample_sphere(derive_multi(base, mi).truncated(args.L), *grid)
     out = args.out or Path(f"plot_{material.name}_{mi.astuple()}.csv")
     export_field_csv(fld, i, j, out)
     print(f"wrote {grid[0] * grid[1]} rows to {out}")
@@ -303,11 +295,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_materials(args) -> int:
-    if args.action == "show":
-        print(format_material(_load_material(args.name)))
-        return EXIT_OK
-    print(f"error: unknown materials action {args.action!r}", file=sys.stderr)
-    return EXIT_INVALID
+    print(format_material(_load_material(args.name)))  # "show", the only action
+    return EXIT_OK
 
 
 # options read by more than one sub-command; each declares only those it reads
@@ -336,10 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, "--material", "--L", "--tables-dir")
     p.add_argument("--order", type=int, default=0, help="max total derivative order")
     p.add_argument("--quad-degree", type=int)
-    p.add_argument(
-        "--max-order", type=int, default=DEFAULT_MAX_ORDER,
-        help="override the derivative-order cap",
-    )
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("eval", help="evaluate kernels at points from a CSV")
@@ -347,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help="CSV of x,y,z rows (meters)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="convergence sweep against the contour oracle")
+    p = sub.add_parser(
+        "sweep", help=f"convergence sweep of orders 0..{DEFAULT_MAX_ORDER} against the contour oracle"
+    )
     _add_shared(p, "--material", "--out", "--multi-index")
     p.add_argument("--L-list", default="8,16,24,32,40")
     p.add_argument("--grid", default="24x48")

@@ -408,13 +408,13 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
     return CoeffTable(table.material_hash, n, Lt, tuple(mi), pref[:, None, None, None] * acc)
 
 
-def _check_ladder_start(table: CoeffTable, order: int, max_order: int) -> None:
+def _check_ladder_start(table: CoeffTable, order: int) -> None:
     if table.multi_index != (0, 0, 0):
         raise TableRangeError(
             f"the ladder starts from a base table, got multi-index {table.multi_index}"
         )
-    if order > max_order:
-        raise ValueError(f"total derivative order {order} exceeds limit {max_order}")
+    if order > DEFAULT_MAX_ORDER:
+        raise ValueError(f"total derivative order {order} exceeds limit {DEFAULT_MAX_ORDER}")
     if table.max_degree < order:
         raise TableRangeError(
             f"base table degree {table.max_degree} too small for order "
@@ -422,9 +422,7 @@ def _check_ladder_start(table: CoeffTable, order: int, max_order: int) -> None:
         )
 
 
-def derive_multi(
-    table: CoeffTable, target, max_order: int = DEFAULT_MAX_ORDER
-) -> CoeffTable:
+def derive_multi(table: CoeffTable, target) -> CoeffTable:
     """Chain the one-derivative ladder to reach a target multi-index.
 
     `table` must be a base (0,0,0) table built to at least
@@ -433,7 +431,7 @@ def derive_multi(
     partials commute.
     """
     target = MultiIndex.coerce(target)
-    _check_ladder_start(table, target.order, max_order)
+    _check_ladder_start(table, target.order)
     out = table
     for axis, count in ((1, target.i1), (2, target.i2), (3, target.i3)):
         for _ in range(count):
@@ -441,9 +439,7 @@ def derive_multi(
     return out
 
 
-def derive_tree(
-    table: CoeffTable, order: int, max_order: int = DEFAULT_MAX_ORDER
-) -> Iterator[tuple[MultiIndex, CoeffTable]]:
+def derive_tree(table: CoeffTable, order: int) -> Iterator[tuple[MultiIndex, CoeffTable]]:
     """Yield (multi-index, table) for every derivative of total order <= order.
 
     Depth first from the base table, which is yielded first: each child is
@@ -451,7 +447,7 @@ def derive_tree(
     so every table equals `derive_multi(table, mi)` bit for bit, at one step
     per table instead of mi.order.  Only the chain of ancestors stays alive.
     """
-    _check_ladder_start(table, order, max_order)
+    _check_ladder_start(table, order)
 
     def grow(parent: CoeffTable, last_axis: int):
         yield MultiIndex(*parent.multi_index), parent

@@ -8,14 +8,21 @@ sphere-integrated relative L1 error.  The contour has one implementation,
 `unit_circle_batch`; `unit_circle`, `unit_circle_field` and the CLI's
 `sweep` and `bench` all call it.
 
-The order-1 contour integrand follows from writing the plane delta-prime as a
-transverse derivative on the sphere; integrating delta' against a test
-function contributes a minus sign that the usual statement of the formula
-leaves implicit.  The sign used here reproduces the scalar and Kelvin closed
-forms (see tests).
+The contour serves every derivative multi-index mi of total order n through
+the Radon-transform derivative formula (Wang 1997; Sales & Gray 1998):
+
+    d^mi G(r rhat) = (-1)^n / (8 pi^2 r^(n+1))
+                     * integral over psi of d^n/dt^n [(e + t rhat)^mi K^-1(e + t rhat)] at t = 0,
+
+where e(psi) runs over the unit circle perpendicular to rhat and K is the
+operator symbol.  K(e + t rhat) = K0 + t K1 + t^2 K2 is quadratic in t, so
+the Taylor coefficients of its inverse follow from A_0 = K0^-1 by
+A_k = -A_0 (K1 A_(k-1) + K2 A_(k-2)), with no further inversion.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from .errors import UnsupportedOracleError
 from .evaluator import SphereField, _directions, evaluate
 from .expansion import MultiIndex
 from .materials import ExtendedTensor
-from .symbol import inverse_symbol_batch
+from .symbol import inverse_symbol_batch, symbol_matrix_batch
 
 __all__ = [
     "laplace_closed",
@@ -94,27 +101,27 @@ def kelvin_closed(mu: float, nu: float, selector: str, r) -> float:
 
 
 def contour_frame(rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair spanning the plane perpendicular to rhat.
+    """Deterministic orthonormal pairs (u, v), each (P, 3), spanning the planes
+    perpendicular to the unit directions rhat (P, 3).
 
-    The seed axis is the coordinate direction with the smallest |rhat|
+    Each seed axis is the coordinate direction with the smallest |rhat|
     component, which makes oracle values reproducible run to run.
     """
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(rhat)))] = 1.0
+    seed = np.zeros_like(rhat)
+    seed[np.arange(rhat.shape[0]), np.argmin(np.abs(rhat), axis=1)] = 1.0
     u = np.cross(seed, rhat)
-    u /= np.linalg.norm(u)
+    # a stacked matmul forms the dot product np.linalg.norm forms for one
+    # vector, so each frame has the bits of a per-direction frame
+    u /= np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
     return u, np.cross(rhat, u)
 
 
-def unit_circle_batch(
-    ext: ExtendedTensor, points, order: int = 0, axis: int | None = None, n_nodes: int = 256
-) -> np.ndarray:
-    """Contour-integral kernel reference (P, N, N) at a batch of points (P x 3).
+def unit_circle_batch(ext: ExtendedTensor, points, mi=(0, 0, 0), n_nodes: int = 256) -> np.ndarray:
+    """Contour-integral reference (P, N, N) of the derivative d^mi of the kernel
+    at a batch of points (P x 3).
 
-    order 0: kernel itself, 1/(8 pi^2 r) * integral of invsymbol over the unit
-    circle perpendicular to r.  order 1: derivative along `axis` (1, 2 or 3);
-    the integrand adds the directional derivative of the inverse symbol
-    transverse to the circle plane.  Values scale as r^-(order+1).  Trapezoid
+    The integrand is the t^n Taylor coefficient of (e + t rhat)^mi K^-1(e + t rhat)
+    (module docstring), so values scale as r^-(n+1) with n = |mi|.  Trapezoid
     rule on the periodic parameterisation, so convergence in n_nodes is
     geometric for smooth symbols.  Points are inverted in chunks of at most
     _CONTOUR_BUDGET directions x nodes, which bounds the working set at any
@@ -123,56 +130,65 @@ def unit_circle_batch(
     """
     if n_nodes < 16:
         raise ValueError("contour rule needs at least 16 nodes")
-    if order not in (0, 1) or (order == 1 and axis not in (1, 2, 3)):
-        raise ValueError("order must be 0, or 1 with axis in {1,2,3}")
+    mi = MultiIndex.coerce(mi)
     rhat, radii = _directions(points)
     n = ext.field_dim
     out = np.empty((radii.size, n, n))
     step = max(1, _CONTOUR_BUDGET // n_nodes)
     for start in range(0, radii.size, step):
         sl = slice(start, start + step)
-        out[sl] = _circle_mean(ext, rhat[sl], order, axis, n_nodes)
-    return out / (4.0 * np.pi * radii[:, None, None] ** (order + 1))
+        out[sl] = _circle_mean(ext, rhat[sl], mi, n_nodes)
+    return out / (4.0 * np.pi * radii[:, None, None] ** (mi.order + 1))
 
 
-def _circle_mean(ext, dirs, order, axis, n_nodes):
-    """Mean over the contour nodes of each unit direction's integrand."""
-    P = dirs.shape[0]
-    n = ext.field_dim
-    frames = np.empty((P, 2, 3))
-    for p in range(P):
-        frames[p, 0], frames[p, 1] = contour_frame(dirs[p])
+def _circle_mean(ext, dirs, mi, n_nodes):
+    """(-1)^n n! times the mean over the contour nodes of each unit direction's
+    t^n Taylor coefficient, n = |mi|."""
+    P, n = dirs.shape[0], mi.order
+    u, v = contour_frame(dirs)
     psi = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     # xi[p, q, :] = cos(psi_q) u_p + sin(psi_q) v_p
-    xi = (
-        np.cos(psi)[None, :, None] * frames[:, 0, None, :]
-        + np.sin(psi)[None, :, None] * frames[:, 1, None, :]
-    )
-    inv = inverse_symbol_batch(ext, xi.reshape(-1, 3)).reshape(P, n_nodes, n, n)
-    if order == 0:
-        return inv.mean(axis=1)
-    # d(invsymbol)/ds along rhat: -inv * dS * inv, where dS is the symbol
-    # gradient c[i,J,K,l] (rhat_i xi_l + xi_i rhat_l)
-    dS = np.einsum("ijkl,pql,pi->pqjk", ext.c, xi, dirs, optimize=True)
-    dS = dS + np.einsum("ijkl,pqi,pl->pqjk", ext.c, xi, dirs, optimize=True)
-    dinv = -np.einsum("pqjk,pqkm,pqmn->pqjn", inv, dS, inv, optimize=True)
-    integrand = dinv * xi[:, :, axis - 1, None, None] + inv * dirs[:, None, axis - 1, None, None]
-    return -integrand.mean(axis=1)
+    xi = np.cos(psi)[None, :, None] * u[:, None, :] + np.sin(psi)[None, :, None] * v[:, None, :]
+    N = ext.field_dim
+    taylor = [inverse_symbol_batch(ext, xi.reshape(-1, 3)).reshape(P, n_nodes, N, N)]
+    if n:
+        K1 = np.einsum("ijkl,pql,pi->pqjk", ext.c, xi, dirs, optimize=True)
+        K1 = K1 + np.einsum("ijkl,pqi,pl->pqjk", ext.c, xi, dirs, optimize=True)
+        K2 = symbol_matrix_batch(ext, dirs)
+    for k in range(1, n + 1):
+        rhs = np.einsum("pqjk,pqkm,pqmn->pqjn", taylor[0], K1, taylor[-1], optimize=True)
+        if k > 1:
+            rhs += np.einsum("pqjk,pkm,pqmn->pqjn", taylor[0], K2, taylor[-2], optimize=True)
+        taylor.append(-rhs)
+    # coefficients of the polynomial (e + t rhat)^mi in t, lowest first
+    poly = np.zeros((P, n_nodes, n + 1))
+    poly[:, :, 0] = 1.0
+    for axis in np.repeat([0, 1, 2], mi.astuple()):
+        poly[:, :, 1:] = poly[:, :, 1:] * xi[:, :, axis, None] + poly[:, :, :-1] * dirs[:, None, axis, None]
+        poly[:, :, 0] *= xi[:, :, axis]
+    coeff = sum(poly[:, :, n - k, None, None] * a for k, a in enumerate(taylor))
+    return (-1) ** n * math.factorial(n) * coeff.mean(axis=1)
 
 
 def unit_circle(
     ext: ExtendedTensor, r, order: int = 0, axis: int | None = None, n_nodes: int = 256
 ) -> np.ndarray:
-    """Contour-integral kernel reference (N, N) at one point: unit_circle_batch of one."""
-    return unit_circle_batch(ext, [r], order, axis, n_nodes)[0]
+    """Contour-integral kernel reference (N, N) at one point: unit_circle_batch
+    of one, for the kernel (order 0) or its derivative along `axis` (order 1,
+    axis 1, 2 or 3)."""
+    if order not in (0, 1) or (order == 1 and axis not in (1, 2, 3)):
+        raise ValueError("order must be 0, or 1 with axis in {1,2,3}")
+    mi = [0, 0, 0]
+    if order:
+        mi[axis - 1] = 1
+    return unit_circle_batch(ext, [r], mi, n_nodes)[0]
 
 
 def unit_circle_field(
-    ext: ExtendedTensor, grid: SphereField, order: int = 0, axis: int | None = None,
-    n_nodes: int = 512,
+    ext: ExtendedTensor, grid: SphereField, mi=(0, 0, 0), n_nodes: int = 512
 ) -> SphereField:
-    """Contour-oracle values at |r| = 1 on every direction of an existing sphere
-    grid (reference fields)."""
+    """Contour-oracle values of d^mi of the kernel at |r| = 1 on every direction
+    of an existing sphere grid (reference fields)."""
     nt, np_ = grid.theta.size, grid.phi.size
     st = np.sin(grid.theta)[:, None]
     dirs = np.stack(
@@ -184,7 +200,7 @@ def unit_circle_field(
         axis=-1,
     ).reshape(-1, 3)
     n = ext.field_dim
-    values = unit_circle_batch(ext, dirs, order, axis, n_nodes).reshape(nt, np_, n, n)
+    values = unit_circle_batch(ext, dirs, mi, n_nodes).reshape(nt, np_, n, n)
     return SphereField(grid.theta, grid.phi, values, grid.weights)
 
 

@@ -24,7 +24,7 @@ class TestOptions:
     @pytest.mark.parametrize(
         "command,flag",
         [
-            ("build", "--seed"), ("build", "--out"),
+            ("build", "--seed"), ("build", "--out"), ("build", "--max-order"),
             ("eval", "--quad-degree"), ("eval", "--seed"), ("eval", "--max-order"),
             ("sweep", "--quad-degree"), ("sweep", "--tables-dir"), ("sweep", "--seed"),
             ("sweep", "--max-order"),
@@ -73,6 +73,17 @@ class TestBuild:
         )
         assert code == 0
         assert len(list(tmp_path.glob("*.fsct"))) == 10
+
+    @pytest.mark.parametrize("order", ["-1", "5"])
+    def test_order_outside_cap_exits_2_before_writing(self, capsys, tmp_path, order):
+        tables = tmp_path / "tables"
+        code, _, err = run(
+            capsys, "build", "--material", "Cu", "--L", "4", "--order", order,
+            "--tables-dir", str(tables),
+        )
+        assert code == 2
+        assert f"--order must lie in 0..4, got {order}" in err
+        assert not tables.exists()
 
     def test_invalid_material_file_exits_2(self, capsys, tmp_path):
         bad = np.array(fs.builtin("Cu").elastic)
@@ -411,6 +422,21 @@ class TestSweep:
             for a, b in zip(series, series[1:]):
                 assert b <= a + 1e-13
 
+    @pytest.mark.parametrize("mi", ["2,1,1", "0,0,4"])
+    def test_cu_higher_order_falls_with_L(self, capsys, tmp_path, mi):
+        out_file = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--material", "Cu", "--multi-index", mi, "--L-list", "8,16,24",
+            "--grid", "8x16", "--nodes", "128", "--out", str(out_file),
+        )
+        assert code == 0
+        rows = [r.split(",") for r in out_file.read_text().strip().splitlines()[1:]]
+        errs = {}
+        for _, L, i, j, e in rows:
+            errs.setdefault((i, j), []).append(float(e))
+        for series in errs.values():
+            assert series[0] > series[1] > series[2]
+
     def test_descending_list_rejected(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--material", "Cu", "--L-list", "24,8",
@@ -496,6 +522,17 @@ class TestPlot:
             for p in phis:
                 p_op = phis[(phis.index(p) + len(phis) // 2) % len(phis)]
                 assert vals[(t, p)] == pytest.approx(vals[(t_op, p_op)], rel=1e-10)
+
+    @pytest.mark.parametrize("component", ["4,1", "0,1", "1,4"])
+    def test_component_out_of_range_exits_2(self, capsys, tmp_path, component):
+        out_file = tmp_path / "plot.csv"
+        code, _, err = run(
+            capsys, "plot", "--material", "Cu", "--L", "4", "--grid", "4x6",
+            "--component", component, "--out", str(out_file),
+        )
+        assert code == 2
+        assert f"--component {component}: indices must lie in 1..3" in err
+        assert not out_file.exists()
 
     def test_mesh_output(self, capsys, tmp_path):
         out_file = tmp_path / "plot.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 
 import mpmath
@@ -190,21 +191,26 @@ class TestUnitCircle:
             fs.unit_circle(ext_laplace, [0, 0, 1.0], n_nodes=8)
 
     def test_frame_is_orthonormal_and_deterministic(self, rng):
-        for rhat in random_directions(rng, 20):
-            u1, v1 = contour_frame(rhat)
-            u2, v2 = contour_frame(rhat)
-            assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
-            for vec in (u1, v1):
-                assert abs(np.linalg.norm(vec) - 1) < 1e-14
-                assert abs(vec @ rhat) < 1e-14
-            assert abs(u1 @ v1) < 1e-14
+        rhat = random_directions(rng, 20)
+        u, v = contour_frame(rhat)
+        assert u.shape == v.shape == (20, 3)
+        frame = np.stack([u, v, rhat], axis=1)
+        assert np.max(np.abs(frame @ frame.transpose(0, 2, 1) - np.eye(3))) < 1e-14
+        for p, d in enumerate(rhat):
+            # reference: the frame of one direction at a time; the batch does
+            # the same arithmetic, so it must give the same bits
+            seed = np.zeros(3)
+            seed[int(np.argmin(np.abs(d)))] = 1.0
+            u1 = np.cross(seed, d)
+            u1 /= np.linalg.norm(u1)
+            assert np.array_equal(u[p], u1) and np.array_equal(v[p], np.cross(d, u1))
 
     def test_field_matches_pointwise(self, ext_cu, base_cu):
         # at 512 nodes a chunk holds 8 directions, so the 24 grid directions
         # span three chunks: chunk boundaries must not change values
         assert 4 * 6 > _CONTOUR_BUDGET // 512
         grid = fs.sample_sphere(base_cu.truncated(10), 4, 6)
-        fld = unit_circle_field(ext_cu, grid, order=0, n_nodes=512)
+        fld = unit_circle_field(ext_cu, grid, (1, 0, 1), n_nodes=512)
         for a in range(4):
             for b in range(6):
                 d = [
@@ -212,20 +218,36 @@ class TestUnitCircle:
                     math.sin(grid.theta[a]) * math.sin(grid.phi[b]),
                     math.cos(grid.theta[a]),
                 ]
-                point = fs.unit_circle(ext_cu, d, order=0, n_nodes=512)
+                point = fs.unit_circle_batch(ext_cu, [d], (1, 0, 1), n_nodes=512)[0]
                 tol = 1e-13 * np.max(np.abs(point))
                 assert np.allclose(fld.values[a, b], point, rtol=1e-13, atol=tol)
 
-    @pytest.mark.parametrize("order,axis", [(0, None), (1, 1), (1, 2), (1, 3)])
-    def test_batch_matches_single_points(self, ext_cu, order, axis, rng):
-        # radii away from 1 exercise the r^-(order+1) scaling; 40 points at
+    @pytest.mark.parametrize(
+        "mi", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 1), (0, 0, 4)],
+        ids=lambda mi: "".join(map(str, mi)),
+    )
+    def test_batch_matches_single_points(self, ext_cu, mi, rng):
+        # radii away from 1 exercise the r^-(n+1) scaling; 40 points at
         # 256 nodes span three chunks
         pts = random_directions(rng, 40) * rng.uniform(0.3, 3.0, size=(40, 1))
-        got = fs.unit_circle_batch(ext_cu, pts, order=order, axis=axis, n_nodes=256)
+        got = fs.unit_circle_batch(ext_cu, pts, mi, n_nodes=256)
         assert got.shape == (40, 3, 3)
         for p, value in zip(pts, got):
-            point = fs.unit_circle(ext_cu, p, order=order, axis=axis, n_nodes=256)
+            point = fs.unit_circle_batch(ext_cu, [p], mi, n_nodes=256)[0]
             assert np.max(np.abs(value - point)) <= 1e-15 * np.max(np.abs(point))
+
+    def test_kelvin_fourth_derivative(self, ext_iso, rng):
+        pts = random_directions(rng, 20) * rng.uniform(0.5, 2.0, size=(20, 1))
+        got = fs.unit_circle_batch(ext_iso, pts, (2, 1, 1), n_nodes=256)[:, 0, 0]
+        expect = [fs.kelvin_closed(1.0, 0.3, "phi11_1123", p) for p in pts]
+        assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+    def test_laplace_second_and_third_derivatives(self, ext_laplace, rng):
+        pts = random_directions(rng, 20) * rng.uniform(0.5, 2.0, size=(20, 1))
+        for mi in set(itertools.permutations((2, 1, 0))) | set(itertools.permutations((1, 1, 0))):
+            got = fs.unit_circle_batch(ext_laplace, pts, mi, n_nodes=64)[:, 0, 0]
+            expect = [fs.laplace_closed(mi, p) for p in pts]
+            assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect), mi
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_names_index(self, ext_cu, bad):
@@ -242,7 +264,7 @@ class TestUnitCircle:
         pts = np.ones((5, 3))
         pts[2] = 0.0
         with pytest.raises(SingularPointError, match="point index 2"):
-            fs.unit_circle_batch(ext_cu, pts, order=1, axis=2)
+            fs.unit_circle_batch(ext_cu, pts, (0, 1, 0))
 
     def test_order_and_axis_checked(self, ext_laplace):
         for order, axis in [(2, None), (1, None), (1, 4)]:
@@ -316,3 +338,23 @@ class TestOracleAgreement:
             series = fs.evaluate(base, p)
             contour = fs.unit_circle(ext, p, order=0, n_nodes=512)
             assert np.max(np.abs(series - contour)) <= 1e-6 * np.max(np.abs(contour))
+
+    @pytest.mark.parametrize(
+        "name,bound",
+        [
+            ("Cu", 5.2e-3), ("Au", 8.5e-3), ("Ni", 4e-4), ("M1", 1.2e-7),
+            ("Laplace", 2.2e-9), ("PZT-4", 2.2e-9), ("PVDF", 2.2e-9), ("M2", 2.2e-9),
+        ],
+    )
+    def test_ladder_tables_vs_contour_orders_2_to_4(self, name, bound, rng):
+        # L = 40 tables from a degree-44 base against the 512-node contour;
+        # each bound is ~10x the material's largest truncation error over
+        # these multi-indices (the ladder's rounding floor on the fast
+        # converging materials)
+        ext = fs.extend(fs.builtin(name))
+        base = fs.base_coefficients(ext, 44)
+        pts = random_directions(rng, 24)
+        for mi in [(2, 0, 0), (1, 1, 0), (0, 1, 2), (2, 1, 1), (0, 0, 4)]:
+            series = fs.evaluate_batch(derive_multi(base, mi).truncated(40), pts)
+            contour = fs.unit_circle_batch(ext, pts, mi, n_nodes=512)
+            assert np.max(np.abs(series - contour)) <= bound * np.max(np.abs(contour)), mi
