@@ -13,12 +13,15 @@ Exit codes are stable and documented:
 The default tables directory is taken from the FUNDSOL_TABLES_DIR environment
 variable when --tables-dir is not given.  All floating-point output is
 printed with 17 significant digits so reruns can be diffed byte for byte.
+`eval` writes one row per point and entry (i, j), all N^2 of them; the
+kernels are exactly symmetric, so each distinct entry i <= j is formatted
+once and row (j, i) repeats its text.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import os
 import sys
 import time
@@ -158,12 +161,18 @@ def cmd_eval(args) -> int:
     points = _read_points(args.points)
     values = evaluate_batch(table, points)
     n = table.field_dim
-    # each point's coordinates are formatted once; rows run over (point, i, j)
-    prefixes = [f"{_fmt(x)},{_fmt(y)},{_fmt(z)}," for x, y, z in points.tolist()]
-    middles = [f"{i + 1},{j + 1}," for i in range(n) for j in range(n)]
-    cells = map("{:.17g}".format, values.reshape(-1).tolist())
+    # the kernel is exactly symmetric, so each point's entries i <= j are
+    # formatted once and row (j, i) reuses the string of (i, j); rows run
+    # over (point, i, j), one text block per point
+    rows, cols = np.triu_indices(n)
+    upper = {ij: k for k, ij in enumerate(zip(rows.tolist(), cols.tolist()))}
+    slots = [(f"{i + 1},{j + 1},", upper[min(i, j), max(i, j)]) for i in range(n) for j in range(n)]
+    cells = list(map("{:.17g}".format, values[:, rows, cols].reshape(-1).tolist()))
     lines = ["x,y,z,i,j,value"]
-    lines += [pre + mid + v for (pre, mid), v in zip(itertools.product(prefixes, middles), cells)]
+    for (x, y, z), start in zip(points.tolist(), range(0, len(cells), rows.size)):
+        prefix = f"{_fmt(x)},{_fmt(y)},{_fmt(z)},"
+        own = cells[start : start + rows.size]
+        lines.append("\n".join([prefix + ij + own[k] for ij, k in slots]))
     _write_lines(args.out, lines)
     return EXIT_OK
 
@@ -199,15 +208,15 @@ def _convergence_rows(ext, L_list, order_mi, grid, n_nodes, label):
 
 def cmd_sweep(args) -> int:
     material = _load_material(args.material)
-    L_list = [int(v) for v in args.L_list.split(",")]
+    L_list = _parse_values("--L-list", args.L_list)
     if L_list != sorted(L_list):
         print("error: --L-list must be ascending", file=sys.stderr)
         return EXIT_INVALID
     mi = _parse_multi_index(args.multi_index)
-    grid = _parse_grid(args.grid)
+    grid = _parse_values("--grid", args.grid, count=2, sep="x")
     rows = ["case,L,i,j,e_S1"]
     if args.zener_list:
-        for A in (float(v) for v in args.zener_list.split(",")):
+        for A in _parse_values("--zener-list", args.zener_list, kind=float):
             ext = extend(zener_family(A))
             rows += _convergence_rows(ext, L_list, mi, grid, args.nodes, f"A={A:g}")
     else:
@@ -218,9 +227,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    a, _, b = text.partition("x")
-    return int(a), int(b)
+def _parse_values(flag: str, text: str, kind=int, count=None, sep=","):
+    """The `sep`-separated values of a flag, converted by `kind`; a malformed
+    value or a count other than `count` raises ValueError naming the flag."""
+    try:
+        values = [kind(v) for v in text.split(sep)]
+        if count is None or len(values) == count:
+            return values
+    except ValueError:
+        pass
+    number = "" if count is None else f"{count} "
+    raise ValueError(
+        f"{flag}: expected {number}{kind.__name__} values separated by {sep!r}, got {text!r}"
+    )
 
 
 # --------------------------------------------------------------------------- bench
@@ -234,8 +253,8 @@ def cmd_bench(args) -> int:
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     warmup = max(1, args.warmup)
 
-    L_list = [int(v) for v in args.L_list.split(",")]
-    node_list = [int(v) for v in args.nodes_list.split(",")]
+    L_list = _parse_values("--L-list", args.L_list)
+    node_list = _parse_values("--nodes-list", args.nodes_list)
     ref = reference.unit_circle_batch(ext, pts, n_nodes=512)
     ref_scale = np.max(np.abs(ref))
 
@@ -276,8 +295,8 @@ def cmd_plot(args) -> int:
     material = _load_material(args.material)
     ext = extend(material)
     mi = _parse_multi_index(args.multi_index)
-    grid = _parse_grid(args.grid)
-    i, j = (int(v) - 1 for v in args.component.split(","))
+    grid = _parse_values("--grid", args.grid, count=2, sep="x")
+    i, j = (v - 1 for v in _parse_values("--component", args.component, count=2))
     if not (0 <= i < ext.field_dim and 0 <= j < ext.field_dim):
         raise ValueError(f"--component {args.component}: indices must lie in 1..{ext.field_dim}")
     base = base_coefficients(ext, args.L + mi.order)
@@ -314,7 +333,10 @@ def _add_shared(p, *flags):
         p.add_argument(flag, **_SHARED[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; `main` dispatches
+    sub-command NAME to the module's `cmd_NAME`."""
     ap = argparse.ArgumentParser(
         prog="fundsol",
         description="Fundamental-solution kernels from spherical-harmonics tables",
@@ -325,12 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, "--material", "--L", "--tables-dir")
     p.add_argument("--order", type=int, default=0, help="max total derivative order")
     p.add_argument("--quad-degree", type=int)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("eval", help="evaluate kernels at points from a CSV")
     _add_shared(p, "--material", "--L", "--tables-dir", "--out", "--multi-index")
     p.add_argument("--points", required=True, help="CSV of x,y,z rows (meters)")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
         "sweep", help=f"convergence sweep of orders 0..{DEFAULT_MAX_ORDER} against the contour oracle"
@@ -341,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=512, help="contour oracle nodes")
     p.add_argument("--zener-list", default=None,
                    help="sweep cubic anisotropy ratios instead of one material")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="series vs contour timing at matched accuracy")
     _add_shared(p, "--material", "--out")
@@ -350,26 +369,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points-count", type=int, default=512)
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("plot", help="spherical amplitude-plot CSV / mesh export")
     _add_shared(p, "--material", "--L", "--out", "--multi-index")
     p.add_argument("--grid", default="64x128")
     p.add_argument("--component", default="1,1")
     p.add_argument("--mesh", default=None, help="also write a Wavefront mesh here")
-    p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("materials", help="inspect the material database")
     p.add_argument("action", choices=["show"])
     p.add_argument("name")
-    p.set_defaults(func=cmd_materials)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* attribute is the one called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except MaterialValidationError as exc:
         print("error: material validation failed:", file=sys.stderr)
         for v in exc.violations:

@@ -11,9 +11,14 @@ the real, parity-split basis of Schaeffer 2013 (SHTns).  The basis is built
 point-major, Bt (P, K): as the Legendre recurrence yields each row l of the
 parity of I, it is multiplied by cos(m phi) and sin(m phi) straight into the
 2l+1 columns of degree l.  The real and imaginary parts of the m >= 0
-coefficients, weighted by P_l^I(0), form W^T (N*N, K), and every point's
-kernel is the same product W^T Bt[p] (a stack of identical matrix-vector
-products), so a point gives the same bits alone and in any batch.
+coefficients, weighted by P_l^I(0), form W^T (N(N+1)/2, K), and every
+point's kernel is the same product W^T Bt[p] (a stack of identical
+matrix-vector products), so a point gives the same bits alone and in any
+batch.  W^T holds only the entries i <= j of each block: the operators are
+self-adjoint, `inverse_symbol_batch` symmetrises the inverse symbol and every
+later step is linear in the blocks, so each block is exactly symmetric
+(`load_table` refuses a file whose blocks are not) and the product is
+mirrored into (N, N).  Every returned matrix is therefore exactly symmetric.
 
 Units: with r in meters and SI material constants, a table of order I yields
 values in (base kernel units) * m^-(I+1).
@@ -48,26 +53,31 @@ _CHUNK = 4096  # directions per basis chunk
 def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     """Angular (regular) factor sum_l P_l^I(0) sum_m C[l,m] Y_l^m at directions.
 
-    Returns real (P, N, N); the physical kernel is this / (4 pi r^(I+1)).
-    Orders m >= 1 and -m together contribute 2 Re(C Y), so each (l, m >= 0)
-    with l of the parity of I gives a cos(m phi) column weighted by Re C and,
-    for m >= 1, a sin(m phi) column weighted by -Im C.
+    Returns real (P, N, N), exactly symmetric; the physical kernel is this
+    / (4 pi r^(I+1)).  Orders m >= 1 and -m together contribute 2 Re(C Y),
+    so each (l, m >= 0) with l of the parity of I gives a cos(m phi) column
+    weighted by Re C and, for m >= 1, a sin(m phi) column weighted by -Im C.
+    W^T has N(N+1)/2 rows, the entries i <= j of each block: every table
+    the package builds is exactly symmetric (the inverse symbol is
+    symmetrised before projection) and `load_table` refuses one that is not,
+    so the entries i > j are never read but mirrored from the product.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     n = table.field_dim
     L, I = table.max_degree, table.order
-    out = np.zeros((theta.size, n * n))
     ells = range(I, L + 1, 2)
     if not ells:
-        return out.reshape(-1, n, n)
+        return np.zeros((theta.size, n, n))
+    rows, cols = np.triu_indices(n)
+    upper = np.empty((theta.size, rows.size))
     # degree l owns 2l+1 columns: cos(m phi) for m = 0..l, then sin(m phi)
     # for m = 1..l; WT is contiguous, as the product below needs
     K = sum(2 * l + 1 for l in ells)
-    WT = np.empty((n * n, K))
+    WT = np.empty((rows.size, K))
     off = 0
     for l in ells:
-        C = table.blocks(l).reshape(l + 1, n * n) * legendre_p_at_zero(l, I)
+        C = table.blocks(l)[:, rows, cols] * legendre_p_at_zero(l, I)
         C[1:] *= 2.0
         WT[:, off : off + l + 1] = C.real.T
         WT[:, off + l + 1 : off + 2 * l + 1] = -C.imag[1:].T
@@ -75,11 +85,14 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     for start in range(0, theta.size, _CHUNK):
         sl = slice(start, min(start + _CHUNK, theta.size))
         Bt = _basis(L, I, K, theta[sl], phi[sl])
-        # one identical (N*N, K) x (K,) product per point, so a point alone
-        # and the same point in any batch give the same bits (a gemm over
-        # the whole batch sums in an order that depends on its width)
-        np.matmul(WT, Bt[:, :, None], out=out[sl, :, None])
-    return out.reshape(-1, n, n)
+        # one identical (N(N+1)/2, K) x (K,) product per point, so a point
+        # alone and the same point in any batch give the same bits (a gemm
+        # over the whole batch sums in an order that depends on its width)
+        np.matmul(WT, Bt[:, :, None], out=upper[sl, :, None])
+    out = np.empty((theta.size, n, n))
+    out[:, rows, cols] = upper
+    out[:, cols, rows] = upper
+    return out
 
 
 def _basis(L: int, I: int, K: int, theta, phi) -> np.ndarray:

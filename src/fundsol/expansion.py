@@ -467,8 +467,10 @@ def derive_tree(table: CoeffTable, order: int) -> Iterator[tuple[MultiIndex, Coe
 # (16 N^2) and N x N little-endian complex128 | first 16 bytes of the sha256
 # of all bytes before it, header included, so an edited header fails the
 # checksum as a damaged block does.  The records are CoeffTable.coeffs
-# without its m > l zeros; the stored m = 0 blocks act as an integrity check
-# (they must be real up to quadrature noise).  Version 1 stored both
+# without its m > l zeros; the stored blocks act as an integrity check: the
+# m = 0 blocks must be real up to quadrature noise, and every block exactly
+# symmetric, as the ladder keeps the symmetrised inverse symbol's blocks
+# symmetric bit for bit.  Version 1 stored both
 # parities and hashed the blocks only; its files are refused, as a table
 # rebuilds in milliseconds.
 
@@ -544,8 +546,8 @@ def _header_fields(header) -> tuple[int, int, tuple[int, int, int], str]:
 
 def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
     """Read a coefficient table; verifies format version, header fields,
-    payload size, checksum and, when an expectation is supplied, the
-    material hash."""
+    payload size, checksum, finite and exactly symmetric blocks and, when an
+    expectation is supplied, the material hash."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
@@ -597,6 +599,17 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
         )
     coeffs = np.zeros((rows, L + 1, n, n), dtype=np.complex128)
     coeffs[js, ms] = records["block"]
+    # the evaluator reads only the entries i <= j of each block; a NaN never
+    # equals its mirror, so non-finite entries are named first
+    bad, problem = np.argwhere(~np.isfinite(coeffs)), "finite"
+    if not bad.size:
+        bad, problem = np.argwhere(coeffs != coeffs.swapaxes(-1, -2)), "symmetric"
+    if bad.size:
+        j, m, i, k = bad[0]
+        raise TableCorruptionError(
+            f"block (l={parity + 2 * j}, m={m}) is not {problem} at entry "
+            f"(i={i + 1}, j={k + 1}); file damaged"
+        )
 
     scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
     if scale > 0:

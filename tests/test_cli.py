@@ -1,12 +1,15 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 
 import fundsol as fs
+from fundsol import cli
 from fundsol.cli import main, table_path
+from fundsol.errors import TableCorruptionError
 
 
 def run(capsys, *argv):
@@ -42,6 +45,37 @@ class TestOptions:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 20" in capsys.readouterr().err
+
+    def test_parser_built_once_and_commands_looked_up_per_call(self, monkeypatch):
+        # a replaced cmd_* attribute (as a tracer installs) is the one called,
+        # though the parser is reused
+        calls = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args.points) or 0)
+        for points in ("a.csv", "b.csv"):
+            assert main(["eval", "--material", "Cu", "--points", points]) == 0
+        assert calls == ["a.csv", "b.csv"]
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "command,flag,text",
+        [
+            ("plot", "--component", "1"),
+            ("plot", "--component", "1,x"),
+            ("plot", "--component", "1,2,3"),
+            ("plot", "--grid", "8"),
+            ("plot", "--grid", "8xy"),
+            ("sweep", "--grid", "8x"),
+            ("sweep", "--L-list", "8,x"),
+            ("sweep", "--zener-list", "1,z"),
+            ("bench", "--L-list", "8,,16"),
+            ("bench", "--nodes-list", "16,y"),
+        ],
+    )
+    def test_malformed_flag_value_names_flag_exit_2(self, capsys, command, flag, text):
+        code, out, err = run(capsys, command, "--material", "Laplace", flag, text)
+        assert code == 2
+        assert err.startswith(f"error: {flag}: expected ") and err.rstrip().endswith(repr(text))
+        assert out == ""
 
 
 class TestMaterialsShow:
@@ -283,6 +317,26 @@ class TestEval:
         )
         assert code == 2
         assert "version 1" in err and "fundsol build" in err
+
+    def test_asymmetric_table_exit_2(self, capsys, tmp_path):
+        # a table under a valid checksum whose block is not symmetric would be
+        # half read by the evaluator, which reads only the entries i <= j
+        ext = fs.extend(fs.builtin("Cu"))
+        table = fs.base_coefficients(ext, 4)
+        table.coeffs[1, 1, 0, 2] += 1e-3 * table.max_abs()
+        path = table_path(tmp_path, ext.material_hash, 4, (0, 0, 0))
+        fs.save_table(table, path)
+        message = r"block \(l=2, m=1\) is not symmetric at entry \(i=1, j=3\)"
+        with pytest.raises(TableCorruptionError, match=message):
+            fs.load_table(path)
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[0.0, 0.0, 1.0]])
+        code, out, err = run(
+            capsys, "eval", "--material", "Cu", "--L", "4",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert re.search(message, err) and out == ""
 
     def test_row_count_n_squared(self, capsys, tmp_path):
         self.setup_tables(capsys, tmp_path, material="Cu", L=8)

@@ -17,6 +17,7 @@ from fundsol.errors import (
     TableRangeError,
 )
 from fundsol.expansion import (
+    DEFAULT_MAX_ORDER,
     MultiIndex,
     base_coefficients,
     derive_coefficients,
@@ -375,15 +376,15 @@ class TestDeriveAnisotropic:
                 scale = np.max(np.abs(ab.coeffs))
                 assert np.max(np.abs(ab.coeffs - ba.coeffs)) <= 1e-11 * scale
 
-    def test_hermitian_blocks(self, base_m2):
-        # self-adjoint material: every (l, m) block is symmetric (measured
-        # against the table scale; blocks below quadrature noise carry no
-        # relative structure of their own)
-        scale = base_m2.max_abs()
-        for l in range(base_m2.max_degree + 1):
-            for m in range(0, l + 1):
-                block = base_m2.entry(l, m)
-                assert np.max(np.abs(block - block.T)) <= 1e-12 * scale
+    def test_hermitian_blocks(self):
+        # self-adjoint material: the inverse symbol is symmetrised before its
+        # projection and each ladder step is linear in the blocks, so every
+        # (l, m) block of every table is symmetric bit for bit (the evaluator
+        # reads only the entries i <= j)
+        for name in ALL_BUILTINS:
+            base = base_coefficients(fs.extend(fs.builtin(name)), 24)
+            for mi, table in derive_tree(base, DEFAULT_MAX_ORDER):
+                assert np.array_equal(table.coeffs, table.coeffs.swapaxes(-1, -2)), (name, mi)
 
 
 class TestLoopReference:
@@ -625,6 +626,16 @@ class TestPersistence:
         data[-16:] = hashlib.sha256(bytes(data[:-16])).digest()[:16]
         path.write_bytes(bytes(data))
         with pytest.raises(TableCorruptionError, match=r"\(l=2, m=1\)"):
+            fs.load_table(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_block_names_entry(self, base_m2, tmp_path, value):
+        table = base_m2.truncated(4)
+        table.coeffs[2, 3, 1, 1] = value  # (l=4, m=3)
+        path = tmp_path / "m2.fsct"
+        fs.save_table(table, path)
+        message = r"\(l=4, m=3\) is not finite at entry \(i=2, j=2\)"
+        with pytest.raises(TableCorruptionError, match=message):
             fs.load_table(path)
 
     def test_truncated_view(self, base_cu):
