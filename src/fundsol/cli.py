@@ -79,10 +79,7 @@ def table_path(tables_dir: Path, material_hash: str, L: int, mi) -> Path:
 
 
 def _parse_multi_index(text: str) -> MultiIndex:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise ValueError(f"multi-index must have three entries, got {text!r}")
-    return MultiIndex(*(int(p) for p in parts))
+    return MultiIndex(*_parse_values("--multi-index", text, count=3, sep=None))
 
 
 def _read_points(path) -> np.ndarray:
@@ -228,17 +225,20 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_values(flag: str, text: str, kind=int, count=None, sep=","):
-    """The `sep`-separated values of a flag, converted by `kind`; a malformed
-    value or a count other than `count` raises ValueError naming the flag."""
+    """The `sep`-separated values of a flag (sep None: commas or spaces),
+    converted by `kind`; a malformed value or a count other than `count`
+    raises ValueError naming the flag."""
+    parts = text.replace(",", " ").split() if sep is None else text.split(sep)
     try:
-        values = [kind(v) for v in text.split(sep)]
+        values = [kind(v) for v in parts]
         if count is None or len(values) == count:
             return values
     except ValueError:
         pass
     number = "" if count is None else f"{count} "
+    seps = "commas or spaces" if sep is None else repr(sep)
     raise ValueError(
-        f"{flag}: expected {number}{kind.__name__} values separated by {sep!r}, got {text!r}"
+        f"{flag}: expected {number}{kind.__name__} values separated by {seps}, got {text!r}"
     )
 
 
@@ -247,6 +247,7 @@ def _parse_values(flag: str, text: str, kind=int, count=None, sep=","):
 
 def cmd_bench(args) -> int:
     ext = extend(_load_material(args.material))
+    mi = _parse_multi_index(args.multi_index)
     rng = np.random.default_rng(args.seed)
     n_pts = args.points_count
     pts = rng.normal(size=(n_pts, 3))
@@ -255,16 +256,16 @@ def cmd_bench(args) -> int:
 
     L_list = _parse_values("--L-list", args.L_list)
     node_list = _parse_values("--nodes-list", args.nodes_list)
-    ref = reference.unit_circle_batch(ext, pts, n_nodes=512)
+    ref = reference.unit_circle_batch(ext, pts, mi, n_nodes=512)
     ref_scale = np.max(np.abs(ref))
 
     rows = ["method,param,ns_per_point,max_rel_error,setup_seconds"]
-    base_degree = max(L_list)
+    # each ladder step lowers the usable degree by one
     t0 = time.perf_counter()
-    base = base_coefficients(ext, base_degree)
+    derived = derive_multi(base_coefficients(ext, max(L_list) + mi.order), mi)
     build_time = time.perf_counter() - t0
     for L in L_list:
-        tab = base.truncated(L)
+        tab = derived.truncated(L)
         for _ in range(warmup):
             evaluate_batch(tab, pts[: min(64, n_pts)])
         t0 = time.perf_counter()
@@ -278,9 +279,9 @@ def cmd_bench(args) -> int:
     # would time Python overhead
     for nodes in node_list:
         for _ in range(warmup):
-            reference.unit_circle_batch(ext, pts[:64], n_nodes=nodes)
+            reference.unit_circle_batch(ext, pts[:64], mi, n_nodes=nodes)
         t0 = time.perf_counter()
-        vals = reference.unit_circle_batch(ext, pts, n_nodes=nodes)
+        vals = reference.unit_circle_batch(ext, pts, mi, n_nodes=nodes)
         dt = time.perf_counter() - t0
         err = float(np.max(np.abs(vals - ref))) / ref_scale
         rows.append(f"contour,{nodes},{_fmt(dt / n_pts * 1e9)},{_fmt(err)},0")
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep cubic anisotropy ratios instead of one material")
 
     p = sub.add_parser("bench", help="series vs contour timing at matched accuracy")
-    _add_shared(p, "--material", "--out")
+    _add_shared(p, "--material", "--out", "--multi-index")
     p.add_argument("--L-list", default="10,20,40")
     p.add_argument("--nodes-list", default="16,32,64,128")
     p.add_argument("--points-count", type=int, default=512)

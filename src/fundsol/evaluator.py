@@ -145,7 +145,9 @@ def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
     if radii.size == 0:
         return np.zeros((0, n, n))
     uniq, inverse = np.unique(rhat, axis=0, return_inverse=True)
-    theta = np.arccos(np.clip(uniq[:, 2], -1.0, 1.0))
+    # arccos(z) has error ~ulp/theta near the z axis; arctan2 keeps theta
+    # relatively accurate there, so scaled points get the same theta
+    theta = np.arctan2(np.hypot(uniq[:, 0], uniq[:, 1]), uniq[:, 2])
     phi = np.arctan2(uniq[:, 1], uniq[:, 0])
     reg = regular_part_at(table, theta, phi)[inverse]
     scale = 1.0 / (4.0 * np.pi * radii ** (table.order + 1))

@@ -69,6 +69,9 @@ class TestOptions:
             ("sweep", "--zener-list", "1,z"),
             ("bench", "--L-list", "8,,16"),
             ("bench", "--nodes-list", "16,y"),
+            ("plot", "--multi-index", "0,0,x"),
+            ("plot", "--multi-index", "0 1"),
+            ("bench", "--multi-index", "1,0,0,0"),
         ],
     )
     def test_malformed_flag_value_names_flag_exit_2(self, capsys, command, flag, text):
@@ -551,6 +554,27 @@ class TestBench:
             vals = np.stack([fs.unit_circle(ext, p, n_nodes=nodes) for p in pts])
             expect = float(np.max(np.abs(vals - ref))) / np.max(np.abs(ref))
             assert got[nodes] == pytest.approx(expect, rel=1e-12)
+
+
+    def test_multi_index_errors_fall_with_L_and_nodes(self, capsys, tmp_path):
+        out_file = tmp_path / "bench.csv"
+        code, _, _ = run(
+            capsys, "bench", "--material", "Cu", "--multi-index", "1 0 0",
+            "--L-list", "8,16,24", "--nodes-list", "16,24,32", "--points-count", "64",
+            "--out", str(out_file),
+        )
+        assert code == 0
+        lines = out_file.read_text().strip().splitlines()
+        assert lines[0] == "method,param,ns_per_point,max_rel_error,setup_seconds"
+        rows = [r.split(",") for r in lines[1:]]
+        for method, params in (("series", [8, 16, 24]), ("contour", [16, 24, 32])):
+            got = [(int(r[1]), float(r[3])) for r in rows if r[0] == method]
+            assert [p for p, _ in got] == params
+            errors = [e for _, e in got]
+            assert errors == sorted(errors, reverse=True) and errors[-1] < 1e-2 * errors[0]
+        # both sides are the order-1 kernel: an order-0 table against the
+        # order-1 reference would be off by O(1) (measured: 3.5e-4 at L=24)
+        assert float(rows[2][3]) < 1e-3
 
 
 class TestPlot:

@@ -74,6 +74,21 @@ class TestEvaluate:
                 scale = np.max(np.abs(v1))
                 assert np.max(np.abs(v2 * s**power - v1)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8])
+    def test_homogeneity_near_z_axis(self, ext_cu, eps):
+        # theta = arccos(z) broke this by 2.5e-14 (eps = 1e-3) to 2.9e-9
+        # (eps = 1e-8) at order 0; measured now <= 7.6e-16 at orders 0-2
+        base = fs.base_coefficients(ext_cu, 14)
+        for mi in [(0, 0, 0), (1, 0, 0), (0, 1, 1)]:
+            table = derive_multi(base, mi).truncated(12)
+            power = sum(mi) + 1
+            for z in (0.5, -0.5):
+                r = np.array([eps, 0.3 * eps, z])
+                v1 = fs.evaluate(table, r)
+                for s in (0.3, 0.77, 1.7, 3.1):
+                    v2 = fs.evaluate(table, s * r)
+                    assert np.max(np.abs(v2 * s**power - v1)) <= 4e-15 * np.max(np.abs(v1))
+
     # the evaluator returns the real part only; the full complex sum over
     # all orders must be real, so that nothing is dropped
     def test_realness_isotropic(self, base_laplace, base_iso, rng):
