@@ -11,11 +11,13 @@ Exit codes are stable and documented:
     5  invalid evaluation point (zero length), message names the row
 
 The default tables directory is taken from the FUNDSOL_TABLES_DIR environment
-variable when --tables-dir is not given.  All floating-point output is
-printed with 17 significant digits so reruns can be diffed byte for byte.
-`eval` writes one row per point and entry (i, j), all N^2 of them; the
-kernels are exactly symmetric, so each distinct entry i <= j is formatted
-once and row (j, i) repeats its text.
+variable when --tables-dir is not given.  `build` writes FSCT version 3
+files, which store the entries i <= j of each symmetric block; files of
+earlier versions exit 2 with a pointer to `fundsol build`.  All
+floating-point output is printed with 17 significant digits so reruns can
+be diffed byte for byte.  `eval` writes one row per point and entry (i, j),
+all N^2 of them; the kernels are exactly symmetric, so each distinct entry
+i <= j is formatted once and row (j, i) repeats its text.
 """
 
 from __future__ import annotations
@@ -115,6 +117,7 @@ def cmd_build(args) -> int:
     if not 0 <= order <= DEFAULT_MAX_ORDER:
         raise ValueError(f"--order must lie in 0..{DEFAULT_MAX_ORDER}, got {order}")
     ext = extend(_load_material(args.material))
+    material_hash = ext.material_hash  # a SHA-256 of the tensor per read
     tables_dir = _tables_dir(args)
     tables_dir.mkdir(parents=True, exist_ok=True)
     base_degree = args.L + order
@@ -132,7 +135,7 @@ def cmd_build(args) -> int:
     for mi, tab in derive_tree(base, order):
         tab = tab.truncated(args.L)
         dt = time.perf_counter() - t0
-        path = table_path(tables_dir, ext.material_hash, args.L, mi.astuple())
+        path = table_path(tables_dir, material_hash, args.L, mi.astuple())
         save_table(tab, path)
         # stored (l, m >= 0) blocks, l of the table's parity
         count = sum(l + 1 for l in range(tab.parity, tab.max_degree + 1, 2))
@@ -148,13 +151,13 @@ def cmd_build(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ext = extend(_load_material(args.material))
+    material_hash = extend(_load_material(args.material)).material_hash
     mi = _parse_multi_index(args.multi_index)
-    path = table_path(_tables_dir(args), ext.material_hash, args.L, mi.astuple())
+    path = table_path(_tables_dir(args), material_hash, args.L, mi.astuple())
     if not path.exists():
         print(f"error: table {path} not found; run build first", file=sys.stderr)
         return EXIT_INVALID
-    table = load_table(path, expected_material_hash=ext.material_hash)
+    table = load_table(path, expected_material_hash=material_hash)
     points = _read_points(args.points)
     values = evaluate_batch(table, points)
     n = table.field_dim

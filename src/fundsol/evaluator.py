@@ -14,10 +14,8 @@ parity of I, it is multiplied by cos(m phi) and sin(m phi) straight into the
 coefficients, weighted by P_l^I(0), form W^T (N(N+1)/2, K), and every
 point's kernel is the same product W^T Bt[p] (a stack of identical
 matrix-vector products), so a point gives the same bits alone and in any
-batch.  W^T holds only the entries i <= j of each block: the operators are
-self-adjoint, `inverse_symbol_batch` symmetrises the inverse symbol and every
-later step is linear in the blocks, so each block is exactly symmetric
-(`load_table` refuses a file whose blocks are not) and the product is
+batch.  A table stores only the entries i <= j of each symmetric block
+(see CoeffTable), so W^T is built from them as stored and the product is
 mirrored into (N, N).  Every returned matrix is therefore exactly symmetric.
 
 Units: with r in meters and SI material constants, a table of order I yields
@@ -57,10 +55,8 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     / (4 pi r^(I+1)).  Orders m >= 1 and -m together contribute 2 Re(C Y),
     so each (l, m >= 0) with l of the parity of I gives a cos(m phi) column
     weighted by Re C and, for m >= 1, a sin(m phi) column weighted by -Im C.
-    W^T has N(N+1)/2 rows, the entries i <= j of each block: every table
-    the package builds is exactly symmetric (the inverse symbol is
-    symmetrised before projection) and `load_table` refuses one that is not,
-    so the entries i > j are never read but mirrored from the product.
+    W^T has N(N+1)/2 rows, the stored entries i <= j of each block; the
+    entries i > j are mirrored from the product.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
@@ -77,7 +73,7 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     WT = np.empty((rows.size, K))
     off = 0
     for l in ells:
-        C = table.blocks(l)[:, rows, cols] * legendre_p_at_zero(l, I)
+        C = table.blocks(l) * legendre_p_at_zero(l, I)
         C[1:] *= 2.0
         WT[:, off : off + l + 1] = C.real.T
         WT[:, off + l + 1 : off + 2 * l + 1] = -C.imag[1:].T

@@ -5,8 +5,13 @@ conjugate spherical harmonics,
 
     C[l, m] = integral over the unit sphere of  invsymbol(xi) conj(Y_l^m)(xi),
 
-as N x N complex blocks for orders 0 <= m <= l (negative orders follow from
-the conjugation rule, see CoeffTable).  Tables for derivative kernels are
+for orders 0 <= m <= l (negative orders follow from the conjugation rule
+C[l, -m] = (-1)^m conj(C[l, m])).  Each C[l, m] is an N x N block, and it
+is symmetric: the operators are self-adjoint and `inverse_symbol_batch`
+symmetrises the inverse symbol.  A table therefore stores only the
+N(N+1)/2 entries i <= j of each block, in `np.triu_indices(N)` order, from
+the projection through the ladder to the file; every later step is linear
+and entrywise, so nothing is lost.  Tables for derivative kernels are
 obtained WITHOUT further integration through a Clebsch-Gordan recurrence
 ladder: multiplying the integrand by a direction component maps degree-l
 harmonics onto degrees l-1 and l+1 only, so each derivative costs one pass
@@ -76,7 +81,7 @@ __all__ = [
 DEFAULT_MAX_ORDER = 4
 
 _MAGIC = b"FSCT"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -197,11 +202,12 @@ class CoeffTable:
 
     Only the degrees of the table's parity p = order mod 2 are stored: the
     others vanish (see the module docstring).  coeffs is complex128 of shape
-    (n_p, L+1, N, N) indexed [j, m], where row j holds degree l = p + 2j for
-    the orders m >= 0 and entries with m > l are zero; n_p counts the degrees
-    of parity p in 0..L.  This is the layout of the FSCT payload.  `entry`
-    returns a zero block at a degree of the other parity, and negative orders
-    through the conjugation rule entry(l, -m) == (-1)^m conj(entry(l, m)).
+    (n_p, L+1, N(N+1)/2) indexed [j, m, e], where row j holds degree
+    l = p + 2j for the orders m >= 0, entries with m > l are zero, and e
+    runs over the entries (i, k) with i <= k of the symmetric N x N block in
+    `np.triu_indices(N)` order; n_p counts the degrees of parity p in 0..L.
+    Negative orders follow from the conjugation rule
+    C[l, -m] = (-1)^m conj(C[l, m]).
     """
 
     material_hash: str
@@ -212,7 +218,7 @@ class CoeffTable:
 
     def __post_init__(self):
         L, n = self.max_degree, self.field_dim
-        if self.coeffs.shape != (_degree_rows(L, self.parity), L + 1, n, n):
+        if self.coeffs.shape != (_degree_rows(L, self.parity), L + 1, n * (n + 1) // 2):
             raise ValueError(
                 f"coefficient array shape {self.coeffs.shape} inconsistent with "
                 f"L={L}, N={n}, parity {self.parity}"
@@ -227,22 +233,9 @@ class CoeffTable:
         return self.order % 2
 
     def blocks(self, ell: int) -> np.ndarray:
-        """The stored blocks of degree ell, orders m = 0..ell, as an
-        (ell + 1, N, N) view; ell must be of the table's parity."""
+        """The stored entries of degree ell, orders m = 0..ell, as an
+        (ell + 1, N(N+1)/2) view; ell must be of the table's parity."""
         return self.coeffs[(ell - self.parity) // 2, : ell + 1]
-
-    def entry(self, ell: int, m: int) -> np.ndarray:
-        if not (0 <= ell <= self.max_degree and abs(m) <= ell):
-            raise TableRangeError(
-                f"entry (l={ell}, m={m}) outside stored degrees 0..{self.max_degree}"
-            )
-        if (ell - self.parity) % 2:
-            return np.zeros((self.field_dim, self.field_dim), dtype=np.complex128)
-        block = self.blocks(ell)[abs(m)]
-        if m >= 0:
-            return block
-        block = np.conj(block)
-        return -block if m % 2 else block
 
     def truncated(self, max_degree: int) -> "CoeffTable":
         """Copy of the table keeping only degrees 0..max_degree."""
@@ -257,9 +250,6 @@ class CoeffTable:
             self.multi_index,
             self.coeffs[: _degree_rows(max_degree, self.parity), : max_degree + 1].copy(),
         )
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
 
 def base_coefficients(
@@ -293,15 +283,17 @@ def base_coefficients(
     t = quad.cos_nodes
     half = quad.phi_nodes.size // 2
     dirs = quad.nodes().reshape(t.size, 2 * half, 3)[:, :half]
-    inv = inverse_symbol_batch(ext, dirs.reshape(-1, 3)).reshape(t.size, half, n, n)
+    # the entries i <= j of each symmetric inverse symbol
+    rows, cols = np.triu_indices(n)
+    inv = inverse_symbol_batch(ext, dirs.reshape(-1, 3))[:, rows, cols].reshape(t.size, half, -1)
     inv = np.concatenate([inv, inv[::-1]], axis=1)
     # azimuthal transform: G[m, a] = sum_b inv[a, b] exp(-i m phi_b) w_phi
     phases = np.exp(-1j * np.outer(np.arange(L + 1), quad.phi_nodes)) * quad.phi_weight
-    G = np.einsum("mb,abjk->majk", phases, inv, optimize=True)
-    G *= quad.theta_weights[np.newaxis, :, np.newaxis, np.newaxis]
+    G = np.einsum("mb,abe->mae", phases, inv, optimize=True)
+    G *= quad.theta_weights[np.newaxis, :, np.newaxis]
     # polar projection against the normalised Legendre values of even degree
     P = norm_legendre_table(L, t)[0::2]  # (n_0, L+1, n_theta)
-    C = np.einsum("lma,majk->lmjk", P, G, optimize=True)  # zero where m > l, as P is
+    C = np.einsum("lma,mae->lme", P, G, optimize=True)  # zero where m > l, as P is
     return CoeffTable(ext.material_hash, n, L, (0, 0, 0), C)
 
 
@@ -373,15 +365,14 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
             "source table needs at least degree 1; build the base table to L + total order"
         )
     Lt = L_src - 1
-    n = table.field_dim
     p = 1 - table.parity
-    rows_t = _degree_rows(Lt, p)
+    rows_t, entries = _degree_rows(Lt, p), table.coeffs.shape[2]
     # column c holds source order c - 1: x1 and x2 read order -1 at m = 0,
     # which is -conj(order 1)
-    src = np.empty((table.coeffs.shape[0], L_src + 2, n, n), dtype=np.complex128)
+    src = np.empty((table.coeffs.shape[0], L_src + 2, entries), dtype=np.complex128)
     src[:, 1:] = table.coeffs
     src[:, 0] = -np.conj(table.coeffs[:, 1])
-    acc = np.zeros((rows_t, Lt + 1, n, n), dtype=np.complex128)
+    acc = np.zeros((rows_t, Lt + 1, entries), dtype=np.complex128)
     for d, shift, subtract, factor in _step_terms(Lt, axis):
         # target row j (degree p + 2j) reads source degree p + 2j + d, which
         # is source row j + first; target degree 0 has no degree -1 to read
@@ -391,7 +382,7 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
             else (slice(None), slice(first, first + rows_t))
         )
         cols = slice(1 + shift, 2 + shift + Lt)
-        term = factor[p::2][rows, :, None, None] * src[src_rows, cols]
+        term = factor[p::2][rows, :, None] * src[src_rows, cols]
         if subtract:
             acc[rows] -= term
         else:
@@ -405,7 +396,9 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
         pref = np.sqrt(2.0 * l + 1.0)
     mi = list(table.multi_index)
     mi[axis - 1] += 1
-    return CoeffTable(table.material_hash, n, Lt, tuple(mi), pref[:, None, None, None] * acc)
+    return CoeffTable(
+        table.material_hash, table.field_dim, Lt, tuple(mi), pref[:, None, None] * acc
+    )
 
 
 def _check_ladder_start(table: CoeffTable, order: int) -> None:
@@ -461,29 +454,31 @@ def derive_tree(table: CoeffTable, order: int) -> Iterator[tuple[MultiIndex, Coe
 # ---------------------------------------------------------------------------
 # persistence
 #
-# Layout (format version 2): magic "FSCT" | u16 version | u32 header length |
-# header JSON | one record per stored block, degrees l of the table's parity
-# in increasing order and m = 0..l within each, each a u32 byte length
-# (16 N^2) and N x N little-endian complex128 | first 16 bytes of the sha256
-# of all bytes before it, header included, so an edited header fails the
-# checksum as a damaged block does.  The records are CoeffTable.coeffs
-# without its m > l zeros; the stored blocks act as an integrity check: the
-# m = 0 blocks must be real up to quadrature noise, and every block exactly
-# symmetric, as the ladder keeps the symmetrised inverse symbol's blocks
-# symmetric bit for bit.  Version 1 stored both
-# parities and hashed the blocks only; its files are refused, as a table
-# rebuilds in milliseconds.
+# Layout (format version 3): magic "FSCT" | u16 version | u32 header length |
+# header JSON | payload | first 16 bytes of the sha256 of all bytes before
+# it, header included, so an edited header fails the checksum as a damaged
+# payload does.  The payload is one little-endian complex128 array
+# CoeffTable.coeffs[js, ms] without its m > l zeros: the stored (l, m)
+# pairs, degrees l of the table's parity in increasing order and m = 0..l
+# within each, each the N(N+1)/2 entries i <= j of its block in
+# np.triu_indices(N) order, with no per-record length.  The m = 0 entries
+# must be real up to quadrature noise, which acts as an integrity check.
+# Version 1 stored both parities and hashed the blocks only, version 2 every
+# entry of each block behind a u32 length; their files are refused, as a
+# table rebuilds in milliseconds.
 
 
-def _record_dtype(n: int) -> np.dtype:
-    return np.dtype([("length", "<u4"), ("block", "<c16", (n, n))])
-
-
+@lru_cache(maxsize=32)
 def _stored_blocks(L: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, m) of every stored block, in file order."""
+    """(row, m) of every stored block, in file order.  Cached, as every save
+    and load of a table of the same degree and parity reads the same index
+    arrays; they are read-only."""
     j = np.arange(_degree_rows(L, parity))[:, None]
     m = np.arange(L + 1)[None, :]
-    return np.nonzero(m <= parity + 2 * j)
+    js, ms = np.nonzero(m <= parity + 2 * j)
+    for a in (js, ms):
+        a.setflags(write=False)
+    return js, ms
 
 
 def save_table(table: CoeffTable, path) -> None:
@@ -495,18 +490,13 @@ def save_table(table: CoeffTable, path) -> None:
         "multi_index": list(table.multi_index),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    n = table.field_dim
     js, ms = _stored_blocks(table.max_degree, table.parity)
-    records = np.empty(js.size, dtype=_record_dtype(n))
-    records["length"] = 16 * n * n
-    records["block"] = table.coeffs[js, ms]
+    payload = table.coeffs[js, ms].astype("<c16", copy=False)
     prefix = _MAGIC + struct.pack("<HI", _FORMAT_VERSION, len(header_bytes)) + header_bytes
     digest = hashlib.sha256(prefix)
-    digest.update(records)
+    digest.update(payload)
     with open(path, "wb") as f:
-        f.write(prefix)
-        f.write(records)
-        f.write(digest.digest()[:16])
+        f.write(b"".join((prefix, payload, digest.digest()[:16])))
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
@@ -546,7 +536,7 @@ def _header_fields(header) -> tuple[int, int, tuple[int, int, int], str]:
 
 def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
     """Read a coefficient table; verifies format version, header fields,
-    payload size, checksum, finite and exactly symmetric blocks and, when an
+    payload size, checksum, finite entries, real m = 0 blocks and, when an
     expectation is supplied, the material hash."""
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -571,8 +561,8 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
     parity = sum(mi) % 2
     # in Python integers, so a header claiming a huge N or L cannot overflow;
     # degrees p + 2j for j < rows hold rows * (rows + p) blocks in all
-    rows = _degree_rows(L, parity)
-    expected = rows * (rows + parity) * (4 + 16 * n * n) + 16
+    rows, entries = _degree_rows(L, parity), n * (n + 1) // 2
+    expected = rows * (rows + parity) * entries * 16 + 16
     if len(rest) != expected:
         raise TableCorruptionError(
             f"table file holds {len(rest)} bytes after its header; N={n}, L={L}, "
@@ -589,29 +579,19 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
             f"{expected_material_hash[:12]}..."
         )
 
-    records = np.frombuffer(payload, dtype=_record_dtype(n))
+    stored = np.frombuffer(payload, dtype="<c16").reshape(-1, entries)
     js, ms = _stored_blocks(L, parity)
-    bad = np.nonzero(records["length"] != 16 * n * n)[0]
+    bad = np.argwhere(~np.isfinite(stored))
     if bad.size:
-        k = bad[0]
+        k, e = bad[0]
+        i, j = (int(v[e]) + 1 for v in np.triu_indices(n))
         raise TableCorruptionError(
-            f"bad block length {records['length'][k]} at (l={parity + 2 * js[k]}, m={ms[k]})"
+            f"block (l={parity + 2 * js[k]}, m={ms[k]}) is not finite at entry "
+            f"(i={i}, j={j}); file damaged"
         )
-    coeffs = np.zeros((rows, L + 1, n, n), dtype=np.complex128)
-    coeffs[js, ms] = records["block"]
-    # the evaluator reads only the entries i <= j of each block; a NaN never
-    # equals its mirror, so non-finite entries are named first
-    bad, problem = np.argwhere(~np.isfinite(coeffs)), "finite"
-    if not bad.size:
-        bad, problem = np.argwhere(coeffs != coeffs.swapaxes(-1, -2)), "symmetric"
-    if bad.size:
-        j, m, i, k = bad[0]
-        raise TableCorruptionError(
-            f"block (l={parity + 2 * j}, m={m}) is not {problem} at entry "
-            f"(i={i + 1}, j={k + 1}); file damaged"
-        )
-
-    scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
+    coeffs = np.zeros((rows, L + 1, entries), dtype=np.complex128)
+    coeffs[js, ms] = stored
+    scale = float(np.max(np.abs(stored))) if stored.size else 0.0
     if scale > 0:
         worst_im = float(np.max(np.abs(coeffs[:, 0].imag)))
         if worst_im > 1e-6 * scale:

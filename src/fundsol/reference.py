@@ -156,10 +156,11 @@ def _circle_mean(ext, dirs, mi, n_nodes):
         K1 = K1 + np.einsum("ijkl,pqi,pl->pqjk", ext.c, xi, dirs, optimize=True)
         K2 = symbol_matrix_batch(ext, dirs)
     for k in range(1, n + 1):
-        rhs = np.einsum("pqjk,pqkm,pqmn->pqjn", taylor[0], K1, taylor[-1], optimize=True)
+        # stacked N x N matmuls, cheaper than a three-operand einsum
+        rhs = K1 @ taylor[-1]
         if k > 1:
-            rhs += np.einsum("pqjk,pkm,pqmn->pqjn", taylor[0], K2, taylor[-2], optimize=True)
-        taylor.append(-rhs)
+            rhs += K2[:, None] @ taylor[-2]
+        taylor.append(-(taylor[0] @ rhs))
     # coefficients of the polynomial (e + t rhat)^mi in t, lowest first
     poly = np.zeros((P, n_nodes, n + 1))
     poly[:, :, 0] = 1.0

@@ -155,9 +155,10 @@ def inverse_symbol_batch(ext: ExtendedTensor, dirs: np.ndarray) -> np.ndarray:
     inv_eq = _gauss_jordan(S_eq)
     # after equilibration every row max is ~1, so max|inv_eq| estimates cond
     worst = np.max(np.abs(inv_eq), axis=(0, 1))
-    bad = np.argmax(worst)
-    if not np.isfinite(worst[bad]) or worst[bad] > COND_LIMIT:
-        raise SingularSymbolError(dirs[bad], cond=float(worst[bad]))
+    if worst.size:  # an empty batch has no worst direction
+        bad = np.argmax(worst)
+        if not np.isfinite(worst[bad]) or worst[bad] > COND_LIMIT:
+            raise SingularSymbolError(dirs[bad], cond=float(worst[bad]))
     inv = inv_eq * d[:, np.newaxis, :] * d[np.newaxis, :, :]
     # the true inverse of the symmetric symbol is symmetric; remove the
     # elimination's rounding asymmetry, writing point-major

@@ -55,3 +55,24 @@ def rng():
 def random_directions(rng, count):
     v = rng.normal(size=(count, 3))
     return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def entry(table, ell, m):
+    """Block C[l, m] (N, N) of a table for any -l <= m <= l, unpacked from
+    the stored entries i <= j: a zero block at a degree of the other parity,
+    and negative orders through C[l, -m] = (-1)^m conj(C[l, m])."""
+    n = table.field_dim
+    block = np.zeros((n, n), dtype=np.complex128)
+    if (ell - table.parity) % 2:
+        return block
+    rows, cols = np.triu_indices(n)
+    block[rows, cols] = block[cols, rows] = table.blocks(ell)[abs(m)]
+    if m >= 0:
+        return block
+    block = np.conj(block)
+    return -block if m % 2 else block
+
+
+def max_abs(table):
+    """Largest coefficient magnitude of a table, 0 for an empty one."""
+    return float(np.max(np.abs(table.coeffs))) if table.coeffs.size else 0.0

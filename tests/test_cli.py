@@ -9,7 +9,9 @@ import pytest
 import fundsol as fs
 from fundsol import cli
 from fundsol.cli import main, table_path
-from fundsol.errors import TableCorruptionError
+from fundsol.errors import TableCorruptionError, TableFormatError
+
+from conftest import entry, max_abs
 
 
 def run(capsys, *argv):
@@ -162,12 +164,12 @@ class TestBuild:
         ext = fs.extend(fs.builtin("Laplace"))
         path = table_path(tmp_path, ext.material_hash, 4, (2, 1, 0))
         table = fs.load_table(path, expected_material_hash=ext.material_hash)
-        assert table.entry(1, 1)[0, 0] == pytest.approx(
+        assert entry(table, 1, 1)[0, 0] == pytest.approx(
             1j / 5 * math.sqrt(2 * np.pi / 3), rel=1e-12
         )
         for l in range(4, table.max_degree + 1):
             for m in range(-l, l + 1):
-                assert abs(table.entry(l, m)[0, 0]) < 1e-12
+                assert abs(entry(table, l, m)[0, 0]) < 1e-12
 
 
     def test_entries_count_stored_blocks(self, capsys, tmp_path):
@@ -201,7 +203,7 @@ class TestBuild:
             tables[degree] = [fs.load_table(table_path(out, ext.material_hash, 8, mi))
                               for mi in ((0, 0, 0), (1, 0, 0), (0, 0, 1))]
         for odd, even in zip(tables["99"], tables["100"]):
-            scale = even.max_abs()
+            scale = max_abs(even)
             assert np.max(np.abs(odd.coeffs - even.coeffs)) <= 1e-12 * scale
 
 
@@ -306,30 +308,41 @@ class TestEval:
         assert "checksum" in err and out == ""
 
     def test_version_1_table_exit_2(self, capsys, tmp_path):
+        self.check_old_version_exit_2(capsys, tmp_path, 1)
+
+    def test_version_2_table_exit_2(self, capsys, tmp_path):
+        # version 2 stored every entry of each block behind a u32 length
+        self.check_old_version_exit_2(capsys, tmp_path, 2)
+
+    def check_old_version_exit_2(self, capsys, tmp_path, version):
         self.setup_tables(capsys, tmp_path)
         lap = fs.extend(fs.builtin("Laplace"))
         path = table_path(tmp_path, lap.material_hash, 4, (0, 0, 0))
         data = bytearray(path.read_bytes())
-        data[4:6] = struct.pack("<H", 1)
+        data[4:6] = struct.pack("<H", version)
         path.write_bytes(bytes(data))
+        with pytest.raises(TableFormatError, match=f"version {version} .*fundsol build"):
+            fs.load_table(path)
         pts = tmp_path / "pts.csv"
         write_points(pts, [[0.0, 0.0, 1.0]])
-        code, _, err = run(
+        code, out, err = run(
             capsys, "eval", "--material", "Laplace", "--L", "4",
             "--points", str(pts), "--tables-dir", str(tmp_path),
         )
         assert code == 2
-        assert "version 1" in err and "fundsol build" in err
+        assert f"version {version}" in err and "fundsol build" in err and out == ""
 
-    def test_asymmetric_table_exit_2(self, capsys, tmp_path):
-        # a table under a valid checksum whose block is not symmetric would be
-        # half read by the evaluator, which reads only the entries i <= j
+    def test_non_finite_packed_entry_exit_2(self, capsys, tmp_path):
+        # a table stores the entries i <= j of each block, so it cannot be
+        # asymmetric; a damaged entry under a valid checksum is named by its
+        # block and its (i, j), mapped back through np.triu_indices
         ext = fs.extend(fs.builtin("Cu"))
         table = fs.base_coefficients(ext, 4)
-        table.coeffs[1, 1, 0, 2] += 1e-3 * table.max_abs()
+        e = list(zip(*np.triu_indices(3))).index((0, 2))
+        table.coeffs[1, 1, e] = math.nan
         path = table_path(tmp_path, ext.material_hash, 4, (0, 0, 0))
         fs.save_table(table, path)
-        message = r"block \(l=2, m=1\) is not symmetric at entry \(i=1, j=3\)"
+        message = r"block \(l=2, m=1\) is not finite at entry \(i=1, j=3\)"
         with pytest.raises(TableCorruptionError, match=message):
             fs.load_table(path)
         pts = tmp_path / "pts.csv"

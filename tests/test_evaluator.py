@@ -9,7 +9,7 @@ from fundsol.errors import SingularPointError, TableConsistencyError
 from fundsol.evaluator import regular_part_at
 from fundsol.expansion import derive_multi
 
-from conftest import random_directions
+from conftest import entry, random_directions
 
 FOUR_PI = 4 * math.pi
 
@@ -32,7 +32,7 @@ def complex_series(table, points):
         pref = float(sps.lpmv(I, l, 0.0))
         for m in range(-l, l + 1):
             Y = sps.sph_harm_y(l, m, theta, phi)
-            acc += pref * Y[:, None, None] * table.entry(l, m)
+            acc += pref * Y[:, None, None] * entry(table, l, m)
     return acc / (4 * math.pi * r[:, None, None] ** (I + 1))
 
 
@@ -296,7 +296,7 @@ class TestRegularPart:
         # degrees below the derivative order never contribute: their
         # prefactor P_l^I(0) vanishes identically
         table = derive_multi(base_laplace, (2, 1, 0))
-        assert abs(table.entry(1, 1)[0, 0]) > 1e-3  # stored and nonzero
+        assert abs(entry(table, 1, 1)[0, 0]) > 1e-3  # stored and nonzero
         reg_full = regular_part_at(table, [0.7], [1.1])[0, 0, 0]
         trunc = table.truncated(3)
         reg_trunc = regular_part_at(trunc, [0.7], [1.1])[0, 0, 0]

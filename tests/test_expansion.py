@@ -17,9 +17,7 @@ from fundsol.errors import (
     TableRangeError,
 )
 from fundsol.expansion import (
-    DEFAULT_MAX_ORDER,
     MultiIndex,
-    base_coefficients,
     derive_coefficients,
     derive_multi,
     derive_tree,
@@ -28,6 +26,8 @@ from fundsol.expansion import (
 )
 from fundsol.special import norm_legendre_table
 from fundsol.symbol import inverse_symbol_batch
+
+from conftest import entry, max_abs
 
 SQRT_PI = math.sqrt(math.pi)
 ALL_BUILTINS = ["Laplace", "Cu", "Au", "Ni", "PZT-4", "PVDF", "M1", "M2"]
@@ -57,9 +57,10 @@ def quadrature_coefficient_oracle(ext, mi, L, degree):
 
 
 def full_inversion_base(ext, L):
-    """Base coefficients of every degree 0..L, indexed [l, m], from the
-    symbol inverted at every node of the default rule: no use of its
-    antipode symmetry, and einsum without path optimisation."""
+    """Base coefficients of every degree 0..L, indexed [l, m], as full
+    N x N blocks from the symbol inverted at every node of the default
+    rule: no use of its antipode symmetry or its symmetric blocks, and
+    einsum without path optimisation."""
     quad = make_quadrature(2 * L + 12)
     n, t = ext.field_dim, quad.cos_nodes
     inv = inverse_symbol_batch(ext, quad.nodes()).reshape(t.size, -1, n, n)
@@ -69,12 +70,12 @@ def full_inversion_base(ext, L):
 
 
 def all_orders(table):
-    """entry(l, m) for every -l <= m <= l, indexed [l, m + L] like the oracle."""
+    """entry(table, l, m) for every -l <= m <= l, indexed [l, m + L] like the oracle."""
     L, n = table.max_degree, table.field_dim
     out = np.zeros((L + 1, 2 * L + 1, n, n), dtype=np.complex128)
     for l in range(L + 1):
         for m in range(-l, l + 1):
-            out[l, L + m] = table.entry(l, m)
+            out[l, L + m] = entry(table, l, m)
     return out
 
 
@@ -108,8 +109,9 @@ def racah_cg(l1, l2, l3, m1, m2, m3):
 def loop_ladder_step(table, axis):
     """One ladder step as a loop over target (l, m) and source degree k with
     exact-rational Clebsch-Gordan factors, summed in the same order as the
-    vectorised ladder.  Every degree 0..L-1 is computed, indexed [l, m]; the
-    source's zero blocks of the other parity enter like any other."""
+    vectorised ladder, on full N x N blocks.  Every degree 0..L-1 is
+    computed, indexed [l, m]; the source's zero blocks of the other parity
+    enter like any other."""
     L_src, n = table.max_degree, table.field_dim
     Lt = L_src - 1
     out = np.zeros((Lt + 1, Lt + 1, n, n), dtype=np.complex128)
@@ -126,7 +128,7 @@ def loop_ladder_step(table, axis):
                     mm = m - m_prime
                     fac = c0 * racah_cg(1, l, k, m_prime, -m, -mm) / math.sqrt(2.0 * k + 1.0)
                     if fac != 0.0 and abs(mm) <= k:
-                        acc += sign * fac * table.entry(k, mm)
+                        acc += sign * fac * entry(table, k, mm)
             pref = math.sqrt((2.0 * l + 1.0) / 2.0)
             scale = {1: pref, 2: -1j * pref, 3: math.sqrt(2.0 * l + 1.0)}[axis]
             out[l, m] = scale * acc
@@ -179,9 +181,9 @@ class TestQuadrature:
 
 class TestBaseCoefficients:
     def test_laplace_single_entry(self, base_laplace):
-        assert base_laplace.entry(0, 0)[0, 0] == pytest.approx(2 * SQRT_PI, rel=1e-13)
+        assert entry(base_laplace, 0, 0)[0, 0] == pytest.approx(2 * SQRT_PI, rel=1e-13)
         worst = max(
-            abs(base_laplace.entry(l, m)[0, 0])
+            abs(entry(base_laplace, l, m)[0, 0])
             for l in range(1, base_laplace.max_degree + 1)
             for m in range(-l, l + 1)
         )
@@ -190,18 +192,18 @@ class TestBaseCoefficients:
     def test_isotropic_closed_form_entries(self, base_iso):
         mu, nu = 1.0, 0.3
         den = mu * (1 - nu)
-        assert base_iso.entry(0, 0)[0, 0].real == pytest.approx(
+        assert entry(base_iso, 0, 0)[0, 0].real == pytest.approx(
             SQRT_PI * (5 - 6 * nu) / (3 * den), rel=1e-12
         )
-        assert base_iso.entry(2, 0)[0, 0].real == pytest.approx(
+        assert entry(base_iso, 2, 0)[0, 0].real == pytest.approx(
             math.sqrt(np.pi / 5) / (3 * den), rel=1e-12
         )
-        assert base_iso.entry(2, 2)[0, 0].real == pytest.approx(
+        assert entry(base_iso, 2, 2)[0, 0].real == pytest.approx(
             -math.sqrt(np.pi / 30) / den, rel=1e-12
         )
         # everything beyond degree 2 vanishes for the base kernel
         worst = max(
-            np.max(np.abs(base_iso.entry(l, m)))
+            np.max(np.abs(entry(base_iso, l, m)))
             for l in range(3, base_iso.max_degree + 1)
             for m in range(-l, l + 1)
         )
@@ -234,19 +236,21 @@ class TestBaseCoefficients:
         table = fs.base_coefficients(ext, 24)
         full = full_inversion_base(ext, 24)
         scale = np.max(np.abs(full))
-        assert np.max(np.abs(table.coeffs - full[0::2])) <= 1e-15 * scale
+        rows, cols = np.triu_indices(ext.field_dim)
+        assert np.max(np.abs(table.coeffs - full[0::2, :, rows, cols])) <= 1e-15 * scale
         # the odd degrees it does not store are rounding noise
         assert np.max(np.abs(full[1::2])) <= 1e-14 * scale
 
     def test_other_parity_entries_are_zero_blocks(self, base_m2):
         d = derive_coefficients(base_m2, 3)
-        assert base_m2.coeffs.shape == (13, 25, 5, 5)
-        assert d.coeffs.shape == (12, 24, 5, 5)
-        assert d.truncated(10).coeffs.shape == (5, 11, 5, 5)
+        # degrees of the table's parity x orders 0..L x the 15 entries i <= j
+        assert base_m2.coeffs.shape == (13, 25, 15)
+        assert d.coeffs.shape == (12, 24, 15)
+        assert d.truncated(10).coeffs.shape == (5, 11, 15)
         for table in (base_m2, d):
             for l in range(1 - table.parity, table.max_degree + 1, 2):
                 for m in (-l, 0, l):
-                    block = table.entry(l, m)
+                    block = entry(table, l, m)
                     assert block.shape == (5, 5) and not np.any(block)
 
     def test_quadrature_too_coarse_rejected(self, ext_laplace):
@@ -267,13 +271,13 @@ class TestConjugationInvariant:
         scale = np.max(np.abs(oracle), axis=(0, 1))
         for l in range(L + 1):
             for m in range(1, l + 1):
-                assert np.all(np.abs(table.entry(l, -m) - oracle[l, L - m]) <= 1e-13 * scale)
+                assert np.all(np.abs(entry(table, l, -m) - oracle[l, L - m]) <= 1e-13 * scale)
 
     def test_m0_blocks_real(self, base_m2):
         table = derive_multi(base_m2, (0, 1, 1))
-        scale = table.max_abs()
+        scale = max_abs(table)
         for l in range(table.max_degree + 1):
-            assert np.max(np.abs(table.entry(l, 0).imag)) <= 1e-12 * scale
+            assert np.max(np.abs(entry(table, l, 0).imag)) <= 1e-12 * scale
 
 
 class TestDeriveLaplace:
@@ -281,24 +285,24 @@ class TestDeriveLaplace:
         d1 = derive_coefficients(base_laplace, 1)
         assert d1.multi_index == (1, 0, 0)
         assert d1.max_degree == base_laplace.max_degree - 1
-        assert d1.entry(1, 1)[0, 0] == pytest.approx(-math.sqrt(2 * np.pi / 3), rel=1e-12)
-        assert d1.entry(1, -1)[0, 0] == pytest.approx(math.sqrt(2 * np.pi / 3), rel=1e-12)
+        assert entry(d1, 1, 1)[0, 0] == pytest.approx(-math.sqrt(2 * np.pi / 3), rel=1e-12)
+        assert entry(d1, 1, -1)[0, 0] == pytest.approx(math.sqrt(2 * np.pi / 3), rel=1e-12)
 
     def test_mixed_second_derivative(self, base_laplace):
         d12 = derive_coefficients(derive_coefficients(base_laplace, 1), 2)
-        assert d12.entry(2, 2)[0, 0] == pytest.approx(
+        assert entry(d12, 2, 2)[0, 0] == pytest.approx(
             -1j * math.sqrt(2 * np.pi / 15), rel=1e-12
         )
 
     def test_third_derivative_list(self, base_laplace):
         d = derive_multi(base_laplace, (2, 1, 0))
-        assert d.entry(1, 1)[0, 0] == pytest.approx(
+        assert entry(d, 1, 1)[0, 0] == pytest.approx(
             1j / 5 * math.sqrt(2 * np.pi / 3), rel=1e-12
         )
-        assert d.entry(3, 1)[0, 0] == pytest.approx(
+        assert entry(d, 3, 1)[0, 0] == pytest.approx(
             -1j / 5 * math.sqrt(np.pi / 21), rel=1e-12
         )
-        assert d.entry(3, 3)[0, 0] == pytest.approx(
+        assert entry(d, 3, 3)[0, 0] == pytest.approx(
             1j * math.sqrt(np.pi / 35), rel=1e-12
         )
 
@@ -310,7 +314,7 @@ class TestDeriveLaplace:
         order = sum(mi)
         worst = max(
             (
-                np.max(np.abs(d.entry(l, m)))
+                np.max(np.abs(entry(d, l, m)))
                 for l in range(order + 1, d.max_degree + 1)
                 for m in range(-l, l + 1)
             ),
@@ -335,11 +339,11 @@ class TestDeriveIsotropic:
             (6, 5): -1j * math.sqrt(np.pi / 1001) / (6 * den),
         }
         for (l, m), value in expected.items():
-            assert d.entry(l, m)[0, 0] == pytest.approx(value, rel=1e-11), (l, m)
+            assert entry(d, l, m)[0, 0] == pytest.approx(value, rel=1e-11), (l, m)
         for l in range(d.max_degree + 1):
             for m in range(0, l + 1):
                 if (l, m) not in expected:
-                    assert np.abs(d.entry(l, m)[0, 0]) < 1e-12
+                    assert np.abs(entry(d, l, m)[0, 0]) < 1e-12
 
     def test_fourth_derivative_against_quadrature(self, ext_iso, base_iso):
         d = derive_multi(base_iso, (2, 1, 1))
@@ -350,7 +354,7 @@ class TestDeriveIsotropic:
     def test_support_ends_two_above_order(self, base_iso):
         d = derive_multi(base_iso, (1, 1, 0))
         worst = max(
-            np.max(np.abs(d.entry(l, m)))
+            np.max(np.abs(entry(d, l, m)))
             for l in range(2 + 2 + 1, d.max_degree + 1)
             for m in range(-l, l + 1)
         )
@@ -377,14 +381,17 @@ class TestDeriveAnisotropic:
                 assert np.max(np.abs(ab.coeffs - ba.coeffs)) <= 1e-11 * scale
 
     def test_hermitian_blocks(self):
-        # self-adjoint material: the inverse symbol is symmetrised before its
-        # projection and each ladder step is linear in the blocks, so every
-        # (l, m) block of every table is symmetric bit for bit (the evaluator
-        # reads only the entries i <= j)
+        # a table stores the entries i <= j of each block, which loses
+        # nothing as long as the blocks are symmetric: the inverse symbol is
+        # symmetrised at every node, so the projection of full blocks (no
+        # packing) is symmetric bit for bit; the ladder is entrywise
+        # (TestLoopReference checks its full blocks stay symmetric)
         for name in ALL_BUILTINS:
-            base = base_coefficients(fs.extend(fs.builtin(name)), 24)
-            for mi, table in derive_tree(base, DEFAULT_MAX_ORDER):
-                assert np.array_equal(table.coeffs, table.coeffs.swapaxes(-1, -2)), (name, mi)
+            ext = fs.extend(fs.builtin(name))
+            inv = inverse_symbol_batch(ext, make_quadrature(2 * 12 + 12).nodes())
+            assert np.array_equal(inv, inv.swapaxes(-1, -2)), name
+            full = full_inversion_base(ext, 12)
+            assert np.array_equal(full, full.swapaxes(-1, -2)), name
 
 
 class TestLoopReference:
@@ -396,8 +403,12 @@ class TestLoopReference:
                 expect = loop_ladder_step(table, axis)
                 table = derive_coefficients(table, axis)
                 # the stored degrees are the loop's degrees of the table's
-                # parity, bit for bit; the loop's other degrees are zeros
-                assert table.coeffs.tobytes() == expect[table.parity :: 2].tobytes()
+                # parity and its entries i <= j, bit for bit; the loop's
+                # other degrees are zeros and its blocks stay symmetric
+                rows, cols = np.triu_indices(table.field_dim)
+                kept = expect[table.parity :: 2, :, rows, cols]
+                assert table.coeffs.tobytes() == kept.tobytes()
+                assert np.array_equal(expect, expect.swapaxes(-1, -2))
                 assert not np.any(expect[1 - table.parity :: 2])
 
 
@@ -485,10 +496,11 @@ class TestPersistence:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_file_layout(self, base_m2, tmp_path):
-        # magic | u16 version | u32 header length | header JSON |
-        # (u32 length, N*N little-endian complex128) per (l, m >= 0) block,
-        # l of the table's parity only | first 16 bytes of the sha256 of all
-        # bytes before it
+        # magic | u16 version | u32 header length | header JSON | one
+        # little-endian complex128 array: the 15 entries i <= j of each
+        # (l, m >= 0) block, l of the table's parity only, with no record
+        # lengths | first 16 bytes of the sha256 of all bytes before it
+        rows, cols = np.triu_indices(5)
         for mi, degrees in (((0, 0, 0), (0, 2, 4)), ((0, 1, 0), (1, 3))):
             table = derive_multi(base_m2, mi).truncated(4)
             path = tmp_path / "m2.fsct"
@@ -497,18 +509,16 @@ class TestPersistence:
             assert data[:4] == b"FSCT"
             (version,) = struct.unpack_from("<H", data, 4)
             (hlen,) = struct.unpack_from("<I", data, 6)
-            assert version == 2
+            assert version == 3
             header = json.loads(data[10 : 10 + hlen].decode("utf-8"))
             assert header["N"] == 5 and header["L"] == 4
             assert header["multi_index"] == list(mi)
             offset = 10 + hlen
             for l in degrees:
                 for m in range(l + 1):
-                    (blen,) = struct.unpack_from("<I", data, offset)
-                    assert blen == 16 * 25
-                    block = np.frombuffer(data, "<c16", 25, offset + 4).reshape(5, 5)
-                    assert np.array_equal(block, table.entry(l, m))
-                    offset += 4 + blen
+                    stored = np.frombuffer(data, "<c16", 15, offset)
+                    assert np.array_equal(stored, entry(table, l, m)[rows, cols])
+                    offset += 16 * 15
             assert len(data) == offset + 16
             assert data[offset:] == hashlib.sha256(data[:offset]).digest()[:16]
 
@@ -551,13 +561,15 @@ class TestPersistence:
         path.write_bytes(bytes(wrong_version))
         with pytest.raises(TableFormatError, match="version 99"):
             fs.load_table(path)
-        # version 1 files (both parities, payload-only checksum) are refused
-        # with a pointer to the rebuild
-        old = bytearray(data)
-        old[4:6] = struct.pack("<H", 1)
-        path.write_bytes(bytes(old))
-        with pytest.raises(TableFormatError, match=r"version 1 .*fundsol build"):
-            fs.load_table(path)
+        # version 1 files (both parities, payload-only checksum) and version
+        # 2 files (full blocks behind u32 lengths) are refused with a
+        # pointer to the rebuild
+        for version in (1, 2):
+            old = bytearray(data)
+            old[4:6] = struct.pack("<H", version)
+            path.write_bytes(bytes(old))
+            with pytest.raises(TableFormatError, match=f"version {version} .*fundsol build"):
+                fs.load_table(path)
 
     def test_rewritten_header_fails_checksum(self, base_laplace, tmp_path):
         # the checksum covers the header: a multi-index rewritten in place to
@@ -615,26 +627,25 @@ class TestPersistence:
         with pytest.raises(TableCorruptionError, match="bytes after its header"):
             fs.load_table(path)
 
-    def test_bad_record_length_names_block(self, base_m2, tmp_path):
+    def test_truncated_payload_names_byte_count(self, base_m2, tmp_path):
+        # degrees 0 and 2 at L = 3: 1 + 3 blocks of 15 entries, 16 bytes
+        # each, and the 16-byte checksum
         path = tmp_path / "m2.fsct"
         fs.save_table(base_m2.truncated(3), path)
-        data = bytearray(path.read_bytes())
-        (hlen,) = struct.unpack_from("<I", data, 6)
-        start, record = 10 + hlen, 4 + 16 * 25
-        # the even degrees are stored: record 2 is (l=2, m=1)
-        struct.pack_into("<I", data, start + 2 * record, 16 * 25 + 1)
-        data[-16:] = hashlib.sha256(bytes(data[:-16])).digest()[:16]
-        path.write_bytes(bytes(data))
-        with pytest.raises(TableCorruptionError, match=r"\(l=2, m=1\)"):
+        data = path.read_bytes()
+        path.write_bytes(data[:-40])
+        with pytest.raises(TableCorruptionError, match=r"holds 936 bytes .* need 976 "):
             fs.load_table(path)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_block_names_entry(self, base_m2, tmp_path, value):
+        # packed entry 7 of a 5 x 5 block is (i, j) = (1, 3) in
+        # np.triu_indices order, named 1-based
         table = base_m2.truncated(4)
-        table.coeffs[2, 3, 1, 1] = value  # (l=4, m=3)
+        table.coeffs[2, 3, 7] = value  # (l=4, m=3)
         path = tmp_path / "m2.fsct"
         fs.save_table(table, path)
-        message = r"\(l=4, m=3\) is not finite at entry \(i=2, j=2\)"
+        message = r"\(l=4, m=3\) is not finite at entry \(i=2, j=4\)"
         with pytest.raises(TableCorruptionError, match=message):
             fs.load_table(path)
 
@@ -643,6 +654,6 @@ class TestPersistence:
         assert small.max_degree == 10
         for l in (0, 4, 10):
             for m in range(-l, l + 1):
-                assert np.array_equal(small.entry(l, m), base_cu.entry(l, m))
+                assert np.array_equal(entry(small, l, m), entry(base_cu, l, m))
         with pytest.raises(TableRangeError):
             small.truncated(20)

@@ -232,14 +232,14 @@ class TestClebschGordan:
         # degrees 1, 3, 5 (rows 0..2); bumping source degree 4 moves target
         # degrees 3 and 5 and leaves degree 1
         rng = np.random.default_rng(5)
-        shape = (4, 8, 2, 2)
+        shape = (4, 8, 3)  # N = 2: three entries i <= j
         src = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         bumped = src.copy()
         bumped[2] += 1.0
         for axis in (1, 2, 3):
             a = derive_coefficients(CoeffTable("x", 2, 7, (0, 0, 0), src), axis)
             b = derive_coefficients(CoeffTable("x", 2, 7, (0, 0, 0), bumped), axis)
-            assert a.coeffs.shape == b.coeffs.shape == (3, 7, 2, 2)
+            assert a.coeffs.shape == b.coeffs.shape == (3, 7, 3)
             assert np.array_equal(a.coeffs[0], b.coeffs[0])
             assert not np.array_equal(a.coeffs[1], b.coeffs[1])
             assert not np.array_equal(a.coeffs[2], b.coeffs[2])

@@ -206,6 +206,13 @@ class TestInverseSymbol:
         assert err.value.direction == (0.0, 0.6, 0.8)
         assert not err.value.cond <= COND_LIMIT
 
+    @pytest.mark.parametrize("name,n", [("Laplace", 1), ("Cu", 3), ("M2", 5)])
+    def test_empty_batch(self, name, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = inverse_symbol_batch(fs.extend(fs.builtin(name)), np.zeros((0, 3)))
+        assert out.shape == (0, n, n) and out.flags.c_contiguous
+
     def test_batch_matches_scalar(self, ext_m2, rng):
         dirs = random_directions(rng, 16)
         batch = inverse_symbol_batch(ext_m2, dirs)
