@@ -79,8 +79,6 @@ from .special import legendre_p_at_zero
 from .symbol import (
     EllipticityReport,
     ellipticity_check,
-    inverse_symbol,
-    symbol_matrix,
 )
 
 __version__ = "0.1.0"

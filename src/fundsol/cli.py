@@ -248,7 +248,22 @@ def _parse_values(flag: str, text: str, kind=int, count=None, sep=","):
 # --------------------------------------------------------------------------- bench
 
 
+_BENCH_REPEATS = 5
+
+
+def _median_seconds(fn):
+    """(median wall time of _BENCH_REPEATS calls, result of the last call)."""
+    times = []
+    for _ in range(_BENCH_REPEATS):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times)), result
+
+
 def cmd_bench(args) -> int:
+    """Series and contour rows; each ns_per_point is the median of
+    _BENCH_REPEATS timed calls, as a single call swung 2-4x between runs."""
     ext = extend(_load_material(args.material))
     mi = _parse_multi_index(args.multi_index)
     rng = np.random.default_rng(args.seed)
@@ -271,9 +286,7 @@ def cmd_bench(args) -> int:
         tab = derived.truncated(L)
         for _ in range(warmup):
             evaluate_batch(tab, pts[: min(64, n_pts)])
-        t0 = time.perf_counter()
-        vals = evaluate_batch(tab, pts)
-        dt = time.perf_counter() - t0
+        dt, vals = _median_seconds(lambda: evaluate_batch(tab, pts))
         err = float(np.max(np.abs(vals - ref))) / ref_scale
         rows.append(
             f"series,{L},{_fmt(dt / n_pts * 1e9)},{_fmt(err)},{_fmt(build_time)}"
@@ -283,9 +296,9 @@ def cmd_bench(args) -> int:
     for nodes in node_list:
         for _ in range(warmup):
             reference.unit_circle_batch(ext, pts[:64], mi, n_nodes=nodes)
-        t0 = time.perf_counter()
-        vals = reference.unit_circle_batch(ext, pts, mi, n_nodes=nodes)
-        dt = time.perf_counter() - t0
+        dt, vals = _median_seconds(
+            lambda: reference.unit_circle_batch(ext, pts, mi, n_nodes=nodes)
+        )
         err = float(np.max(np.abs(vals - ref))) / ref_scale
         rows.append(f"contour,{nodes},{_fmt(dt / n_pts * 1e9)},{_fmt(err)},0")
     _write_lines(args.out, rows)
@@ -366,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zener-list", default=None,
                    help="sweep cubic anisotropy ratios instead of one material")
 
-    p = sub.add_parser("bench", help="series vs contour timing at matched accuracy")
+    p = sub.add_parser(
+        "bench", help="series vs contour timing at matched accuracy (median of 5 runs each)"
+    )
     _add_shared(p, "--material", "--out", "--multi-index")
     p.add_argument("--L-list", default="10,20,40")
     p.add_argument("--nodes-list", default="16,32,64,128")

@@ -8,15 +8,29 @@ where the degree sum runs over l >= I with the parity of I (the P_l^I(0)
 prefactor kills every other term exactly).  Negative orders are the
 conjugates of positive ones, so the angular sum is real: it is evaluated in
 the real, parity-split basis of Schaeffer 2013 (SHTns).  The basis is built
-point-major, Bt (P, K): as the Legendre recurrence yields each row l of the
-parity of I, it is multiplied by cos(m phi) and sin(m phi) straight into the
-2l+1 columns of degree l.  The real and imaginary parts of the m >= 0
-coefficients, weighted by P_l^I(0), form W^T (N(N+1)/2, K), and every
-point's kernel is the same product W^T Bt[p] (a stack of identical
-matrix-vector products), so a point gives the same bits alone and in any
-batch.  A table stores only the entries i <= j of each symmetric block
-(see CoeffTable), so W^T is built from them as stored and the product is
-mirrored into (N, N).  Every returned matrix is therefore exactly symmetric.
+point-major, Bt (P, K), from three pieces:
+
+- cos(m phi) and sin(m phi) for m = 0..L, m-major (L+1, P), as the powers
+  of exp(i phi) by angle addition (a cumulative product along m): one
+  cos and one sin per point instead of one per (m, point), and more
+  accurate than cos/sin of the rounded m phi (3.3e-15 against 7.1e-15 at
+  L = 40, 1.6e-14 against 5.7e-14 at L = 200, against long double);
+- the normalised Legendre rows from `special.norm_legendre_rows`, given
+  sin(theta) itself rather than sqrt(1 - cos^2), which keeps the m >= 1
+  terms relatively accurate near the z axis;
+- per degree l of the parity of I, the products of its Legendre row with
+  the trig rows, formed m-major into a contiguous (2l+1, P) scratch and
+  then copied, transposed, into the 2l+1 columns of degree l.
+
+The real and imaginary parts of the m >= 0 coefficients, weighted by
+P_l^I(0), form W^T (N(N+1)/2, K) in one gather through index arrays cached
+per (L, I), and every point's kernel is the same product W^T Bt[p] (a
+stack of identical matrix-vector products), so a point gives the same bits
+alone and in any batch.  A table stores only the entries i <= j of each
+symmetric block (see CoeffTable), so W^T is built from them as stored and
+the product is mirrored into (N, N).  Every returned matrix is therefore
+exactly symmetric.  `evaluate_batch` evaluates each distinct direction once
+(a lexsort and a run-length pass over the unit vectors).
 
 Units: with r in meters and SI material constants, a table of order I yields
 values in (base kernel units) * m^-(I+1).
@@ -25,6 +39,7 @@ values in (base kernel units) * m^-(I+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,22 +77,17 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     n = table.field_dim
     L, I = table.max_degree, table.order
-    ells = range(I, L + 1, 2)
-    if not ells:
+    if L < I:
         return np.zeros((theta.size, n, n))
     rows, cols = np.triu_indices(n)
     upper = np.empty((theta.size, rows.size))
-    # degree l owns 2l+1 columns: cos(m phi) for m = 0..l, then sin(m phi)
-    # for m = 1..l; WT is contiguous, as the product below needs
-    K = sum(2 * l + 1 for l in ells)
+    # one gather of the stored entries, real or imaginary part per column,
+    # scaled by the column's weight; WT is contiguous, as the product needs
+    js, ms, sine, weights = _columns(L, I)
+    K = weights.size
+    C = table.coeffs[js, ms]
     WT = np.empty((rows.size, K))
-    off = 0
-    for l in ells:
-        C = table.blocks(l) * legendre_p_at_zero(l, I)
-        C[1:] *= 2.0
-        WT[:, off : off + l + 1] = C.real.T
-        WT[:, off + l + 1 : off + 2 * l + 1] = -C.imag[1:].T
-        off += 2 * l + 1
+    np.multiply(np.where(sine, C.imag, C.real).T, weights, out=WT)
     for start in range(0, theta.size, _CHUNK):
         sl = slice(start, min(start + _CHUNK, theta.size))
         Bt = _basis(L, I, K, theta[sl], phi[sl])
@@ -91,21 +101,59 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _columns(L: int, I: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(row, m, sine, weight) of each basis column of a table of degree L
+    and order I, in the column order of _basis: degree l = I, I+2, ..., L
+    owns 2l+1 columns, cos(m phi) for m = 0..l, which weight the real part
+    of C[l, m], then sin(m phi) for m = 1..l, which weight its imaginary
+    part (sine is True there; a (K, 1) column).  The weight is P_l^I(0),
+    doubled for m >= 1 and negated for the sines.  Cached, as every
+    evaluation of a table of the same L and I reads the same arrays; they
+    are read-only."""
+    ells = range(I, L + 1, 2)
+    widths = [2 * l + 1 for l in ells]
+    ms = np.concatenate([np.r_[0 : l + 1, 1 : l + 1] for l in ells])
+    sine = np.concatenate([np.arange(2 * l + 1) > l for l in ells])[:, None]
+    js = np.repeat([(l - I % 2) // 2 for l in ells], widths)
+    weights = np.repeat([legendre_p_at_zero(l, I) for l in ells], widths)
+    weights *= np.where(ms > 0, 2.0, 1.0) * np.where(sine[:, 0], -1.0, 1.0)
+    for a in (js, ms, sine, weights):
+        a.setflags(write=False)
+    return js, ms, sine, weights
+
+
 def _basis(L: int, I: int, K: int, theta, phi) -> np.ndarray:
     """Point-major real harmonic basis Bt (P, K) in the column order of
-    regular_part_at, filled from each Legendre row of the parity of I as the
-    recurrence produces it."""
-    mphi = np.outer(phi, np.arange(L + 1))
-    cos_m, sin_m = np.cos(mphi), np.sin(mphi)
-    Bt = np.empty((theta.size, K))
+    regular_part_at.  Each Legendre row of the parity of I is multiplied by
+    the trig rows m-major into a contiguous (2l+1, P) scratch, then copied,
+    transposed, into the 2l+1 columns of degree l: the products are the
+    same, and the transposed reads stay out of the multiplies."""
+    P = theta.size
+    cos_m, sin_m = _trig_rows(L, phi)
+    Bt = np.empty((P, K))
+    scratch = np.empty((2 * L + 1, P))
     off = 0
-    for l, row in enumerate(norm_legendre_rows(L, np.cos(theta))):
+    for l, row in enumerate(norm_legendre_rows(L, np.cos(theta), np.sin(theta))):
         if l < I or (l - I) % 2:
             continue
-        np.multiply(row.T, cos_m[:, : l + 1], out=Bt[:, off : off + l + 1])
-        np.multiply(row[1:].T, sin_m[:, 1 : l + 1], out=Bt[:, off + l + 1 : off + 2 * l + 1])
+        block = scratch[: 2 * l + 1]
+        np.multiply(row, cos_m[: l + 1], out=block[: l + 1])
+        np.multiply(row[1:], sin_m[1 : l + 1], out=block[l + 1 :])
+        Bt[:, off : off + 2 * l + 1] = block.T
         off += 2 * l + 1
     return Bt
+
+
+def _trig_rows(L: int, phi) -> tuple[np.ndarray, np.ndarray]:
+    """cos(m phi) and sin(m phi), m = 0..L, each C-contiguous (L+1, P):
+    the real and imaginary parts of exp(i phi)^m, formed as a cumulative
+    product along m."""
+    e = np.empty((L + 1, phi.size), dtype=np.complex128)
+    e[0] = 1.0
+    e[1:] = np.cos(phi) + 1j * np.sin(phi)
+    np.cumprod(e, axis=0, out=e)
+    return np.ascontiguousarray(e.real), np.ascontiguousarray(e.imag)
 
 
 def _directions(points) -> tuple[np.ndarray, np.ndarray]:
@@ -129,6 +177,22 @@ def _directions(points) -> tuple[np.ndarray, np.ndarray]:
     return pts / radii[:, None], radii
 
 
+def _unique_rows(rhat) -> tuple[np.ndarray, np.ndarray]:
+    """(uniq, inverse) with uniq[inverse] == rhat: the distinct rows in
+    lexicographic (x, y, z) order, as np.unique(rhat, axis=0) gives them,
+    from one lexsort and a run-length pass.  -0.0 is read as 0.0, so a
+    direction gets the same azimuth however its zero coordinates are signed."""
+    rhat = rhat + 0.0
+    order = np.lexsort(rhat.T[::-1])
+    ranked = rhat[order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
 def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
     """Kernel values (P, N, N) at a batch of field points (P x 3, meters).
 
@@ -140,7 +204,7 @@ def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
     n = table.field_dim
     if radii.size == 0:
         return np.zeros((0, n, n))
-    uniq, inverse = np.unique(rhat, axis=0, return_inverse=True)
+    uniq, inverse = _unique_rows(rhat)
     # arccos(z) has error ~ulp/theta near the z axis; arctan2 keeps theta
     # relatively accurate there, so scaled points get the same theta
     theta = np.arctan2(np.hypot(uniq[:, 0], uniq[:, 1]), uniq[:, 2])

@@ -3,6 +3,13 @@ the coefficient tables and the evaluator read.  (The Clebsch-Gordan
 factors of the derivative ladder are closed forms and live with the ladder
 in `expansion`.)
 
+`norm_legendre_rows` yields the Legendre rows one degree at a time, m-major
+(l+1, P), from cos(theta) and sin(theta).  The base projection reads them
+whole through `norm_legendre_table` at the Gauss nodes, with sin(theta)
+formed from cos(theta); the evaluator passes sin(theta) itself, which stays
+relatively accurate near the z axis, and multiplies each row by its
+cos(m phi) and sin(m phi) rows as it comes.
+
 Convention note: the Condon-Shortley phase (-1)^m is INCLUDED in P_l^m and
 therefore in Y_l^m = norm_legendre_table[l, m] * exp(i m phi).  Libraries and
 tables differ on this point; everything in this package (coefficient tables,
@@ -43,7 +50,7 @@ def legendre_p_at_zero(ell: int, m: int) -> float:
     return sign * (2.0**m) / _SQRT_PI * math.exp(logr)
 
 
-def norm_legendre_rows(ell_max: int, t):
+def norm_legendre_rows(ell_max: int, t, s):
     """Rows l = 0..ell_max of the normalised associated Legendre table.
 
     Yields row l as an (l+1, len(t)) array indexed [m, point] holding
@@ -52,10 +59,15 @@ def norm_legendre_rows(ell_max: int, t):
     degree); row l is one set of whole-row operations over m.  Rows live in
     three rotating buffers, so a yielded row is overwritten three rows later:
     copy what must outlive that.
+
+    s is sin(theta) for t = cos(theta), the factor of each step in m.  A
+    caller that holds theta passes sin(theta) itself: formed as
+    sqrt((1 - t)(1 + t)), its relative error grows as ulp/theta^2 near the
+    z axis, and so does that of every m >= 1 row.
     """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     L = int(ell_max)
-    s = np.sqrt(np.maximum(0.0, (1.0 - t) * (1.0 + t)))
     # recurrence factors of row l >= 2 at orders m <= l - 2, as a[l - 2, m]
     # and b[l - 2, m]; every intermediate is an exact integer, so each
     # factor is correctly rounded
@@ -91,11 +103,14 @@ def norm_legendre_table(ell_max: int, t) -> np.ndarray:
 
     Returns an array of shape (ell_max+1, ell_max+1, len(t)) indexed
     [l, m, point]; entries with m > l are zero.  The rows are those of
-    `norm_legendre_rows`.  Y_l^m equals table * exp(i m phi).
+    `norm_legendre_rows`, with sin(theta) formed from t as
+    sqrt((1 - t)(1 + t)), as its callers hold t only (the Gauss nodes of
+    the base projection).  Y_l^m equals table * exp(i m phi).
     """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     L = int(ell_max)
+    s = np.sqrt(np.maximum(0.0, (1.0 - t) * (1.0 + t)))
     out = np.zeros((L + 1, L + 1, t.size))
-    for l, row in enumerate(norm_legendre_rows(L, t)):
+    for l, row in enumerate(norm_legendre_rows(L, t, s)):
         out[l, : l + 1] = row
     return out

@@ -44,9 +44,7 @@ from .errors import SingularSymbolError
 from .materials import ExtendedTensor
 
 __all__ = [
-    "symbol_matrix",
     "symbol_matrix_batch",
-    "inverse_symbol",
     "inverse_symbol_batch",
     "ellipticity_check",
     "EllipticityReport",
@@ -57,14 +55,9 @@ __all__ = [
 COND_LIMIT = 1e14  # equilibrated condition number above this -> singular symbol
 
 
-def symbol_matrix(ext: ExtendedTensor, xi) -> np.ndarray:
-    """S_JK(xi) = c[i, J, K, l] xi_i xi_l for a single direction."""
-    xi = np.asarray(xi, dtype=np.float64)
-    return symbol_matrix_batch(ext, xi[np.newaxis])[0]
-
-
 def symbol_matrix_batch(ext: ExtendedTensor, dirs: np.ndarray) -> np.ndarray:
-    """Symbols at many directions; dirs has shape (P, 3), result (P, N, N).
+    """Symbols S_JK(xi) = c[i, J, K, l] xi_i xi_l at many directions; dirs
+    has shape (P, 3), result (P, N, N).
 
     The result is a (P, N, N) view of the direction-last assembly the
     inversion uses, so both see the same bits.
@@ -166,16 +159,6 @@ def inverse_symbol_batch(ext: ExtendedTensor, dirs: np.ndarray) -> np.ndarray:
     np.add(inv, inv.transpose(1, 0, 2), out=out.transpose(1, 2, 0))
     out *= 0.5
     return out
-
-
-def inverse_symbol(ext: ExtendedTensor, xi) -> np.ndarray:
-    """Inverse of the symbol at one direction: `inverse_symbol_batch` of one.
-
-    Raises SingularSymbolError naming the direction when the equilibrated
-    inverse signals a non-elliptic material.
-    """
-    xi = np.asarray(xi, dtype=np.float64)
-    return inverse_symbol_batch(ext, xi[np.newaxis])[0]
 
 
 def fibonacci_directions(count: int) -> np.ndarray:

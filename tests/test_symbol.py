@@ -24,7 +24,7 @@ def eigh_inverse(ext, xi):
     """Inverse symbol by a symmetric eigendecomposition of the row-max
     scaled symbol, a route independent of the package's Gauss-Jordan
     inversion."""
-    S = fs.symbol_matrix(ext, xi)
+    S = symbol_matrix_batch(ext, [xi])[0]
     d = 1.0 / np.sqrt(np.max(np.abs(S), axis=1))
     w, V = np.linalg.eigh(d[:, None] * S * d[None, :])
     return d[:, None] * ((V / w) @ V.T) * d[None, :]
@@ -34,8 +34,8 @@ def inversion_residual(ext, xi):
     """Scale-free inversion quality at one direction: max-norm of
     D S D (D^-1 X D^-1) - I with the equilibration diagonal D, the residual
     that is meaningful for symbols graded over many orders of magnitude."""
-    S = fs.symbol_matrix(ext, xi)
-    X = fs.inverse_symbol(ext, xi)
+    S = symbol_matrix_batch(ext, [xi])[0]
+    X = inverse_symbol_batch(ext, np.array([xi]))[0]
     S_eq, d = _equilibrate(S[:, :, np.newaxis])
     S_eq, d = S_eq[:, :, 0], d[:, 0]
     X_eq = X / np.outer(d, d)
@@ -78,63 +78,61 @@ def degenerate_scalar_material():
 
 class TestSymbolMatrix:
     def test_laplace_is_one(self, ext_laplace, rng):
-        for xi in random_directions(rng, 10):
-            assert fs.symbol_matrix(ext_laplace, xi) == pytest.approx(np.ones((1, 1)))
+        dirs = random_directions(rng, 10)
+        assert symbol_matrix_batch(ext_laplace, dirs) == pytest.approx(np.ones((10, 1, 1)))
 
     def test_isotropic_hand_contraction(self):
         # lam = mu = 1: symbol = (lam + mu) xi xi^T + mu I -> diag(3, 1, 1) at e1
         ext = fs.extend(fs.iso_elastic(1.0, 0.25))
-        S = fs.symbol_matrix(ext, [1.0, 0, 0])
+        S = symbol_matrix_batch(ext, [[1.0, 0, 0]])[0]
         assert np.allclose(S, np.diag([3.0, 1.0, 1.0]), rtol=1e-15, atol=1e-15)
 
     def test_cu_at_e3(self, ext_cu):
-        S = fs.symbol_matrix(ext_cu, [0, 0, 1.0])
+        S = symbol_matrix_batch(ext_cu, [[0, 0, 1.0]])[0]
         assert np.allclose(S, np.diag([75e9, 75e9, 168e9]), rtol=0, atol=1e-4)
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_symmetry_at_random_directions(self, name, rng):
         ext = fs.extend(fs.builtin(name))
-        for xi in random_directions(rng, 100):
-            S = fs.symbol_matrix(ext, xi)
+        for S in symbol_matrix_batch(ext, random_directions(rng, 100)):
             scale = np.max(np.abs(S))
             assert np.max(np.abs(S - S.T)) <= 1e-12 * scale
 
     def test_homogeneity(self, ext_cu, rng):
         for xi in random_directions(rng, 10):
             for s in (0.5, 2.0, 10.0):
-                S1 = fs.symbol_matrix(ext_cu, xi)
-                S2 = fs.symbol_matrix(ext_cu, s * xi)
+                S1 = symbol_matrix_batch(ext_cu, [xi])[0]
+                S2 = symbol_matrix_batch(ext_cu, [s * xi])[0]
                 assert np.allclose(S2, s * s * S1, rtol=1e-13, atol=0)
 
     def test_antipodal_evenness(self, ext_m2, rng):
-        for xi in random_directions(rng, 20):
-            a = fs.symbol_matrix(ext_m2, xi)
-            b = fs.symbol_matrix(ext_m2, -xi)
-            assert np.array_equal(a, b)
+        dirs = random_directions(rng, 20)
+        assert np.array_equal(symbol_matrix_batch(ext_m2, dirs), symbol_matrix_batch(ext_m2, -dirs))
 
     def test_batch_matches_scalar(self, ext_m2, rng):
         dirs = random_directions(rng, 32)
         batch = symbol_matrix_batch(ext_m2, dirs)
         for p, xi in enumerate(dirs):
-            assert np.allclose(batch[p], fs.symbol_matrix(ext_m2, xi), rtol=1e-15, atol=0)
+            single = symbol_matrix_batch(ext_m2, xi[None])[0]
+            assert np.allclose(batch[p], single, rtol=1e-15, atol=0)
 
 
 class TestInverseSymbol:
     def test_laplace(self, ext_laplace):
-        assert fs.inverse_symbol(ext_laplace, [0.6, 0.8, 0.0]) == pytest.approx(
-            np.ones((1, 1))
+        assert inverse_symbol_batch(ext_laplace, np.array([[0.6, 0.8, 0.0]])) == pytest.approx(
+            np.ones((1, 1, 1))
         )
 
     def test_isotropic_closed_form(self, rng):
         mu, nu = 3.0, 0.2
         ext = fs.extend(fs.iso_elastic(mu, nu))
-        for xi in random_directions(rng, 20):
-            got = fs.inverse_symbol(ext, xi)
+        dirs = random_directions(rng, 20)
+        for xi, got in zip(dirs, inverse_symbol_batch(ext, dirs)):
             expect = np.eye(3) / mu - np.outer(xi, xi) / (2 * mu * (1 - nu))
             assert np.allclose(got, expect, rtol=1e-12, atol=1e-15)
 
     def test_cu_reciprocal_diagonal(self, ext_cu):
-        got = fs.inverse_symbol(ext_cu, [0, 0, 1.0])
+        got = inverse_symbol_batch(ext_cu, np.array([[0, 0, 1.0]]))[0]
         assert np.allclose(got, np.diag([1 / 75e9, 1 / 75e9, 1 / 168e9]), rtol=1e-12)
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
@@ -143,15 +141,15 @@ class TestInverseSymbol:
         for xi in random_directions(rng, 25):
             assert inversion_residual(ext, xi) < 1e-10
             # norm-relative raw residual is also tiny
-            S = fs.symbol_matrix(ext, xi)
-            X = fs.inverse_symbol(ext, xi)
+            S = symbol_matrix_batch(ext, [xi])[0]
+            X = inverse_symbol_batch(ext, xi[None])[0]
             resid = np.max(np.abs(S @ X - np.eye(ext.field_dim)))
             assert resid <= 1e-10 * max(np.max(np.abs(S)) * np.max(np.abs(X)), 1.0)
 
     def test_singular_symbol_raises_with_direction(self):
         ext = degenerate_scalar_material()
         with pytest.raises(SingularSymbolError) as err:
-            fs.inverse_symbol(ext, [0.0, 1.0, 0.0])
+            inverse_symbol_batch(ext, np.array([[0.0, 1.0, 0.0]]))
         assert err.value.direction == (0.0, 1.0, 0.0)
         with pytest.raises(SingularSymbolError):
             inverse_symbol_batch(ext, np.array([[1.0, 0, 0], [0, 0, 1.0]]))
@@ -217,8 +215,8 @@ class TestInverseSymbol:
         dirs = random_directions(rng, 16)
         batch = inverse_symbol_batch(ext_m2, dirs)
         for p, xi in enumerate(dirs):
-            got = fs.inverse_symbol(ext_m2, xi)
-            assert np.array_equal(got, inverse_symbol_batch(ext_m2, xi[None])[0])
+            got = inverse_symbol_batch(ext_m2, xi[None])[0]
+            assert np.array_equal(got, batch[p])
             oracle = eigh_inverse(ext_m2, xi)
             # norm-relative: tiny near-cancelling entries carry no relative accuracy
             for value in (batch[p], got):
