@@ -42,7 +42,6 @@ from .evaluator import (
 from .expansion import (
     CoeffTable,
     MultiIndex,
-    SphereQuadrature,
     base_coefficients,
     derive_coefficients,
     derive_multi,
@@ -76,9 +75,5 @@ from .reference import (
     unit_circle_field,
 )
 from .special import legendre_p_at_zero
-from .symbol import (
-    EllipticityReport,
-    ellipticity_check,
-)
 
 __version__ = "0.1.0"

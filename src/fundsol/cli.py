@@ -44,10 +44,10 @@ from .expansion import (
     DEFAULT_MAX_ORDER,
     MultiIndex,
     base_coefficients,
+    base_quadrature,
     derive_multi,
     derive_tree,
     load_table,
-    make_quadrature,
     save_table,
 )
 from .materials import builtin, extend, format_material, load_material_json, zener_family
@@ -121,15 +121,12 @@ def cmd_build(args) -> int:
     tables_dir = _tables_dir(args)
     tables_dir.mkdir(parents=True, exist_ok=True)
     base_degree = args.L + order
-    quad_degree = 2 * base_degree + 12 if args.quad_degree is None else args.quad_degree
 
     t0 = time.perf_counter()
-    base = base_coefficients(ext, base_degree, quad_degree)
+    base = base_coefficients(ext, base_degree, args.quad_degree)
     base_time = time.perf_counter() - t0
-    print(
-        f"base table: L={base_degree} nodes={make_quadrature(quad_degree).node_count} "
-        f"build={base_time:.3f}s"
-    )
+    nodes = base_quadrature(base_degree, args.quad_degree).node_count
+    print(f"base table: L={base_degree} nodes={nodes} build={base_time:.3f}s")
     # each table is one ladder step from its parent, in depth-first order
     t0 = time.perf_counter()
     for mi, tab in derive_tree(base, order):

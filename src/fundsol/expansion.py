@@ -65,8 +65,8 @@ from .symbol import inverse_symbol_batch
 
 __all__ = [
     "MultiIndex",
-    "SphereQuadrature",
     "make_quadrature",
+    "base_quadrature",
     "CoeffTable",
     "base_coefficients",
     "derive_coefficients",
@@ -124,12 +124,14 @@ def multi_indices_up_to(order: int) -> list[MultiIndex]:
 class SphereQuadrature:
     """Product rule on the unit sphere: Gauss-Legendre in cos(theta) x uniform azimuth.
 
-    Integrates every product Y_l1^m1 conj(Y_l2^m2) with l1 + l2 <= degree
-    exactly.  Weights are positive and sum to 4 pi.  The azimuthal node count
-    is even, so azimuth b + n_phi/2 is azimuth b plus pi.
+    Node (a, b) sits at cos(theta) = cos_nodes[a], phi = phi_nodes[b] =
+    2 pi b / n_phi, with weight theta_weights[a] * phi_weight; the weights
+    are positive and sum to 4 pi.  The azimuthal node count is even, so
+    azimuth b + n_phi/2 is azimuth b plus pi.  A sum over the uniform
+    azimuths against exp(-i m phi_b) is a discrete Fourier transform, which
+    base_coefficients takes as one FFT per polar node.
     """
 
-    degree: int
     cos_nodes: np.ndarray  # (n_theta,)
     theta_weights: np.ndarray  # (n_theta,)
     phi_nodes: np.ndarray  # (n_phi,)
@@ -161,18 +163,17 @@ class SphereQuadrature:
         )
         return xyz.reshape(-1, 3)
 
-    def weights(self) -> np.ndarray:
-        return np.repeat(self.theta_weights, self.phi_nodes.size) * self.phi_weight
-
 
 @lru_cache(maxsize=16)
 def make_quadrature(exactness_degree: int) -> SphereQuadrature:
     """Quadrature exact for spherical polynomials up to the given degree.
 
-    The azimuthal node count exactness + 2 is rounded up to an even number,
-    which keeps the rule at least as exact and makes it hold every node's
-    antipode (SphereQuadrature.nodes).  Cached, as the Gauss-Legendre nodes
-    cost about as much as a small projection; the arrays are read-only.
+    The rule integrates every product Y_l1^m1 conj(Y_l2^m2) with
+    l1 + l2 <= exactness_degree exactly.  The azimuthal node count
+    exactness + 2 is rounded up to an even number, which keeps the rule at
+    least as exact and makes it hold every node's antipode
+    (SphereQuadrature.nodes).  Cached, as the Gauss-Legendre nodes cost
+    about as much as a small projection; the arrays are read-only.
     """
     if exactness_degree < 0:
         raise ValueError("exactness degree must be nonnegative")
@@ -183,12 +184,30 @@ def make_quadrature(exactness_degree: int) -> SphereQuadrature:
     for a in (t, w, phis):
         a.setflags(write=False)
     return SphereQuadrature(
-        degree=exactness_degree,
-        cos_nodes=t,
-        theta_weights=w,
-        phi_nodes=phis,
-        phi_weight=2.0 * np.pi / n_phi,
+        cos_nodes=t, theta_weights=w, phi_nodes=phis, phi_weight=2.0 * np.pi / n_phi
     )
+
+
+def base_quadrature(L: int, quad_degree: int | None = None) -> SphereQuadrature:
+    """The rule base_coefficients(ext, L, quad_degree) projects with.
+
+    By default of exactness 2L + 12.  The doubling is not cosmetic: an
+    azimuthal rule with n nodes aliases spectral content at frequency n - m
+    onto order m, so a rule sized close to L pollutes the top coefficients
+    with low-frequency energy of the symbol (measured at ~1e-4 relative for
+    cubic crystals at L = 40 with exactness L + 12).  With 2L + 12 the alias
+    floor sits below the series truncation error at every L.  A
+    caller-supplied exactness must at least resolve degree-L harmonics.
+    """
+    if L < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    if quad_degree is None:
+        quad_degree = 2 * L + 12
+    elif quad_degree < L:
+        raise ValueError(
+            f"quadrature exactness {quad_degree} cannot project onto degree {L}"
+        )
+    return make_quadrature(quad_degree)
 
 
 def _degree_rows(L: int, parity: int) -> int:
@@ -232,11 +251,6 @@ class CoeffTable:
     def parity(self) -> int:
         return self.order % 2
 
-    def blocks(self, ell: int) -> np.ndarray:
-        """The stored entries of degree ell, orders m = 0..ell, as an
-        (ell + 1, N(N+1)/2) view; ell must be of the table's parity."""
-        return self.coeffs[(ell - self.parity) // 2, : ell + 1]
-
     def truncated(self, max_degree: int) -> "CoeffTable":
         """Copy of the table keeping only degrees 0..max_degree."""
         if max_degree > self.max_degree:
@@ -257,28 +271,17 @@ def base_coefficients(
 ) -> CoeffTable:
     """Project the inverse symbol onto conjugate harmonics of even degree up to L.
 
-    The rule is make_quadrature(quad_degree), by default of exactness
-    2L + 12.  The doubling is not cosmetic: an azimuthal rule with n nodes
-    aliases spectral content at frequency n - m onto order m, so a rule
-    sized close to L pollutes the top coefficients with low-frequency energy
-    of the symbol (measured at ~1e-4 relative for cubic crystals at L = 40
-    with exactness L + 12).  With 2L + 12 the alias floor sits below the
-    series truncation error at every L.  A caller-supplied exactness must at
-    least resolve degree-L harmonics.
+    The rule is base_quadrature(L, quad_degree), by default of exactness
+    2L + 12.
 
     The symbol is inverted at the nodes with azimuth in [0, pi) only.  It is
     even, and its inverse at -xi has the same bits as at xi, so the other
     half are copies: node (a, b + n_phi/2) takes node (n_theta - 1 - a, b).
+    The azimuthal sums are one real FFT per polar node and entry: with
+    phi_b = 2 pi b / n_phi, the kernel exp(-i m phi_b) is the FFT's own, so
+    no phase is rounded from a rounded azimuth.
     """
-    if L < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    if quad_degree is None:
-        quad_degree = 2 * L + 12
-    elif quad_degree < L:
-        raise ValueError(
-            f"quadrature exactness {quad_degree} cannot project onto degree {L}"
-        )
-    quad = make_quadrature(quad_degree)
+    quad = base_quadrature(L, quad_degree)
     n = ext.field_dim
     t = quad.cos_nodes
     half = quad.phi_nodes.size // 2
@@ -287,13 +290,17 @@ def base_coefficients(
     rows, cols = np.triu_indices(n)
     inv = inverse_symbol_batch(ext, dirs.reshape(-1, 3))[:, rows, cols].reshape(t.size, half, -1)
     inv = np.concatenate([inv, inv[::-1]], axis=1)
-    # azimuthal transform: G[m, a] = sum_b inv[a, b] exp(-i m phi_b) w_phi
-    phases = np.exp(-1j * np.outer(np.arange(L + 1), quad.phi_nodes)) * quad.phi_weight
-    G = np.einsum("mb,abe->mae", phases, inv, optimize=True)
-    G *= quad.theta_weights[np.newaxis, :, np.newaxis]
+    # azimuthal transform: G[a, m] = sum_b inv[a, b] exp(-i m phi_b) for the
+    # orders m <= n_phi/2 the FFT returns; on a rule with fewer than 2L
+    # azimuths, a higher order m aliases onto n_phi - m, whose sum is the
+    # conjugate as inv is real
+    G = np.fft.rfft(inv, axis=1)[:, : L + 1]
+    if L > half:
+        G = np.concatenate([G, np.conj(G[:, half - 1 : 2 * half - L - 1 : -1])], axis=1)
+    G *= (quad.theta_weights * quad.phi_weight)[:, np.newaxis, np.newaxis]
     # polar projection against the normalised Legendre values of even degree
     P = norm_legendre_table(L, t)[0::2]  # (n_0, L+1, n_theta)
-    C = np.einsum("lma,mae->lme", P, G, optimize=True)  # zero where m > l, as P is
+    C = np.einsum("lma,ame->lme", P, G, optimize=True)  # zero where m > l, as P is
     return CoeffTable(ext.material_hash, n, L, (0, 0, 0), C)
 
 

@@ -1,4 +1,4 @@
-"""Operator symbol on unit directions: contraction, inversion, ellipticity.
+"""Operator symbol on unit directions: contraction and inversion.
 
 The symbol of the governing operator is the N x N matrix
 S_JK(xi) = c[i, J, K, l] xi_i xi_l, homogeneous of degree two and symmetric
@@ -31,12 +31,15 @@ Singular symbols.  A zero pivot makes the direction's entries non-finite
 (no floating-point warning is raised for it).  Since every row max of D S D
 is ~1, max |(D S D)^-1| estimates its condition number; the worst direction
 whose estimate is non-finite or above COND_LIMIT raises SingularSymbolError
-naming it.
+naming it.  This is the package's one invertibility criterion, and it is
+applied at exactly the directions a caller inverts at.  It asks for an
+invertible symbol, not a definite one: the elastic symbols are positive
+definite, while a piezoelectric or magneto-electro-elastic symbol is
+indefinite (its electric and magnetic blocks enter with negative sign) and
+inverts all the same.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +49,11 @@ from .materials import ExtendedTensor
 __all__ = [
     "symbol_matrix_batch",
     "inverse_symbol_batch",
-    "ellipticity_check",
-    "EllipticityReport",
-    "fibonacci_directions",
     "COND_LIMIT",
 ]
 
 COND_LIMIT = 1e14  # equilibrated condition number above this -> singular symbol
+_EQUILIBRATION_SWEEPS = 3
 
 
 def symbol_matrix_batch(ext: ExtendedTensor, dirs: np.ndarray) -> np.ndarray:
@@ -86,7 +87,7 @@ def _symbol_last(ext: ExtendedTensor, dirs) -> np.ndarray:
     return S
 
 
-def _equilibrate(S: np.ndarray, iterations: int = 3) -> tuple[np.ndarray, np.ndarray]:
+def _equilibrate(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric row-max equilibration of direction-last matrices (N, N, P).
 
     Returns (S_eq, d), d of shape (N, P), with S_eq[:, :, p] =
@@ -97,7 +98,7 @@ def _equilibrate(S: np.ndarray, iterations: int = 3) -> tuple[np.ndarray, np.nda
     """
     S_eq = np.array(S, dtype=np.float64, order="C")
     d = np.ones((S.shape[0], S.shape[2]))
-    for _ in range(iterations):
+    for _ in range(_EQUILIBRATION_SWEEPS):
         row = np.sqrt(np.max(np.abs(S_eq), axis=1))
         row[row == 0.0] = 1.0
         inv = 1.0 / row
@@ -159,54 +160,3 @@ def inverse_symbol_batch(ext: ExtendedTensor, dirs: np.ndarray) -> np.ndarray:
     np.add(inv, inv.transpose(1, 0, 2), out=out.transpose(1, 2, 0))
     out *= 0.5
     return out
-
-
-def fibonacci_directions(count: int) -> np.ndarray:
-    """Deterministic low-discrepancy sampling of the unit sphere (count, 3)."""
-    if count < 1:
-        raise ValueError("need at least one direction")
-    k = np.arange(count, dtype=np.float64)
-    z = 1.0 - (2.0 * k + 1.0) / count
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    return np.column_stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z])
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    min_abs_eig: float
-    max_abs_eig: float
-    worst_cond: float  # of the equilibrated symbol
-    indefinite: bool
-    sample_count: int
-
-    @property
-    def invertible(self) -> bool:
-        return np.isfinite(self.worst_cond) and self.worst_cond <= COND_LIMIT
-
-
-def ellipticity_check(ext: ExtendedTensor, sample_count: int = 1000) -> EllipticityReport:
-    """Scan low-discrepancy directions and report extremal symbol eigenvalues.
-
-    min/max refer to raw symbol eigenvalue magnitudes (physical units);
-    worst_cond is measured on the equilibrated symbol and is the quantity
-    compared against COND_LIMIT.
-    """
-    if sample_count < 6:
-        raise ValueError("sample_count must be at least 6")
-    dirs = fibonacci_directions(sample_count)
-    S = _symbol_last(ext, dirs)
-    S_eq, _ = _equilibrate(S)
-    w_raw, w_eq = (
-        np.linalg.eigvalsh(0.5 * (M + M.transpose(1, 0, 2)).transpose(2, 0, 1)) for M in (S, S_eq)
-    )
-    abs_eq = np.abs(w_eq)
-    mins = abs_eq.min(axis=-1)
-    conds = np.where(mins > 0, abs_eq.max(axis=-1) / np.maximum(mins, 1e-300), np.inf)
-    return EllipticityReport(
-        min_abs_eig=float(np.min(np.abs(w_raw))),
-        max_abs_eig=float(np.max(np.abs(w_raw))),
-        worst_cond=float(np.max(conds)),
-        indefinite=bool(np.any(w_raw < 0)),
-        sample_count=sample_count,
-    )

@@ -66,7 +66,7 @@ def entry(table, ell, m):
     if (ell - table.parity) % 2:
         return block
     rows, cols = np.triu_indices(n)
-    block[rows, cols] = block[cols, rows] = table.blocks(ell)[abs(m)]
+    block[rows, cols] = block[cols, rows] = table.coeffs[(ell - table.parity) // 2, abs(m)]
     if m >= 0:
         return block
     block = np.conj(block)

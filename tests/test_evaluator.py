@@ -351,7 +351,7 @@ class TestRegularPart:
         I = table.order
         loop = []
         for l in range(I, 21, 2):
-            C = table.blocks(l) * fs.legendre_p_at_zero(l, I)
+            C = table.coeffs[(l - table.parity) // 2, : l + 1] * fs.legendre_p_at_zero(l, I)
             C[1:] *= 2.0
             loop += [C.real.T, -C.imag[1:].T]
         js, ms, sine, weights = evaluator._columns(20, I)

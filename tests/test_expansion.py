@@ -40,7 +40,7 @@ def quadrature_coefficient_oracle(ext, mi, L, degree):
     [l, m + L]."""
     quad = make_quadrature(degree)
     nodes = quad.nodes()
-    w = quad.weights()
+    w = node_weights(quad)
     inv = inverse_symbol_batch(ext, nodes)
     i1, i2, i3 = mi
     weight = nodes[:, 0] ** i1 * nodes[:, 1] ** i2 * nodes[:, 2] ** i3
@@ -56,17 +56,23 @@ def quadrature_coefficient_oracle(ext, mi, L, degree):
     return out
 
 
+def node_weights(quad):
+    """Weight of every node of quad.nodes(), theta-major."""
+    return np.repeat(quad.theta_weights, quad.phi_nodes.size) * quad.phi_weight
+
+
 def full_inversion_base(ext, L):
     """Base coefficients of every degree 0..L, indexed [l, m], as full
     N x N blocks from the symbol inverted at every node of the default
     rule: no use of its antipode symmetry or its symmetric blocks, and
-    einsum without path optimisation."""
+    einsum without path optimisation.  The azimuthal sums are the same real
+    FFT as the package's, so a comparison isolates the mirroring."""
     quad = make_quadrature(2 * L + 12)
     n, t = ext.field_dim, quad.cos_nodes
     inv = inverse_symbol_batch(ext, quad.nodes()).reshape(t.size, -1, n, n)
-    phases = np.exp(-1j * np.outer(np.arange(L + 1), quad.phi_nodes)) * quad.phi_weight
-    G = np.einsum("mb,abjk->majk", phases, inv) * quad.theta_weights[None, :, None, None]
-    return np.einsum("lma,majk->lmjk", norm_legendre_table(L, t), G)
+    G = np.fft.rfft(inv, axis=1)[:, : L + 1]
+    G *= (quad.theta_weights * quad.phi_weight)[:, None, None, None]
+    return np.einsum("lma,amjk->lmjk", norm_legendre_table(L, t), G)
 
 
 def all_orders(table):
@@ -139,7 +145,7 @@ class TestQuadrature:
     def test_weights_sum_to_sphere_area(self):
         for degree in (0, 5, 24, 51):
             quad = make_quadrature(degree)
-            assert np.sum(quad.weights()) == pytest.approx(4 * np.pi, abs=1e-13)
+            assert np.sum(node_weights(quad)) == pytest.approx(4 * np.pi, abs=1e-13)
 
     def test_integrates_constant_harmonic(self):
         quad = make_quadrature(24)
@@ -147,12 +153,12 @@ class TestQuadrature:
         theta = np.arccos(np.clip(nodes[:, 2], -1, 1))
         phi = np.arctan2(nodes[:, 1], nodes[:, 0])
         vals = sps.sph_harm_y(0, 0, theta, phi)
-        assert np.sum(quad.weights() * vals) == pytest.approx(2 * SQRT_PI, rel=1e-13)
+        assert np.sum(node_weights(quad) * vals) == pytest.approx(2 * SQRT_PI, rel=1e-13)
 
     def test_orthonormality_at_covered_degree(self):
         quad = make_quadrature(24)
         nodes = quad.nodes()
-        w = quad.weights()
+        w = node_weights(quad)
         theta = np.arccos(np.clip(nodes[:, 2], -1, 1))
         phi = np.arctan2(nodes[:, 1], nodes[:, 0])
         Y = {lm: sps.sph_harm_y(*lm, theta, phi) for lm in ((12, 5), (10, 5), (7, 3), (7, 2))}
@@ -219,11 +225,14 @@ class TestBaseCoefficients:
 
     def test_conjugation_against_direct_quadrature(self, ext_cu):
         # negative orders come from the conjugation rule; check them all
-        # against direct integration
-        table = fs.base_coefficients(ext_cu, 8)
-        oracle = quadrature_coefficient_oracle(ext_cu, (0, 0, 0), 8, 2 * 8 + 12)
-        scale = np.max(np.abs(oracle))
-        assert np.max(np.abs(all_orders(table) - oracle)) <= 1e-12 * scale
+        # against direct integration with the same rule.  The default rule
+        # resolves every order; exactness 8 and 11 have 10 and 14 azimuths,
+        # so orders above 5 and 7 alias, in the table as in the oracle
+        for degree in (2 * 8 + 12, 8, 11):
+            table = fs.base_coefficients(ext_cu, 8, degree)
+            oracle = quadrature_coefficient_oracle(ext_cu, (0, 0, 0), 8, degree)
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(all_orders(table) - oracle)) <= 1e-12 * scale, degree
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_mirrored_inversion_matches_full_inversion(self, name):
@@ -240,6 +249,20 @@ class TestBaseCoefficients:
         assert np.max(np.abs(table.coeffs - full[0::2, :, rows, cols])) <= 1e-15 * scale
         # the odd degrees it does not store are rounding noise
         assert np.max(np.abs(full[1::2])) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("L", [20, 43, 84])
+    @pytest.mark.parametrize(
+        "name,first_zero_order",
+        [("Laplace", 1), ("IsoElastic(1,0.3)", 3), ("PZT-4", 3), ("M1", 3)],
+    )
+    def test_axisymmetric_orders_vanish(self, name, first_zero_order, L):
+        # the Laplace symbol is constant, and a transversely isotropic one
+        # about x3 has entries of azimuthal order <= 2 only, so every higher
+        # order is rounding of the azimuthal sums; an FFT puts it at
+        # 1.3-3.2e-17 of the largest coefficient, where phases rounded from
+        # rounded azimuths read 5.6e-16-1.7e-15
+        C = fs.base_coefficients(fs.extend(fs.builtin(name)), L).coeffs
+        assert np.max(np.abs(C[:, first_zero_order:])) <= 2e-16 * np.max(np.abs(C))
 
     def test_other_parity_entries_are_zero_blocks(self, base_m2):
         d = derive_coefficients(base_m2, 3)
