@@ -50,7 +50,7 @@ from .expansion import (
     load_table,
     save_table,
 )
-from .materials import builtin, extend, format_material, load_material_json, zener_family
+from .materials import builtin, extend, format_material, load_material_json, validate, zener_family
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -328,7 +328,12 @@ def cmd_plot(args) -> int:
 
 
 def cmd_materials(args) -> int:
-    print(format_material(_load_material(args.name)))  # "show", the only action
+    # "show", the only action; a material that `build` refuses is not shown
+    material = _load_material(args.name)
+    violations = validate(material)
+    if violations:
+        raise MaterialValidationError(violations)
+    print(format_material(material))
     return EXIT_OK
 
 

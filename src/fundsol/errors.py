@@ -19,6 +19,9 @@ class MaterialValidationError(FundsolError, ValueError):
 class UnknownMaterialError(FundsolError, KeyError):
     """Requested builtin material name does not exist."""
 
+    def __str__(self):  # as for other errors: KeyError would quote the message
+        return Exception.__str__(self)
+
 
 class SingularSymbolError(FundsolError, ValueError):
     """Operator symbol is singular (or numerically near-singular) at a direction."""

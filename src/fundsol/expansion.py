@@ -12,17 +12,24 @@ symmetrises the inverse symbol.  A table therefore stores only the
 N(N+1)/2 entries i <= j of each block, in `np.triu_indices(N)` order, from
 the projection through the ladder to the file; every later step is linear
 and entrywise, so nothing is lost.  Tables for derivative kernels are
-obtained WITHOUT further integration through a Clebsch-Gordan recurrence
-ladder: multiplying the integrand by a direction component maps degree-l
-harmonics onto degrees l-1 and l+1 only, so each derivative costs one pass
-over the table and lowers the usable truncation by one degree.
+obtained WITHOUT further integration through a recurrence ladder: a
+derivative step multiplies the integrand by one direction component x_a,
+and x_a Y_k^m' is a combination of harmonics of degrees k - 1 and k + 1
+only, so each derivative costs one pass over the table and lowers the
+usable truncation by one degree.
 
-The ladder factors couple (1, l, k) and have closed forms (`_cg_one`).  The
-factor c^{1lk}_{000} vanishes at k = l, so target degree l reads source
-degrees l - 1 and l + 1 only.  Each step is a fixed set of whole-array
-shifted-slice multiply-adds over the (l, m) grid: two for x3 (m' = 0), four
-for x1 and x2 (m' = -1 and +1, reading source orders m + 1 and m - 1; order
--1 at m = 0 follows from order 1 through the conjugation rule).
+The ladder factors are the integrals of x_a Y_{l+-1}^m' conj(Y_l^m), which
+have closed forms for the Condon-Shortley phase (`_step_terms`).  With
+a(l, m) = sqrt((l^2 - m^2) / ((2l - 1)(2l + 1))),
+
+    x3 Y_l^m = a(l + 1, m) Y_{l+1}^m + a(l, m) Y_{l-1}^m,
+
+and x1 = (s+ + s-) / 2, x2 = (s+ - s-) / 2i, where s+- = sin(theta) e^{+-i phi}
+moves the order by +-1 with factors of the same kind.  So target (l, m)
+reads source degrees l - 1 and l + 1 at order m (x3) or at orders m + 1 and
+m - 1 (x1, x2).  Each step is a fixed set of whole-array shifted-slice
+multiply-adds over the (l, m) grid, two for x3 and four for x1 and x2;
+order -1 at m = 0 follows from order 1 through the conjugation rule.
 
 Parity.  The inverse symbol is even, invsymbol(-xi) = invsymbol(xi), so its
 coefficients of odd degree vanish, and the kernel of derivative order I has
@@ -32,14 +39,6 @@ classes never mix, and evaluation of order I reads degrees of the parity of
 I only.  A table therefore stores the degrees of parity p = I mod 2 alone
 (see CoeffTable), and the base projection inverts the symbol at half the
 quadrature nodes: the rule holds every node's antipode (make_quadrature).
-
-Two transcription corrections relative to the usual statement of the ladder,
-both confirmed against exact scalar-kernel coefficients and the direct
-quadrature oracle (see tests):
-  * the x2 ladder carries a -i prefactor (the +i variant produces the wrong
-    sign for every x2 derivative);
-  * the order constraint of the inner sum is enforced by the selection rules
-    of the Clebsch-Gordan factors, which are zero where |m' - m| > k.
 """
 
 from __future__ import annotations
@@ -304,56 +303,40 @@ def base_coefficients(
     return CoeffTable(ext.material_hash, n, L, (0, 0, 0), C)
 
 
-def _cg_one(l, k, m1, m2) -> np.ndarray:
-    """Clebsch-Gordan coefficients <1 m1; l m2 | k, m1 + m2> for k = l +- 1.
-
-    Evaluated over broadcast integer arrays from the closed forms for
-    j2 = 1 (Varshalovich, Moskalev & Khersonskii 1988, Table 8.2), using
-    <1 m1; l m2 | k M> = <l m2; 1 m1 | k M>, which holds for k = l +- 1.
-    Each value is the square root of one ratio of exact integers, so it is
-    correctly rounded.  Entries outside the valid range (|m2| > l, |M| > k,
-    which includes k < 0) are zero, masked before any sqrt or division.
-    """
-    l, k, m1, m2 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.int64) for v in (l, k, m1, m2))
-    )
-    M = m1 + m2
-    d = k - l  # +1 or -1
-    # |m1| = 1: (j)(j + 1) / ((2l + 1)(2l + 1 + d)) with j = l + d m1 M
-    j = l + d * m1 * M
-    num = np.where(m1 == 0, (l + (d + 1) // 2) ** 2 - M * M, j * (j + 1))
-    den = np.where(m1 == 0, (2 * l + 1) * (l + (d + 1) // 2), (2 * l + 1) * (2 * l + 1 + d))
-    sign = np.where(m1 == 0, d, 1)
-    valid = (np.abs(m2) <= l) & (np.abs(M) <= k)
-    out = np.zeros(l.shape)
-    out[valid] = sign[valid] * np.sqrt(num[valid] / den[valid])
-    return out
-
-
 @lru_cache(maxsize=32)
-def _step_terms(Lt: int, axis: int) -> tuple[tuple[int, int, bool, np.ndarray], ...]:
+def _step_terms(Lt: int, axis: int) -> tuple[tuple[int, int, np.ndarray], ...]:
     """Ladder terms of one derivative step to target degree Lt.
 
-    Each term is (d, shift, subtract, factor): target (l, m) takes
-    factor[l, m] times the source block of degree l + d and order m + shift,
-    where factor = c^{1lk}_{000} c^{1lk}_{m',-m,m'-m} / sqrt(2k + 1) on the
-    target grid l, m = 0..Lt.  Terms are listed in the order they are summed.
-    Cached because building the factors costs as much as applying them; the
+    Each term is (d, shift, factor): target (l, m) takes factor[l, m] times
+    the source block of degree l + d and order m + shift, on the target grid
+    l, m = 0..Lt, and the terms are listed in the order they are summed.
+    A factor is the square root of one ratio of exact integers times a sign
+    (x1, x3) or a phase (x2); it is zero outside m <= l and
+    |m + shift| <= l + d, masked before any sqrt or division.  Cached, as
+    every step to the same degree and axis reads the same factors; the
     arrays are read-only.
     """
     l = np.arange(Lt + 1)[:, None]
     m = np.arange(Lt + 1)[None, :]
-    # m' = 0 reads order m; m' = -1 reads m + 1 (subtracted on x1); m' = +1 reads m - 1
-    orders = ((0, 0, False),) if axis == 3 else ((-1, 1, axis == 1), (1, -1, False))
     terms = []
     for d in (-1, 1):
-        k = l + d
-        c0 = _cg_one(l, k, 0, 0)
-        root = np.sqrt(2.0 * np.maximum(k, 0) + 1.0)
-        for m_prime, shift, subtract in orders:
-            factor = c0 * _cg_one(l, k, m_prime, -m) / root
+        q = l + (d + 1) // 2  # the larger of the degrees l and l + d
+        den = (2 * l + 1) * (2 * l + 1 + 2 * d)
+        for shift in (0,) if axis == 3 else (1, -1):
+            # shift 0: (q^2 - m^2) / den; shift +-1: j (j + d) / (4 den) with
+            # j = q + d shift m, e.g. (l - m)(l - m - 1) / (4 (2l - 1)(2l + 1))
+            # for source (l - 1, m + 1)
+            j = q + d * shift * m
+            num = q * q - m * m if shift == 0 else j * (j + d)
+            valid = (m <= l) & (np.abs(m + shift) <= l + d)
+            magnitude = np.sqrt(
+                np.divide(num, den * (4 if shift else 1), out=np.zeros(valid.shape), where=valid)
+            )
+            # x1 = (s+ + s-) / 2 and x2 = (s+ - s-) / 2i, s+- = sin(theta) e^{+-i phi}:
+            # the x1 sign is -d shift, and x2 = i shift x1 is the phase -i d
+            factor = {1: -d * shift, 2: -1j * d, 3: 1}[axis] * magnitude
             factor.setflags(write=False)
-            terms.append((d, shift, subtract, factor))
+            terms.append((d, shift, factor))
     return tuple(terms)
 
 
@@ -380,7 +363,7 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
     src[:, 1:] = table.coeffs
     src[:, 0] = -np.conj(table.coeffs[:, 1])
     acc = np.zeros((rows_t, Lt + 1, entries), dtype=np.complex128)
-    for d, shift, subtract, factor in _step_terms(Lt, axis):
+    for d, shift, factor in _step_terms(Lt, axis):
         # target row j (degree p + 2j) reads source degree p + 2j + d, which
         # is source row j + first; target degree 0 has no degree -1 to read
         first = p + (d - 1) // 2
@@ -389,23 +372,10 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
             else (slice(None), slice(first, first + rows_t))
         )
         cols = slice(1 + shift, 2 + shift + Lt)
-        term = factor[p::2][rows, :, None] * src[src_rows, cols]
-        if subtract:
-            acc[rows] -= term
-        else:
-            acc[rows] += term
-    l = np.arange(p, Lt + 1, 2, dtype=np.float64)
-    if axis == 1:
-        pref = np.sqrt((2.0 * l + 1.0) / 2.0)
-    elif axis == 2:
-        pref = -1j * np.sqrt((2.0 * l + 1.0) / 2.0)
-    else:
-        pref = np.sqrt(2.0 * l + 1.0)
+        acc[rows] += factor[p::2][rows, :, None] * src[src_rows, cols]
     mi = list(table.multi_index)
     mi[axis - 1] += 1
-    return CoeffTable(
-        table.material_hash, table.field_dim, Lt, tuple(mi), pref[:, None, None] * acc
-    )
+    return CoeffTable(table.material_hash, table.field_dim, Lt, tuple(mi), acc)
 
 
 def _check_ladder_start(table: CoeffTable, order: int) -> None:

@@ -433,15 +433,20 @@ def builtin(name: str) -> MaterialConstants:
     """Look up a builtin material by name.
 
     Accepts the tabulated names (Cu, Au, Ni, PZT-4, PVDF, M1, M2, Laplace)
-    plus the parametric form "IsoElastic(mu,nu)".
+    plus the parametric form "IsoElastic(mu,nu)" with numbers for mu and nu,
+    e.g. "IsoElastic(1,0.3)".
     """
     if name in _BUILTINS:
         return _BUILTINS[name]()
     match = _ISO_RE.match(name)
     if match:
-        return iso_elastic(float(match.group(1)), float(match.group(2)))
-    if name == "IsoElastic":
-        return iso_elastic(1.0, 0.3)
+        try:
+            mu, nu = (float(v) for v in match.groups())
+        except ValueError:
+            raise UnknownMaterialError(
+                f"material {name!r}: the parametric form takes numbers, IsoElastic(<mu>,<nu>)"
+            ) from None
+        return iso_elastic(mu, nu)
     raise UnknownMaterialError(
         f"unknown material {name!r}; available: {', '.join(builtin_names())}"
     )
@@ -453,19 +458,40 @@ _JSON_SCALE = {"elastic_voigt": 1e9, "eps": 1e-9, "kappa": 1e-6, "e": 1.0, "q": 
 
 
 def load_material_json(path) -> MaterialConstants:
-    """Read a material description from the JSON interchange format."""
+    """Read a material description from the JSON interchange format.
+
+    A document that is not a JSON object, or a field that is missing or
+    does not convert to its type, raises ValueError naming the file and the
+    field.  Shapes, symmetries and values are for `validate` to judge.
+    """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    try:
-        name = doc["name"]
-        n = int(doc["field_dim"])
-        elastic = _JSON_SCALE["elastic_voigt"] * np.asarray(doc["elastic_voigt"], dtype=np.float64)
-    except KeyError as exc:
-        raise ValueError(f"material JSON missing required field {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: material JSON must be an object, got {type(doc).__name__}")
+
+    def field(key, convert):
+        if key not in doc:
+            raise ValueError(f"{path}: material JSON missing required field {key!r}")
+        try:
+            return convert(doc[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: material JSON field {key!r}: {exc}") from None
+
+    def integer(v):
+        if type(v) is not int:  # int() would take 3.9 as 3 and true as 1
+            raise TypeError(f"must be an integer, got {v!r}")
+        return v
+
+    def block(key):
+        return field(key, lambda v: _JSON_SCALE[key] * np.asarray(v, dtype=np.float64))
+
+    name = field("name", str)
+    n = field("field_dim", integer)
+    elastic = block("elastic_voigt")
     kw = {}
     for key, attr in (("e", "e"), ("q", "q"), ("eps", "eps"), ("lambda", "lam"), ("kappa", "kappa")):
-        if key in doc and doc[key] is not None:
-            kw[attr] = _JSON_SCALE.get(key, 1.0) * np.asarray(doc[key], dtype=np.float64)
+        if doc.get(key) is not None:
+            kw[attr] = block(key)
     return MaterialConstants(name, n, elastic, **kw)
 
 

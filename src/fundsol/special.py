@@ -1,7 +1,7 @@
 """Normalised associated Legendre values and P_l^m(0), the special functions
-the coefficient tables and the evaluator read.  (The Clebsch-Gordan
-factors of the derivative ladder are closed forms and live with the ladder
-in `expansion`.)
+the coefficient tables and the evaluator read.  (The factors of the
+derivative ladder are closed forms of x_a Y_l^m and live with the ladder in
+`expansion`.)
 
 `norm_legendre_rows` yields the Legendre rows one degree at a time, m-major
 (l+1, P), from cos(theta) and sin(theta).  The base projection reads them
@@ -30,24 +30,21 @@ __all__ = [
     "norm_legendre_table",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
-
 
 def legendre_p_at_zero(ell: int, m: int) -> float:
-    """P_l^m(0) via the Gamma-ratio identity.
+    """P_l^m(0) = (-1)^((l+m)/2) (l+m-1)!! / (l-m)!!, correctly rounded.
 
-    Defined for l, m >= 0: exactly zero when l+m is odd (the cosine factor
-    vanishes) and when m > l (Gamma pole in the denominator).
+    The double factorials are exact integers, and their ratio is rounded
+    once.  Defined for l, m >= 0: exactly zero when l+m is odd (P_l^m is
+    then odd about t = 0) and when m > l.
     """
     if ell < 0 or m < 0:
         raise ValueError(f"require l, m >= 0, got l={ell}, m={m}")
-    if (ell + m) % 2 == 1:
+    if (ell + m) % 2 == 1 or m > ell:
         return 0.0
-    if m > ell:
-        return 0.0  # denominator Gamma[(l-m+2)/2] has a pole
-    sign = 1.0 if ((ell + m) // 2) % 2 == 0 else -1.0
-    logr = math.lgamma((ell + m + 1) / 2.0) - math.lgamma((ell - m + 2) / 2.0)
-    return sign * (2.0**m) / _SQRT_PI * math.exp(logr)
+    num = math.prod(range(ell + m - 1, 0, -2))
+    den = math.prod(range(ell - m, 0, -2))
+    return (-1) ** ((ell + m) // 2) * num / den
 
 
 def norm_legendre_rows(ell_max: int, t, s):

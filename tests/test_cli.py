@@ -94,6 +94,35 @@ class TestMaterialsShow:
         assert code == 2
         assert "available" in err
 
+    @pytest.mark.parametrize("command", ["show", "build"])
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda doc: [1, 2], "bad.json: material JSON must be an object"),
+            (lambda doc: {**doc, "field_dim": [3]}, "field 'field_dim'"),
+            (lambda doc: {**doc, "field_dim": 3.9}, "field 'field_dim'"),
+            (lambda doc: {**doc, "field_dim": True}, "field 'field_dim'"),
+            (lambda doc: {**doc, "elastic_voigt": None}, "elastic matrix must be 6x6"),
+            (lambda doc: {**doc, "elastic_voigt": [[1.0, 2.0], [3.0]]}, "field 'elastic_voigt'"),
+        ],
+        ids=[
+            "top-level-list", "field-dim-list", "field-dim-float", "field-dim-bool",
+            "elastic-null", "elastic-ragged",
+        ],
+    )
+    def test_malformed_material_file_exits_2(self, capsys, tmp_path, command, edit, named):
+        path = tmp_path / "bad.json"
+        fs.save_material_json(fs.builtin("Cu"), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        if command == "show":
+            argv = ["materials", "show", str(path)]
+        else:
+            argv = ["build", "--material", str(path), "--L", "4", "--tables-dir", str(tmp_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert named in err and "Traceback" not in err
+        assert out == "" and not list(tmp_path.glob("*.fsct"))
+
 
 class TestBuild:
     def test_laplace_build_counts(self, capsys, tmp_path):

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import math
@@ -85,59 +84,52 @@ def all_orders(table):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def racah_cg(l1, l2, l3, m1, m2, m3):
-    """<l1 m1; l2 m2 | l3 m3> by the Racah sum in exact rationals; the only
-    rounding is the final square root."""
-    if m3 != m1 + m2 or not abs(l1 - l2) <= l3 <= l1 + l2:
+def ladder_factor(l, m, d, shift, axis):
+    """Factor of source block (l + d, m + shift) in target (l, m) of a step
+    along `axis`: the integral of x_axis Y_{l+d}^{m+shift} conj(Y_l^m), as
+    the square root of its exact rational square times its sign (x1, x3)
+    or phase (x2), from x1 = (s+ + s-) / 2 and x2 = (s+ - s-) / 2i with
+    s+- = sin(theta) e^{+-i phi}.  Zero outside m <= l, |m + shift| <= l + d."""
+    if m > l or abs(m + shift) > l + d:
         return 0.0
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
-        return 0.0
-    f = math.factorial
-    pref2 = Fraction(
-        (2 * l3 + 1) * f(l3 + l1 - l2) * f(l3 - l1 + l2) * f(l1 + l2 - l3),
-        f(l1 + l2 + l3 + 1),
-    ) * (f(l3 + m3) * f(l3 - m3) * f(l1 - m1) * f(l1 + m1) * f(l2 - m2) * f(l2 + m2))
-    total = Fraction(0)
-    for k in range(
-        max(0, l2 - l3 - m1, l1 + m2 - l3), min(l1 + l2 - l3, l1 - m1, l2 + m2) + 1
-    ):
-        den = (
-            f(k) * f(l1 + l2 - l3 - k) * f(l1 - m1 - k) * f(l2 + m2 - k)
-            * f(l3 - l2 + m1 + k) * f(l3 - l1 - m2 + k)
-        )
-        total += Fraction(-1 if k % 2 else 1, den)
-    if total == 0:
-        return 0.0
-    return math.copysign(math.sqrt(float(pref2 * total * total)), total)
+    if (d, shift) == (-1, 0):
+        square = Fraction(l * l - m * m, (2 * l - 1) * (2 * l + 1))
+    elif (d, shift) == (1, 0):
+        square = Fraction((l + 1) ** 2 - m * m, (2 * l + 1) * (2 * l + 3))
+    elif (d, shift) == (-1, 1):
+        square = Fraction((l - m - 1) * (l - m), 4 * (2 * l - 1) * (2 * l + 1))
+    elif (d, shift) == (-1, -1):
+        square = Fraction((l + m - 1) * (l + m), 4 * (2 * l - 1) * (2 * l + 1))
+    elif (d, shift) == (1, 1):
+        square = Fraction((l + m + 1) * (l + m + 2), 4 * (2 * l + 1) * (2 * l + 3))
+    else:
+        square = Fraction((l - m + 1) * (l - m + 2), 4 * (2 * l + 1) * (2 * l + 3))
+    magnitude = math.sqrt(float(square))
+    if axis == 3:
+        return magnitude
+    if axis == 1:
+        return magnitude if (d, shift) in ((-1, 1), (1, -1)) else -magnitude
+    return 1j * magnitude if d < 0 else -1j * magnitude
 
 
 def loop_ladder_step(table, axis):
-    """One ladder step as a loop over target (l, m) and source degree k with
-    exact-rational Clebsch-Gordan factors, summed in the same order as the
-    vectorised ladder, on full N x N blocks.  Every degree 0..L-1 is
-    computed, indexed [l, m]; the source's zero blocks of the other parity
-    enter like any other."""
+    """One ladder step as a loop over target (l, m) and its source blocks
+    with factors from exact rationals (ladder_factor), summed in the same
+    order as the vectorised ladder, on full N x N blocks.  Every degree
+    0..L-1 is computed, indexed [l, m]; the source's zero blocks of the
+    other parity enter like any other."""
     L_src, n = table.max_degree, table.field_dim
     Lt = L_src - 1
     out = np.zeros((Lt + 1, Lt + 1, n, n), dtype=np.complex128)
     for l in range(Lt + 1):
         for m in range(l + 1):
             acc = np.zeros((n, n), dtype=np.complex128)
-            for k in range(max(l - 1, 0), l + 2):
-                c0 = racah_cg(1, l, k, 0, 0, 0)
-                if axis == 3:
-                    terms = ((0, 1.0),)  # (m', sign): m' = -1 reads order m + 1
-                else:
-                    terms = ((-1, -1.0 if axis == 1 else 1.0), (1, 1.0))
-                for m_prime, sign in terms:
-                    mm = m - m_prime
-                    fac = c0 * racah_cg(1, l, k, m_prime, -m, -mm) / math.sqrt(2.0 * k + 1.0)
-                    if fac != 0.0 and abs(mm) <= k:
-                        acc += sign * fac * entry(table, k, mm)
-            pref = math.sqrt((2.0 * l + 1.0) / 2.0)
-            scale = {1: pref, 2: -1j * pref, 3: math.sqrt(2.0 * l + 1.0)}[axis]
-            out[l, m] = scale * acc
+            for d in (-1, 1):
+                for shift in (0,) if axis == 3 else (1, -1):
+                    fac = ladder_factor(l, m, d, shift, axis)
+                    if fac != 0.0:
+                        acc += fac * entry(table, l + d, m + shift)
+            out[l, m] = acc
     return out
 
 

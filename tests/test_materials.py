@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import fundsol as fs
-from fundsol.errors import MaterialValidationError, UnknownMaterialError
+from fundsol.errors import FundsolError, MaterialValidationError, UnknownMaterialError
 from fundsol.materials import (
     MaterialConstants,
     full_to_voigt,
@@ -58,6 +59,21 @@ class TestBuiltins:
     def test_unknown_name_lists_available(self):
         with pytest.raises(UnknownMaterialError, match="Cu"):
             fs.builtin("Unobtainium")
+
+    @pytest.mark.parametrize("name", fs.builtin_names())
+    def test_listed_name_resolves_or_names_itself(self, name):
+        # the listed template "IsoElastic(mu,nu)" is not a material: it is
+        # refused with its own name and the numeric form
+        try:
+            assert fs.validate(fs.builtin(name)) == []
+        except FundsolError as exc:
+            assert name in str(exc)
+            assert "IsoElastic(<mu>,<nu>)" in str(exc)
+
+    @pytest.mark.parametrize("name", ["IsoElastic", "IsoElastic(1,x)", "IsoElastic()"])
+    def test_iso_elastic_needs_two_numbers(self, name):
+        with pytest.raises(UnknownMaterialError, match=re.escape(repr(name))):
+            fs.builtin(name)
 
 
 class TestValidate:

@@ -1,5 +1,6 @@
-"""Property tests of the contour oracle and of the series evaluator on
-rotated builtins (and, for the series, cubic crystals of any Zener ratio)."""
+"""Property tests of the contour oracle, the series evaluator and the
+derivative ladder on rotated builtins (and, for the series and the ladder,
+cubic crystals of any Zener ratio)."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -140,3 +141,22 @@ def test_series_rotation_equivariance(name, incline, azimuth, spin, r):
     size_grad = max(np.max(np.abs(expect_grad)), size / np.linalg.norm(x))
     assert np.max(np.abs(got - expect)) <= ROTATION_TOL[0] * size
     assert np.max(np.abs(got_grad - expect_grad)) <= ROTATION_TOL[1] * size_grad
+
+
+# bound of the mixed-partials test: over 800 drawn materials (base degree 14,
+# every pair of axes), the two orders of a mixed second derivative differed
+# by at most 6.7e-16 of the table's largest coefficient
+MIXED_TOL = 2e-15
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(material=materials)
+def test_ladder_mixed_partials_commute(material):
+    # x_a x_b = x_b x_a, so two ladder steps give the same table in either
+    # order up to rounding
+    base = fs.base_coefficients(fs.extend(material), SERIES_L + 2)
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        ab = derive_coefficients(derive_coefficients(base, a), b)
+        ba = derive_coefficients(derive_coefficients(base, b), a)
+        assert ab.multi_index == ba.multi_index
+        assert np.max(np.abs(ab.coeffs - ba.coeffs)) <= MIXED_TOL * np.max(np.abs(ab.coeffs))

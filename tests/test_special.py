@@ -1,5 +1,7 @@
+import functools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from sympy.physics.quantum.cg import CG
 
 from fundsol.expansion import (
     CoeffTable,
-    _cg_one,
     _step_terms,
     derive_coefficients,
     make_quadrature,
@@ -123,6 +124,25 @@ class TestLegendreAtZero:
                 scale = max(abs(direct), 1.0)
                 assert abs(direct - closed) <= 1e-13 * scale
 
+    def test_correctly_rounded(self):
+        # against the factorial form (l+m)! / (2^l ((l+m)/2)! ((l-m)/2)!)
+        # rounded once, bit for bit; where that overflows a float, so does
+        # the function
+        f = math.factorial
+        for ell in range(201):
+            for m in range(ell % 2, ell + 1, 2):
+                exact = Fraction(
+                    (-1) ** ((ell + m) // 2) * f(ell + m),
+                    2**ell * f((ell + m) // 2) * f((ell - m) // 2),
+                )
+                try:
+                    expect = float(exact)
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        legendre_p_at_zero(ell, m)
+                    continue
+                assert legendre_p_at_zero(ell, m) == expect, (ell, m)
+
     def test_negative_index_raises(self):
         for ell, m in [(3, -1), (-1, 0), (0, -2)]:
             with pytest.raises(ValueError, match="l, m >= 0"):
@@ -211,19 +231,52 @@ class TestSphHarm:
                     )
 
 
+def racah_cg(l1, l2, l3, m1, m2, m3):
+    """(sign, exact square) of <l1 m1; l2 m2 | l3 m3> by the Racah sum in
+    exact integers; (1, 0) where it vanishes."""
+    if m3 != m1 + m2 or not abs(l1 - l2) <= l3 <= l1 + l2:
+        return 1, Fraction(0)
+    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
+        return 1, Fraction(0)
+    f = math.factorial
+    pref = Fraction(
+        (2 * l3 + 1) * f(l3 + l1 - l2) * f(l3 - l1 + l2) * f(l1 + l2 - l3),
+        f(l1 + l2 + l3 + 1),
+    ) * (f(l3 + m3) * f(l3 - m3) * f(l1 - m1) * f(l1 + m1) * f(l2 - m2) * f(l2 + m2))
+    total = Fraction(0)
+    for k in range(
+        max(0, l2 - l3 - m1, l1 + m2 - l3), min(l1 + l2 - l3, l1 - m1, l2 + m2) + 1
+    ):
+        den = (
+            f(k) * f(l1 + l2 - l3 - k) * f(l1 - m1 - k) * f(l2 + m2 - k)
+            * f(l3 - l2 + m1 + k) * f(l3 - l1 - m2 + k)
+        )
+        total += Fraction(-1 if k % 2 else 1, den)
+    return (-1 if total < 0 else 1), pref * total * total
+
+
 class TestClebschGordan:
-    """The closed-form <1 m1; l m2 | k M> factors (k = l +- 1) of the
-    derivative ladder, against sympy."""
+    """The ladder factors of `_step_terms` against the same integrals
+    written as Clebsch-Gordan products,
+    pref c^{1lk}_{000} c^{1lk}_{m',-m,m'-m} / sqrt(2k + 1) for source degree
+    k = l + d and order m - m' = m + shift, with pref sqrt((2l + 1) / 2) on
+    x1, -i sqrt((2l + 1) / 2) on x2 and sqrt(2l + 1) on x3, and the x1 term
+    of m' = -1 subtracted."""
 
     def test_spec_values(self):
-        assert float(_cg_one(1, 2, 0, 0)) == pytest.approx(math.sqrt(2 / 3), rel=1e-15)
-        assert float(_cg_one(1, 0, 1, -1)) == pytest.approx(1 / math.sqrt(3), rel=1e-15)
+        # x3 Y_0^0 = Y_1^0 / sqrt(3), x1 Y_0^0 = (Y_1^-1 - Y_1^1) / sqrt(6) and
+        # x2 Y_0^0 = i (Y_1^-1 + Y_1^1) / sqrt(6): target (1, 0) or (1, 1)
+        # reads source (0, 0), and target (0, 0) reads source (1, 0) or
+        # (1, 1) with the conjugate factor
+        f = {axis: {(d, shift): fac for d, shift, fac in _step_terms(1, axis)} for axis in (1, 2, 3)}
+        assert f[3][-1, 0][1, 0] == pytest.approx(1 / math.sqrt(3), rel=1e-15)
+        assert f[3][1, 0][0, 0] == pytest.approx(1 / math.sqrt(3), rel=1e-15)
+        assert f[1][-1, -1][1, 1] == pytest.approx(-1 / math.sqrt(6), rel=1e-15)
+        assert f[1][1, 1][0, 0] == pytest.approx(-1 / math.sqrt(6), rel=1e-15)
+        assert f[2][-1, -1][1, 1] == pytest.approx(1j / math.sqrt(6), rel=1e-15)
+        assert f[2][1, 1][0, 0] == pytest.approx(-1j / math.sqrt(6), rel=1e-15)
 
     def test_selection_rules_return_zero(self):
-        assert _cg_one(2, 3, 0, 3) == 0.0  # |m2| > l
-        assert _cg_one(2, 1, -1, -3) == 0.0  # |m2| > l
-        assert _cg_one(2, 1, 1, 1) == 0.0  # |M| > k
-        assert _cg_one(0, -1, 0, 0) == 0.0  # k < 0
         # k = l: c^{1ll}_{000} vanishes, so the ladder never reads it ...
         for ell in range(41):
             assert CG(S(1), S(0), S(ell), S(0), S(ell), S(0)).doit() == 0
@@ -244,32 +297,48 @@ class TestClebschGordan:
             assert not np.array_equal(a.coeffs[1], b.coeffs[1])
             assert not np.array_equal(a.coeffs[2], b.coeffs[2])
 
-    def test_against_sympy(self):
-        for ell in range(41):
-            m2 = np.arange(-ell, ell + 1)
-            for k in (ell - 1, ell + 1):
-                for m1 in (-1, 0, 1):
-                    got = _cg_one(ell, k, m1, m2)
-                    for i, mm in enumerate(m2):
-                        if k < 0 or abs(m1 + mm) > k:
-                            assert got[i] == 0.0
+    def test_factors_match_cg_products_exactly(self):
+        # every factor is the square root of one ratio of exact integers, so
+        # it equals, bit for bit, the square root of the product's rational
+        # square rounded once, with the product's sign or phase;
+        # that holds only if the two squares are the same rational
+        Lt = 40
+
+        @functools.cache
+        def cg(m1, ell, m2, k):
+            """(sign, exact square) of <1 m1; l m2 | k, m1 + m2>, by the Racah
+            sum in exact integers; sympy's CG agrees at l <= 6."""
+            sign, square = racah_cg(1, ell, k, m1, m2, m1 + m2)
+            if ell <= 6:
+                c = CG(S(1), S(m1), S(ell), S(m2), S(k), S(m1 + m2)).doit()
+                assert c**2 == Rational(square.numerator, square.denominator)
+                assert c == 0 or (c < 0) == (sign < 0)
+            return sign, square
+
+        for axis in (1, 2, 3):
+            for d, shift, factor in _step_terms.__wrapped__(Lt, axis):
+                for ell in range(Lt + 1):
+                    k = ell + d
+                    assert np.all(factor[ell, ell + 1 :] == 0.0)
+                    for m in range(ell + 1):
+                        if k < 0 or abs(m + shift) > k:
+                            assert factor[ell, m] == 0.0
                             continue
-                        ref = CG(S(1), S(m1), S(ell), S(int(mm)), S(k), S(m1 + int(mm)))
-                        assert got[i] == pytest.approx(float(ref.doit()), rel=0, abs=1e-15)
+                        (s0, c0), (s1, c1) = cg(0, ell, 0, k), cg(-shift, ell, -m, k)
+                        pref = Fraction(2 * ell + 1, 1 if axis == 3 else 2)
+                        magnitude = math.sqrt(float(pref * c0 * c1 / (2 * k + 1)))
+                        sign = -s0 * s1 if axis == 1 and shift == 1 else s0 * s1
+                        expect = -1j * sign * magnitude if axis == 2 else sign * magnitude
+                        assert factor[ell, m] == expect, (axis, d, shift, ell, m)
 
     def test_edge_rows_finite_without_warnings(self):
-        # l = 0 (where k = l - 1 = -1) and m = l sit on the edge of the
-        # valid range; they must be masked before any sqrt or division
+        # l = 0 (where l + d = -1) and m = l sit on the edge of the valid
+        # range; they must be masked before any sqrt or division
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.all(_cg_one(0, -1, np.array([-1, 0, 1]), 0) == 0.0)
             for ell in (0, 1, 5):
-                m2 = np.array([-ell, ell])
-                for k in (ell - 1, ell + 1):
-                    for m1 in (-1, 0, 1):
-                        assert np.all(np.isfinite(_cg_one(ell, k, m1, m2)))
                 for axis in (1, 2, 3):
-                    for d, shift, subtract, factor in _step_terms.__wrapped__(ell, axis):
+                    for d, shift, factor in _step_terms.__wrapped__(ell, axis):
                         assert np.all(np.isfinite(factor))
                         if d < 0:
                             assert np.all(factor[0] == 0.0)
