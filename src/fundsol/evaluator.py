@@ -6,31 +6,31 @@ A table of derivative order I evaluates as
 
 where the degree sum runs over l >= I with the parity of I (the P_l^I(0)
 prefactor kills every other term exactly).  Negative orders are the
-conjugates of positive ones, so the angular sum is real: it is evaluated in
-the real, parity-split basis of Schaeffer 2013 (SHTns).  The basis is built
-point-major, Bt (P, K), from three pieces:
+conjugates of positive ones, so the angular sum is real.
 
-- cos(m phi) and sin(m phi) for m = 0..L, m-major (L+1, P), as the powers
-  of exp(i phi) by angle addition (a cumulative product along m): one
-  cos and one sin per point instead of one per (m, point), and more
-  accurate than cos/sin of the rounded m phi (3.3e-15 against 7.1e-15 at
-  L = 40, 1.6e-14 against 5.7e-14 at L = 200, against long double);
-- the normalised Legendre rows from `special.norm_legendre_rows`, given
-  sin(theta) itself rather than sqrt(1 - cos^2), which keeps the m >= 1
-  terms relatively accurate near the z axis;
-- per degree l of the parity of I, the products of its Legendre row with
-  the trig rows, formed m-major into a contiguous (2l+1, P) scratch and
-  then copied, transposed, into the 2l+1 columns of degree l.
+Each Pbar_l^m(cos theta) is a trigonometric polynomial in theta (the double
+Fourier sphere: Merilees 1973; Townsend, Wilber & Wright 2016), a cos series
+for even m and a sin series for odd m, with frequencies j <= l of the parity
+of l.  The factor table `_factors(L, I)` holds these series times P_l^I(0),
+built once per (L, I) by an rfft of `special.norm_legendre_rows` and cached
+(O(L^3) numbers, ~1.1 MB per entry at L = 80).  One batched product per call
+contracts it with the coefficients over l, so the per-point basis is O(L):
 
-The real and imaginary parts of the m >= 0 coefficients, weighted by
-P_l^I(0), form W^T (N(N+1)/2, K) in one gather through index arrays cached
-per (L, I), and every point's kernel is the same product W^T Bt[p] (a
-stack of identical matrix-vector products), so a point gives the same bits
-alone and in any batch.  A table stores only the entries i <= j of each
-symmetric block (see CoeffTable), so W^T is built from them as stored and
-the product is mirrored into (N, N).  Every returned matrix is therefore
-exactly symmetric.  `evaluate_batch` evaluates each distinct direction once
-(a lexsort and a run-length pass over the unit vectors).
+- cos(m phi), sin(m phi), m = 0..L, as powers of exp(2 i phi) by angle
+  addition, times exp(i phi) for odd m (error 1.8e-15 at L = 40, 8.3e-15 at
+  L = 200; cos/sin of the rounded m phi: 7.1e-15, 5.7e-14);
+- sin(j theta) and cos(j theta) - cos(p theta) = -2 sin((k + p) theta)
+  sin(k theta) for j = 2k + p, p = I mod 2.  Every even-m series but m = 0
+  vanishes at the poles, so this basis drops only rounding error and keeps
+  the error near the z axis relative to the terms summed, as the Legendre
+  recurrence did; m = 0 adds its pole value times cos(p theta).
+
+Per point, two matrix-vector products (even and odd m) give the theta
+coefficients and a third the N(N+1)/2 stored entries i <= j (see
+CoeffTable), mirrored into (N, N): every matrix is exactly symmetric, and
+as no product spans the batch, a point gives the same bits alone and in any
+batch.  `evaluate_batch` evaluates each distinct direction once (a lexsort
+and a run-length pass over the unit vectors).
 
 Units: with r in meters and SI material constants, a table of order I yields
 values in (base kernel units) * m^-(I+1).
@@ -67,11 +67,8 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     """Angular (regular) factor sum_l P_l^I(0) sum_m C[l,m] Y_l^m at directions.
 
     Returns real (P, N, N), exactly symmetric; the physical kernel is this
-    / (4 pi r^(I+1)).  Orders m >= 1 and -m together contribute 2 Re(C Y),
-    so each (l, m >= 0) with l of the parity of I gives a cos(m phi) column
-    weighted by Re C and, for m >= 1, a sin(m phi) column weighted by -Im C.
-    W^T has N(N+1)/2 rows, the stored entries i <= j of each block; the
-    entries i > j are mirrored from the product.
+    / (4 pi r^(I+1)).  Orders m and -m together weight cos(m phi) by 2 Re C
+    and sin(m phi) by -2 Im C (m = 0 once, not twice).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
@@ -79,81 +76,86 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     L, I = table.max_degree, table.order
     if L < I:
         return np.zeros((theta.size, n, n))
-    rows, cols = np.triu_indices(n)
-    upper = np.empty((theta.size, rows.size))
-    # one gather of the stored entries, real or imaginary part per column,
-    # scaled by the column's weight; WT is contiguous, as the product needs
-    js, ms, sine, weights = _columns(L, I)
-    K = weights.size
-    C = table.coeffs[js, ms]
-    WT = np.empty((rows.size, K))
-    np.multiply(np.where(sine, C.imag, C.real).T, weights, out=WT)
+    F = _factors(L, I)
+    J = F.shape[1]
+    E = n * (n + 1) // 2
+    p = I % 2
+    even = L // 2 + 1
+    # G[m, k] = sum_r F[m, k, r] C[r, m], real and imaginary parts side by
+    # side; W has rows (m, cos | sin), even m first, and columns (k, e)
+    C = np.ascontiguousarray(table.coeffs).view(np.float64).transpose(1, 0, 2)
+    G = (F @ C).reshape(L + 1, J, E, 2)
+    G[..., 1] *= -1.0
+    G[1:] *= 2.0
+    W = G[np.r_[0 : L + 1 : 2, 1 : L + 1 : 2]].transpose(0, 3, 1, 2).reshape(2 * L + 2, J * E)
+    # the order-0 series at the poles; the even orders m >= 2 vanish there
+    pole = W[0].reshape(J, E).sum(axis=0)
+    upper = np.empty((theta.size, E))
     for start in range(0, theta.size, _CHUNK):
         sl = slice(start, min(start + _CHUNK, theta.size))
-        Bt = _basis(L, I, K, theta[sl], phi[sl])
-        # one identical (N(N+1)/2, K) x (K,) product per point, so a point
-        # alone and the same point in any batch give the same bits (a gemm
-        # over the whole batch sums in an order that depends on its width)
-        np.matmul(WT, Bt[:, :, None], out=upper[sl, :, None])
-    out = np.empty((theta.size, n, n))
-    out[:, rows, cols] = upper
-    out[:, cols, rows] = upper
-    return out
+        P = sl.stop - start
+        # (cos m phi, sin m phi) per point, even m first
+        w = _trig_rows(even, 2.0 * phi[sl]).T
+        v = np.empty((P, L + 1), dtype=np.complex128)
+        v[:, :even] = w
+        v[:, even:] = w[:, : L + 1 - even] * _trig_rows(2, phi[sl])[1, :, None]
+        v = v.view(np.float64)[:, None, :]
+        # cos(j theta) - cos(p theta), sin(j theta), cos(p theta); j = 2k + p
+        q = _trig_rows(J + 1, theta[sl])
+        t = np.empty((P, 1, 2 * J + 1))
+        t[:, 0, :J] = (-2.0 * q[p : p + J].imag * q[:J].imag).T
+        t[:, 0, J : 2 * J] = (q[p : p + J] * q[:J]).imag.T
+        t[:, 0, 2 * J] = q[p].real
+        # per-point products only (a gemm over the batch would sum in an
+        # order that depends on its width): even m, then odd m, then theta
+        H = np.empty((P, 2 * J + 1, E))
+        flat = H.reshape(P, 1, (2 * J + 1) * E)
+        np.matmul(v[:, :, : 2 * even], W[: 2 * even], out=flat[:, :, : J * E])
+        np.matmul(v[:, :, 2 * even :], W[2 * even :], out=flat[:, :, J * E : 2 * J * E])
+        H[:, 2 * J] = pole
+        np.matmul(t, H, out=upper[sl, None, :])
+    rows, cols = np.triu_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(E)
+    return upper[:, index]
 
 
 @lru_cache(maxsize=32)
-def _columns(L: int, I: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(row, m, sine, weight) of each basis column of a table of degree L
-    and order I, in the column order of _basis: degree l = I, I+2, ..., L
-    owns 2l+1 columns, cos(m phi) for m = 0..l, which weight the real part
-    of C[l, m], then sin(m phi) for m = 1..l, which weight its imaginary
-    part (sine is True there; a (K, 1) column).  The weight is P_l^I(0),
-    doubled for m >= 1 and negated for the sines.  Cached, as every
-    evaluation of a table of the same L and I reads the same arrays; they
-    are read-only."""
-    ells = range(I, L + 1, 2)
-    widths = [2 * l + 1 for l in ells]
-    ms = np.concatenate([np.r_[0 : l + 1, 1 : l + 1] for l in ells])
-    sine = np.concatenate([np.arange(2 * l + 1) > l for l in ells])[:, None]
-    js = np.repeat([(l - I % 2) // 2 for l in ells], widths)
-    weights = np.repeat([legendre_p_at_zero(l, I) for l in ells], widths)
-    weights *= np.where(ms > 0, 2.0, 1.0) * np.where(sine[:, 0], -1.0, 1.0)
-    for a in (js, ms, sine, weights):
-        a.setflags(write=False)
-    return js, ms, sine, weights
-
-
-def _basis(L: int, I: int, K: int, theta, phi) -> np.ndarray:
-    """Point-major real harmonic basis Bt (P, K) in the column order of
-    regular_part_at.  Each Legendre row of the parity of I is multiplied by
-    the trig rows m-major into a contiguous (2l+1, P) scratch, then copied,
-    transposed, into the 2l+1 columns of degree l: the products are the
-    same, and the transposed reads stay out of the multiplies."""
-    P = theta.size
-    cos_m, sin_m = _trig_rows(L, phi)
-    Bt = np.empty((P, K))
-    scratch = np.empty((2 * L + 1, P))
-    off = 0
-    for l, row in enumerate(norm_legendre_rows(L, np.cos(theta), np.sin(theta))):
+def _factors(L: int, I: int) -> np.ndarray:
+    """Factor table F (L+1, J, J) of degree L and order I: F[m, k, r] is the
+    coefficient of frequency j = p + 2k (p = I mod 2) in the theta series of
+    P_l^I(0) Pbar_l^m(cos theta), l = p + 2r, a cos series for even m and a
+    sin series for odd m; zero for j > l or m > l.  One rfft of the Legendre
+    rows at 2L + 2 uniform theta over the full circle, sin(theta) signed.
+    Cached and read-only."""
+    p = I % 2
+    size = 2 * L + 2
+    x = 2.0 * np.pi * np.arange(size) / size
+    J = (L - p) // 2 + 1
+    F = np.zeros((L + 1, J, J))
+    for l, row in enumerate(norm_legendre_rows(L, np.cos(x), np.sin(x))):
         if l < I or (l - I) % 2:
             continue
-        block = scratch[: 2 * l + 1]
-        np.multiply(row, cos_m[: l + 1], out=block[: l + 1])
-        np.multiply(row[1:], sin_m[1 : l + 1], out=block[l + 1 :])
-        Bt[:, off : off + 2 * l + 1] = block.T
-        off += 2 * l + 1
-    return Bt
+        r = (l - p) // 2
+        X = np.fft.rfft(row, axis=1)[:, p : l + 1 : 2] * (2.0 * legendre_p_at_zero(l, I) / size)
+        F[0 : l + 1 : 2, : r + 1, r] = X[0::2].real
+        F[1 : l + 1 : 2, : r + 1, r] = -X[1::2].imag
+    if p == 0:
+        F[:, 0] *= 0.5  # the constant term of a cos series
+    F.setflags(write=False)
+    return F
 
 
-def _trig_rows(L: int, phi) -> tuple[np.ndarray, np.ndarray]:
-    """cos(m phi) and sin(m phi), m = 0..L, each C-contiguous (L+1, P):
-    the real and imaginary parts of exp(i phi)^m, formed as a cumulative
-    product along m."""
-    e = np.empty((L + 1, phi.size), dtype=np.complex128)
-    e[0] = 1.0
-    e[1:] = np.cos(phi) + 1j * np.sin(phi)
-    np.cumprod(e, axis=0, out=e)
-    return np.ascontiguousarray(e.real), np.ascontiguousarray(e.imag)
+def _trig_rows(count: int, x) -> np.ndarray:
+    """exp(i k x) = cos(k x) + i sin(k x), k = 0..count-1, as (count, P):
+    the powers of exp(i x) by angle addition, one row from the last."""
+    e = np.empty((count, x.size), dtype=np.complex128)
+    e[:1] = 1.0
+    if count > 1:
+        step = np.cos(x) + 1j * np.sin(x)
+        for k in range(1, count):
+            np.multiply(e[k - 1], step, out=e[k])
+    return e
 
 
 def _directions(points) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,10 @@ derivative ladder are closed forms of x_a Y_l^m and live with the ladder in
 `norm_legendre_rows` yields the Legendre rows one degree at a time, m-major
 (l+1, P), from cos(theta) and sin(theta).  The base projection reads them
 whole through `norm_legendre_table` at the Gauss nodes, with sin(theta)
-formed from cos(theta); the evaluator passes sin(theta) itself, which stays
-relatively accurate near the z axis, and multiplies each row by its
-cos(m phi) and sin(m phi) rows as it comes.
+formed from cos(theta).  The evaluator reads them only to build its factor
+table (the theta Fourier series of each row), on a uniform theta grid over
+the full circle with sin(theta) signed: the rows are then the analytic
+trigonometric polynomials sin^m(theta) times a polynomial in cos(theta).
 
 Convention note: the Condon-Shortley phase (-1)^m is INCLUDED in P_l^m and
 therefore in Y_l^m = norm_legendre_table[l, m] * exp(i m phi).  Libraries and
@@ -21,6 +22,7 @@ All functions here are pure and thread-safe.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -36,8 +38,11 @@ def legendre_p_at_zero(ell: int, m: int) -> float:
 
     The double factorials are exact integers, and their ratio is rounded
     once.  Defined for l, m >= 0: exactly zero when l+m is odd (P_l^m is
-    then odd about t = 0) and when m > l.
+    then odd about t = 0) and when m > l.  l and m may be any integer type
+    (numpy integers too, which would overflow in the sign); a non-integer
+    raises TypeError.
     """
+    ell, m = operator.index(ell), operator.index(m)
     if ell < 0 or m < 0:
         raise ValueError(f"require l, m >= 0, got l={ell}, m={m}")
     if (ell + m) % 2 == 1 or m > ell:
@@ -57,10 +62,11 @@ def norm_legendre_rows(ell_max: int, t, s):
     three rotating buffers, so a yielded row is overwritten three rows later:
     copy what must outlive that.
 
-    s is sin(theta) for t = cos(theta), the factor of each step in m.  A
-    caller that holds theta passes sin(theta) itself: formed as
-    sqrt((1 - t)(1 + t)), its relative error grows as ulp/theta^2 near the
-    z axis, and so does that of every m >= 1 row.
+    s is sin(theta) for t = cos(theta), the factor of each step in m, and
+    may be negative (theta in (pi, 2 pi)).  A caller that holds theta
+    passes sin(theta) itself: formed as sqrt((1 - t)(1 + t)), its relative
+    error grows as ulp/theta^2 near the z axis, and so does that of every
+    m >= 1 row.
     """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))

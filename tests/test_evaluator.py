@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -21,7 +22,9 @@ def first_derivative_tables(base):
 
 def complex_series(table, points):
     """Kernel values (P, N, N) as the full complex sum over -l <= m <= l with
-    scipy harmonics and P_l^I(0) from scipy; no conjugation folding."""
+    scipy harmonics and P_l^I(0) from scipy; no conjugation folding.  Also
+    each point's summation condition (P,), max over the entries of
+    sum_{l,m} |P_l^I(0)| |C_lm| |Y_l^m|, in the same units."""
     pts = np.asarray(points, dtype=np.float64)
     r = np.linalg.norm(pts, axis=1)
     # arctan2 keeps theta accurate within 1e-6 rad of the poles, where
@@ -31,17 +34,59 @@ def complex_series(table, points):
     I = table.order
     n = table.field_dim
     acc = np.zeros((len(pts), n, n), dtype=np.complex128)
+    cond = np.zeros((len(pts), n, n))
     for l in range(table.max_degree + 1):
         pref = float(sps.lpmv(I, l, 0.0))
         for m in range(-l, l + 1):
-            Y = sps.sph_harm_y(l, m, theta, phi)
-            acc += pref * Y[:, None, None] * entry(table, l, m)
-    return acc / (4 * math.pi * r[:, None, None] ** (I + 1))
+            term = pref * sps.sph_harm_y(l, m, theta, phi)[:, None, None] * entry(table, l, m)
+            acc += term
+            cond += np.abs(term)
+    denom = 4 * math.pi * r[:, None, None] ** (I + 1)
+    return acc / denom, np.max(cond / denom, axis=(1, 2))
 
 
 def imag_residual(values):
     """max |imag| / max |real| of each point's matrix."""
     return np.max(np.abs(values.imag), axis=(1, 2)) / np.max(np.abs(values.real), axis=(1, 2))
+
+
+def factor_series(L, I, theta):
+    """sum_k F[m, k, r] psi_k(theta) as (L+1, R, P) from the factor table of
+    degree L and order I: psi_k is cos(j theta) for even m and sin(j theta)
+    for odd m, j = I mod 2 + 2k, each correctly rounded by mpmath (cos of
+    the rounded product j * theta would err by ~j ulp)."""
+    F = evaluator._factors(L, I)
+    js = I % 2 + 2 * np.arange(F.shape[1])
+    with mpmath.workdps(30):
+        angles = [[int(j) * mpmath.mpf(float(t)) for t in theta] for j in js]
+        cos = np.array([[float(mpmath.cos(a)) for a in row] for row in angles])
+        sin = np.array([[float(mpmath.sin(a)) for a in row] for row in angles])
+    out = np.einsum("mkr,kp->mrp", F, cos)
+    out[1::2] = np.einsum("mkr,kp->mrp", F[1::2], sin)
+    return out
+
+
+def scipy_legendre(L, I, theta):
+    """P_l^I(0) Pbar_l^m(cos theta) as (L+1, R, P) for the degrees l of the
+    parity of I, from scipy's harmonics at phi = 0; zero where m > l."""
+    ls = np.arange(I % 2, L + 1, 2)
+    pref = np.array([fs.legendre_p_at_zero(l, I) for l in ls])[None, :, None]
+    m = np.arange(L + 1)[:, None, None]
+    ls = ls[None, :, None]
+    Y = sps.sph_harm_y(ls, m, np.asarray(theta)[None, None, :], 0.0).real
+    return np.where(m <= ls, pref * Y, 0.0)
+
+
+def mp_legendre(l, m, theta):
+    """Pbar_l^m(cos theta) in 40 digits, Condon-Shortley phase included:
+    c (-sin theta)^m / (2^m m!) 2F1(m - l, l + m + 1; m + 1; sin^2(theta/2))
+    with c = sqrt((2l+1)/(4 pi) (l+m)!/(l-m)!), a terminating series."""
+    with mpmath.workdps(40):
+        th = mpmath.mpf(float(theta))
+        c = mpmath.sqrt((2 * l + 1) / (4 * mpmath.pi) * mpmath.factorial(l + m) / mpmath.factorial(l - m))
+        c /= (-2) ** m * mpmath.factorial(m)
+        hyp = mpmath.hyp2f1(m - l, l + m + 1, m + 1, mpmath.sin(th / 2) ** 2)
+        return float(c * mpmath.sin(th) ** m * hyp)
 
 
 class TestEvaluate:
@@ -97,7 +142,7 @@ class TestEvaluate:
     def test_realness_isotropic(self, base_laplace, base_iso, rng):
         for table in (base_laplace, derive_multi(base_iso, (1, 1, 0))):
             d = random_directions(rng, 10)
-            full = complex_series(table, d)
+            full, _ = complex_series(table, d)
             assert np.all(imag_residual(full) < 1e-10)
             got = fs.evaluate_batch(table, d)
             err = np.max(np.abs(got - full.real), axis=(1, 2))
@@ -106,7 +151,7 @@ class TestEvaluate:
     def test_realness_anisotropic(self, base_cu, rng):
         table = derive_multi(base_cu, (1, 1, 1)).truncated(40)
         d = random_directions(rng, 10)
-        assert np.all(imag_residual(complex_series(table, d)) < 1e-8)
+        assert np.all(imag_residual(complex_series(table, d)[0]) < 1e-8)
 
     def test_matrix_symmetry_all_builtins(self, rng):
         for name in ("Cu", "Au", "Ni", "PZT-4", "PVDF", "M1", "M2"):
@@ -146,11 +191,20 @@ class TestEvaluateBatch:
             single = fs.evaluate(base_cu, pts[p])
             assert np.max(np.abs(v - single)) <= 1e-15 * np.max(np.abs(single))
 
-    @pytest.mark.parametrize("name,L,mi", [("Cu", 40, (0, 0, 0)), ("M2", 16, (0, 0, 1))])
+    @pytest.mark.parametrize(
+        "name,L,mi",
+        [
+            ("Cu", 40, (0, 0, 0)),
+            ("M2", 16, (0, 0, 1)),
+            ("Cu", 40, (2, 1, 0)),
+            ("M2", 22, (1, 1, 0)),
+        ],
+    )
     def test_rows_bit_identical_across_batch_widths(self, name, L, mi, base_cu, base_m2, rng):
-        # every point gets the same per-point product, so its row has the
+        # every point gets the same per-point products, so its row has the
         # same bits alone and in any batch, also across the basis chunk
-        # boundary (4097 points are two chunks)
+        # boundary (4097 points are two chunks); even and odd orders I, so
+        # both theta bases, and N = 3 and N = 5
         base = {"Cu": base_cu, "M2": base_m2}[name]
         table = derive_multi(base, mi).truncated(L)
         pts = rng.normal(size=(4097, 3))
@@ -343,20 +397,44 @@ class TestRegularPart:
             moved = regular_part_at(table, np.nextafter(theta, toward), phi)
             assert np.max(np.abs(moved - value)) <= 6e-15 * np.max(np.abs(value))
 
-    @pytest.mark.parametrize("mi", [(0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 1, 0)])
-    def test_weights_match_degree_loop(self, base_m2, mi):
-        # W^T from the cached column gather equals the per-degree loop it
-        # replaced, bit for bit
-        table = derive_multi(base_m2, mi).truncated(20)
-        I = table.order
-        loop = []
-        for l in range(I, 21, 2):
-            C = table.coeffs[(l - table.parity) // 2, : l + 1] * fs.legendre_p_at_zero(l, I)
-            C[1:] *= 2.0
-            loop += [C.real.T, -C.imag[1:].T]
-        js, ms, sine, weights = evaluator._columns(20, I)
-        C = table.coeffs[js, ms]
-        assert np.array_equal(np.where(sine, C.imag, C.real).T * weights, np.hstack(loop))
+    @pytest.mark.parametrize("L", [16, 40, 80])
+    @pytest.mark.parametrize("I", [0, 1, 3])
+    def test_factor_table_matches_scipy(self, L, I, rng):
+        # the factor table's theta series against P_l^I(0) Pbar_l^m(cos
+        # theta) from scipy, at random theta and within 1e-9 of both poles,
+        # per (l, m) against that function's largest value on a grid.
+        # Measured worst over rng seeds 0-3: 1.0e-14 (L = 16), 5.2e-14
+        # (L = 40), 1.1e-13 (L = 80), mostly scipy's own error: its
+        # recurrence errs by up to 1.1e-13 near the poles at L = 80, and
+        # the factor table by up to 2e-14, both against mpmath
+        theta = np.concatenate(
+            [rng.uniform(0, np.pi, 32), [0.0, 1e-12, 1e-9], np.pi - np.array([0.0, 1e-12, 1e-9])]
+        )
+        got = factor_series(L, I, theta)
+        grid = np.linspace(0, np.pi, 2 * L + 2)
+        scale = np.max(np.abs(scipy_legendre(L, I, np.concatenate([grid, theta]))), axis=2)
+        err = np.max(np.abs(got - scipy_legendre(L, I, theta)), axis=2)
+        live = scale > 0
+        assert np.all(err[~live] == 0.0)  # m > l, and P_l^I(0) = 0 for l < I
+        assert np.all(err[live] <= 3e-15 * L * scale[live])
+
+    @pytest.mark.parametrize("I", [0, 1])
+    def test_factor_table_matches_mpmath(self, I):
+        # the top two degrees at L = 160, every order m, against the
+        # terminating hypergeometric form in 40 digits, per (l, m) against
+        # that function's largest value on a grid.  Measured: 6.3e-14 at
+        # theta = 3e-7 and pi - 3e-7, <= 4e-15 elsewhere; the per-point
+        # Legendre recurrence reads 5.9e-13 at 3e-7
+        L = 160
+        theta = np.array([3e-7, 0.7, 2.0, np.pi - 3e-7])
+        got = factor_series(L, I, theta)
+        grid = np.linspace(0, np.pi, 2 * L + 2)
+        for l in (L - 2 - I, L - I):
+            pref = fs.legendre_p_at_zero(l, I)
+            for m in range(l + 1):
+                exact = pref * np.array([mp_legendre(l, m, t) for t in theta])
+                scale = abs(pref) * np.max(np.abs(sps.sph_harm_y(l, m, grid, 0.0).real))
+                assert np.max(np.abs(got[m, (l - I) // 2] - exact)) <= 1e-13 * scale, (l, m)
 
     def test_below_order_degrees_drop_out(self, base_laplace):
         # degrees below the derivative order never contribute: their
@@ -379,8 +457,8 @@ class TestRegularPart:
         ],
     )
     def test_matches_complex_sum(self, name, mi, L, rng):
-        # the real cos/sin contraction, with cos(m phi) and sin(m phi) by
-        # angle addition, against the direct complex sum; also within 1e-6
+        # the double Fourier form, with cos(m phi) and sin(m phi) by angle
+        # addition, against the direct complex sum; also within 1e-6
         # rad of both poles and at phi = +-pi (y = +-0.0 and y = +-1e-300
         # with x < 0)
         base = fs.base_coefficients(fs.extend(fs.builtin(name)), L + sum(mi))
@@ -398,13 +476,19 @@ class TestRegularPart:
         pts = np.concatenate([pts, near])
         pts *= rng.uniform(0.5, 2.0, size=(len(pts), 1))
         got = fs.evaluate_batch(table, pts)
-        ref = complex_series(table, pts)
+        ref, cond = complex_series(table, pts)
         assert got.dtype == np.float64
-        scale = np.max(np.abs(ref), axis=(1, 2))
-        # a pole or phi = +-pi point can sit on a zero of the kernel by
-        # symmetry (PZT-4 d2/dxdy on the z axis and in the xz plane), so
-        # those points are measured against the batch's largest value
-        scale[64:] = np.max(scale)
+        # each random point's error against its summation condition: its
+        # own largest value vanishes near the symmetry zeros of a kernel
+        # (PZT-4 d2/dxdy on the z axis and in the xz plane), while the
+        # rounding error of a sum follows the size of its terms.  A pole
+        # or phi = +-pi point can sit on such a zero, so those points are
+        # measured against the batch's largest value.  Measured worst over
+        # rng seeds 0-5 on the five cases: 9.3e-15 (8.5e-15 with the
+        # per-point Legendre recurrence); at the poles and phi = +-pi,
+        # 4.3e-15
+        scale = cond
+        scale[64:] = np.max(np.abs(ref))
         err = np.max(np.abs(got - ref), axis=(1, 2)) / scale
-        assert np.all(err <= 1e-13)
+        assert np.all(err <= 2e-14)
         assert np.all(imag_residual(ref[:64]) <= 1e-13)

@@ -148,6 +148,19 @@ class TestLegendreAtZero:
             with pytest.raises(ValueError, match="l, m >= 0"):
                 legendre_p_at_zero(ell, m)
 
+    @pytest.mark.parametrize("itype", [np.int32, np.int64])
+    def test_numpy_integers(self, itype):
+        # a numpy-integer sign (-1)**k times a Python big integer overflowed
+        # from l = 40 on
+        for ell in (40, 80):
+            for m in (0, 1, 3, 4):
+                assert legendre_p_at_zero(itype(ell), itype(m)) == legendre_p_at_zero(ell, m)
+
+    @pytest.mark.parametrize("ell,m", [(4.0, 0), (4, 2.0), (np.float64(4), 0)])
+    def test_non_integer_raises(self, ell, m):
+        with pytest.raises(TypeError):
+            legendre_p_at_zero(ell, m)
+
 
 class TestSphHarm:
     """The package's harmonic basis: norm_legendre_table * exp(i m phi)."""
