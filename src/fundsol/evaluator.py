@@ -16,8 +16,8 @@ built once per (L, I) by an rfft of `special.norm_legendre_rows` and cached
 (O(L^3) numbers, ~1.1 MB per entry at L = 80).  One batched product per call
 contracts it with the coefficients over l, so the per-point basis is O(L):
 
-- cos(m phi), sin(m phi), m = 0..L, as powers of exp(2 i phi) by angle
-  addition, times exp(i phi) for odd m (error 1.8e-15 at L = 40, 8.3e-15 at
+- cos(m phi), -sin(m phi), m = 0..L, as powers of exp(-2 i phi) by angle
+  addition, times exp(-i phi) for odd m (error 1.8e-15 at L = 40, 8.3e-15 at
   L = 200; cos/sin of the rounded m phi: 7.1e-15, 5.7e-14);
 - sin(j theta) and cos(j theta) - cos(p theta) = -2 sin((k + p) theta)
   sin(k theta) for j = 2k + p, p = I mod 2.  Every even-m series but m = 0
@@ -82,10 +82,9 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     p = I % 2
     even = L // 2 + 1
     # G[m, k] = sum_r F[m, k, r] C[r, m], real and imaginary parts side by
-    # side; W has rows (m, cos | sin), even m first, and columns (k, e)
+    # side; W has rows (m, Re | Im), even m first, and columns (k, e)
     C = np.ascontiguousarray(table.coeffs).view(np.float64).transpose(1, 0, 2)
     G = (F @ C).reshape(L + 1, J, E, 2)
-    G[..., 1] *= -1.0
     G[1:] *= 2.0
     W = G[np.r_[0 : L + 1 : 2, 1 : L + 1 : 2]].transpose(0, 3, 1, 2).reshape(2 * L + 2, J * E)
     # the order-0 series at the poles; the even orders m >= 2 vanish there
@@ -94,11 +93,11 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     for start in range(0, theta.size, _CHUNK):
         sl = slice(start, min(start + _CHUNK, theta.size))
         P = sl.stop - start
-        # (cos m phi, sin m phi) per point, even m first
-        w = _trig_rows(even, 2.0 * phi[sl]).T
+        # (cos m phi, -sin m phi) per point, even m first
+        w = _trig_rows(even, -2.0 * phi[sl]).T
         v = np.empty((P, L + 1), dtype=np.complex128)
         v[:, :even] = w
-        v[:, even:] = w[:, : L + 1 - even] * _trig_rows(2, phi[sl])[1, :, None]
+        v[:, even:] = w[:, : L + 1 - even] * _trig_rows(2, -phi[sl])[1, :, None]
         v = v.view(np.float64)[:, None, :]
         # cos(j theta) - cos(p theta), sin(j theta), cos(p theta); j = 2k + p
         q = _trig_rows(J + 1, theta[sl])
@@ -122,12 +121,10 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _factors(L: int, I: int) -> np.ndarray:
-    """Factor table F (L+1, J, J) of degree L and order I: F[m, k, r] is the
-    coefficient of frequency j = p + 2k (p = I mod 2) in the theta series of
-    P_l^I(0) Pbar_l^m(cos theta), l = p + 2r, a cos series for even m and a
-    sin series for odd m; zero for j > l or m > l.  One rfft of the Legendre
-    rows at 2L + 2 uniform theta over the full circle, sin(theta) signed.
-    Cached and read-only."""
+    """F (L+1, J, J): F[m, k, r] is the coefficient of j = p + 2k (p = I mod 2)
+    in the cos (even m) or sin (odd m) series in theta of P_l^I(0)
+    Pbar_l^m(cos theta), l = p + 2r, zero for j > l or m > l: one rfft of the
+    Legendre rows at 2L + 2 uniform theta on the circle, sin(theta) signed."""
     p = I % 2
     size = 2 * L + 2
     x = 2.0 * np.pi * np.arange(size) / size
