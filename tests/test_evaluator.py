@@ -403,8 +403,8 @@ class TestRegularPart:
         # the factor table's theta series against P_l^I(0) Pbar_l^m(cos
         # theta) from scipy, at random theta and within 1e-9 of both poles,
         # per (l, m) against that function's largest value on a grid.
-        # Measured worst over rng seeds 0-3: 1.0e-14 (L = 16), 5.2e-14
-        # (L = 40), 1.1e-13 (L = 80), mostly scipy's own error: its
+        # Measured worst over rng seeds 0-5 and 42: 8.0e-15 (L = 16),
+        # 3.7e-14 (L = 40), 1.3e-13 (L = 80), mostly scipy's own error: its
         # recurrence errs by up to 1.1e-13 near the poles at L = 80, and
         # the factor table by up to 2e-14, both against mpmath
         theta = np.concatenate(
@@ -423,7 +423,7 @@ class TestRegularPart:
         # the top two degrees at L = 160, every order m, against the
         # terminating hypergeometric form in 40 digits, per (l, m) against
         # that function's largest value on a grid.  Measured: 6.3e-14 at
-        # theta = 3e-7 and pi - 3e-7, <= 4e-15 elsewhere; the per-point
+        # theta = 3e-7 and pi - 3e-7, <= 1.5e-14 elsewhere; the per-point
         # Legendre recurrence reads 5.9e-13 at 3e-7
         L = 160
         theta = np.array([3e-7, 0.7, 2.0, np.pi - 3e-7])
