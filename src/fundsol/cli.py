@@ -265,6 +265,8 @@ def cmd_bench(args) -> int:
     mi = _parse_multi_index(args.multi_index)
     rng = np.random.default_rng(args.seed)
     n_pts = args.points_count
+    if n_pts < 1:
+        raise ValueError(f"--points-count: expected a positive int, got {str(n_pts)!r}")
     pts = rng.normal(size=(n_pts, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     warmup = max(1, args.warmup)

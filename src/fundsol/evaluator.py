@@ -25,12 +25,18 @@ contracts it with the coefficients over l, so the per-point basis is O(L):
   the error near the z axis relative to the terms summed, as the Legendre
   recurrence did; m = 0 adds its pole value times cos(p theta).
 
-Per point, two matrix-vector products (even and odd m) give the theta
-coefficients and a third the N(N+1)/2 stored entries i <= j (see
-CoeffTable), mirrored into (N, N): every matrix is exactly symmetric, and
-as no product spans the batch, a point gives the same bits alone and in any
-batch.  `evaluate_batch` evaluates each distinct direction once (a lexsort
-and a run-length pass over the unit vectors).
+Two products over m (even and odd) give the theta coefficients, each as
+one gemm per block of _BLOCK points, the last block padded with zero rows;
+a per-point product over theta then gives the N(N+1)/2 stored entries
+i <= j (see CoeffTable), mirrored into (N, N), so every matrix is exactly
+symmetric.  A gemm over the whole batch would round a row differently as
+the row count changes.  Every block gemm has the same shape, and OpenBLAS
+sums each of its output rows from that row alone in an order the shape
+sets, so a point gets the same bits alone, at any place in a block and in
+any batch.  This rests on the BLAS, not on numpy; the tests check it at
+every place of a block, for widths 1 to 4097, and with one BLAS thread
+against the default.  `evaluate_batch` evaluates each distinct direction
+once (a lexsort and a run-length pass over the unit vectors).
 
 Units: with r in meters and SI material constants, a table of order I yields
 values in (base kernel units) * m^-(I+1).
@@ -60,7 +66,8 @@ __all__ = [
     "regular_part_at",
 ]
 
-_CHUNK = 4096  # directions per basis chunk
+_BLOCK = 16  # rows of every m-product gemm, padded with zero rows
+_CHUNK = 256 * _BLOCK  # directions per basis chunk
 
 
 def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
@@ -93,26 +100,30 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     for start in range(0, theta.size, _CHUNK):
         sl = slice(start, min(start + _CHUNK, theta.size))
         P = sl.stop - start
-        # (cos m phi, -sin m phi) per point, even m first
+        blocks = -(-P // _BLOCK)
+        # (cos m phi, -sin m phi) per point, even m first; zero rows pad the
+        # chunk to whole blocks
         w = _trig_rows(even, -2.0 * phi[sl]).T
-        v = np.empty((P, L + 1), dtype=np.complex128)
-        v[:, :even] = w
-        v[:, even:] = w[:, : L + 1 - even] * _trig_rows(2, -phi[sl])[1, :, None]
-        v = v.view(np.float64)[:, None, :]
+        v = np.zeros((blocks * _BLOCK, L + 1), dtype=np.complex128)
+        v[:P, :even] = w
+        v[:P, even:] = w[:, : L + 1 - even] * _trig_rows(2, -phi[sl])[1, :, None]
+        v = v.view(np.float64).reshape(blocks, _BLOCK, 2 * L + 2)
         # cos(j theta) - cos(p theta), sin(j theta), cos(p theta); j = 2k + p
         q = _trig_rows(J + 1, theta[sl])
         t = np.empty((P, 1, 2 * J + 1))
         t[:, 0, :J] = (-2.0 * q[p : p + J].imag * q[:J].imag).T
         t[:, 0, J : 2 * J] = (q[p : p + J] * q[:J]).imag.T
         t[:, 0, 2 * J] = q[p].real
-        # per-point products only (a gemm over the batch would sum in an
-        # order that depends on its width): even m, then odd m, then theta
-        H = np.empty((P, 2 * J + 1, E))
-        flat = H.reshape(P, 1, (2 * J + 1) * E)
+        # even m, then odd m: one gemm per block of _BLOCK rows, so every
+        # row is summed by a gemm of one shape and gets the same bits at any
+        # place in any batch (a gemm over the whole batch would not: its
+        # rounding depends on the row count); then theta, per point
+        H = np.empty((blocks * _BLOCK, 2 * J + 1, E))
+        flat = H.reshape(blocks, _BLOCK, (2 * J + 1) * E)
         np.matmul(v[:, :, : 2 * even], W[: 2 * even], out=flat[:, :, : J * E])
         np.matmul(v[:, :, 2 * even :], W[2 * even :], out=flat[:, :, J * E : 2 * J * E])
         H[:, 2 * J] = pole
-        np.matmul(t, H, out=upper[sl, None, :])
+        np.matmul(t, H[:P], out=upper[sl, None, :])
     rows, cols = np.triu_indices(n)
     index = np.empty((n, n), dtype=np.intp)
     index[rows, cols] = index[cols, rows] = np.arange(E)

@@ -74,6 +74,8 @@ class TestOptions:
             ("plot", "--multi-index", "0,0,x"),
             ("plot", "--multi-index", "0 1"),
             ("bench", "--multi-index", "1,0,0,0"),
+            ("bench", "--points-count", "0"),
+            ("bench", "--points-count", "-3"),
         ],
     )
     def test_malformed_flag_value_names_flag_exit_2(self, capsys, command, flag, text):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -201,10 +205,11 @@ class TestEvaluateBatch:
         ],
     )
     def test_rows_bit_identical_across_batch_widths(self, name, L, mi, base_cu, base_m2, rng):
-        # every point gets the same per-point products, so its row has the
-        # same bits alone and in any batch, also across the basis chunk
-        # boundary (4097 points are two chunks); even and odd orders I, so
-        # both theta bases, and N = 3 and N = 5
+        # every point goes through m-product gemms of one fixed block shape
+        # (the chunk padded with zero rows to whole blocks) and a per-point
+        # theta product, so its row has the same bits alone and in any batch,
+        # also across the basis chunk boundary (4097 points are two chunks);
+        # even and odd orders I, so both theta bases, and N = 3 and N = 5
         base = {"Cu": base_cu, "M2": base_m2}[name]
         table = derive_multi(base, mi).truncated(L)
         pts = rng.normal(size=(4097, 3))
@@ -213,6 +218,41 @@ class TestEvaluateBatch:
             for start in sorted({0, 1, 4097 - width}):
                 rows = fs.evaluate_batch(table, pts[start : start + width])
                 assert np.array_equal(rows, full[start : start + width])
+
+    @pytest.mark.parametrize("name,L,mi", [("Cu", 40, (0, 0, 0)), ("M2", 16, (0, 0, 1))])
+    def test_row_bits_independent_of_place_in_block(self, name, L, mi, base_cu, base_m2, rng):
+        # one point at every place of a block of otherwise distinct points
+        # gives the bits it gets alone (the only row of a zero-padded block)
+        base = {"Cu": base_cu, "M2": base_m2}[name]
+        table = derive_multi(base, mi).truncated(L)
+        theta = rng.uniform(0.0, np.pi, size=evaluator._BLOCK)
+        phi = rng.uniform(-np.pi, np.pi, size=evaluator._BLOCK)
+        alone = regular_part_at(table, theta[:1], phi[:1])[0]
+        for place in range(evaluator._BLOCK):
+            order = np.r_[1 : place + 1, 0, place + 1 : evaluator._BLOCK]
+            rows = regular_part_at(table, theta[order], phi[order])
+            assert np.array_equal(rows[place], alone)
+
+    def test_values_independent_of_blas_threads(self, ext_cu, rng, tmp_path):
+        # Cu L=80 runs the largest block products of any test; one BLAS
+        # thread in a subprocess gives the bits of the default thread count
+        table = fs.base_coefficients(ext_cu, 80)
+        fs.save_table(table, tmp_path / "cu.fsct")
+        np.save(tmp_path / "pts.npy", rng.normal(size=(3000, 3)))
+        script = (
+            "import sys, numpy as np, fundsol as fs; d = sys.argv[1]; "
+            "np.save(d + '/one.npy', fs.evaluate_batch("
+            "fs.load_table(d + '/cu.fsct'), np.load(d + '/pts.npy')))"
+        )
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1",
+            "PYTHONPATH": str(Path(fs.__file__).parents[1]),
+        }
+        subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True)
+        here = fs.evaluate_batch(fs.load_table(tmp_path / "cu.fsct"), np.load(tmp_path / "pts.npy"))
+        assert np.array_equal(np.load(tmp_path / "one.npy"), here)
 
     def test_one_ray_is_one_direction(self, base_cu, monkeypatch):
         # points on one ray normalise to the same unit vector bit for bit
