@@ -8,16 +8,25 @@ Exit codes are stable and documented:
        names the row)
     3  singular operator symbol
     4  coefficient-table / material hash mismatch
-    5  invalid evaluation point (zero length), message names the row
+    5  invalid evaluation point: zero length, or so near zero length that
+       the kernel value overflows float64; the message names the row
 
 The default tables directory is taken from the FUNDSOL_TABLES_DIR environment
 variable when --tables-dir is not given.  `build` writes FSCT version 3
 files, which store the entries i <= j of each symmetric block; files of
 earlier versions exit 2 with a pointer to `fundsol build`.  All
-floating-point output is printed with 17 significant digits so reruns can
-be diffed byte for byte.  `eval` writes one row per point and entry (i, j),
-all N^2 of them; the kernels are exactly symmetric, so each distinct entry
-i <= j is formatted once and row (j, i) repeats its text.
+floating-point output is printed with 17 significant digits ("%.17g") so
+reruns can be diffed byte for byte.
+
+`eval` reads its points file with one np.loadtxt call (a first line that
+does not parse is a header; blank lines are skipped; a file numpy refuses is
+read again line by line with float(), which names the line of a bad row).
+It writes one row x,y,z,i,j,value per point and entry (i, j), all N^2 of
+them, in (point, i, j) order.  The kernels are exactly symmetric, so one
+%-pass formats the N(N+1)/2 distinct entries of every point and another
+every coordinate, row (j, i) reuses the text of (i, j) by an index gather,
+and the rows are joined and written once.  Formatting at 17 digits is most
+of the time `eval` takes.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from .expansion import (
     derive_multi,
     derive_tree,
     load_table,
+    packed_index,
     save_table,
 )
 from .materials import builtin, extend, format_material, load_material_json, validate, zener_family
@@ -84,28 +94,47 @@ def _parse_multi_index(text: str) -> MultiIndex:
     return MultiIndex(*_parse_values("--multi-index", text, count=3, sep=None))
 
 
+def _point_row(line: str) -> list[float] | None:
+    """The floats of one comma-separated row, None if a field does not parse."""
+    try:
+        return [float(p) for p in line.split(",")]
+    except ValueError:
+        return None
+
+
 def _read_points(path) -> np.ndarray:
     """x,y,z rows of a points CSV; a first line that does not parse is a
-    header.  A bad data row raises ValueError naming the file and line."""
-    rows = []
+    header, and blank lines are skipped.  One np.loadtxt call parses the data
+    lines; when it refuses them, they are read again one by one with float(),
+    which accepts the spellings numpy does not (such as 1_0) and raises
+    ValueError naming the file and the physical line of a bad row."""
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ValueError(f"{path}, line {lineno}: unparsable point row {line!r}") from None
-            if len(row) != 3:
-                raise ValueError(
-                    f"{path}, line {lineno}: point row has {len(row)} fields, "
-                    f"expected 3 (x,y,z): {line!r}"
-                )
-            rows.append(row)
+        lines = f.read().split("\n")
+    first = lines[0].strip()
+    start = 1 if first and _point_row(first) is None else 0
+    data = lines[start:]
+    if not any(map(str.strip, data)):
+        return np.zeros((0, 3))
+    try:
+        points = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+        if points.shape[1] == 3:
+            return points
+    except ValueError:
+        pass
+    rows = []
+    for lineno, line in enumerate(data, start=start + 1):
+        line = line.strip()
+        if not line:
+            continue
+        row = _point_row(line)
+        if row is None:
+            raise ValueError(f"{path}, line {lineno}: unparsable point row {line!r}")
+        if len(row) != 3:
+            raise ValueError(
+                f"{path}, line {lineno}: point row has {len(row)} fields, "
+                f"expected 3 (x,y,z): {line!r}"
+            )
+        rows.append(row)
     return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
 
 
@@ -157,25 +186,36 @@ def cmd_eval(args) -> int:
     table = load_table(path, expected_material_hash=material_hash)
     points = _read_points(args.points)
     values = evaluate_batch(table, points)
-    n = table.field_dim
-    # the kernel is exactly symmetric, so each point's entries i <= j are
-    # formatted once and row (j, i) reuses the string of (i, j); rows run
-    # over (point, i, j), one text block per point
-    rows, cols = np.triu_indices(n)
-    upper = {ij: k for k, ij in enumerate(zip(rows.tolist(), cols.tolist()))}
-    slots = [(f"{i + 1},{j + 1},", upper[min(i, j), max(i, j)]) for i in range(n) for j in range(n)]
-    cells = list(map("{:.17g}".format, values[:, rows, cols].reshape(-1).tolist()))
-    lines = ["x,y,z,i,j,value"]
-    for (x, y, z), start in zip(points.tolist(), range(0, len(cells), rows.size)):
-        prefix = f"{_fmt(x)},{_fmt(y)},{_fmt(z)},"
-        own = cells[start : start + rows.size]
-        lines.append("\n".join([prefix + ij + own[k] for ij, k in slots]))
-    _write_lines(args.out, lines)
+    _write_text(args.out, _eval_text(points, values))
     return EXIT_OK
 
 
+def _eval_text(points, values) -> str:
+    """The eval CSV: a header, then x,y,z,i,j,value per point and entry, in
+    (point, i, j) order.  One %-pass formats every coordinate and a second
+    the entries i <= j of every point (the kernels are exactly symmetric);
+    row (j, i) takes the string of (i, j) by an index gather, and the rows
+    are joined once."""
+    count, n = values.shape[:2]
+    rows, cols, mirror = packed_index(n)
+    prefixes = (("%.17g,%.17g,%.17g,\n" * count) % tuple(points.ravel().tolist())).split("\n")
+    cells = ("%.17g\n" * (count * rows.size)) % tuple(values[:, rows, cols].ravel().tolist())
+    labels = [f"{i + 1},{j + 1}," for i in range(n) for j in range(n)]
+    pieces = np.empty((count, n * n, 3), dtype=object)
+    pieces[:, :, 0] = np.array(prefixes[:-1], dtype=object)[:, None]
+    pieces[:, :, 1] = np.array(labels, dtype=object)
+    cells = np.array(cells.splitlines(True), dtype=object).reshape(count, rows.size)
+    pieces[:, :, 2] = cells[:, mirror.ravel()]
+    pieces = pieces.ravel().tolist()
+    pieces.insert(0, "x,y,z,i,j,value\n")  # joined with the rows, not onto their text
+    return "".join(pieces)
+
+
 def _write_lines(out: Path | None, lines) -> None:
-    text = "\n".join(lines) + "\n"
+    _write_text(out, "\n".join(lines) + "\n")
+
+
+def _write_text(out: Path | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:

@@ -36,11 +36,12 @@ class SingularSymbolError(FundsolError, ValueError):
 
 
 class SingularPointError(FundsolError, ValueError):
-    """Evaluation requested at r = 0 (kernel singularity)."""
+    """Evaluation requested at r = 0 (kernel singularity), or so near it that
+    the kernel value is not finite in float64."""
 
-    def __init__(self, index=None):
+    def __init__(self, index=None, reason="kernel evaluation at zero distance"):
         self.index = index
-        msg = "kernel evaluation at zero distance"
+        msg = reason
         if index is not None:
             msg += f" (point index {index})"
         super().__init__(msg)

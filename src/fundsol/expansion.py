@@ -74,6 +74,7 @@ __all__ = [
     "save_table",
     "load_table",
     "multi_indices_up_to",
+    "packed_index",
     "DEFAULT_MAX_ORDER",
 ]
 
@@ -214,6 +215,20 @@ def _degree_rows(L: int, parity: int) -> int:
     return (L - parity) // 2 + 1
 
 
+@lru_cache(maxsize=None)
+def packed_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, mirror) of the entries of a symmetric N x N block as a
+    CoeffTable stores them: entry e is (rows[e], cols[e]), rows <= cols, in
+    `np.triu_indices(N)` order, and mirror[i, j] = mirror[j, i] is the entry
+    holding (i, j).  One read-only set per N."""
+    rows, cols = np.triu_indices(n)
+    mirror = np.empty((n, n), dtype=np.intp)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(rows.size)
+    for index in (rows, cols, mirror):
+        index.setflags(write=False)
+    return rows, cols, mirror
+
+
 @dataclass(frozen=True)
 class CoeffTable:
     """Expansion coefficients of one kernel (one derivative multi-index).
@@ -286,7 +301,7 @@ def base_coefficients(
     half = quad.phi_nodes.size // 2
     dirs = quad.nodes().reshape(t.size, 2 * half, 3)[:, :half]
     # the entries i <= j of each symmetric inverse symbol
-    rows, cols = np.triu_indices(n)
+    rows, cols, _ = packed_index(n)
     inv = inverse_symbol_batch(ext, dirs.reshape(-1, 3))[:, rows, cols].reshape(t.size, half, -1)
     inv = np.concatenate([inv, inv[::-1]], axis=1)
     # azimuthal transform: G[a, m] = sum_b inv[a, b] exp(-i m phi_b) for the
@@ -561,7 +576,7 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
     bad = np.argwhere(~np.isfinite(stored))
     if bad.size:
         k, e = bad[0]
-        i, j = (int(v[e]) + 1 for v in np.triu_indices(n))
+        i, j = (int(v[e]) + 1 for v in packed_index(n)[:2])
         raise TableCorruptionError(
             f"block (l={parity + 2 * js[k]}, m={ms[k]}) is not finite at entry "
             f"(i={i}, j={j}); file damaged"

@@ -22,12 +22,13 @@ A_k = -A_0 (K1 A_(k-1) + K2 A_(k-2)), with no further inversion.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import UnsupportedOracleError
-from .evaluator import SphereField, _directions, evaluate_batch
+from .evaluator import SphereField, _directions, _finite_rows, evaluate_batch
 from .expansion import MultiIndex
 from .materials import ExtendedTensor
 from .symbol import inverse_symbol_batch, symbol_matrix_batch
@@ -46,6 +47,21 @@ __all__ = [
 _CONTOUR_BUDGET = 4096  # directions x contour nodes per batched inversion
 
 
+def _finite_closed_form(fn):
+    """A closed form whose value is refused by SingularPointError where it
+    overflows, at a point this near zero distance, as evaluate_batch does."""
+
+    @functools.wraps(fn)
+    def closed_form(*args, **kwargs):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            value = fn(*args, **kwargs)
+        _finite_rows(np.reshape(value, (1, 1, 1)))
+        return value
+
+    return closed_form
+
+
+@_finite_closed_form
 def laplace_closed(mi, r) -> float:
     """Closed-form scalar-potential kernel derivatives.
 
@@ -76,6 +92,7 @@ def laplace_closed(mi, r) -> float:
     )
 
 
+@_finite_closed_form
 def kelvin_closed(mu: float, nu: float, selector: str, r) -> float:
     """Isotropic-elasticity closed forms for the 11 component.
 
@@ -125,8 +142,9 @@ def unit_circle_batch(ext: ExtendedTensor, points, mi=(0, 0, 0), n_nodes: int = 
     rule on the periodic parameterisation, so convergence in n_nodes is
     geometric for smooth symbols.  Points are inverted in chunks of at most
     _CONTOUR_BUDGET directions x nodes, which bounds the working set at any
-    node count.  A non-finite point raises ValueError and a zero point
-    SingularPointError, each naming the point index.
+    node count.  A non-finite point raises ValueError; a zero point, or one
+    so near zero that its value overflows, raises SingularPointError; each
+    names the point index.
     """
     if n_nodes < 16:
         raise ValueError("contour rule needs at least 16 nodes")
@@ -138,7 +156,8 @@ def unit_circle_batch(ext: ExtendedTensor, points, mi=(0, 0, 0), n_nodes: int = 
     for start in range(0, radii.size, step):
         sl = slice(start, start + step)
         out[sl] = _circle_mean(ext, rhat[sl], mi, n_nodes)
-    return out / (4.0 * np.pi * radii[:, None, None] ** (mi.order + 1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _finite_rows(out / (4.0 * np.pi * radii[:, None, None] ** (mi.order + 1)))
 
 
 def _circle_mean(ext, dirs, mi, n_nodes):

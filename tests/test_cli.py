@@ -24,6 +24,18 @@ def write_points(path, rows):
     path.write_text("x,y,z\n" + "\n".join(",".join(str(v) for v in r) for r in rows) + "\n")
 
 
+def per_component_text(points, values):
+    """The eval CSV formatted one component at a time, the oracle of the
+    bulk writer."""
+    n = values.shape[1]
+    expect = ["x,y,z,i,j,value"]
+    for (x, y, z), val in zip(points, values):
+        for i in range(n):
+            for j in range(n):
+                expect.append(f"{x:.17g},{y:.17g},{z:.17g},{i + 1},{j + 1},{val[i, j]:.17g}")
+    return ("\n".join(expect) + "\n").encode()
+
+
 class TestOptions:
     # each sub-command declares only the options it reads
     @pytest.mark.parametrize(
@@ -456,16 +468,128 @@ class TestEval:
             "--points", str(pts), "--tables-dir", str(tmp_path), "--out", str(out_file),
         )
         assert code == 0
+        points = [[float(v) for v in line.split(",")] for line in pts.read_text().splitlines()[1:]]
+        assert out_file.read_bytes() == self.m2_oracle(tmp_path, points)
+
+    def m2_oracle(self, tmp_path, points):
+        """per_component_text of the M2 L=6 (0,0,1) table at the points."""
         ext = fs.extend(fs.builtin("M2"))
         table = fs.load_table(table_path(tmp_path, ext.material_hash, 6, (0, 0, 1)))
-        points = [[float(v) for v in line.split(",")] for line in pts.read_text().splitlines()[1:]]
-        values = fs.evaluate_batch(table, points)
-        expect = ["x,y,z,i,j,value"]
-        for (x, y, z), val in zip(points, values):
-            for i in range(5):
-                for j in range(5):
-                    expect.append(f"{x:.17g},{y:.17g},{z:.17g},{i + 1},{j + 1},{val[i, j]:.17g}")
-        assert out_file.read_bytes() == ("\n".join(expect) + "\n").encode()
+        return per_component_text(points, fs.evaluate_batch(table, points))
+
+    def eval_m2(self, capsys, tmp_path, text, newline=None):
+        """(exit code, stdout, stderr, --out bytes) of eval on the M2 L=6
+        (0,0,1) table with a points file holding `text`."""
+        pts = tmp_path / "pts.csv"
+        pts.write_text(text, newline=newline)
+        out_file = tmp_path / "vals.csv"
+        out_file.unlink(missing_ok=True)
+        argv = ["eval", "--material", "M2", "--L", "6", "--multi-index", "0,0,1",
+                "--points", str(pts), "--tables-dir", str(tmp_path)]
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+        data = out_file.read_bytes() if out_file.exists() else None
+        return code, out, err, data
+
+    def test_4100_ray_points_match_per_component_format(self, capsys, tmp_path):
+        # 4,100 points on 40 rays, every ray's points sharing their
+        # direction (integer directions of integer length and dyadic radii
+        # normalise to the same bits)
+        self.setup_tables(capsys, tmp_path, material="M2", L=6, order=1)
+        dirs = [
+            (a, b, c) for a in range(-4, 7) for b in range(-4, 7) for c in range(1, 9)
+            if math.isqrt(a * a + b * b + c * c) ** 2 == a * a + b * b + c * c
+            and math.gcd(a, b, c) == 1
+        ][:40]
+        assert len(dirs) == 40
+        k = np.arange(4100)
+        points = np.array(dirs, dtype=np.float64)[k % 40] * ((1 + k % 97) / 8.0)[:, None]
+        text = "x,y,z\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in points.tolist())
+        code, _, _, data = self.eval_m2(capsys, tmp_path, text)
+        assert code == 0
+        assert data == self.m2_oracle(tmp_path, points.tolist())
+
+    def test_extreme_coordinates_match_per_component_format(self, capsys, tmp_path):
+        self.setup_tables(capsys, tmp_path, material="M2", L=6, order=1)
+        text = (
+            "x,y,z\n-0.0,1.0,2.0\n5e-324,1.0,-1.0\n1e-300,0.5,0.25\n"
+            "1e22,3.0,1.0\n123456789012345680,-2.0,7.0\n0.1,-0.0,-0.0\n"
+        )
+        code, _, _, data = self.eval_m2(capsys, tmp_path, text)
+        assert code == 0
+        points = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+        assert data == self.m2_oracle(tmp_path, points)
+        assert data.count(b"\n-0,1,2,") == 25 and data.count(b"\n1e+22,3,1,") == 25
+
+    def test_stdout_bytes_equal_out_file(self, capsys, tmp_path):
+        self.setup_tables(capsys, tmp_path, material="M2", L=6, order=1)
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[1.0, 2.0, 3.0], [-0.5, 0.25, 1e-3], [4.0, 0.0, 0.0]])
+        argv = ["eval", "--material", "M2", "--L", "6", "--multi-index", "0,0,1",
+                "--points", str(pts), "--tables-dir", str(tmp_path)]
+        out_file = tmp_path / "vals.csv"
+        assert run(capsys, *argv, "--out", str(out_file))[0] == 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.encode() == out_file.read_bytes()
+
+    def test_header_only_file_gives_header_only_output(self, capsys, tmp_path):
+        self.setup_tables(capsys, tmp_path, material="M2", L=6, order=1)
+        code, out, err, data = self.eval_m2(capsys, tmp_path, "x,y,z\n")
+        assert code == 0 and err == "" and data == b"x,y,z,i,j,value\n"
+
+    def test_crlf_and_no_header(self, capsys, tmp_path):
+        self.setup_tables(capsys, tmp_path, material="M2", L=6, order=1)
+        rows = "0.5,-1.25,2.0\n3.0,0.0,-4.0\n"
+        expect = self.eval_m2(capsys, tmp_path, "x,y,z\n" + rows)[3]
+        for text in (rows, "x,y,z\r\n" + rows.replace("\n", "\r\n"), rows.replace("\n", "\r\n")):
+            code, _, _, data = self.eval_m2(capsys, tmp_path, text, newline="")
+            assert code == 0 and data == expect
+
+    def test_underscored_number_read_as_float_reads_it(self, capsys, tmp_path):
+        # float() reads 1_0 as 10, numpy refuses it; the line-by-line
+        # reread keeps what float() accepts
+        self.setup_tables(capsys, tmp_path, material="M2", L=6, order=1)
+        code, _, _, data = self.eval_m2(capsys, tmp_path, "x,y,z\n1_0,2,3\n")
+        assert code == 0 and data == self.eval_m2(capsys, tmp_path, "x,y,z\n10,2,3\n")[3]
+
+    def test_unparsable_row_names_file_and_line_exit_2(self, capsys, tmp_path):
+        self.setup_tables(capsys, tmp_path)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y,z\n1.0,0.0,0.0\n\n1.0,abc,0.0\n0.0,0.0,1.0\n")
+        code, out, err = run(
+            capsys, "eval", "--material", "Laplace", "--L", "4",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert f"{pts}, line 4: unparsable point row '1.0,abc,0.0'" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_kernel_value_exit_5(self, capsys, tmp_path):
+        # 1 / (4 pi r^2) overflows at r = 1e-160: refused, not written as inf
+        self.setup_tables(capsys, tmp_path, material="Cu", L=8, order=1)
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[1.0, 0.0, 0.0], [1e-160, 0.0, 0.0]])
+        code, out, err = run(
+            capsys, "eval", "--material", "Cu", "--L", "8", "--multi-index", "0,0,1",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 5 and out == ""
+        assert "overflows" in err and "point index 1" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    def test_huge_coordinates_read_own_direction(self, capsys, tmp_path):
+        # p . p overflows at (1e200, 1e200, 0); the value is still 1e-200
+        # times the one at (1, 1, 0), not a zero read along +z
+        self.setup_tables(capsys, tmp_path, material="Cu", L=8)
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[1.0, 1.0, 0.0], [1e200, 1e200, 0.0], [1e308, 1e308, 0.0]])
+        code, out, err = run(
+            capsys, "eval", "--material", "Cu", "--L", "8",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 0 and err == ""
+        values = np.array([float(r.split(",")[5]) for r in out.splitlines()[1:]]).reshape(3, 9)
+        assert values[1] * 1e200 == pytest.approx(values[0], rel=1e-14)
+        assert np.all(np.isfinite(values[2]))
 
     @pytest.mark.parametrize(
         "row,fields", [("2.0,1.0", 2), ("2.0,1.0,0.5,7.0", 4)], ids=["short", "long"]

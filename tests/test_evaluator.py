@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath
@@ -208,7 +209,7 @@ class TestEvaluateBatch:
         # every point goes through m-product gemms of one fixed block shape
         # (the chunk padded with zero rows to whole blocks) and a per-point
         # theta product, so its row has the same bits alone and in any batch,
-        # also across the basis chunk boundary (4097 points are two chunks);
+        # also across basis chunk boundaries (4097 points are 17 chunks);
         # even and odd orders I, so both theta bases, and N = 3 and N = 5
         base = {"Cu": base_cu, "M2": base_m2}[name]
         table = derive_multi(base, mi).truncated(L)
@@ -218,6 +219,22 @@ class TestEvaluateBatch:
             for start in sorted({0, 1, 4097 - width}):
                 rows = fs.evaluate_batch(table, pts[start : start + width])
                 assert np.array_equal(rows, full[start : start + width])
+
+    def test_threads_keep_their_own_work_buffers(self, base_cu, base_m2, rng):
+        # each thread reuses its own work buffer between calls; threads
+        # evaluating different tables at once get the bits of a serial call
+        tables = [base_cu.truncated(40), derive_multi(base_m2, (0, 0, 1)).truncated(16)]
+        jobs = [(tables[k % 2], rng.normal(size=(300 + 37 * k, 3))) for k in range(16)]
+        serial = [fs.evaluate_batch(tab, pts) for tab, pts in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(fs.evaluate_batch, tab, pts) for tab, pts in jobs]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
     @pytest.mark.parametrize("name,L,mi", [("Cu", 40, (0, 0, 0)), ("M2", 16, (0, 0, 1))])
     def test_row_bits_independent_of_place_in_block(self, name, L, mi, base_cu, base_m2, rng):
@@ -291,6 +308,46 @@ class TestEvaluateBatch:
         with pytest.raises(SingularPointError) as err:
             fs.evaluate_batch(base_laplace, pts)
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("tiny", [[1e-160, 0, 0], [0, 1e-170, 0]])
+    def test_overflowing_value_names_index(self, base_cu, tiny):
+        # 1 / (4 pi |p|^2) overflows at |p| = 1e-160 and is inf at 1e-170,
+        # where some (0, 1, 0) entries are 0 * inf: the point is refused, not
+        # returned as inf or nan behind a RuntimeWarning
+        table = derive_multi(base_cu, (0, 1, 0)).truncated(8)
+        pts = [[1.0, 0, 0], [0, 2.0, 0], tiny, [0, 0, 1e-170]]
+        with pytest.raises(SingularPointError, match=r"overflows.*point index 2\b") as err:
+            fs.evaluate_batch(table, pts)
+        assert err.value.index == 2
+
+    @pytest.mark.parametrize("size", [1e-155, 1e-200, 1e200, 1e250])
+    def test_squared_norm_under_or_overflow_keeps_radius_and_direction(self, base_cu, size):
+        # p . p is subnormal, underflows to 0 or overflows to inf; p is then
+        # scaled by a power of two first, so the kernel reads its own
+        # direction and radius: |p| times the order-0 value is the unit one
+        table = base_cu.truncated(8)
+        u = np.array([0.48, -0.6, 0.64])
+        p = size * u
+        value = fs.evaluate(table, p) * np.sqrt(np.sum((p / size) ** 2)) * size
+        unit = fs.evaluate(table, u)
+        assert np.max(np.abs(value - unit)) <= 1e-14 * np.max(np.abs(unit))
+
+    def test_huge_point_reads_its_own_direction(self, base_cu):
+        # p . p overflows to inf; the direction is still (1, 1, 0) / sqrt 2,
+        # and the values underflow to zero without a warning
+        rhat, radii = evaluator._directions([[1e308, 1e308, 0.0]])
+        assert rhat[0] == pytest.approx([math.sqrt(0.5), math.sqrt(0.5), 0.0], rel=1e-15)
+        assert radii[0] == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+        table = derive_multi(base_cu, (0, 0, 1)).truncated(8)
+        assert np.all(fs.evaluate_batch(table, [[1e308, 1e308, 0.0]]) == 0.0)
+
+    def test_ordinary_points_normalise_as_linalg_norm(self, rng):
+        # points of a ray share one direction only if each normalises bit for
+        # bit as p / np.linalg.norm(p); the scaled path leaves them alone
+        pts = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-150, 150, size=(2000, 1))
+        rhat, radii = evaluator._directions(pts)
+        norm = np.linalg.norm(pts, axis=1)
+        assert np.array_equal(radii, norm) and np.array_equal(rhat, pts / norm[:, None])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("coord", [0, 1, 2])
@@ -410,6 +467,19 @@ class TestSampleSphere:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "theta,phi,value,x,y,z"
         assert len(lines) == 1 + 4 * 6
+
+    def test_csv_export_bytes_match_per_row_format(self, base_m2, tmp_path):
+        # N = 5 and an off-diagonal component, so the component pick shows
+        fld = fs.sample_sphere(base_m2.truncated(12), 5, 7)
+        path = tmp_path / "field.csv"
+        fs.export_field_csv(fld, 1, 3, path)
+        _, x, y, z = fs.spherical_plot_mesh(fld, 1, 3)
+        expect = ["theta,phi,value,x,y,z"]
+        for a in range(5):
+            for b in range(7):
+                row = (fld.theta[a], fld.phi[b], fld.values[a, b, 1, 3], x[a, b], y[a, b], z[a, b])
+                expect.append(",".join(f"{v:.17g}" for v in row))
+        assert path.read_bytes() == ("\n".join(expect) + "\n").encode()
 
     def test_mesh_export(self, base_laplace, tmp_path):
         fld = fs.sample_sphere(base_laplace, 4, 6)

@@ -22,6 +22,7 @@ from fundsol.expansion import (
     derive_tree,
     make_quadrature,
     multi_indices_up_to,
+    packed_index,
 )
 from fundsol.special import norm_legendre_table
 from fundsol.symbol import inverse_symbol_batch
@@ -672,3 +673,18 @@ class TestPersistence:
                 assert np.array_equal(entry(small, l, m), entry(base_cu, l, m))
         with pytest.raises(TableRangeError):
             small.truncated(20)
+
+
+class TestPackedIndex:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_triu_order_cached_and_read_only(self, n):
+        rows, cols, mirror = packed_index(n)
+        assert all(np.array_equal(a, b) for a, b in zip((rows, cols), np.triu_indices(n)))
+        for i in range(n):
+            for j in range(n):
+                e = mirror[i, j]
+                assert (rows[e], cols[e]) == (min(i, j), max(i, j))
+        assert packed_index(n)[2] is mirror
+        for index in (rows, cols, mirror):
+            with pytest.raises(ValueError):
+                index[0] = 0

@@ -77,6 +77,16 @@ class TestLaplaceClosed:
         with pytest.raises(UnsupportedOracleError):
             fs.laplace_closed((1, 1, 1), [1.0, 0, 0])
 
+    def test_overflowing_value_refused(self):
+        # |r|^2 underflows to 0 at 1e-170; the radius does not, and the
+        # value overflows: refused as evaluate_batch refuses it, no warning
+        assert fs.laplace_closed((0, 0, 0), [1e-170, 0, 0]) == pytest.approx(1e170 / (4 * math.pi))
+        for r in ([1e-160, 0, 0], [1e-170, 0, 0]):
+            with pytest.raises(SingularPointError, match="overflows"):
+                fs.laplace_closed((1, 0, 0), r)
+        with pytest.raises(SingularPointError, match="overflows"):
+            fs.kelvin_closed(1.0, 0.3, "phi11_1123", [1e-70, 1e-70, 1e-70])
+
 
 class TestKelvinClosed:
     def test_phi11_values(self):
@@ -265,6 +275,13 @@ class TestUnitCircle:
         pts[2] = 0.0
         with pytest.raises(SingularPointError, match="point index 2"):
             fs.unit_circle_batch(ext_cu, pts, (0, 1, 0))
+
+    def test_overflowing_value_names_index(self, ext_cu):
+        # r^2 underflows to 0 at r = 1e-170, so the value is inf
+        pts = np.ones((3, 3))
+        pts[1] = [0.0, 1e-170, 0.0]
+        with pytest.raises(SingularPointError, match=r"overflows.*point index 1\b"):
+            fs.unit_circle_batch(ext_cu, pts, (0, 1, 0), n_nodes=16)
 
     def test_order_and_axis_checked(self, ext_laplace):
         for order, axis in [(2, None), (1, None), (1, 4)]:
