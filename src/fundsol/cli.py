@@ -23,10 +23,20 @@ does not parse is a header; blank lines are skipped; a file numpy refuses is
 read again line by line with float(), which names the line of a bad row).
 It writes one row x,y,z,i,j,value per point and entry (i, j), all N^2 of
 them, in (point, i, j) order.  The kernels are exactly symmetric, so one
-%-pass formats the N(N+1)/2 distinct entries of every point and another
-every coordinate, row (j, i) reuses the text of (i, j) by an index gather,
-and the rows are joined and written once.  Formatting at 17 digits is most
-of the time `eval` takes.
+pass formats the N(N+1)/2 distinct entries of every point and another every
+coordinate, row (j, i) reuses the text of (i, j) by an index gather, and
+the rows are joined and written as bytes (to stdout's binary buffer when it
+has one), one chunk of 256 points at a time.
+
+Both passes, and `export_field_csv`, use `evaluator._g17_text`, which
+gives CPython's "%.17g" byte for byte from whole-array numpy operations.
+Why it is exact: for 1e-280 <= |x| <= 1e280, y = |x| 10^(16 - X) (X the
+decimal exponent) is formed as Dekker's error-free product of |x| and the
+double nearest 10^(16 - X), plus |x| times that double's residual, so y is
+known to within 1e-14; the 17 printed digits are y rounded to nearest,
+which that error cannot change unless y lies within 1e-12 of a half.  Those
+near-ties (exact ties among them), |x| outside that range, inf and nan are
+formatted by Python one element at a time.  Zero is "0" or "-0".
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ import functools
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +59,13 @@ from .errors import (
     SingularSymbolError,
     TableHashMismatchError,
 )
-from .evaluator import evaluate_batch, export_field_csv, export_field_mesh, sample_sphere
+from .evaluator import (
+    _g17_text,
+    evaluate_batch,
+    export_field_csv,
+    export_field_mesh,
+    sample_sphere,
+)
 from .expansion import (
     DEFAULT_MAX_ORDER,
     MultiIndex,
@@ -69,6 +86,7 @@ EXIT_HASH = 4
 EXIT_BAD_POINT = 5
 
 ENV_TABLES_DIR = "FUNDSOL_TABLES_DIR"
+_EVAL_BLOCK = 256  # points per formatted, joined and written chunk of eval rows
 
 
 def _fmt(x: float) -> str:
@@ -145,6 +163,9 @@ def cmd_build(args) -> int:
     order = args.order
     if not 0 <= order <= DEFAULT_MAX_ORDER:
         raise ValueError(f"--order must lie in 0..{DEFAULT_MAX_ORDER}, got {order}")
+    if args.L < order:
+        # a table of order I holds degrees I..L; below I it is zero
+        raise ValueError(f"--L must be >= 0 and >= --order, got --L {args.L} and --order {order}")
     ext = extend(_load_material(args.material))
     material_hash = ext.material_hash  # a SHA-256 of the tensor per read
     tables_dir = _tables_dir(args)
@@ -186,29 +207,34 @@ def cmd_eval(args) -> int:
     table = load_table(path, expected_material_hash=material_hash)
     points = _read_points(args.points)
     values = evaluate_batch(table, points)
-    _write_text(args.out, _eval_text(points, values))
+    _write_bytes(args.out, _eval_text(points, values))
     return EXIT_OK
 
 
-def _eval_text(points, values) -> str:
-    """The eval CSV: a header, then x,y,z,i,j,value per point and entry, in
-    (point, i, j) order.  One %-pass formats every coordinate and a second
-    the entries i <= j of every point (the kernels are exactly symmetric);
-    row (j, i) takes the string of (i, j) by an index gather, and the rows
-    are joined once."""
-    count, n = values.shape[:2]
+def _eval_text(points, values) -> Iterator[bytes]:
+    """The eval CSV as ASCII bytes, one chunk per _EVAL_BLOCK points: a
+    header, then x,y,z,i,j,value per point and entry, in (point, i, j)
+    order.  In each chunk one `_g17_text` pass formats the coordinates and
+    a second the entries i <= j of every point (the kernels are exactly
+    symmetric); row (j, i) takes the text of (i, j) by an index gather, and
+    the rows are joined once.  Chunks keep every work array small enough to
+    be reused from the heap, where one output-sized pass faults ~1,000
+    pages per 2,048-point call in and out again; the pieces are str, as
+    bytes.join holds an 80-byte Py_buffer per piece."""
+    n = values.shape[1]
     rows, cols, mirror = packed_index(n)
-    prefixes = (("%.17g,%.17g,%.17g,\n" * count) % tuple(points.ravel().tolist())).split("\n")
-    cells = ("%.17g\n" * (count * rows.size)) % tuple(values[:, rows, cols].ravel().tolist())
-    labels = [f"{i + 1},{j + 1}," for i in range(n) for j in range(n)]
-    pieces = np.empty((count, n * n, 3), dtype=object)
-    pieces[:, :, 0] = np.array(prefixes[:-1], dtype=object)[:, None]
-    pieces[:, :, 1] = np.array(labels, dtype=object)
-    cells = np.array(cells.splitlines(True), dtype=object).reshape(count, rows.size)
-    pieces[:, :, 2] = cells[:, mirror.ravel()]
-    pieces = pieces.ravel().tolist()
-    pieces.insert(0, "x,y,z,i,j,value\n")  # joined with the rows, not onto their text
-    return "".join(pieces)
+    labels = np.array([f"{i + 1},{j + 1}," for i in range(n) for j in range(n)], dtype=object)
+    yield b"x,y,z,i,j,value\n"
+    for start in range(0, len(points), _EVAL_BLOCK):
+        block = slice(start, start + _EVAL_BLOCK)
+        count = len(points[block])
+        prefixes = _g17_text(points[block], (",", ",", ",\n")).split("\n")
+        cells = _g17_text(values[block][:, rows, cols], ("\n",)).splitlines(True)
+        pieces = np.empty((count, n * n, 3), dtype=object)
+        pieces[:, :, 0] = np.array(prefixes[:-1], dtype=object)[:, None]
+        pieces[:, :, 1] = labels
+        pieces[:, :, 2] = np.array(cells, dtype=object).reshape(count, rows.size)[:, mirror.ravel()]
+        yield "".join(pieces.ravel().tolist()).encode("ascii")
 
 
 def _write_lines(out: Path | None, lines) -> None:
@@ -221,6 +247,22 @@ def _write_text(out: Path | None, text: str) -> None:
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text, encoding="utf-8")
+
+
+def _write_bytes(out: Path | None, chunks: Iterable[bytes]) -> None:
+    """Chunks of ASCII bytes to the file `out`, else to stdout: through its
+    binary buffer, or decoded when it has none (an io.StringIO under
+    contextlib.redirect_stdout).  Each chunk is written as it comes, so no
+    copy of the whole output is held."""
+    if out is not None:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with open(out, "wb") as f:
+            f.writelines(chunks)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
+    else:
+        sys.stdout.writelines(c.decode("ascii") for c in chunks)
 
 
 # --------------------------------------------------------------------------- sweep

@@ -59,7 +59,7 @@ from .errors import (
     TableRangeError,
 )
 from .materials import ExtendedTensor
-from .special import norm_legendre_table
+from .special import gauss_legendre, norm_legendre_table
 from .symbol import inverse_symbol_batch
 
 __all__ = [
@@ -172,17 +172,16 @@ def make_quadrature(exactness_degree: int) -> SphereQuadrature:
     l1 + l2 <= exactness_degree exactly.  The azimuthal node count
     exactness + 2 is rounded up to an even number, which keeps the rule at
     least as exact and makes it hold every node's antipode
-    (SphereQuadrature.nodes).  Cached, as the Gauss-Legendre nodes cost
-    about as much as a small projection; the arrays are read-only.
+    (SphereQuadrature.nodes).  The polar rule is `special.gauss_legendre`.
+    Cached; the arrays are read-only.
     """
     if exactness_degree < 0:
         raise ValueError("exactness degree must be nonnegative")
     n_theta = (exactness_degree + 1 + 1) // 2 + 1
     n_phi = exactness_degree + 2 + exactness_degree % 2
-    t, w = np.polynomial.legendre.leggauss(n_theta)
+    t, w = gauss_legendre(n_theta)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    for a in (t, w, phis):
-        a.setflags(write=False)
+    phis.setflags(write=False)
     return SphereQuadrature(
         cos_nodes=t, theta_weights=w, phi_nodes=phis, phi_weight=2.0 * np.pi / n_phi
     )

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -261,6 +263,19 @@ class TestBuild:
         assert f"exactness {degree} cannot project onto degree 2" in err
         assert not list(tmp_path.glob("*.fsct"))
 
+    @pytest.mark.parametrize("L,order", [("1", "3"), ("-1", "1")])
+    def test_L_below_order_or_zero_exits_2_before_any_work(self, capsys, tmp_path, L, order):
+        # --L 1 --order 3 wrote order-2 and order-3 tables that are zero at
+        # every point; --L -1 --order 1 printed a base table, then failed
+        tables = tmp_path / "tables"
+        code, out, err = run(
+            capsys, "build", "--material", "Cu", "--L", L, "--order", order,
+            "--tables-dir", str(tables),
+        )
+        assert code == 2 and out == ""
+        assert f"--L must be >= 0 and >= --order, got --L {L} and --order {order}" in err
+        assert not tables.exists()
+
 
 class TestEval:
     def setup_tables(self, capsys, tmp_path, material="Laplace", L=4, order=0):
@@ -519,6 +534,35 @@ class TestEval:
         points = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
         assert data == self.m2_oracle(tmp_path, points)
         assert data.count(b"\n-0,1,2,") == 25 and data.count(b"\n1e+22,3,1,") == 25
+
+    def test_zero_coordinates_match_per_value_format(self, capsys, tmp_path):
+        # points on the axes and in the coordinate planes: zero and -0.0
+        # coordinates, and entries that vanish there by symmetry, which come
+        # out as rounding noise down to 1e-47
+        self.setup_tables(capsys, tmp_path, material="M2", L=6, order=1)
+        rows = [
+            (0.0, 0.0, 1.0), (0.0, 0.0, -2.5), (3.0, 0.0, 0.0), (0.0, -0.5, 0.0),
+            (-0.0, 1.0, 1.0), (1.0, -0.0, -0.0), (0.0, 4.0, -3.0), (1e-3, 0.0, 0.0),
+        ]
+        text = "x,y,z\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows)
+        code, _, _, data = self.eval_m2(capsys, tmp_path, text)
+        assert code == 0
+        assert data == self.m2_oracle(tmp_path, rows)
+        assert b"\n0,0,1,1,1," in data and b"\n-0,1,1,1,1," in data and b"e-47\n" in data
+
+    def test_stdout_without_binary_buffer(self, capsys, tmp_path):
+        # the benchmark and callers in process capture stdout as an
+        # io.StringIO, which has no .buffer
+        self.setup_tables(capsys, tmp_path, material="M2", L=6, order=1)
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[1.0, 2.0, 3.0], [0.0, 0.0, -1.0]])
+        argv = ["eval", "--material", "M2", "--L", "6", "--multi-index", "0,0,1",
+                "--points", str(pts), "--tables-dir", str(tmp_path)]
+        out_file = tmp_path / "vals.csv"
+        assert run(capsys, *argv, "--out", str(out_file))[0] == 0
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert main(argv) == 0
+        assert buf.getvalue().encode() == out_file.read_bytes()
 
     def test_stdout_bytes_equal_out_file(self, capsys, tmp_path):
         self.setup_tables(capsys, tmp_path, material="M2", L=6, order=1)

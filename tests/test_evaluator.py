@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -470,14 +471,21 @@ class TestSampleSphere:
 
     def test_csv_export_bytes_match_per_row_format(self, base_m2, tmp_path):
         # N = 5 and an off-diagonal component, so the component pick shows
-        fld = fs.sample_sphere(base_m2.truncated(12), 5, 7)
+        self.check_csv_bytes(fs.sample_sphere(base_m2.truncated(12), 5, 7), (1, 3), tmp_path)
+
+    def test_csv_export_bytes_match_per_row_format_cu(self, base_cu, tmp_path):
+        self.check_csv_bytes(fs.sample_sphere(base_cu.truncated(20), 6, 9), (0, 0), tmp_path)
+
+    @staticmethod
+    def check_csv_bytes(fld, comp, tmp_path):
+        """export_field_csv's bytes against each row formatted by f-strings."""
         path = tmp_path / "field.csv"
-        fs.export_field_csv(fld, 1, 3, path)
-        _, x, y, z = fs.spherical_plot_mesh(fld, 1, 3)
+        fs.export_field_csv(fld, *comp, path)
+        _, x, y, z = fs.spherical_plot_mesh(fld, *comp)
         expect = ["theta,phi,value,x,y,z"]
-        for a in range(5):
-            for b in range(7):
-                row = (fld.theta[a], fld.phi[b], fld.values[a, b, 1, 3], x[a, b], y[a, b], z[a, b])
+        for a in range(fld.theta.size):
+            for b in range(fld.phi.size):
+                row = (fld.theta[a], fld.phi[b], fld.values[a, b][comp], x[a, b], y[a, b], z[a, b])
                 expect.append(",".join(f"{v:.17g}" for v in row))
         assert path.read_bytes() == ("\n".join(expect) + "\n").encode()
 
@@ -488,6 +496,118 @@ class TestSampleSphere:
         text = path.read_text().splitlines()
         assert sum(1 for t in text if t.startswith("v ")) == 24
         assert sum(1 for t in text if t.startswith("f ")) == 2 * 3 * 6
+
+
+def percent_g17(x, ends):
+    """The oracle of _g17_text: CPython's "%.17g" of each element, then its end."""
+    x = np.ravel(x)
+    fmt = "".join("%.17g" + e.replace("%", "%%") for e in ends) * (x.size // len(ends))
+    return fmt % tuple(x.tolist())
+
+
+def exact_fraction_part(v):
+    """frac(|v| 10^(16 - X)) as a Fraction, X the exact decimal exponent of v."""
+    f = Fraction(abs(float(v)))
+    X = math.floor(math.log10(f))
+    X += (Fraction(10) ** (X + 1) <= f) - (Fraction(10) ** X > f)
+    y = f * Fraction(10) ** (16 - X)
+    return y - math.floor(y)
+
+
+def powers_of_two_and_odd_multiples():
+    """m 2^k for every binary exponent k and odd m < 64, finite: the
+    doubles whose decimal scaling can end on an exact half."""
+    k = np.arange(-1074, 1024)
+    with np.errstate(over="ignore"):
+        x = np.ldexp(np.arange(1, 64, 2.0)[:, None], k[None, :]).ravel()
+    return x[np.isfinite(x)]
+
+
+def decimal_ties(per_exponent=64):
+    """Doubles x = m 2^-(s+1), m odd, s = 1..24, with 2e16 < m 5^s < 2e17:
+    x 10^s = m 5^s / 2 is a 17-digit integer plus exactly 1/2, the ties
+    that "%.17g" rounds half to even."""
+    rng = np.random.default_rng(5)
+    out = []
+    for s in range(1, 25):
+        lo, hi = -(-2 * 10**16 // 5**s), min(2 * 10**17 // 5**s, 2**53)
+        m = [int(v) | 1 for v in rng.integers(lo, hi, size=per_exponent)]
+        m = [v for v in m if 2 * 10**16 < v * 5**s < 2 * 10**17]
+        out.append(np.ldexp(np.array(m, dtype=np.float64), -(s + 1)))
+    return np.concatenate(out)
+
+
+class TestG17Text:
+    """evaluator._g17_text against CPython's "%.17g", byte for byte."""
+
+    EDGES = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+        1e-280, -1e-280, 1e280, -1e280, np.nextafter(1e-280, 0.0), np.nextafter(1e280, math.inf),
+        np.nextafter(1e-280, 1.0), np.nextafter(1e280, 0.0), 2.0**53 - 1, 2.0**53, 2.0**53 + 2,
+        1e16, 1e17, 99999999999999999.0, 1e-4, 1e-5, 0.0001234, 123456789012345680.0,
+        0.1, 0.2, 0.3, 1.5, 2.5, -7.25, 123.456, 1e22, 1e23, 0.5, 1.0, -1.0, 10.0, 100.0,
+    ]
+
+    def check(self, x, ends=("\n",)):
+        assert evaluator._g17_text(x, ends) == percent_g17(x, ends)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(2024)
+        x = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        x = x[np.isfinite(x)]
+        assert x.size > 995_000
+        self.check(x[: x.size - x.size % 3], (",", ",", ",\n"))
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=100_000) * 10.0 ** rng.integers(-40, 40, size=100_000)
+        self.check(x)
+
+    def test_powers_of_ten_and_neighbours(self):
+        p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        self.check(np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, math.inf), -p]))
+
+    def test_edges_integers_and_short_decimals(self):
+        self.check(np.array(self.EDGES))
+        self.check(np.arange(-2000.0, 2001.0))
+        self.check(np.arange(-5000, 5001) / 1000.0)
+
+    def test_powers_of_two_and_exact_ties(self):
+        self.check(powers_of_two_and_odd_multiples())
+        ties = decimal_ties()
+        self.check(np.concatenate([ties, -ties]))
+
+    def test_every_fallback_reason_exercised(self):
+        x = np.concatenate(
+            [np.array(self.EDGES), powers_of_two_and_odd_multiples(), decimal_ties()]
+        )
+        _, _, fast = evaluator._decimal17(x)
+        finite = np.isfinite(x)
+        in_range = finite & (np.abs(x) >= 1e-280) & (np.abs(x) <= 1e280)
+        assert not fast[~finite].any() and (~finite).sum() == 3
+        outside = finite & ~in_range & (x != 0)
+        assert not fast[outside].any() and outside.sum() > 1000
+        assert fast[x == 0].all()
+        # y = 1e16 exactly, formed just below it: still out of range after the move
+        assert not evaluator._decimal17(np.array([1e20, -1e20]))[2].any()
+        # the rest fall back only on rounding near-ties, exact ones included
+        near_tie = np.flatnonzero(in_range & ~fast)
+        assert near_tie.size > 1000
+        fracs = [exact_fraction_part(v) for v in x[near_tie]]
+        assert max(abs(float(f - Fraction(1, 2))) for f in fracs) <= 1.1e-12
+        assert sum(f == Fraction(1, 2) for f in fracs) > 1000
+
+    def test_ends_repeat_and_empty_input(self):
+        x = np.array([[1.5, -0.0, 1e-300], [2.0, math.nan, 1e300]])
+        self.check(x, ("a", "", "\r\n"))
+        assert evaluator._g17_text(np.zeros(0), ("\n",)) == ""
+
+    def test_blocks_join_seamlessly(self):
+        # sizes around the block length, with a three-long end pattern
+        for n in (4095, 4096, 4097, 3 * 4096 + 6):
+            x = np.linspace(-3.0, 7.0, n - n % 3)
+            self.check(x, (",", ",", "\n"))
 
 
 class TestRegularPart:

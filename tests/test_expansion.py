@@ -177,6 +177,27 @@ class TestQuadrature:
         half = n_phi // 2
         assert np.array_equal(xyz[:, half:], -xyz[::-1, :half])
 
+    def test_pzt4_base_plateau_below_1e15(self):
+        # PZT-4 has converged by l ~ 32; past it ||C_l|| / ||C_0|| is the
+        # projection's noise floor.  Median over l >= 40 at L = 64: 4.3e-16
+        # with this rule, 3.4e-16 with 40-digit weights, 1.4e-14 with
+        # numpy's leggauss
+        base = fs.base_coefficients(fs.extend(fs.builtin("PZT-4")), 64)
+        norms = np.array([
+            np.linalg.norm(base.coeffs[r, : 2 * r + 1]) for r in range(base.coeffs.shape[0])
+        ])
+        assert np.median(norms[20:]) <= 1e-15 * norms[0]
+
+    def test_pzt4_order0_series_against_contour_at_L44(self):
+        # measured 2.8e-15; 1.06e-14 with numpy's leggauss weights
+        ext = fs.extend(fs.builtin("PZT-4"))
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(256, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        series = fs.evaluate_batch(fs.base_coefficients(ext, 44), pts)
+        oracle = fs.unit_circle_batch(ext, pts, (0, 0, 0), n_nodes=1024)
+        assert np.max(np.abs(series - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
 
 class TestBaseCoefficients:
     def test_laplace_single_entry(self, base_laplace):
