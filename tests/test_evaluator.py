@@ -1,9 +1,9 @@
 import math
 import os
-from fractions import Fraction
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -515,8 +515,8 @@ def exact_fraction_part(v):
 
 
 def powers_of_two_and_odd_multiples():
-    """m 2^k for every binary exponent k and odd m < 64, finite: the
-    doubles whose decimal scaling can end on an exact half."""
+    """m 2^k for every binary exponent k and odd m < 64, finite: doubles
+    whose decimal scaling may end on an exact half (48 of them do)."""
     k = np.arange(-1074, 1024)
     with np.errstate(over="ignore"):
         x = np.ldexp(np.arange(1, 64, 2.0)[:, None], k[None, :]).ravel()

@@ -137,7 +137,7 @@ class TestGaussLegendre:
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
         assert np.all(np.diff(x) > 0) and np.all(w > 0)
         assert not x.flags.writeable and not w.flags.writeable
-        # integrates x^k exactly for k < 2n: 2/(k+1) for even k, 0 for odd
+        # integrates x^k exactly for k < 2n: 2/(k+1) for even k (odd k by symmetry)
         for k in range(0, 2 * n, 2):
             assert np.dot(w, x**k) == pytest.approx(2.0 / (k + 1), rel=1e-14)
 
