@@ -73,6 +73,7 @@ from .expansion import (
     base_quadrature,
     derive_multi,
     derive_tree,
+    _stored_block_count,
     load_table,
     packed_index,
     save_table,
@@ -120,6 +121,17 @@ def _point_row(line: str) -> list[float] | None:
         return None
 
 
+def _check_degrees(flag: str, degrees, order: int, source: str) -> None:
+    """Refuse a truncation degree below the derivative order (>= 0), naming
+    the flag and the order: a table of order I holds degrees I..L, so below
+    I every kernel it gives is zero."""
+    for L in degrees:
+        if L < order:
+            raise ValueError(
+                f"{flag} must be >= 0 and >= {source}, got {flag} {L} and {source} {order}"
+            )
+
+
 def _read_points(path) -> np.ndarray:
     """x,y,z rows of a points CSV; a first line that does not parse is a
     header, and blank lines are skipped.  One np.loadtxt call parses the data
@@ -163,9 +175,7 @@ def cmd_build(args) -> int:
     order = args.order
     if not 0 <= order <= DEFAULT_MAX_ORDER:
         raise ValueError(f"--order must lie in 0..{DEFAULT_MAX_ORDER}, got {order}")
-    if args.L < order:
-        # a table of order I holds degrees I..L; below I it is zero
-        raise ValueError(f"--L must be >= 0 and >= --order, got --L {args.L} and --order {order}")
+    _check_degrees("--L", [args.L], order, "--order")
     ext = extend(_load_material(args.material))
     material_hash = ext.material_hash  # a SHA-256 of the tensor per read
     tables_dir = _tables_dir(args)
@@ -184,10 +194,9 @@ def cmd_build(args) -> int:
         dt = time.perf_counter() - t0
         path = table_path(tables_dir, material_hash, args.L, mi.astuple())
         save_table(tab, path)
-        # stored (l, m >= 0) blocks, l of the table's parity
-        count = sum(l + 1 for l in range(tab.parity, tab.max_degree + 1, 2))
         print(
-            f"table {mi.astuple()}: L={tab.max_degree} entries={count} "
+            f"table {mi.astuple()}: L={tab.max_degree} "
+            f"entries={_stored_block_count(tab.max_degree, tab.parity)} "
             f"derive={dt:.3f}s -> {path}"
         )
         t0 = time.perf_counter()
@@ -292,6 +301,7 @@ def cmd_sweep(args) -> int:
         print("error: --L-list must be ascending", file=sys.stderr)
         return EXIT_INVALID
     mi = _parse_multi_index(args.multi_index)
+    _check_degrees("--L-list", L_list, mi.order, "the order of --multi-index")
     grid = _parse_values("--grid", args.grid, count=2, sep="x")
     rows = ["case,L,i,j,e_S1"]
     if args.zener_list:
@@ -354,6 +364,7 @@ def cmd_bench(args) -> int:
     warmup = max(1, args.warmup)
 
     L_list = _parse_values("--L-list", args.L_list)
+    _check_degrees("--L-list", L_list, mi.order, "the order of --multi-index")
     node_list = _parse_values("--nodes-list", args.nodes_list)
     ref = reference.unit_circle_batch(ext, pts, mi, n_nodes=512)
     ref_scale = np.max(np.abs(ref))
@@ -393,6 +404,7 @@ def cmd_plot(args) -> int:
     material = _load_material(args.material)
     ext = extend(material)
     mi = _parse_multi_index(args.multi_index)
+    _check_degrees("--L", [args.L], mi.order, "the order of --multi-index")
     grid = _parse_values("--grid", args.grid, count=2, sep="x")
     i, j = (v - 1 for v in _parse_values("--component", args.component, count=2))
     if not (0 <= i < ext.field_dim and 0 <= j < ext.field_dim):

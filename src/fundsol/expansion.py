@@ -6,17 +6,25 @@ conjugate spherical harmonics,
     C[l, m] = integral over the unit sphere of  invsymbol(xi) conj(Y_l^m)(xi),
 
 for orders 0 <= m <= l (negative orders follow from the conjugation rule
-C[l, -m] = (-1)^m conj(C[l, m])).  Each C[l, m] is an N x N block, and it
-is symmetric: the operators are self-adjoint and `inverse_symbol_batch`
-symmetrises the inverse symbol.  A table therefore stores only the
-N(N+1)/2 entries i <= j of each block, in `np.triu_indices(N)` order, from
-the projection through the ladder to the file; every later step is linear
-and entrywise, so nothing is lost.  Tables for derivative kernels are
-obtained WITHOUT further integration through a recurrence ladder: a
-derivative step multiplies the integrand by one direction component x_a,
-and x_a Y_k^m' is a combination of harmonics of degrees k - 1 and k + 1
-only, so each derivative costs one pass over the table and lowers the
-usable truncation by one degree.
+C[l, -m] = (-1)^m conj(C[l, m])).  The integral is a product rule: the
+inverse symbol at its nodes, the azimuthal sums as one real FFT per polar
+node and entry, and the polar sums as one batched real matrix product over
+the orders m.  That product applies one operator per rule, the normalised
+Legendre values at the Gauss nodes times the weights.  It depends on the
+rule alone and is cached (`_projection`), so the base tables of many
+materials of one degree (every grain of a polycrystal is one crystal in
+another orientation) evaluate no Legendre value after the first.
+
+Each C[l, m] is an N x N block, and it is symmetric: the operators are
+self-adjoint and `inverse_symbol_batch` symmetrises the inverse symbol.  A
+table therefore stores only the N(N+1)/2 entries i <= j of each block, in
+`np.triu_indices(N)` order, from the projection through the ladder to the
+file; every later step is linear and entrywise, so nothing is lost.
+Tables for derivative kernels are obtained WITHOUT further integration
+through a recurrence ladder: a derivative step multiplies the integrand by
+one direction component x_a, and x_a Y_k^m' is a combination of harmonics
+of degrees k - 1 and k + 1 only, so each derivative costs one pass over the
+table and lowers the usable truncation by one degree.
 
 The ladder factors are the integrals of x_a Y_{l+-1}^m' conj(Y_l^m), which
 have closed forms for the Condon-Shortley phase (`_step_terms`).  With
@@ -214,6 +222,13 @@ def _degree_rows(L: int, parity: int) -> int:
     return (L - parity) // 2 + 1
 
 
+def _stored_block_count(L: int, parity: int) -> int:
+    """Number of stored (l, m) blocks, l <= L of the given parity and
+    0 <= m <= l: degrees parity + 2j for j < rows hold rows * (rows + parity)."""
+    rows = _degree_rows(L, parity)
+    return rows * (rows + parity)
+
+
 @lru_cache(maxsize=None)
 def packed_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, mirror) of the entries of a symmetric N x N block as a
@@ -279,6 +294,33 @@ class CoeffTable:
         )
 
 
+@lru_cache(maxsize=4)
+def _projection(L: int, quad_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Pw, dirs): the weighted Legendre operator and the inversion
+    directions of base_coefficients(ext, L, quad_degree) on its rule.
+
+    Pw[m, j, a] = Pbar_{2j}^m(t_a) w_a 2 pi / n_phi, of shape
+    (L+1, n_0, n_theta), zero where m > 2j: the normalised Legendre values
+    of even degree at the Gauss nodes t_a times the node's polar weight and
+    the azimuthal weight.  dirs, of shape (n_phi/2, n_theta, 3), are the
+    nodes with azimuth in [0, pi), azimuth-major.  Neither depends on the
+    material, so every base table of one degree and rule reads the same
+    pair.  Cached, four entries; the arrays are read-only and C-contiguous.
+    One entry holds (L+1) n_0 n_theta + 3 n_theta n_phi / 2 doubles: on the
+    default rule Pw takes ~0.4 MB at L = 43 and ~2.3 MB at L = 80, dirs
+    ~0.06 and ~0.18 MB, so the cache stays below 4 x 2.6 MB up to L = 80.
+    """
+    quad = base_quadrature(L, quad_degree)
+    t = quad.cos_nodes
+    half = quad.phi_nodes.size // 2
+    dirs = quad.nodes().reshape(t.size, 2 * half, 3)[:, :half].transpose(1, 0, 2).copy()
+    weights = quad.theta_weights * quad.phi_weight
+    Pw = (norm_legendre_table(L, t)[0::2] * weights).transpose(1, 0, 2).copy()
+    for a in (Pw, dirs):
+        a.setflags(write=False)
+    return Pw, dirs
+
+
 def base_coefficients(
     ext: ExtendedTensor, L: int, quad_degree: int | None = None
 ) -> CoeffTable:
@@ -292,28 +334,35 @@ def base_coefficients(
     half are copies: node (a, b + n_phi/2) takes node (n_theta - 1 - a, b).
     The azimuthal sums are one real FFT per polar node and entry: with
     phi_b = 2 pi b / n_phi, the kernel exp(-i m phi_b) is the FFT's own, so
-    no phase is rounded from a rounded azimuth.
+    no phase is rounded from a rounded azimuth.  The polar sums are one
+    batched real matrix product over the orders m, of the cached weighted
+    Legendre operator of the rule (`_projection`) with the FFT output's
+    real and imaginary parts side by side, so a call evaluates no Legendre
+    value and forms no weighted copy of the FFT output.
     """
-    quad = base_quadrature(L, quad_degree)
+    if quad_degree is None:
+        quad_degree = 2 * L + 12
+    Pw, dirs = _projection(L, quad_degree)
     n = ext.field_dim
-    t = quad.cos_nodes
-    half = quad.phi_nodes.size // 2
-    dirs = quad.nodes().reshape(t.size, 2 * half, 3)[:, :half]
-    # the entries i <= j of each symmetric inverse symbol
+    half, n_theta = dirs.shape[:2]
+    # the entries i <= j of each symmetric inverse symbol, azimuth-major
     rows, cols, _ = packed_index(n)
-    inv = inverse_symbol_batch(ext, dirs.reshape(-1, 3))[:, rows, cols].reshape(t.size, half, -1)
-    inv = np.concatenate([inv, inv[::-1]], axis=1)
-    # azimuthal transform: G[a, m] = sum_b inv[a, b] exp(-i m phi_b) for the
+    inv = np.empty((2 * half, n_theta, rows.size))
+    inv[:half] = inverse_symbol_batch(ext, dirs.reshape(-1, 3))[:, rows, cols].reshape(
+        half, n_theta, -1
+    )
+    inv[half:] = inv[:half, ::-1]
+    # azimuthal transform: G[m, a] = sum_b inv[b, a] exp(-i m phi_b) for the
     # orders m <= n_phi/2 the FFT returns; on a rule with fewer than 2L
     # azimuths, a higher order m aliases onto n_phi - m, whose sum is the
     # conjugate as inv is real
-    G = np.fft.rfft(inv, axis=1)[:, : L + 1]
+    G = np.fft.rfft(inv, axis=0)[: L + 1]
     if L > half:
-        G = np.concatenate([G, np.conj(G[:, half - 1 : 2 * half - L - 1 : -1])], axis=1)
-    G *= (quad.theta_weights * quad.phi_weight)[:, np.newaxis, np.newaxis]
-    # polar projection against the normalised Legendre values of even degree
-    P = norm_legendre_table(L, t)[0::2]  # (n_0, L+1, n_theta)
-    C = np.einsum("lma,ame->lme", P, G, optimize=True)  # zero where m > l, as P is
+        G = np.concatenate([G, np.conj(G[half - 1 : 2 * half - L - 1 : -1])])
+    # polar projection: C[j, m] = sum_a Pw[m, j, a] G[m, a], on Re and Im at
+    # once, written straight into the (n_0, L+1, entries) layout
+    C = np.empty((Pw.shape[1], L + 1, rows.size), dtype=np.complex128)
+    np.matmul(Pw, G.view(np.float64), out=C.view(np.float64).transpose(1, 0, 2))
     return CoeffTable(ext.material_hash, n, L, (0, 0, 0), C)
 
 
@@ -550,10 +599,9 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
         n, L, mi, file_hash = _header_fields(header)
         rest = f.read()
     parity = sum(mi) % 2
-    # in Python integers, so a header claiming a huge N or L cannot overflow;
-    # degrees p + 2j for j < rows hold rows * (rows + p) blocks in all
+    # in Python integers, so a header claiming a huge N or L cannot overflow
     rows, entries = _degree_rows(L, parity), n * (n + 1) // 2
-    expected = rows * (rows + parity) * entries * 16 + 16
+    expected = _stored_block_count(L, parity) * entries * 16 + 16
     if len(rest) != expected:
         raise TableCorruptionError(
             f"table file holds {len(rest)} bytes after its header; N={n}, L={L}, "

@@ -706,6 +706,20 @@ class TestSweep:
         for series in errs.values():
             assert series[0] > series[1] > series[2]
 
+    def test_L_below_order_exits_2_before_any_work(self, capsys, tmp_path):
+        # --L-list 0,4 at order 1 printed e_S1 = 1, a zero kernel, at L=0
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run(
+            capsys, "sweep", "--material", "Cu", "--multi-index", "0,1,0",
+            "--L-list", "0,4", "--grid", "4x6", "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert (
+            "--L-list must be >= 0 and >= the order of --multi-index, "
+            "got --L-list 0 and the order of --multi-index 1"
+        ) in err
+        assert not out_file.exists()
+
     def test_descending_list_rejected(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--material", "Cu", "--L-list", "24,8",
@@ -745,6 +759,20 @@ class TestBench:
         # contour error decreases as nodes double
         contour = [r for r in rows if r[0] == "contour"]
         assert float(contour[1][3]) <= float(contour[0][3])
+
+    def test_L_below_order_exits_2_before_any_work(self, capsys, tmp_path):
+        # series rows at L=1 and 2 of an order-3 kernel reported error 1
+        out_file = tmp_path / "bench.csv"
+        code, out, err = run(
+            capsys, "bench", "--material", "Cu", "--multi-index", "0,0,3",
+            "--L-list", "1,2", "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert (
+            "--L-list must be >= 0 and >= the order of --multi-index, "
+            "got --L-list 1 and the order of --multi-index 3"
+        ) in err
+        assert not out_file.exists()
 
     def test_contour_errors_match_per_point_contour(self, capsys, tmp_path):
         # the batched contour rows report the errors of one unit_circle call
@@ -822,6 +850,20 @@ class TestPlot:
         )
         assert code == 2
         assert f"--component {component}: indices must lie in 1..3" in err
+        assert not out_file.exists()
+
+    def test_L_below_order_exits_2_before_any_work(self, capsys, tmp_path):
+        # --L 1 of an order-3 kernel wrote a grid of zeros and exited 0
+        out_file = tmp_path / "plot.csv"
+        code, out, err = run(
+            capsys, "plot", "--material", "Cu", "--L", "1", "--multi-index", "0,0,3",
+            "--grid", "4x6", "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert (
+            "--L must be >= 0 and >= the order of --multi-index, "
+            "got --L 1 and the order of --multi-index 3"
+        ) in err
         assert not out_file.exists()
 
     def test_mesh_output(self, capsys, tmp_path):

@@ -17,6 +17,8 @@ from fundsol.errors import (
 )
 from fundsol.expansion import (
     MultiIndex,
+    _projection,
+    base_quadrature,
     derive_coefficients,
     derive_multi,
     derive_tree,
@@ -73,6 +75,24 @@ def full_inversion_base(ext, L):
     G = np.fft.rfft(inv, axis=1)[:, : L + 1]
     G *= (quad.theta_weights * quad.phi_weight)[:, None, None, None]
     return np.einsum("lma,amjk->lmjk", norm_legendre_table(L, t), G)
+
+
+def unfused_base(ext, L, quad_degree=None):
+    """Base coefficients projected without the cached operator: the
+    Legendre table evaluated at the Gauss nodes, the weights multiplied into
+    the FFT output, and one complex einsum over the polar nodes, as
+    (n_0, L+1, entries)."""
+    quad = base_quadrature(L, quad_degree)
+    t, half = quad.cos_nodes, quad.phi_nodes.size // 2
+    dirs = quad.nodes().reshape(t.size, 2 * half, 3)[:, :half]
+    rows, cols = np.triu_indices(ext.field_dim)
+    inv = inverse_symbol_batch(ext, dirs.reshape(-1, 3))[:, rows, cols].reshape(t.size, half, -1)
+    inv = np.concatenate([inv, inv[::-1]], axis=1)
+    G = np.fft.rfft(inv, axis=1)[:, : L + 1]
+    if L > half:
+        G = np.concatenate([G, np.conj(G[:, half - 1 : 2 * half - L - 1 : -1])], axis=1)
+    G *= (quad.theta_weights * quad.phi_weight)[:, None, None]
+    return np.einsum("lma,ame->lme", norm_legendre_table(L, t)[0::2], G, optimize=True)
 
 
 def all_orders(table):
@@ -293,6 +313,66 @@ class TestBaseCoefficients:
     def test_quadrature_too_coarse_rejected(self, ext_laplace):
         with pytest.raises(ValueError):
             fs.base_coefficients(ext_laplace, 10, 8)
+
+
+class TestProjection:
+    @pytest.mark.parametrize("name", ALL_BUILTINS)
+    def test_matches_unfused_projection(self, name):
+        # the cached weighted operator and one real gemm reorder the
+        # rounding only: the largest difference seen here was 4.1e-16 of
+        # max|C| (Ni, L=43), and 5.3e-16 (PZT-4) at L=64
+        ext = fs.extend(fs.builtin(name))
+        # (8, 11) has 14 azimuths, so orders 8 and 7 alias onto 6 and 7
+        for L, degree in ((8, None), (24, None), (43, None), (8, 11), (20, 82)):
+            table = fs.base_coefficients(ext, L, degree).coeffs
+            expect = unfused_base(ext, L, degree)
+            scale = np.max(np.abs(expect))
+            assert np.max(np.abs(table - expect)) <= 1e-15 * scale, (L, degree)
+
+    def test_operator_is_the_weighted_legendre_table(self):
+        L, degree = 12, 31
+        quad = base_quadrature(L, degree)
+        Pw, dirs = _projection(L, degree)
+        t, half = quad.cos_nodes, quad.phi_nodes.size // 2
+        weights = quad.theta_weights * quad.phi_weight
+        expect = norm_legendre_table(L, t)[0::2] * weights
+        assert Pw.shape == (L + 1, L // 2 + 1, t.size)
+        assert np.array_equal(Pw, expect.transpose(1, 0, 2))
+        nodes = quad.nodes().reshape(t.size, 2 * half, 3)
+        assert np.array_equal(dirs, nodes[:, :half].transpose(1, 0, 2))
+        for a in (Pw, dirs):
+            assert a.flags.c_contiguous and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 1.0
+
+    def test_cold_and_warm_calls_are_bit_identical(self, ext_m2):
+        _projection.cache_clear()
+        cold = fs.base_coefficients(ext_m2, 24)
+        warm = fs.base_coefficients(ext_m2, 24)
+        assert cold.coeffs.tobytes() == warm.coeffs.tobytes()
+        assert cold.coeffs.flags.c_contiguous
+
+    def test_default_and_explicit_degree_share_one_entry(self, ext_cu):
+        _projection.cache_clear()
+        fs.base_coefficients(ext_cu, 10)
+        fs.base_coefficients(ext_cu, 10, 2 * 10 + 12)
+        info = _projection.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_warm_call_evaluates_no_legendre_value(self, ext_cu, monkeypatch):
+        calls = []
+        table = fs.expansion.norm_legendre_table
+
+        def spy(*args):
+            calls.append(args[0])
+            return table(*args)
+
+        monkeypatch.setattr(fs.expansion, "norm_legendre_table", spy)
+        _projection.cache_clear()
+        fs.base_coefficients(ext_cu, 14)
+        fs.base_coefficients(fs.extend(fs.builtin("Au")), 14)
+        fs.base_coefficients(ext_cu, 14, 40)
+        assert calls == [14]
 
 
 class TestConjugationInvariant:
