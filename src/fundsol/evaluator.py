@@ -13,8 +13,9 @@ Fourier sphere: Merilees 1973; Townsend, Wilber & Wright 2016), a cos series
 for even m and a sin series for odd m, with frequencies j <= l of the parity
 of l.  The factor table `_factors(L, I)` holds these series times P_l^I(0),
 built once per (L, I) by an rfft of `special.norm_legendre_rows` and cached
-(O(L^3) numbers, ~1.1 MB per entry at L = 80).  One batched product per call
-contracts it with the coefficients over l, so the per-point basis is O(L):
+(O(L^3) numbers, ~1.1 MB per entry at L = 80).  One batched product per
+table contracts it with the coefficients over l, so the per-point basis is
+O(L):
 
 - cos(m phi), -sin(m phi), m = 0..L, as powers of exp(-2 i phi) by angle
   addition, times exp(-i phi) for odd m (error 1.8e-15 at L = 40, 8.3e-15 at
@@ -25,18 +26,24 @@ contracts it with the coefficients over l, so the per-point basis is O(L):
   the error near the z axis relative to the terms summed, as the Legendre
   recurrence did; m = 0 adds its pole value times cos(p theta).
 
-Two products over m (even and odd) give the theta coefficients, each as
-one gemm per block of _BLOCK points, the last block padded with zero rows;
-a per-point product over theta then gives the N(N+1)/2 stored entries
-i <= j (see CoeffTable), mirrored into (N, N), so every matrix is exactly
-symmetric.  A gemm over the whole batch would round a row differently as
+The contraction W = F @ C over l and its pole row depend on the table
+alone.  They are built on a table's first evaluation and kept with the
+table, read-only like its coefficients: (2L+2) J E doubles, with
+J = (L - p) // 2 + 1 theta frequencies and E = N(N+1)/2 entries, ~83 KB at
+Cu L = 40 and ~0.8 MB at N = 5, L = 80.  Two products over m (even and odd)
+of W with the per-point basis give the theta coefficients, each as one gemm
+per block of _BLOCK points, the last block padded with zero rows; a
+per-point product over theta then gives the E stored entries i <= j (see
+CoeffTable), mirrored into (N, N), so every matrix is exactly symmetric.  A gemm over the whole batch would round a row differently as
 the row count changes.  Every block gemm has the same shape, and OpenBLAS
 sums each of its output rows from that row alone in an order the shape
 sets, so a point gets the same bits alone, at any place in a block and in
 any batch.  This rests on the BLAS, not on numpy; the tests check it at
 every place of a block, for widths 1 to 4097, and with one BLAS thread
-against the default.  `evaluate_batch` evaluates each distinct direction
-once (a lexsort and a run-length pass over the unit vectors).
+against the default.  So `evaluate_batch` may evaluate a batch in input
+order when its unit vectors have distinct x coordinates, which one sort
+shows, and otherwise evaluates each distinct direction once (a lexsort and
+a run-length pass), with the same bits either way.
 
 Units: with r in meters and SI material constants, a table of order I yields
 values in (base kernel units) * m^-(I+1).
@@ -103,19 +110,11 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     L, I = table.max_degree, table.order
     if L < I:
         return np.zeros((theta.size, n, n))
-    F = _factors(L, I)
-    J = F.shape[1]
-    E = n * (n + 1) // 2
+    W, pole = _contraction(table)
+    E = pole.size
+    J = W.shape[1] // E
     p = I % 2
     even = L // 2 + 1
-    # G[m, k] = sum_r F[m, k, r] C[r, m], real and imaginary parts side by
-    # side; W has rows (m, Re | Im), even m first, and columns (k, e)
-    C = np.ascontiguousarray(table.coeffs).view(np.float64).transpose(1, 0, 2)
-    G = (F @ C).reshape(L + 1, J, E, 2)
-    G[1:] *= 2.0
-    W = G[np.r_[0 : L + 1 : 2, 1 : L + 1 : 2]].transpose(0, 3, 1, 2).reshape(2 * L + 2, J * E)
-    # the order-0 series at the poles; the even orders m >= 2 vanish there
-    pole = W[0].reshape(J, E).sum(axis=0)
     upper = np.empty((theta.size, E))
     work = _work_arrays(L, J, E)
     for start in range(0, theta.size, _CHUNK):
@@ -146,6 +145,37 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
         H[:, 2 * J] = pole
         np.matmul(t, H[:P], out=upper[sl, None, :])
     return upper[:, packed_index(n)[2]]
+
+
+def _contraction(table: CoeffTable) -> tuple[np.ndarray, np.ndarray]:
+    """(W, pole) of a table of degree L >= its order I, read-only, built on
+    first use and kept on the table, so they go when it goes.
+
+    W[m, k, e] = sum_r F[m, k, r] C[r, m, e], of shape (2L+2, J E): rows
+    (m, Re | Im), even m first, orders m >= 1 doubled for -m; columns (k, e).
+    pole (E,) is the order-0 series at the poles, where the even orders
+    m >= 2 vanish.  The table's coefficients are read-only, so neither can
+    go stale."""
+    cached = vars(table).get("_contraction")
+    if cached is not None:
+        return cached
+    n = table.field_dim
+    L, I = table.max_degree, table.order
+    F = _factors(L, I)
+    J = F.shape[1]
+    E = n * (n + 1) // 2
+    # G[m, k] = sum_r F[m, k, r] C[r, m], real and imaginary parts side by side
+    C = np.ascontiguousarray(table.coeffs).view(np.float64).transpose(1, 0, 2)
+    G = (F @ C).reshape(L + 1, J, E, 2)
+    G[1:] *= 2.0
+    W = G[np.r_[0 : L + 1 : 2, 1 : L + 1 : 2]].transpose(0, 3, 1, 2).reshape(2 * L + 2, J * E)
+    pole = W[0].reshape(J, E).sum(axis=0)
+    for a in (W, pole):
+        a.setflags(write=False)
+    # a frozen dataclass: the cache is set around its __setattr__; two
+    # threads building at once set the same bits
+    object.__setattr__(table, "_contraction", (W, pole))
+    return W, pole
 
 
 @lru_cache(maxsize=32)
@@ -260,12 +290,20 @@ def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
     n = table.field_dim
     if radii.size == 0:
         return np.zeros((0, n, n))
-    uniq, inverse = _unique_rows(rhat)
+    # distinct x coordinates mean distinct directions: then every row is
+    # evaluated in input order, with no sort of whole rows and no gathers
+    # (-0.0 read as 0.0, as _unique_rows does)
+    uniq, inverse = rhat + 0.0, None
+    x = np.sort(uniq[:, 0])
+    if (x[1:] == x[:-1]).any():
+        uniq, inverse = _unique_rows(uniq)
     # arccos(z) has error ~ulp/theta near the z axis; arctan2 keeps theta
     # relatively accurate there, so scaled points get the same theta
     theta = np.arctan2(np.hypot(uniq[:, 0], uniq[:, 1]), uniq[:, 2])
     phi = np.arctan2(uniq[:, 1], uniq[:, 0])
-    reg = regular_part_at(table, theta, phi)[inverse]
+    reg = regular_part_at(table, theta, phi)
+    if inverse is not None:
+        reg = reg[inverse]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = 1.0 / (4.0 * np.pi * radii ** (table.order + 1))
         return _finite_rows(reg * scale[:, None, None])
@@ -277,13 +315,17 @@ def evaluate(table: CoeffTable, r) -> np.ndarray:
 
 
 def traction_kernel(
-    ext: ExtendedTensor, first_deriv_tables, r, n_hat
+    ext: ExtendedTensor, first_deriv_tables, points, normals
 ) -> np.ndarray:
     """Traction-type kernel: normal-projected generalized stress of the kernel field.
 
-    T[P, J] = n_i c[i, J, K, l] d(Phi[P, K])/d(r_l), assembled from the three
-    first-derivative tables (axes 1, 2, 3 in order).  All tables must carry
-    the material hash of `ext`.
+    T[q, P, J] = n_i c[i, J, K, l] d(Phi[P, K])/d(r_l) at point q with
+    n = normals[q], assembled from the three first-derivative tables (axes
+    1, 2, 3 in order), each evaluated once over the batch.  points and
+    normals (Q, 3) give (Q, N, N); one point and one normal (3,) give
+    (N, N), with the bits of that point's row in any batch.  All tables must
+    carry the material hash of `ext`.  A non-finite point or normal raises
+    ValueError naming the first offending index.
     """
     tables = list(first_deriv_tables)
     if len(tables) != 3:
@@ -299,9 +341,19 @@ def traction_kernel(
                 f"table {axis} hash {tab.material_hash[:12]}... does not match "
                 f"material {ext.material_hash[:12]}..."
             )
-    n_hat = np.asarray(n_hat, dtype=np.float64)
-    grads = np.stack([evaluate(tab, r) for tab in tables])  # (l, P, K)
-    return np.einsum("i,ijkl,lpk->pj", n_hat, ext.c, grads)
+    points = np.asarray(points, dtype=np.float64)
+    normals = np.asarray(normals, dtype=np.float64)
+    if normals.shape != points.shape:
+        raise ValueError(
+            f"normals of shape {normals.shape} do not match points of shape {points.shape}"
+        )
+    pts, nrm = np.atleast_2d(points), np.atleast_2d(normals)
+    bad = np.nonzero(~np.isfinite(nrm).all(axis=1))[0]
+    if bad.size:
+        raise ValueError(f"non-finite normal (point index {int(bad[0])})")
+    grads = np.stack([evaluate_batch(tab, pts) for tab in tables])  # (l, q, P, K)
+    T = np.einsum("qi,ijkl,lqpk->qpj", nrm, ext.c, grads)
+    return T[0] if points.ndim == 1 else T
 
 
 @dataclass(frozen=True)

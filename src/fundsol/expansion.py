@@ -255,6 +255,11 @@ class CoeffTable:
     `np.triu_indices(N)` order; n_p counts the degrees of parity p in 0..L.
     Negative orders follow from the conjugation rule
     C[l, -m] = (-1)^m conj(C[l, m]).
+
+    A table owns its coefficient array and makes it read-only at
+    construction, so anything derived from a table stays valid with it
+    (the evaluator keeps each table's contraction with the table).  Tamper
+    with a copy and build a new table from it.
     """
 
     material_hash: str
@@ -270,6 +275,7 @@ class CoeffTable:
                 f"coefficient array shape {self.coeffs.shape} inconsistent with "
                 f"L={L}, N={n}, parity {self.parity}"
             )
+        self.coeffs.setflags(write=False)
 
     @property
     def order(self) -> int:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -393,11 +394,14 @@ class TestEval:
     def test_non_finite_packed_entry_exit_2(self, capsys, tmp_path):
         # a table stores the entries i <= j of each block, so it cannot be
         # asymmetric; a damaged entry under a valid checksum is named by its
-        # block and its (i, j), mapped back through np.triu_indices
+        # block and its (i, j), mapped back through np.triu_indices; a
+        # table's coefficients are read-only, so the damage goes into a copy
         ext = fs.extend(fs.builtin("Cu"))
         table = fs.base_coefficients(ext, 4)
         e = list(zip(*np.triu_indices(3))).index((0, 2))
-        table.coeffs[1, 1, e] = math.nan
+        coeffs = table.coeffs.copy()
+        coeffs[1, 1, e] = math.nan
+        table = dataclasses.replace(table, coeffs=coeffs)
         path = table_path(tmp_path, ext.material_hash, 4, (0, 0, 0))
         fs.save_table(table, path)
         message = r"block \(l=2, m=1\) is not finite at entry \(i=1, j=3\)"

@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +18,7 @@ from fundsol import evaluator
 from fundsol.errors import SingularPointError, TableConsistencyError
 from fundsol.evaluator import regular_part_at
 from fundsol.expansion import derive_multi
+from fundsol.special import gauss_legendre
 
 from conftest import entry, random_directions
 
@@ -304,6 +307,35 @@ class TestEvaluateBatch:
         assert np.array_equal(uniq, ref_uniq) and np.array_equal(inverse, ref_inverse)
         assert not np.any(np.signbit(uniq) & (uniq == 0.0))
 
+    @pytest.mark.parametrize("name,L,mi", [("Cu", 40, (0, 0, 0)), ("M2", 16, (0, 0, 1))])
+    def test_distinct_x_skips_dedup_with_the_same_bits(
+        self, name, L, mi, base_cu, base_m2, rng, monkeypatch
+    ):
+        # a batch whose x coordinates are all distinct is evaluated in input
+        # order without _unique_rows; one duplicated point sends the same
+        # batch through the lexsort path, and every row keeps its bits.
+        # Signed zeros off the x coordinate, and one z-axis point per batch
+        # (two would share x = 0)
+        base = {"Cu": base_cu, "M2": base_m2}[name]
+        table = derive_multi(base, mi).truncated(L)
+        signed = [[0.5, -0.0, 0.2], [-0.3, 0.4, -0.0], [0.7, -0.0, -0.0], [-0.6, -0.0, 0.1]]
+        calls = []
+        unique_rows = evaluator._unique_rows
+
+        def counting(rows):
+            calls.append(len(rows))
+            return unique_rows(rows)
+
+        monkeypatch.setattr(evaluator, "_unique_rows", counting)
+        for pole in ([0.0, 0.0, 2.0], [-0.0, 0.0, -0.5], [0.0, -0.0, 3.0], [-0.0, -0.0, -1.0]):
+            pts = np.vstack([rng.normal(size=(40, 3)), signed, [pole]])
+            fast = fs.evaluate_batch(table, pts)
+            assert calls == []
+            forced = fs.evaluate_batch(table, np.vstack([pts, pts[7]]))
+            assert calls == [pts.shape[0] + 1]
+            calls.clear()
+            assert np.array_equal(fast, forced[:-1]) and np.array_equal(forced[-1], fast[7])
+
     def test_zero_point_names_index(self, base_laplace):
         pts = [[1.0, 0, 0], [0, 0, 0], [0, 1.0, 0]]
         with pytest.raises(SingularPointError) as err:
@@ -358,6 +390,91 @@ class TestEvaluateBatch:
         pts[3, coord] = bad
         with pytest.raises(ValueError, match=r"point index 2\b"):
             fs.evaluate_batch(base_laplace, pts)
+
+
+class TestContractionCache:
+    def test_second_call_reuses_w(self, base_cu, rng, monkeypatch):
+        # W and the pole row are built once per table, on first use, and a
+        # second call on the table gives the bits of the first; each build
+        # reads the factor table once, so its calls count the builds
+        builds = []
+        factors = evaluator._factors
+
+        def counting(L, I):
+            builds.append((L, I))
+            return factors(L, I)
+
+        monkeypatch.setattr(evaluator, "_factors", counting)
+        table = base_cu.truncated(40)
+        pts = rng.normal(size=(300, 3))
+        first = fs.evaluate_batch(table, pts)
+        assert np.array_equal(fs.evaluate_batch(table, pts), first)
+        assert np.array_equal(fs.evaluate(table, pts[5]), first[5])
+        assert builds == [(40, 0)]
+        # a second table of the same coefficients builds its own W
+        assert np.array_equal(fs.evaluate_batch(base_cu.truncated(40), pts), first)
+        assert builds == [(40, 0), (40, 0)]
+
+    def test_coeffs_read_only(self, base_cu, tmp_path):
+        # every way of making a table leaves coefficients that cannot be
+        # written, so a cached W cannot go stale
+        fs.save_table(base_cu.truncated(6), tmp_path / "cu.fsct")
+        tables = [
+            base_cu,
+            base_cu.truncated(6),
+            derive_multi(base_cu, (1, 0, 0)),
+            fs.load_table(tmp_path / "cu.fsct"),
+            fs.CoeffTable("x", 1, 2, (0, 0, 0), np.zeros((2, 3, 1), dtype=np.complex128)),
+        ]
+        for table in tables:
+            fs.evaluate(table, [0.3, 0.4, 0.5])
+            with pytest.raises(ValueError, match="read-only"):
+                table.coeffs[0, 0, 0] = 1.0
+            for cached in evaluator._contraction(table):
+                with pytest.raises(ValueError, match="read-only"):
+                    cached[0] = 1.0
+
+    def test_w_goes_with_its_table(self, base_cu):
+        table = base_cu.truncated(20)
+        fs.evaluate(table, [0.3, 0.4, 0.5])
+        W, pole = evaluator._contraction(table)
+        refs = [weakref.ref(a) for a in (table, W, pole)]
+        del table, W, pole
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_truncated_table_gets_its_own_w(self, ext_m2, rng, tmp_path):
+        # a truncation of a table whose W is cached builds a W of its own
+        # degree, with the bits of the same truncation loaded fresh
+        full = fs.base_coefficients(ext_m2, 24)
+        pts = rng.normal(size=(200, 3))
+        fs.evaluate_batch(full, pts)
+        small = full.truncated(16)
+        got = fs.evaluate_batch(small, pts)
+        assert evaluator._contraction(small)[0].shape == (34, 9 * 15)
+        assert evaluator._contraction(full)[0].shape == (50, 13 * 15)
+        fs.save_table(small, tmp_path / "m2.fsct")
+        assert np.array_equal(fs.evaluate_batch(fs.load_table(tmp_path / "m2.fsct"), pts), got)
+
+    def test_threads_building_w_at_once_get_serial_bits(self, base_cu, base_m2, rng):
+        # threads that reach one uncached table at once may each build W;
+        # every thread gets the bits of a serial call on another copy
+        def fresh():
+            return [base_cu.truncated(40), derive_multi(base_m2, (0, 0, 1)).truncated(16)]
+
+        jobs = [(k % 2, rng.normal(size=(200 + 37 * k, 3))) for k in range(16)]
+        serial_tables = fresh()
+        serial = [fs.evaluate_batch(serial_tables[t], pts) for t, pts in jobs]
+        tables = fresh()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(fs.evaluate_batch, tables[t], pts) for t, pts in jobs]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
 
 class TestDerivativeConsistency:
@@ -422,6 +539,35 @@ class TestTraction:
             T_fd = np.einsum("i,ijkl,lpk->pj", n, ext_iso.c, grads)
             assert np.max(np.abs(T - T_fd)) <= 1e-8 * np.max(np.abs(T))
 
+    @pytest.mark.parametrize("name", ["IsoElastic(1,0.3)", "M2"])
+    def test_batch_rows_match_single_points(self, name, rng):
+        # each table is evaluated once over the batch, and a point's row has
+        # the bits of the point and its normal passed alone, as (N, N), and
+        # of the one-point contraction of the three kernel gradients
+        ext = fs.extend(fs.builtin(name))
+        tables = first_derivative_tables(fs.base_coefficients(ext, 13))
+        pts = rng.normal(size=(50, 3))
+        normals = random_directions(rng, 50)
+        T = fs.traction_kernel(ext, tables, pts, normals)
+        n = ext.field_dim
+        assert T.shape == (50, n, n)
+        for q in range(50):
+            one = fs.traction_kernel(ext, tables, pts[q], normals[q])
+            assert one.shape == (n, n) and np.array_equal(one, T[q])
+            grads = np.stack([fs.evaluate(tab, pts[q]) for tab in tables])
+            assert np.array_equal(one, np.einsum("i,ijkl,lpk->pj", normals[q], ext.c, grads))
+
+    def test_normals_are_validated(self, base_iso, ext_iso):
+        tables = first_derivative_tables(base_iso)
+        with pytest.raises(ValueError, match=r"normals of shape \(3,\)"):
+            fs.traction_kernel(ext_iso, tables, np.ones((4, 3)), [0, 0, 1.0])
+        normals = np.ones((4, 3))
+        normals[2, 1] = math.nan
+        with pytest.raises(ValueError, match=r"non-finite normal \(point index 2\)"):
+            fs.traction_kernel(ext_iso, tables, np.ones((4, 3)), normals)
+        with pytest.raises(ValueError, match=r"non-finite normal \(point index 0\)"):
+            fs.traction_kernel(ext_iso, tables, [1.0, 0, 0], [0, math.inf, 1.0])
+
     def test_hash_mismatch_rejected(self, base_laplace, base_iso, ext_laplace):
         tables = first_derivative_tables(base_laplace)
         wrong = first_derivative_tables(base_iso)
@@ -431,6 +577,66 @@ class TestTraction:
             fs.traction_kernel(
                 ext_laplace, [tables[0], tables[0], tables[2]], [0, 0, 1.0], [0, 0, 1.0]
             )
+
+
+def cube_surface_rule(n):
+    """Points, outward unit normals and weights of the n x n Gauss-Legendre
+    product rule on each face of the cube [-1, 1]^3."""
+    t, w = gauss_legendre(n)
+    u, v = (a.ravel() for a in np.meshgrid(t, t, indexing="ij"))
+    face_w = np.outer(w, w).ravel()
+    points, normals = [], []
+    for axis in range(3):
+        a, b = (k for k in range(3) if k != axis)
+        for side in (-1.0, 1.0):
+            p = np.empty((n * n, 3))
+            p[:, axis], p[:, a], p[:, b] = side, u, v
+            normal = np.zeros((n * n, 3))
+            normal[:, axis] = side
+            points.append(p)
+            normals.append(normal)
+    return np.vstack(points), np.vstack(normals), np.tile(face_w, 6)
+
+
+class TestTractionDivergence:
+    # an oracle for T that needs neither the contour nor the harmonics: by
+    # the divergence theorem and c_iJKl d_i d_l G_KM = -delta_JM, the flux
+    # of T through any closed surface around the source is -I.  Each entry
+    # is measured against the integral of |T| over the surface, since the
+    # piezoelectric entries span 19 decades in SI units (PZT-4's flux
+    # reads 1.7e-6 in absolute terms where it is 3e-15 of that scale).
+    # Two product rules on the faces keep quadrature error apart from
+    # truncation error.  Measured (48 x 48 rule / change from the 40 x 40
+    # rule): Laplace 1.6e-15 / 1.1e-15, IsoElastic 2.2e-15 / 2.7e-15
+    # (exact tables); Cu L=40 8.5e-9 / 8.0e-13, PZT-4 L=30 2.9e-15 /
+    # 4.5e-15, M2 L=24 2.1e-9 / 8.7e-15
+    SOURCE = np.array([0.1, 0.2, -0.15])
+
+    @pytest.mark.parametrize(
+        "name,L,bound",
+        [
+            ("Laplace", 4, 1e-14),
+            ("IsoElastic(1,0.3)", 8, 1e-14),
+            ("Cu", 40, 2e-8),
+            ("PZT-4", 30, 2e-14),
+            ("M2", 24, 5e-9),
+        ],
+    )
+    def test_flux_through_cube_is_minus_identity(self, name, L, bound):
+        ext = fs.extend(fs.builtin(name))
+        tables = first_derivative_tables(fs.base_coefficients(ext, L + 1))
+        flux = {}
+        for n in (40, 48):
+            pts, normals, w = cube_surface_rule(n)
+            T = fs.traction_kernel(ext, tables, pts - self.SOURCE, normals)
+            flux[n] = np.einsum("q,qpj->pj", w, T)
+            scale = np.einsum("q,qpj->pj", w, np.abs(T))
+        # the rule has converged: 40 -> 48 moves the flux by at most 2e-12
+        # of its scale (from the 48 x 48 rule), so a larger residual is the
+        # tables' truncation error
+        assert np.max(np.abs(flux[48] - flux[40]) / scale) <= 2e-12
+        residual = np.abs(flux[48] + np.eye(ext.field_dim)) / scale
+        assert np.max(residual) <= bound
 
 
 class TestSampleSphere:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -757,9 +758,12 @@ class TestPersistence:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_block_names_entry(self, base_m2, tmp_path, value):
         # packed entry 7 of a 5 x 5 block is (i, j) = (1, 3) in
-        # np.triu_indices order, named 1-based
-        table = base_m2.truncated(4)
-        table.coeffs[2, 3, 7] = value  # (l=4, m=3)
+        # np.triu_indices order, named 1-based; the damage goes into a copy
+        # of the read-only coefficients
+        small = base_m2.truncated(4)
+        coeffs = small.coeffs.copy()
+        coeffs[2, 3, 7] = value  # (l=4, m=3)
+        table = dataclasses.replace(small, coeffs=coeffs)
         path = tmp_path / "m2.fsct"
         fs.save_table(table, path)
         message = r"\(l=4, m=3\) is not finite at entry \(i=2, j=4\)"
