@@ -8,12 +8,12 @@ verification.
 
 Typical use:
 
-    from fundsol import builtin, extend, base_coefficients, derive_multi, evaluate
+    from fundsol import builtin, extend, base_coefficients, derive_multi, evaluate_batch
 
     cu = extend(builtin("Cu"))
     base = base_coefficients(cu, L=42)          # degrees 0..42
     d1 = derive_multi(base, (1, 0, 0))          # first x1 derivative
-    value = evaluate(d1.truncated(40), [1.0, 2.0, -0.5])
+    value = evaluate_batch(d1.truncated(40), [[1.0, 2.0, -0.5]])[0]
 """
 
 from .errors import (
@@ -29,16 +29,7 @@ from .errors import (
     UnknownMaterialError,
     UnsupportedOracleError,
 )
-from .evaluator import (
-    SphereField,
-    evaluate,
-    evaluate_batch,
-    export_field_csv,
-    export_field_mesh,
-    sample_sphere,
-    spherical_plot_mesh,
-    traction_kernel,
-)
+from .evaluator import SphereField, evaluate_batch, sample_sphere, traction_kernel
 from .expansion import (
     CoeffTable,
     MultiIndex,
@@ -75,5 +66,6 @@ from .reference import (
     unit_circle_field,
 )
 from .special import legendre_p_at_zero
+from .textio import export_field_csv, export_field_mesh, spherical_plot_mesh
 
 __version__ = "0.1.0"

@@ -28,15 +28,10 @@ coordinate, row (j, i) reuses the text of (i, j) by an index gather, and
 the rows are joined and written as bytes (to stdout's binary buffer when it
 has one), one chunk of 256 points at a time.
 
-Both passes, and `export_field_csv`, use `evaluator._g17_text`, which
-gives CPython's "%.17g" byte for byte from whole-array numpy operations.
-Why it is exact: for 1e-280 <= |x| <= 1e280, y = |x| 10^(16 - X) (X the
-decimal exponent) is formed as Dekker's error-free product of |x| and the
-double nearest 10^(16 - X), plus |x| times that double's residual, so y is
-known to within 1e-14; the 17 printed digits are y rounded to nearest,
-which that error cannot change unless y lies within 1e-12 of a half.  Those
-near-ties (exact ties among them), |x| outside that range, inf and nan are
-formatted by Python one element at a time.  Zero is "0" or "-0".
+Both passes use `textio.g17_text`, which gives CPython's "%.17g" byte for
+byte from whole-array numpy operations; its docstring says why that is
+exact.  Every CSV and mesh goes out through `textio.write_bytes`, which
+makes the missing parent directories of an output file.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ import functools
 import os
 import sys
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +54,7 @@ from .errors import (
     SingularSymbolError,
     TableHashMismatchError,
 )
-from .evaluator import (
-    _g17_text,
-    evaluate_batch,
-    export_field_csv,
-    export_field_mesh,
-    sample_sphere,
-)
+from .evaluator import evaluate_batch, sample_sphere
 from .expansion import (
     DEFAULT_MAX_ORDER,
     MultiIndex,
@@ -79,6 +68,8 @@ from .expansion import (
     save_table,
 )
 from .materials import builtin, extend, format_material, load_material_json, validate, zener_family
+from .reference import CONTOUR_MIN_NODES
+from .textio import export_field_csv, export_field_mesh, g17_text, write_bytes
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -88,10 +79,6 @@ EXIT_BAD_POINT = 5
 
 ENV_TABLES_DIR = "FUNDSOL_TABLES_DIR"
 _EVAL_BLOCK = 256  # points per formatted, joined and written chunk of eval rows
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _load_material(spec: str):
@@ -130,6 +117,14 @@ def _check_degrees(flag: str, degrees, order: int, source: str) -> None:
             raise ValueError(
                 f"{flag} must be >= 0 and >= {source}, got {flag} {L} and {source} {order}"
             )
+
+
+def _check_nodes(flag: str, counts) -> None:
+    """Refuse a contour rule of fewer than CONTOUR_MIN_NODES nodes before any
+    work, naming the flag."""
+    for count in counts:
+        if count < CONTOUR_MIN_NODES:
+            raise ValueError(f"{flag} must be >= {CONTOUR_MIN_NODES}, got {flag} {count}")
 
 
 def _read_points(path) -> np.ndarray:
@@ -216,14 +211,14 @@ def cmd_eval(args) -> int:
     table = load_table(path, expected_material_hash=material_hash)
     points = _read_points(args.points)
     values = evaluate_batch(table, points)
-    _write_bytes(args.out, _eval_text(points, values))
+    write_bytes(args.out, _eval_text(points, values))
     return EXIT_OK
 
 
 def _eval_text(points, values) -> Iterator[bytes]:
     """The eval CSV as ASCII bytes, one chunk per _EVAL_BLOCK points: a
     header, then x,y,z,i,j,value per point and entry, in (point, i, j)
-    order.  In each chunk one `_g17_text` pass formats the coordinates and
+    order.  In each chunk one `g17_text` pass formats the coordinates and
     a second the entries i <= j of every point (the kernels are exactly
     symmetric); row (j, i) takes the text of (i, j) by an index gather, and
     the rows are joined once.  Chunks keep every work array small enough to
@@ -237,41 +232,13 @@ def _eval_text(points, values) -> Iterator[bytes]:
     for start in range(0, len(points), _EVAL_BLOCK):
         block = slice(start, start + _EVAL_BLOCK)
         count = len(points[block])
-        prefixes = _g17_text(points[block], (",", ",", ",\n")).split("\n")
-        cells = _g17_text(values[block][:, rows, cols], ("\n",)).splitlines(True)
+        prefixes = g17_text(points[block], (",", ",", ",\n")).split("\n")
+        cells = g17_text(values[block][:, rows, cols], ("\n",)).splitlines(True)
         pieces = np.empty((count, n * n, 3), dtype=object)
         pieces[:, :, 0] = np.array(prefixes[:-1], dtype=object)[:, None]
         pieces[:, :, 1] = labels
         pieces[:, :, 2] = np.array(cells, dtype=object).reshape(count, rows.size)[:, mirror.ravel()]
         yield "".join(pieces.ravel().tolist()).encode("ascii")
-
-
-def _write_lines(out: Path | None, lines) -> None:
-    _write_text(out, "\n".join(lines) + "\n")
-
-
-def _write_text(out: Path | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
-
-
-def _write_bytes(out: Path | None, chunks: Iterable[bytes]) -> None:
-    """Chunks of ASCII bytes to the file `out`, else to stdout: through its
-    binary buffer, or decoded when it has none (an io.StringIO under
-    contextlib.redirect_stdout).  Each chunk is written as it comes, so no
-    copy of the whole output is held."""
-    if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "wb") as f:
-            f.writelines(chunks)
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(chunks)
-    else:
-        sys.stdout.writelines(c.decode("ascii") for c in chunks)
 
 
 # --------------------------------------------------------------------------- sweep
@@ -290,7 +257,7 @@ def _convergence_rows(ext, L_list, order_mi, grid, n_nodes, label):
         n = e_s1.shape[0]
         for i in range(n):
             for j in range(n):
-                rows.append(f"{label},{L},{i + 1},{j + 1},{_fmt(e_s1[i, j])}")
+                rows.append(f"{label},{L},{i + 1},{j + 1},{e_s1[i, j]:.17g}")
     return rows
 
 
@@ -303,6 +270,7 @@ def cmd_sweep(args) -> int:
     mi = _parse_multi_index(args.multi_index)
     _check_degrees("--L-list", L_list, mi.order, "the order of --multi-index")
     grid = _parse_values("--grid", args.grid, count=2, sep="x")
+    _check_nodes("--nodes", [args.nodes])
     rows = ["case,L,i,j,e_S1"]
     if args.zener_list:
         for A in _parse_values("--zener-list", args.zener_list, kind=float):
@@ -312,7 +280,7 @@ def cmd_sweep(args) -> int:
         rows += _convergence_rows(
             extend(material), L_list, mi, grid, args.nodes, material.name
         )
-    _write_lines(args.out, rows)
+    write_bytes(args.out, [("\n".join(rows) + "\n").encode()])
     return EXIT_OK
 
 
@@ -366,6 +334,7 @@ def cmd_bench(args) -> int:
     L_list = _parse_values("--L-list", args.L_list)
     _check_degrees("--L-list", L_list, mi.order, "the order of --multi-index")
     node_list = _parse_values("--nodes-list", args.nodes_list)
+    _check_nodes("--nodes-list", node_list)
     ref = reference.unit_circle_batch(ext, pts, mi, n_nodes=512)
     ref_scale = np.max(np.abs(ref))
 
@@ -380,9 +349,7 @@ def cmd_bench(args) -> int:
             evaluate_batch(tab, pts[: min(64, n_pts)])
         dt, vals = _median_seconds(lambda: evaluate_batch(tab, pts))
         err = float(np.max(np.abs(vals - ref))) / ref_scale
-        rows.append(
-            f"series,{L},{_fmt(dt / n_pts * 1e9)},{_fmt(err)},{_fmt(build_time)}"
-        )
+        rows.append(f"series,{L},{dt / n_pts * 1e9:.17g},{err:.17g},{build_time:.17g}")
     # the contender is the batched contour; one unit_circle call per point
     # would time Python overhead
     for nodes in node_list:
@@ -392,8 +359,8 @@ def cmd_bench(args) -> int:
             lambda: reference.unit_circle_batch(ext, pts, mi, n_nodes=nodes)
         )
         err = float(np.max(np.abs(vals - ref))) / ref_scale
-        rows.append(f"contour,{nodes},{_fmt(dt / n_pts * 1e9)},{_fmt(err)},0")
-    _write_lines(args.out, rows)
+        rows.append(f"contour,{nodes},{dt / n_pts * 1e9:.17g},{err:.17g},0")
+    write_bytes(args.out, [("\n".join(rows) + "\n").encode()])
     return EXIT_OK
 
 

@@ -63,14 +63,10 @@ from .materials import ExtendedTensor
 from .special import gauss_legendre, legendre_p_at_zero, norm_legendre_rows
 
 __all__ = [
-    "evaluate",
     "evaluate_batch",
     "traction_kernel",
     "SphereField",
     "sample_sphere",
-    "spherical_plot_mesh",
-    "export_field_csv",
-    "export_field_mesh",
     "regular_part_at",
 ]
 
@@ -309,11 +305,6 @@ def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
         return _finite_rows(reg * scale[:, None, None])
 
 
-def evaluate(table: CoeffTable, r) -> np.ndarray:
-    """Kernel value (N, N) at a single field point r (meters)."""
-    return evaluate_batch(table, np.asarray(r, dtype=np.float64)[np.newaxis, :])[0]
-
-
 def traction_kernel(
     ext: ExtendedTensor, first_deriv_tables, points, normals
 ) -> np.ndarray:
@@ -383,216 +374,3 @@ def sample_sphere(table: CoeffTable, n_theta: int, n_phi: int) -> SphereField:
     vals = regular_part_at(table, th_grid, ph_grid).reshape(n_theta, n_phi, n, n)
     weights = np.outer(wt, np.full(n_phi, 2.0 * np.pi / n_phi))
     return SphereField(theta=theta, phi=phi, values=vals / (4.0 * np.pi), weights=weights)
-
-
-def spherical_plot_mesh(field: SphereField, i: int, j: int):
-    """Amplitude-plot coordinates: radius |component| along each direction.
-
-    Returns (rho, x, y, z), each of shape (n_theta, n_phi).
-    """
-    rho = np.abs(field.values[:, :, i, j])
-    st = np.sin(field.theta)[:, None]
-    ct = np.cos(field.theta)[:, None]
-    x = rho * st * np.cos(field.phi)[None, :]
-    y = rho * st * np.sin(field.phi)[None, :]
-    z = rho * ct
-    return rho, x, y, z
-
-
-def export_field_csv(field: SphereField, i: int, j: int, path) -> None:
-    """CSV rows (theta, phi, value, x, y, z) for the selected component, in
-    (theta, phi) order, each number as "%.17g" (see `_g17_text`)."""
-    _, x, y, z = spherical_plot_mesh(field, i, j)
-    theta, phi = np.meshgrid(field.theta, field.phi, indexing="ij")
-    columns = (theta, phi, field.values[:, :, i, j], x, y, z)
-    rows = np.stack([c.ravel() for c in columns], axis=1)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("theta,phi,value,x,y,z\n")
-        f.write(_g17_text(rows, (",",) * 5 + ("\n",)))
-
-
-# ------------------------------------------------------------ 17-digit text
-
-_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two halves
-_FAST_RANGE = (1e-280, 1e280)  # |x| whose partial products all stay normal
-_POW10_RANGE = (-270, 300)  # exponents s of the 10^s table, with margin
-_EXP_RANGE = (-300, 300)  # decimal exponents of the exponent-text table
-_TIE = 1e-12  # |frac - 1/2| at or below which an element falls back
-_G17_BLOCK = 4096  # elements per pass: work arrays of ~100 KB, reused from the heap
-
-
-def _ascii_columns(texts, width: int) -> np.ndarray:
-    """(width, len(texts)) uint8: text t down column t, NUL-padded."""
-    out = np.zeros((width, len(texts)), np.uint8)
-    for col, text in enumerate(texts):
-        out[: len(text), col] = np.frombuffer(text.encode("ascii"), np.uint8)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _g17_tables():
-    """The formatter's tables, built on first use from exact integers.
-
-    pow10[:, s - s_min] = (hi, hi's high half, hi's low half, lo) with
-    hi = fl(10^s) and lo = fl(10^s - hi), so hi + lo is 10^s to 2^-106
-    relative (int / int rounds correctly); digits4[v] is "%04d" % v as one
-    uint32; prefix holds "0." and the zeros of 1e-4 <= |x| < 1 by
-    clip(X, -5, 0) + 5; exponent holds "e%+03d" % X where %g uses it."""
-    rows = []
-    for s in range(_POW10_RANGE[0], _POW10_RANGE[1] + 1):
-        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
-        hi = num / den
-        p, q = hi.as_integer_ratio()
-        c = _SPLIT * hi
-        rows.append((hi, c - (c - hi), hi - (c - (c - hi)), (num * q - p * den) / (den * q)))
-    pow10 = np.array(rows).T.copy()
-    digits4 = np.frombuffer(b"".join(b"%04d" % v for v in range(10000)), np.uint32)
-    prefix = _ascii_columns(["", "0.000", "0.00", "0.0", "0.", ""], 5)
-    exponent = _ascii_columns(
-        ["" if -4 <= X < 17 else "e%+03d" % X for X in range(_EXP_RANGE[0], _EXP_RANGE[1] + 1)], 5
-    )
-    return pow10, digits4, prefix, exponent
-
-
-def _scaled_floor(a, k, pow10):
-    """(floor(y), y - floor(y)) of y = a 10^(16 - k): Dekker's exact product
-    of a and hi, plus a * lo (a, k 1-D; absolute error below 1e-14)."""
-    p, p_hi, p_lo, lo = pow10.take(16 - _POW10_RANGE[0] - k, axis=1)
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    h = a * p
-    t = (((a_hi * p_hi - h) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo) + a * lo
-    ft = np.floor(t)
-    return h.astype(np.int64) + ft.astype(np.int64), t - ft
-
-
-def _g17_text(x, ends) -> str:
-    """The text "%.17g" % v of every element v of float array x, in C
-    order, element i followed by ends[i % len(ends)]; x.size must be a
-    multiple of len(ends).  Byte for byte the same as CPython's "%.17g",
-    in whole-array numpy passes over blocks of _G17_BLOCK elements.
-
-    Exactness.  For a finite x with 1e-280 <= |x| <= 1e280, let X be its
-    decimal exponent and y = |x| 10^(16 - X), so that 1e16 <= y < 1e17;
-    "%.17g" prints the 17 digits of D = y rounded to nearest, and X.  y is
-    formed from 10^s = hi + lo (exact to 2^-106, built from integers) as
-    Dekker's error-free product |x| * hi (Dekker 1971; Veltkamp's split,
-    no fma) plus |x| * lo, which is within 1e-14 of y: the range keeps
-    every partial product normal.  X starts as floor(log10|x|), which may
-    be one off; a floor(y) outside [1e16, 1e17) moves X by one and y is
-    formed again.  D = floor(y) + (frac > 1/2), and D = 1e17 carries into
-    X.  An element falls back to Python's own "%.17g" when |x| is outside
-    the range or not finite, when |frac - 1/2| <= 1e-12 (a rounding
-    near-tie, exact ties included: there round-half-even and the error
-    bound decide), or when floor(y) is still outside [1e16, 1e17) after
-    the move (y within the error of 1e16: x = 1e20, whose y is 1e16
-    exactly, comes out just below it).  Zero is "0" or "-0".
-
-    Layout.  %g uses exponent form when X < -4 or X >= 17 and fixed form
-    otherwise, strips trailing fraction zeros and writes the exponent as
-    e+XX or e+XXX.  Every element gets fixed byte slots (sign, "0.000"
-    prefix, 17 digits with one dot slot, exponent, end), NUL where unused,
-    and one bytes.translate deletes the NULs."""
-    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    step = _G17_BLOCK - _G17_BLOCK % len(ends)
-    blocks = [_g17_block(x[i : i + step], ends) for i in range(0, x.size, step)]
-    return b"".join(blocks).decode("ascii")
-
-
-def _decimal17(x):
-    """(D, X, fast) of a 1-D float64 array: D the 17 digits of |x| (int64,
-    1e16 <= D < 1e17) and X its decimal exponent, as "%.17g" prints them,
-    where `fast`; D = X = 0 at zero; elsewhere the element falls back to
-    Python (see `_g17_text`)."""
-    pow10 = _g17_tables()[0]
-    a = np.abs(x)
-    zero = a == 0
-    fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
-    a[~fast] = 1.0
-    X = np.floor(np.log10(a)).astype(np.int64)
-    d, frac = _scaled_floor(a, X, pow10)
-    move = (d < 10**16).astype(np.int64) - (d >= 10**17)
-    redo = np.flatnonzero(move)
-    if redo.size:
-        X[redo] -= move[redo]
-        d[redo], frac[redo] = _scaled_floor(a[redo], X[redo], pow10)
-    fast &= (np.abs(frac - 0.5) > _TIE) & (d >= 10**16) & (d < 10**17)
-    fast |= zero
-    d += frac > 0.5
-    carry = d == 10**17
-    d[carry] = 10**16
-    X += carry
-    d[zero] = 0
-    X[zero] = 0
-    return d, X, fast
-
-
-def _g17_block(x, ends) -> bytes:
-    _, digits4, prefix, exponent = _g17_tables()
-    n = x.size
-    d, exp10, fast = _decimal17(x)
-
-    # the digits of D as five 4-character groups: "000" and the leading
-    # digit, then two groups of each half of the other 16; one row per digit
-    lead = d // 10**16
-    rest = d - lead * 10**16
-    groups = np.empty((5, n), np.uint32)
-    upper = rest // 10**8
-    groups[0] = digits4.take(lead)
-    for row, half in ((1, upper), (3, rest - upper * 10**8)):
-        top = half // 10**4
-        groups[row] = digits4.take(top)
-        groups[row + 1] = digits4.take(half - top * 10**4)
-    # row 0 and row 18 stay NUL: the neighbours of the first and last digit
-    digits = np.zeros((19, n), np.uint8)
-    digits[1:18] = groups.view(np.uint8).reshape(5, n, 4).transpose(0, 2, 1).reshape(20, n)[3:]
-    index = np.arange(17, dtype=np.int16)[:, None]
-    X = exp10.astype(np.int16)
-    expo = (X < -4) | (X >= 17)
-    fixed = ~expo & (X >= 0)
-    # the last digit printed: the last nonzero one, and in fixed form at
-    # least the units digit
-    last = ((digits[1:18] != 48) * index).max(axis=0)
-    last = np.where(fixed, np.maximum(last, X), last)
-    digits[1:18] *= index <= last
-    # the dot follows digit `dot`; 17 is none (no fraction digits left, or
-    # 1e-4 <= |x| < 1, whose dot is in the prefix)
-    dot = np.where(fixed, X, 0)
-    dot[(dot >= last) | (~expo & (X < 0))] = 17
-
-    width = 29 + max(map(len, ends))
-    out = np.zeros((width, n), np.uint8)  # one column per element
-    out[0] = np.signbit(x) * np.uint8(ord("-"))
-    out[1:6] = prefix.take(np.clip(X, -5, 0) + 5, axis=1)
-    # body column c: digit c up to the dot, then ".", then digit c - 1;
-    # modulo-256 arithmetic, which np.where takes ten times longer to do
-    col = np.arange(18, dtype=np.int16)[:, None]
-    prev, cur = digits[:-1], digits[1:]
-    out[6:24] = prev + (col <= dot) * (cur - prev) + (col == dot + 1) * (np.uint8(ord(".")) - prev)
-    out[24:29] = exponent.take(exp10 - _EXP_RANGE[0], axis=1)
-    out[29:].reshape(width - 29, -1, len(ends))[:] = _ascii_columns(ends, width - 29)[:, None, :]
-    for i in np.flatnonzero(~fast):
-        text = np.frombuffer(b"%.17g" % float(x[i]), np.uint8)
-        out[:29, i] = 0
-        out[: text.size, i] = text
-    return out.T.tobytes().translate(None, b"\0")
-
-
-def export_field_mesh(field: SphereField, i: int, j: int, path) -> None:
-    """Wavefront-style triangle mesh of the amplitude plot (wraps in azimuth)."""
-    _, x, y, z = spherical_plot_mesh(field, i, j)
-    nt, np_ = x.shape
-    with open(path, "w", encoding="utf-8") as f:
-        for a in range(nt):
-            for b in range(np_):
-                f.write(f"v {x[a, b]:.9g} {y[a, b]:.9g} {z[a, b]:.9g}\n")
-        for a in range(nt - 1):
-            for b in range(np_):
-                b2 = (b + 1) % np_
-                v00 = a * np_ + b + 1
-                v01 = a * np_ + b2 + 1
-                v10 = (a + 1) * np_ + b + 1
-                v11 = (a + 1) * np_ + b2 + 1
-                f.write(f"f {v00} {v10} {v11}\n")
-                f.write(f"f {v00} {v11} {v01}\n")

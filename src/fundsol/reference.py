@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _CONTOUR_BUDGET = 4096  # directions x contour nodes per batched inversion
+CONTOUR_MIN_NODES = 16  # the fewest nodes a contour rule may have
 
 
 def _finite_closed_form(fn):
@@ -146,8 +147,8 @@ def unit_circle_batch(ext: ExtendedTensor, points, mi=(0, 0, 0), n_nodes: int = 
     so near zero that its value overflows, raises SingularPointError; each
     names the point index.
     """
-    if n_nodes < 16:
-        raise ValueError("contour rule needs at least 16 nodes")
+    if n_nodes < CONTOUR_MIN_NODES:
+        raise ValueError(f"contour rule needs at least {CONTOUR_MIN_NODES} nodes")
     mi = MultiIndex.coerce(mi)
     rhat, radii = _directions(points)
     n = ext.field_dim

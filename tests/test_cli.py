@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
+import importlib
 import io
+import itertools
 import json
 import math
 import re
@@ -25,6 +27,28 @@ def run(capsys, *argv):
 
 def write_points(path, rows):
     path.write_text("x,y,z\n" + "\n".join(",".join(str(v) for v in r) for r in rows) + "\n")
+
+
+def refuse_work(monkeypatch):
+    """Make the first step of any sweep or bench computation fail the test."""
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+    monkeypatch.setattr(cli, "base_coefficients", work)
+    monkeypatch.setattr(cli.reference, "unit_circle_batch", work)
+
+
+def stdout_and_file_bytes(capsys, monkeypatch, tmp_path, *argv):
+    """The bytes a command prints to stdout and writes with --out, each run
+    on a fresh fake clock, so timing columns read the same in both runs."""
+    outputs = []
+    for out in (None, tmp_path / "out.csv"):
+        clock = itertools.count()
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: float(next(clock)))
+        extra = () if out is None else ("--out", str(out))
+        code, text, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        outputs.append(text.encode() if out is None else out.read_bytes())
+    return outputs
 
 
 def per_component_text(points, values):
@@ -62,6 +86,21 @@ class TestOptions:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 20" in capsys.readouterr().err
+
+    def test_traced_names_resolve(self):
+        # the benchmark's tracer replaces these attributes by name; one that
+        # is gone reads 0 there instead of failing
+        names = {
+            "fundsol.cli": ["cmd_build", "cmd_eval", "base_coefficients", "save_table",
+                            "load_table", "evaluate_batch"],
+            "fundsol": ["evaluate_batch"],
+            "fundsol.expansion": ["inverse_symbol_batch", "norm_legendre_table",
+                                  "derive_coefficients"],
+            "fundsol.evaluator": ["regular_part_at"],
+        }
+        for module, attrs in names.items():
+            for attr in attrs:
+                assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
     def test_parser_built_once_and_commands_looked_up_per_call(self, monkeypatch):
         # a replaced cmd_* attribute (as a tracer installs) is the one called,
@@ -724,6 +763,26 @@ class TestSweep:
         ) in err
         assert not out_file.exists()
 
+    def test_nodes_below_16_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path):
+        # the contour's own refusal came after the tables were built and
+        # named no flag
+        refuse_work(monkeypatch)
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run(
+            capsys, "sweep", "--material", "Cu", "--L-list", "4", "--grid", "4x6",
+            "--nodes", "8", "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert "--nodes must be >= 16, got --nodes 8" in err
+        assert not out_file.exists()
+
+    def test_stdout_bytes_equal_out_file(self, capsys, monkeypatch, tmp_path):
+        stdout, written = stdout_and_file_bytes(
+            capsys, monkeypatch, tmp_path, "sweep", "--material", "Cu", "--L-list", "4,8",
+            "--zener-list", "0.5,2", "--grid", "4x6", "--nodes", "16",
+        )
+        assert stdout == written and written.count(b"\n") == 1 + 2 * 2 * 9
+
     def test_descending_list_rejected(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--material", "Cu", "--L-list", "24,8",
@@ -777,6 +836,26 @@ class TestBench:
             "got --L-list 1 and the order of --multi-index 3"
         ) in err
         assert not out_file.exists()
+
+    def test_nodes_below_16_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path):
+        # the series rows were timed first, then the contour refused 8 nodes
+        # in a message that named no flag
+        refuse_work(monkeypatch)
+        out_file = tmp_path / "bench.csv"
+        code, out, err = run(
+            capsys, "bench", "--material", "Cu", "--L-list", "8",
+            "--nodes-list", "16,8", "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert "--nodes-list must be >= 16, got --nodes-list 8" in err
+        assert not out_file.exists()
+
+    def test_stdout_bytes_equal_out_file(self, capsys, monkeypatch, tmp_path):
+        stdout, written = stdout_and_file_bytes(
+            capsys, monkeypatch, tmp_path, "bench", "--material", "Cu", "--L-list", "8",
+            "--nodes-list", "16", "--points-count", "16",
+        )
+        assert stdout == written and written.count(b"\n") == 3
 
     def test_contour_errors_match_per_point_contour(self, capsys, tmp_path):
         # the batched contour rows report the errors of one unit_circle call
@@ -879,3 +958,15 @@ class TestPlot:
         )
         assert code == 0
         assert mesh_file.read_text().startswith("v ")
+
+    def test_outputs_into_missing_directory(self, capsys, tmp_path):
+        # eval, sweep and bench --out made missing parents; plot now does too
+        out_file = tmp_path / "new" / "plot.csv"
+        mesh_file = tmp_path / "other" / "deeper" / "plot.obj"
+        code, _, _ = run(
+            capsys, "plot", "--material", "Laplace", "--L", "2",
+            "--grid", "4x6", "--out", str(out_file), "--mesh", str(mesh_file),
+        )
+        assert code == 0
+        assert out_file.read_text().count("\n") == 1 + 4 * 6
+        assert mesh_file.read_text().count("\n") == 4 * 6 + 2 * 3 * 6

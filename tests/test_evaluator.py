@@ -14,7 +14,7 @@ import pytest
 import scipy.special as sps
 
 import fundsol as fs
-from fundsol import evaluator
+from fundsol import evaluator, textio
 from fundsol.errors import SingularPointError, TableConsistencyError
 from fundsol.evaluator import regular_part_at
 from fundsol.expansion import derive_multi
@@ -100,22 +100,22 @@ def mp_legendre(l, m, theta):
 
 class TestEvaluate:
     def test_laplace_base_kernel(self, base_laplace):
-        val = fs.evaluate(base_laplace, [0.0, 0.0, 2.0])
+        val = fs.evaluate_batch(base_laplace, [[0.0, 0.0, 2.0]])[0]
         assert val.shape == (1, 1)
         assert val[0, 0] == pytest.approx(1 / (8 * math.pi), rel=1e-13)
 
     def test_laplace_third_derivative(self, base_laplace):
         table = derive_multi(base_laplace, (2, 1, 0)).truncated(3)
-        val = fs.evaluate(table, [0.0, 1.0, 0.0])
+        val = fs.evaluate_batch(table, [[0.0, 1.0, 0.0]])[0]
         assert val[0, 0] == pytest.approx(3 / FOUR_PI, rel=1e-12)
 
     def test_kelvin_component(self, base_iso):
-        val = fs.evaluate(base_iso.truncated(2), [1.0, 0.0, 0.0])
+        val = fs.evaluate_batch(base_iso.truncated(2), [[1.0, 0.0, 0.0]])[0]
         assert val[0, 0] == pytest.approx(2.8 / (16 * math.pi * 0.7), rel=1e-12)
 
     def test_zero_point_raises(self, base_laplace):
         with pytest.raises(SingularPointError):
-            fs.evaluate(base_laplace, [0.0, 0.0, 0.0])
+            fs.evaluate_batch(base_laplace, [[0.0, 0.0, 0.0]])[0]
 
     @pytest.mark.parametrize("name", ["Laplace", "Cu", "PZT-4", "M2"])
     def test_homogeneity(self, name, rng):
@@ -125,9 +125,9 @@ class TestEvaluate:
             table = derive_multi(base, mi)
             power = sum(mi) + 1
             r = np.array([0.31, -0.44, 0.84])
-            v1 = fs.evaluate(table, r)
+            v1 = fs.evaluate_batch(table, [r])[0]
             for s in (0.5, 2.0, 10.0):
-                v2 = fs.evaluate(table, s * r)
+                v2 = fs.evaluate_batch(table, [s * r])[0]
                 scale = np.max(np.abs(v1))
                 assert np.max(np.abs(v2 * s**power - v1)) <= 1e-12 * scale
 
@@ -141,9 +141,9 @@ class TestEvaluate:
             power = sum(mi) + 1
             for z in (0.5, -0.5):
                 r = np.array([eps, 0.3 * eps, z])
-                v1 = fs.evaluate(table, r)
+                v1 = fs.evaluate_batch(table, [r])[0]
                 for s in (0.3, 0.77, 1.7, 3.1):
-                    v2 = fs.evaluate(table, s * r)
+                    v2 = fs.evaluate_batch(table, [s * r])[0]
                     assert np.max(np.abs(v2 * s**power - v1)) <= 4e-15 * np.max(np.abs(v1))
 
     # the evaluator returns the real part only; the full complex sum over
@@ -166,18 +166,18 @@ class TestEvaluate:
         for name in ("Cu", "Au", "Ni", "PZT-4", "PVDF", "M1", "M2"):
             base = fs.base_coefficients(fs.extend(fs.builtin(name)), 24)
             for d in random_directions(rng, 5):
-                m = fs.evaluate(base, d)
+                m = fs.evaluate_batch(base, [d])[0]
                 assert np.array_equal(m, m.T)
 
     def test_antipodal_parity(self, base_cu, rng):
         even = base_cu.truncated(20)  # order 0
         odd = derive_multi(base_cu.truncated(21), (1, 0, 0))
         for d in random_directions(rng, 10):
-            ve = fs.evaluate(even, d)
-            ve_m = fs.evaluate(even, -d)
+            ve = fs.evaluate_batch(even, [d])[0]
+            ve_m = fs.evaluate_batch(even, [-d])[0]
             assert np.max(np.abs(ve - ve_m)) <= 1e-12 * np.max(np.abs(ve))
-            vo = fs.evaluate(odd, d)
-            vo_m = fs.evaluate(odd, -d)
+            vo = fs.evaluate_batch(odd, [d])[0]
+            vo_m = fs.evaluate_batch(odd, [-d])[0]
             assert np.max(np.abs(vo + vo_m)) <= 1e-12 * np.max(np.abs(vo))
 
 
@@ -197,7 +197,7 @@ class TestEvaluateBatch:
         batch = fs.evaluate_batch(base_cu, pts)
         assert batch.shape == (100, 3, 3) and batch.dtype == np.float64
         for p, v in enumerate(batch):
-            single = fs.evaluate(base_cu, pts[p])
+            single = fs.evaluate_batch(base_cu, [pts[p]])[0]
             assert np.max(np.abs(v - single)) <= 1e-15 * np.max(np.abs(single))
 
     @pytest.mark.parametrize(
@@ -295,7 +295,7 @@ class TestEvaluateBatch:
         batch = fs.evaluate_batch(table, pts)
         assert calls == [2]
         for p, v in zip(pts, batch):
-            assert np.array_equal(v, fs.evaluate(table, p))
+            assert np.array_equal(v, fs.evaluate_batch(table, [p])[0])
 
     def test_dedup_matches_numpy_unique(self, rng):
         # the lexsort run-length dedup gives np.unique's rows and inverse
@@ -361,8 +361,8 @@ class TestEvaluateBatch:
         table = base_cu.truncated(8)
         u = np.array([0.48, -0.6, 0.64])
         p = size * u
-        value = fs.evaluate(table, p) * np.sqrt(np.sum((p / size) ** 2)) * size
-        unit = fs.evaluate(table, u)
+        value = fs.evaluate_batch(table, [p])[0] * np.sqrt(np.sum((p / size) ** 2)) * size
+        unit = fs.evaluate_batch(table, [u])[0]
         assert np.max(np.abs(value - unit)) <= 1e-14 * np.max(np.abs(unit))
 
     def test_huge_point_reads_its_own_direction(self, base_cu):
@@ -409,7 +409,7 @@ class TestContractionCache:
         pts = rng.normal(size=(300, 3))
         first = fs.evaluate_batch(table, pts)
         assert np.array_equal(fs.evaluate_batch(table, pts), first)
-        assert np.array_equal(fs.evaluate(table, pts[5]), first[5])
+        assert np.array_equal(fs.evaluate_batch(table, [pts[5]])[0], first[5])
         assert builds == [(40, 0)]
         # a second table of the same coefficients builds its own W
         assert np.array_equal(fs.evaluate_batch(base_cu.truncated(40), pts), first)
@@ -427,7 +427,7 @@ class TestContractionCache:
             fs.CoeffTable("x", 1, 2, (0, 0, 0), np.zeros((2, 3, 1), dtype=np.complex128)),
         ]
         for table in tables:
-            fs.evaluate(table, [0.3, 0.4, 0.5])
+            fs.evaluate_batch(table, [[0.3, 0.4, 0.5]])[0]
             with pytest.raises(ValueError, match="read-only"):
                 table.coeffs[0, 0, 0] = 1.0
             for cached in evaluator._contraction(table):
@@ -436,7 +436,7 @@ class TestContractionCache:
 
     def test_w_goes_with_its_table(self, base_cu):
         table = base_cu.truncated(20)
-        fs.evaluate(table, [0.3, 0.4, 0.5])
+        fs.evaluate_batch(table, [[0.3, 0.4, 0.5]])[0]
         W, pole = evaluator._contraction(table)
         refs = [weakref.ref(a) for a in (table, W, pole)]
         del table, W, pole
@@ -489,7 +489,7 @@ class TestDerivativeConsistency:
         for p in pts[:50]:
             axis = int(rng.integers(1, 4))
             fd = fs.finite_diff(base.truncated(L), p, axis, 1e-2 * np.linalg.norm(p))
-            series = fs.evaluate(tables[axis - 1].truncated(L), p)
+            series = fs.evaluate_batch(tables[axis - 1].truncated(L), [p])[0]
             scale = np.max(np.abs(series))
             assert np.max(np.abs(fd - series)) <= 1e-7 * scale
 
@@ -554,7 +554,7 @@ class TestTraction:
         for q in range(50):
             one = fs.traction_kernel(ext, tables, pts[q], normals[q])
             assert one.shape == (n, n) and np.array_equal(one, T[q])
-            grads = np.stack([fs.evaluate(tab, pts[q]) for tab in tables])
+            grads = np.stack([fs.evaluate_batch(tab, [pts[q]])[0] for tab in tables])
             assert np.array_equal(one, np.einsum("i,ijkl,lpk->pj", normals[q], ext.c, grads))
 
     def test_normals_are_validated(self, base_iso, ext_iso):
@@ -660,7 +660,7 @@ class TestSampleSphere:
                     math.sin(fld.theta[a]) * math.sin(fld.phi[b]),
                     math.cos(fld.theta[a]),
                 ]
-                v = fs.evaluate(base_cu.truncated(20), d)
+                v = fs.evaluate_batch(base_cu.truncated(20), [d])[0]
                 assert np.max(np.abs(fld.values[a, b] - v)) <= 1e-14 * np.max(np.abs(v))
 
     def test_grid_floor(self, base_laplace):
@@ -703,9 +703,37 @@ class TestSampleSphere:
         assert sum(1 for t in text if t.startswith("v ")) == 24
         assert sum(1 for t in text if t.startswith("f ")) == 2 * 3 * 6
 
+    @pytest.mark.parametrize("grid,comp", [((64, 128), (0, 1)), ((5, 7), (1, 3))])
+    def test_mesh_bytes_match_per_vertex_loop(self, base_m2, tmp_path, grid, comp):
+        fld = fs.sample_sphere(base_m2.truncated(12), *grid)
+        path = tmp_path / "sub" / "field.obj"
+        fs.export_field_mesh(fld, *comp, path)
+        assert path.read_bytes() == per_vertex_mesh(fld, *comp).encode()
+
+
+def per_vertex_mesh(field, i, j):
+    """The oracle of export_field_mesh: the mesh text written one vertex and
+    one face at a time."""
+    _, x, y, z = fs.spherical_plot_mesh(field, i, j)
+    nt, np_ = x.shape
+    lines = []
+    for a in range(nt):
+        for b in range(np_):
+            lines.append(f"v {x[a, b]:.9g} {y[a, b]:.9g} {z[a, b]:.9g}\n")
+    for a in range(nt - 1):
+        for b in range(np_):
+            b2 = (b + 1) % np_
+            v00 = a * np_ + b + 1
+            v01 = a * np_ + b2 + 1
+            v10 = (a + 1) * np_ + b + 1
+            v11 = (a + 1) * np_ + b2 + 1
+            lines.append(f"f {v00} {v10} {v11}\n")
+            lines.append(f"f {v00} {v11} {v01}\n")
+    return "".join(lines)
+
 
 def percent_g17(x, ends):
-    """The oracle of _g17_text: CPython's "%.17g" of each element, then its end."""
+    """The oracle of g17_text: CPython's "%.17g" of each element, then its end."""
     x = np.ravel(x)
     fmt = "".join("%.17g" + e.replace("%", "%%") for e in ends) * (x.size // len(ends))
     return fmt % tuple(x.tolist())
@@ -744,7 +772,7 @@ def decimal_ties(per_exponent=64):
 
 
 class TestG17Text:
-    """evaluator._g17_text against CPython's "%.17g", byte for byte."""
+    """textio.g17_text against CPython's "%.17g", byte for byte."""
 
     EDGES = [
         0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
@@ -756,7 +784,7 @@ class TestG17Text:
     ]
 
     def check(self, x, ends=("\n",)):
-        assert evaluator._g17_text(x, ends) == percent_g17(x, ends)
+        assert textio.g17_text(x, ends) == percent_g17(x, ends)
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(2024)
@@ -788,7 +816,7 @@ class TestG17Text:
         x = np.concatenate(
             [np.array(self.EDGES), powers_of_two_and_odd_multiples(), decimal_ties()]
         )
-        _, _, fast = evaluator._decimal17(x)
+        _, _, fast = textio._decimal17(x)
         finite = np.isfinite(x)
         in_range = finite & (np.abs(x) >= 1e-280) & (np.abs(x) <= 1e280)
         assert not fast[~finite].any() and (~finite).sum() == 3
@@ -796,7 +824,7 @@ class TestG17Text:
         assert not fast[outside].any() and outside.sum() > 1000
         assert fast[x == 0].all()
         # y = 1e16 exactly, formed just below it: still out of range after the move
-        assert not evaluator._decimal17(np.array([1e20, -1e20]))[2].any()
+        assert not textio._decimal17(np.array([1e20, -1e20]))[2].any()
         # the rest fall back only on rounding near-ties, exact ones included
         near_tie = np.flatnonzero(in_range & ~fast)
         assert near_tie.size > 1000
@@ -807,7 +835,10 @@ class TestG17Text:
     def test_ends_repeat_and_empty_input(self):
         x = np.array([[1.5, -0.0, 1e-300], [2.0, math.nan, 1e300]])
         self.check(x, ("a", "", "\r\n"))
-        assert evaluator._g17_text(np.zeros(0), ("\n",)) == ""
+        # every end empty: no end bytes at all
+        self.check(x, ("",))
+        self.check(x, (",", ""))
+        assert textio.g17_text(np.zeros(0), ("\n",)) == ""
 
     def test_blocks_join_seamlessly(self):
         # sizes around the block length, with a three-long end pattern

@@ -68,7 +68,7 @@ class TestLaplaceClosed:
             table = derive_multi(base_laplace, mi).truncated(sum(mi))
             for _ in range(5):
                 r = rng.normal(size=3)
-                got = fs.evaluate(table, r)[0, 0]
+                got = fs.evaluate_batch(table, [r])[0, 0, 0]
                 assert got == pytest.approx(fs.laplace_closed(mi, r), rel=1e-12)
 
     def test_unsupported_multi_index(self):
@@ -188,7 +188,7 @@ class TestUnitCircle:
         for r in random_directions(rng, 5):
             axis = int(rng.integers(1, 4))
             contour = fs.unit_circle(ext_cu, r, order=1, axis=axis, n_nodes=512)
-            series = fs.evaluate(tables[axis - 1].truncated(40), r)
+            series = fs.evaluate_batch(tables[axis - 1].truncated(40), [r])[0]
             assert np.max(np.abs(contour - series)) <= 1e-5 * np.max(np.abs(contour))
 
     def test_singular_symbol_on_circle(self):
@@ -315,7 +315,7 @@ class TestFiniteDiff:
         for r in random_directions(rng, 20):
             axis = int(rng.integers(1, 4))
             fd = fs.finite_diff(trunc, r, axis, 1e-3)
-            series = fs.evaluate(tables[axis - 1], r)
+            series = fs.evaluate_batch(tables[axis - 1], [r])[0]
             assert np.max(np.abs(fd - series)) <= 1e-9 * np.max(np.abs(series))
 
 
@@ -352,7 +352,7 @@ class TestOracleAgreement:
         base = fs.base_coefficients(ext, 40)
         pts = random_directions(rng, 50) * rng.uniform(0.5, 2.0, size=(50, 1))
         for p in pts:
-            series = fs.evaluate(base, p)
+            series = fs.evaluate_batch(base, [p])[0]
             contour = fs.unit_circle(ext, p, order=0, n_nodes=512)
             assert np.max(np.abs(series - contour)) <= 1e-6 * np.max(np.abs(contour))
 
