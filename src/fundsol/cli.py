@@ -56,7 +56,6 @@ from .errors import (
 )
 from .evaluator import evaluate_batch, sample_sphere
 from .expansion import (
-    DEFAULT_MAX_ORDER,
     MultiIndex,
     base_coefficients,
     base_quadrature,
@@ -91,9 +90,13 @@ def _tables_dir(args) -> Path:
     return Path(args.tables_dir or os.environ.get(ENV_TABLES_DIR) or (Path.cwd() / "tables"))
 
 
+def _mi_tag(mi) -> str:
+    """d{i1}{i2}{i3}, dashed when a count exceeds 9: (1, 10, 0) is not (11, 0, 0)."""
+    return "d" + ("-" if max(mi) > 9 else "").join(map(str, mi))
+
+
 def table_path(tables_dir: Path, material_hash: str, L: int, mi) -> Path:
-    i1, i2, i3 = mi
-    return tables_dir / f"{material_hash[:16]}_L{L}_d{i1}{i2}{i3}.fsct"
+    return tables_dir / f"{material_hash[:16]}_L{L}_{_mi_tag(mi)}.fsct"
 
 
 def _parse_multi_index(text: str) -> MultiIndex:
@@ -109,9 +112,8 @@ def _point_row(line: str) -> list[float] | None:
 
 
 def _check_degrees(flag: str, degrees, order: int, source: str) -> None:
-    """Refuse a truncation degree below the derivative order (>= 0), naming
-    the flag and the order: a table of order I holds degrees I..L, so below
-    I every kernel it gives is zero."""
+    """Refuse a truncation degree below the derivative order (>= 0) before any
+    work, naming the flag and the order (CoeffTable refuses it once built)."""
     for L in degrees:
         if L < order:
             raise ValueError(
@@ -125,6 +127,14 @@ def _check_nodes(flag: str, counts) -> None:
     for count in counts:
         if count < CONTOUR_MIN_NODES:
             raise ValueError(f"{flag} must be >= {CONTOUR_MIN_NODES}, got {flag} {count}")
+
+
+def _parse_grid(text: str) -> list[int]:
+    """--grid n_theta x n_phi, refused below sample_sphere's 2 x 3 before any work."""
+    grid = _parse_values("--grid", text, count=2, sep="x")
+    if grid[0] < 2 or grid[1] < 3:
+        raise ValueError(f"--grid must be at least 2x3, got --grid {text}")
+    return grid
 
 
 def _read_points(path) -> np.ndarray:
@@ -168,8 +178,8 @@ def _read_points(path) -> np.ndarray:
 
 def cmd_build(args) -> int:
     order = args.order
-    if not 0 <= order <= DEFAULT_MAX_ORDER:
-        raise ValueError(f"--order must lie in 0..{DEFAULT_MAX_ORDER}, got {order}")
+    if order < 0:
+        raise ValueError(f"--order must be >= 0, got {order}")
     _check_degrees("--L", [args.L], order, "--order")
     ext = extend(_load_material(args.material))
     material_hash = ext.material_hash  # a SHA-256 of the tensor per read
@@ -206,8 +216,7 @@ def cmd_eval(args) -> int:
     mi = _parse_multi_index(args.multi_index)
     path = table_path(_tables_dir(args), material_hash, args.L, mi.astuple())
     if not path.exists():
-        print(f"error: table {path} not found; run build first", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError(f"table {path} not found; run build first")
     table = load_table(path, expected_material_hash=material_hash)
     points = _read_points(args.points)
     values = evaluate_batch(table, points)
@@ -265,11 +274,10 @@ def cmd_sweep(args) -> int:
     material = _load_material(args.material)
     L_list = _parse_values("--L-list", args.L_list)
     if L_list != sorted(L_list):
-        print("error: --L-list must be ascending", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("--L-list must be ascending")
     mi = _parse_multi_index(args.multi_index)
     _check_degrees("--L-list", L_list, mi.order, "the order of --multi-index")
-    grid = _parse_values("--grid", args.grid, count=2, sep="x")
+    grid = _parse_grid(args.grid)
     _check_nodes("--nodes", [args.nodes])
     rows = ["case,L,i,j,e_S1"]
     if args.zener_list:
@@ -372,13 +380,14 @@ def cmd_plot(args) -> int:
     ext = extend(material)
     mi = _parse_multi_index(args.multi_index)
     _check_degrees("--L", [args.L], mi.order, "the order of --multi-index")
-    grid = _parse_values("--grid", args.grid, count=2, sep="x")
+    grid = _parse_grid(args.grid)
     i, j = (v - 1 for v in _parse_values("--component", args.component, count=2))
     if not (0 <= i < ext.field_dim and 0 <= j < ext.field_dim):
         raise ValueError(f"--component {args.component}: indices must lie in 1..{ext.field_dim}")
     base = base_coefficients(ext, args.L + mi.order)
     fld = sample_sphere(derive_multi(base, mi).truncated(args.L), *grid)
-    out = args.out or Path(f"plot_{material.name}_{mi.astuple()}.csv")
+    name = material.name.translate({ord("/"): "_", ord("\\"): "_"})  # makes no directory
+    out = args.out or Path(f"plot_{name}_{_mi_tag(mi.astuple())}.csv")
     export_field_csv(fld, i, j, out)
     print(f"wrote {grid[0] * grid[1]} rows to {out}")
     if args.mesh:
@@ -434,9 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, "--material", "--L", "--tables-dir", "--out", "--multi-index")
     p.add_argument("--points", required=True, help="CSV of x,y,z rows (meters)")
 
-    p = sub.add_parser(
-        "sweep", help=f"convergence sweep of orders 0..{DEFAULT_MAX_ORDER} against the contour oracle"
-    )
+    p = sub.add_parser("sweep", help="convergence sweep against the contour oracle")
     _add_shared(p, "--material", "--out", "--multi-index")
     p.add_argument("--L-list", default="8,16,24,32,40")
     p.add_argument("--grid", default="24x48")

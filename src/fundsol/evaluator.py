@@ -5,17 +5,18 @@ A table of derivative order I evaluates as
     kernel(r) = 1 / (4 pi r^(I+1)) * sum_l P_l^I(0) sum_m C[l, m] Y_l^m(rhat)
 
 where the degree sum runs over l >= I with the parity of I (the P_l^I(0)
-prefactor kills every other term exactly).  Negative orders are the
-conjugates of positive ones, so the angular sum is real.
+prefactor kills every other term exactly, and a table holds L >= I: see
+CoeffTable).  Negative orders are the conjugates of positive ones, so the
+angular sum is real.
 
 Each Pbar_l^m(cos theta) is a trigonometric polynomial in theta (the double
 Fourier sphere: Merilees 1973; Townsend, Wilber & Wright 2016), a cos series
 for even m and a sin series for odd m, with frequencies j <= l of the parity
-of l.  The factor table `_factors(L, I)` holds these series times P_l^I(0),
-built once per (L, I) by an rfft of `special.norm_legendre_rows` and cached
-(O(L^3) numbers, ~1.1 MB per entry at L = 80).  One batched product per
-table contracts it with the coefficients over l, so the per-point basis is
-O(L):
+of l.  The factor table `_factors(L, p)` holds these series for degrees of
+parity p, built once per (L, p) by an rfft of `special.norm_legendre_rows`
+and cached (O(L^3) numbers, ~1.1 MB per entry at L = 80).  One batched
+product per table contracts it with P_l^I(0) C over l, so the per-point
+basis is O(L):
 
 - cos(m phi), -sin(m phi), m = 0..L, as powers of exp(-2 i phi) by angle
   addition, times exp(-i phi) for odd m (error 1.8e-15 at L = 40, 8.3e-15 at
@@ -26,9 +27,9 @@ O(L):
   the error near the z axis relative to the terms summed, as the Legendre
   recurrence did; m = 0 adds its pole value times cos(p theta).
 
-The contraction W = F @ C over l and its pole row depend on the table
-alone.  They are built on a table's first evaluation and kept with the
-table, read-only like its coefficients: (2L+2) J E doubles, with
+The contraction W = F @ (P_l^I(0) C) over l and its pole row depend on the
+table alone.  They are built on a table's first evaluation and kept with
+the table, read-only like its coefficients: (2L+2) J E doubles, with
 J = (L - p) // 2 + 1 theta frequencies and E = N(N+1)/2 entries, ~83 KB at
 Cu L = 40 and ~0.8 MB at N = 5, L = 80.  Two products over m (even and odd)
 of W with the per-point basis give the theta coefficients, each as one gemm
@@ -57,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SingularPointError, TableConsistencyError
+from .errors import SingularPointError, TableConsistencyError, TableRangeError
 from .expansion import CoeffTable, packed_index
 from .materials import ExtendedTensor
 from .special import gauss_legendre, legendre_p_at_zero, norm_legendre_rows
@@ -102,14 +103,10 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-    n = table.field_dim
-    L, I = table.max_degree, table.order
-    if L < I:
-        return np.zeros((theta.size, n, n))
+    n, L, p = table.field_dim, table.max_degree, table.parity
     W, pole = _contraction(table)
     E = pole.size
     J = W.shape[1] // E
-    p = I % 2
     even = L // 2 + 1
     upper = np.empty((theta.size, E))
     work = _work_arrays(L, J, E)
@@ -145,24 +142,28 @@ def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
 
 def _contraction(table: CoeffTable) -> tuple[np.ndarray, np.ndarray]:
     """(W, pole) of a table of degree L >= its order I, read-only, built on
-    first use and kept on the table, so they go when it goes.
+    first use and kept on the table, so they go when it goes.  A P_l^I(0)
+    beyond float64 (from I ~ 150) raises TableRangeError.
 
-    W[m, k, e] = sum_r F[m, k, r] C[r, m, e], of shape (2L+2, J E): rows
-    (m, Re | Im), even m first, orders m >= 1 doubled for -m; columns (k, e).
-    pole (E,) is the order-0 series at the poles, where the even orders
-    m >= 2 vanish.  The table's coefficients are read-only, so neither can
-    go stale."""
+    W[m, k, e] = sum_r F[m, k, r] P_l^I(0) C[r, m, e] (l = p + 2r), shape
+    (2L+2, J E): rows (m, Re | Im), even m first, orders m >= 1 doubled for
+    -m; columns (k, e).  pole (E,) is the order-0 series at the poles, where
+    the even orders m >= 2 vanish.  The table's coefficients are read-only,
+    so neither can go stale."""
     cached = vars(table).get("_contraction")
     if cached is not None:
         return cached
-    n = table.field_dim
-    L, I = table.max_degree, table.order
-    F = _factors(L, I)
+    n, L, I, p = table.field_dim, table.max_degree, table.order, table.parity
+    try:
+        w = np.array([legendre_p_at_zero(l, I) for l in range(p, L + 1, 2)])[:, None, None]
+    except OverflowError:
+        raise TableRangeError(f"P_l^I(0) overflows float64 at degree L={L}, order I={I}") from None
+    F = _factors(L, p)
     J = F.shape[1]
     E = n * (n + 1) // 2
-    # G[m, k] = sum_r F[m, k, r] C[r, m], real and imaginary parts side by side
-    C = np.ascontiguousarray(table.coeffs).view(np.float64).transpose(1, 0, 2)
-    G = (F @ C).reshape(L + 1, J, E, 2)
+    # G[m, k] = sum_r F[m, k, r] w[r] C[r, m], real and imaginary parts side by side
+    C = np.ascontiguousarray(table.coeffs).view(np.float64) * w
+    G = (F @ C.transpose(1, 0, 2)).reshape(L + 1, J, E, 2)
     G[1:] *= 2.0
     W = G[np.r_[0 : L + 1 : 2, 1 : L + 1 : 2]].transpose(0, 3, 1, 2).reshape(2 * L + 2, J * E)
     pole = W[0].reshape(J, E).sum(axis=0)
@@ -175,21 +176,20 @@ def _contraction(table: CoeffTable) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _factors(L: int, I: int) -> np.ndarray:
-    """F (L+1, J, J): F[m, k, r] is the coefficient of j = p + 2k (p = I mod 2)
-    in the cos (even m) or sin (odd m) series in theta of P_l^I(0)
-    Pbar_l^m(cos theta), l = p + 2r, zero for j > l or m > l: one rfft of the
-    Legendre rows at 2L + 2 uniform theta on the circle, sin(theta) signed."""
-    p = I % 2
+def _factors(L: int, p: int) -> np.ndarray:
+    """F (L+1, J, J): F[m, k, r] is the coefficient of j = p + 2k in the cos
+    (even m) or sin (odd m) series in theta of Pbar_l^m(cos theta),
+    l = p + 2r, zero for j > l or m > l: one rfft of the Legendre rows at
+    2L + 2 uniform theta on the circle, sin(theta) signed."""
     size = 2 * L + 2
     x = 2.0 * np.pi * np.arange(size) / size
     J = (L - p) // 2 + 1
     F = np.zeros((L + 1, J, J))
     for l, row in enumerate(norm_legendre_rows(L, np.cos(x), np.sin(x))):
-        if l < I or (l - I) % 2:
+        if (l - p) % 2:
             continue
         r = (l - p) // 2
-        X = np.fft.rfft(row, axis=1)[:, p : l + 1 : 2] * (2.0 * legendre_p_at_zero(l, I) / size)
+        X = np.fft.rfft(row, axis=1)[:, p : l + 1 : 2] * (2.0 / size)
         F[0 : l + 1 : 2, : r + 1, r] = X[0::2].real
         F[1 : l + 1 : 2, : r + 1, r] = -X[1::2].imag
     if p == 0:

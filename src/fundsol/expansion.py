@@ -83,10 +83,7 @@ __all__ = [
     "load_table",
     "multi_indices_up_to",
     "packed_index",
-    "DEFAULT_MAX_ORDER",
 ]
-
-DEFAULT_MAX_ORDER = 4
 
 _MAGIC = b"FSCT"
 _FORMAT_VERSION = 3
@@ -254,7 +251,8 @@ class CoeffTable:
     runs over the entries (i, k) with i <= k of the symmetric N x N block in
     `np.triu_indices(N)` order; n_p counts the degrees of parity p in 0..L.
     Negative orders follow from the conjugation rule
-    C[l, -m] = (-1)^m conj(C[l, m]).
+    C[l, -m] = (-1)^m conj(C[l, m]).  A table of order I is zero below
+    degree I (P_l^I(0) = 0 there), so it refuses L < I with TableRangeError.
 
     A table owns its coefficient array and makes it read-only at
     construction, so anything derived from a table stays valid with it
@@ -270,6 +268,8 @@ class CoeffTable:
 
     def __post_init__(self):
         L, n = self.max_degree, self.field_dim
+        if L < self.order:
+            raise TableRangeError(f"multi-index {self.multi_index} needs L >= its order, got L={L}")
         if self.coeffs.shape != (_degree_rows(L, self.parity), L + 1, n * (n + 1) // 2):
             raise ValueError(
                 f"coefficient array shape {self.coeffs.shape} inconsistent with "
@@ -286,7 +286,7 @@ class CoeffTable:
         return self.order % 2
 
     def truncated(self, max_degree: int) -> "CoeffTable":
-        """Copy of the table keeping only degrees 0..max_degree."""
+        """Copy of the table keeping only degrees 0..max_degree (>= its order)."""
         if max_degree > self.max_degree:
             raise TableRangeError(
                 f"cannot extend table of degree {self.max_degree} to {max_degree}"
@@ -414,23 +414,17 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
 
     The result keeps degrees 0..L-1, one less than the source, because each
     target degree l consumes source degrees l-1 and l+1.  Those are of the
-    source's parity, so the result holds the other parity, p.
+    source's parity, so the result holds the other parity, p.  A source of
+    degree L <= its order raises TableRangeError, as the result would.
     """
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    L_src = table.max_degree
-    if L_src < 1:
-        raise TableRangeError(
-            "source table needs at least degree 1; build the base table to L + total order"
-        )
-    Lt = L_src - 1
+    Lt = table.max_degree - 1
     p = 1 - table.parity
     rows_t, entries = _degree_rows(Lt, p), table.coeffs.shape[2]
     # column c holds source order c - 1: x1 and x2 read order -1 at m = 0,
-    # which is -conj(order 1)
-    src = np.empty((table.coeffs.shape[0], L_src + 2, entries), dtype=np.complex128)
-    src[:, 1:] = table.coeffs
-    src[:, 0] = -np.conj(table.coeffs[:, 1])
+    # which is -conj(order 1); a source of degree 0 has none, nor a target
+    src = np.concatenate([-np.conj(table.coeffs[:, 1:2]), table.coeffs], axis=1)
     acc = np.zeros((rows_t, Lt + 1, entries), dtype=np.complex128)
     for d, shift, factor in _step_terms(Lt, axis):
         # target row j (degree p + 2j) reads source degree p + 2j + d, which
@@ -452,20 +446,18 @@ def _check_ladder_start(table: CoeffTable, order: int) -> None:
         raise TableRangeError(
             f"the ladder starts from a base table, got multi-index {table.multi_index}"
         )
-    if order > DEFAULT_MAX_ORDER:
-        raise ValueError(f"total derivative order {order} exceeds limit {DEFAULT_MAX_ORDER}")
-    if table.max_degree < order:
+    if table.max_degree < 2 * order:
         raise TableRangeError(
             f"base table degree {table.max_degree} too small for order "
-            f"{order}; build to L + {order}"
+            f"{order}; build to L + {order} with L >= {order}"
         )
 
 
 def derive_multi(table: CoeffTable, target) -> CoeffTable:
     """Chain the one-derivative ladder to reach a target multi-index.
 
-    `table` must be a base (0,0,0) table built to at least
-    target order + desired final truncation.  Axes are applied in canonical
+    `table` must be a base (0,0,0) table of degree L + I for a final
+    truncation L >= I, the target order.  Axes are applied in canonical
     order (all x1 steps first); the result is order-independent because mixed
     partials commute.
     """
@@ -636,11 +628,10 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
         )
     coeffs = np.zeros((rows, L + 1, entries), dtype=np.complex128)
     coeffs[js, ms] = stored
-    scale = float(np.max(np.abs(stored))) if stored.size else 0.0
-    if scale > 0:
-        worst_im = float(np.max(np.abs(coeffs[:, 0].imag)))
-        if worst_im > 1e-6 * scale:
-            raise TableCorruptionError(
-                f"m = 0 blocks are not real (max imag {worst_im:.3e}); file damaged"
-            )
-    return CoeffTable(file_hash, n, L, mi, coeffs)
+    table = CoeffTable(file_hash, n, L, mi, coeffs)
+    worst_im = float(np.max(np.abs(coeffs[:, 0].imag)))
+    if worst_im > 1e-6 * float(np.max(np.abs(stored))):
+        raise TableCorruptionError(
+            f"m = 0 blocks are not real (max imag {worst_im:.3e}); file damaged"
+        )
+    return table

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -198,7 +199,31 @@ class TestBuild:
         assert code == 0
         assert len(list(tmp_path.glob("*.fsct"))) == 10
 
-    @pytest.mark.parametrize("order", ["-1", "5"])
+    def test_order_above_four_builds_every_table(self, capsys, tmp_path):
+        # orders have no cap: order 6 writes 1 + 3 + 6 + 10 + 15 + 21 + 28
+        # tables, and eval reads one of order 6 back
+        code, _, _ = run(
+            capsys, "build", "--material", "Cu", "--L", "8", "--order", "6",
+            "--tables-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert len(list(tmp_path.glob("*.fsct"))) == 84
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[0.3, -0.4, 0.5]])
+        code, out, _ = run(
+            capsys, "eval", "--material", "Cu", "--L", "8", "--multi-index", "3,2,1",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 0 and out.count("\n") == 1 + 9
+
+    def test_counts_above_nine_keep_distinct_file_names(self, tmp_path):
+        names = {table_path(tmp_path, "0" * 64, 12, mi.astuple()).name
+                 for mi in fs.multi_indices_up_to(12)}
+        assert len(names) == len(fs.multi_indices_up_to(12))
+        assert table_path(tmp_path, "0" * 64, 12, (1, 10, 0)).name == "0" * 16 + "_L12_d1-10-0.fsct"
+        assert table_path(tmp_path, "0" * 64, 4, (2, 1, 0)).name == "0" * 16 + "_L4_d210.fsct"
+
+    @pytest.mark.parametrize("order", ["-1"])
     def test_order_outside_cap_exits_2_before_writing(self, capsys, tmp_path, order):
         tables = tmp_path / "tables"
         code, _, err = run(
@@ -206,7 +231,7 @@ class TestBuild:
             "--tables-dir", str(tables),
         )
         assert code == 2
-        assert f"--order must lie in 0..4, got {order}" in err
+        assert f"--order must be >= 0, got {order}" in err
         assert not tables.exists()
 
     def test_invalid_material_file_exits_2(self, capsys, tmp_path):
@@ -386,6 +411,43 @@ class TestEval:
         )
         assert code == 2
         assert "L=1000000000" in err
+
+    def test_table_file_below_its_order_exit_2(self, capsys, tmp_path):
+        # a (2, 1, 0) table cut to L = 2 holds no degree its kernel reads:
+        # it evaluated to an all-zero kernel and exited 0
+        self.setup_tables(capsys, tmp_path, material="Cu", L=3, order=3)
+        cu = fs.extend(fs.builtin("Cu"))
+        table = fs.load_table(table_path(tmp_path, cu.material_hash, 3, (2, 1, 0)))
+        cut = types.SimpleNamespace(
+            material_hash=table.material_hash, field_dim=3, max_degree=2,
+            multi_index=(2, 1, 0), parity=1, coeffs=table.coeffs[:1, :3],
+        )
+        fs.save_table(cut, table_path(tmp_path, cu.material_hash, 2, (2, 1, 0)))
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[0.0, 0.0, 1.0]])
+        code, out, err = run(
+            capsys, "eval", "--material", "Cu", "--L", "2", "--multi-index", "2,1,0",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert "multi-index (2, 1, 0) needs L >= its order, got L=2" in err
+
+    def test_order_152_table_exit_2(self, capsys, tmp_path):
+        # P_152^152(0) ~ 1e311 overflows float64: the OverflowError of
+        # its evaluation ended eval in a traceback
+        lap = fs.extend(fs.builtin("Laplace"))
+        coeffs = np.zeros((77, 153, 1), dtype=np.complex128)
+        coeffs[-1, 0] = 1.0
+        table = fs.CoeffTable(lap.material_hash, 1, 152, (152, 0, 0), coeffs)
+        fs.save_table(table, table_path(tmp_path, lap.material_hash, 152, (152, 0, 0)))
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[0.0, 0.0, 1.0]])
+        code, out, err = run(
+            capsys, "eval", "--material", "Laplace", "--L", "152", "--multi-index", "152,0,0",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert "at degree L=152, order I=152" in err and "Traceback" not in err
 
     def test_rewritten_header_exit_2(self, capsys, tmp_path):
         # a multi-index rewritten in place fails the checksum instead of
@@ -776,6 +838,19 @@ class TestSweep:
         assert "--nodes must be >= 16, got --nodes 8" in err
         assert not out_file.exists()
 
+    def test_grid_below_2x3_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path):
+        # sample_sphere's own refusal came after the tables were built and
+        # named no flag
+        refuse_work(monkeypatch)
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run(
+            capsys, "sweep", "--material", "Laplace", "--L-list", "2", "--grid", "1x6",
+            "--nodes", "16", "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert "--grid must be at least 2x3, got --grid 1x6" in err
+        assert not out_file.exists()
+
     def test_stdout_bytes_equal_out_file(self, capsys, monkeypatch, tmp_path):
         stdout, written = stdout_and_file_bytes(
             capsys, monkeypatch, tmp_path, "sweep", "--material", "Cu", "--L-list", "4,8",
@@ -948,6 +1023,37 @@ class TestPlot:
             "got --L 1 and the order of --multi-index 3"
         ) in err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("grid", ["1x6", "4x2"])
+    def test_grid_below_2x3_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path, grid):
+        refuse_work(monkeypatch)
+        out_file = tmp_path / "plot.csv"
+        code, out, err = run(
+            capsys, "plot", "--material", "Laplace", "--L", "2", "--grid", grid,
+            "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert f"--grid must be at least 2x3, got --grid {grid}" in err
+        assert not out_file.exists()
+
+    def test_default_file_name_needs_no_quoting(self, capsys, monkeypatch, tmp_path):
+        # the name was plot_<material>_(0, 0, 1).csv; a separator in the
+        # material name now cannot make a directory
+        monkeypatch.chdir(tmp_path)
+        material = tmp_path / "sub.json"
+        fs.save_material_json(fs.builtin("Laplace"), material)
+        doc = json.loads(material.read_text())
+        doc["name"] = "my/lap\\lace"
+        material.write_text(json.dumps(doc))
+        cases = (("Laplace", "plot_Laplace_d001.csv"), (str(material), "plot_my_lap_lace_d001.csv"))
+        for spec, name in cases:
+            code, out, _ = run(
+                capsys, "plot", "--material", spec, "--L", "2", "--multi-index", "0,0,1",
+                "--grid", "4x6",
+            )
+            assert code == 0 and out == f"wrote 24 rows to {name}\n"
+            assert (tmp_path / name).read_text().count("\n") == 1 + 4 * 6
+        assert not any(p.is_dir() for p in tmp_path.iterdir())
 
     def test_mesh_output(self, capsys, tmp_path):
         out_file = tmp_path / "plot.csv"

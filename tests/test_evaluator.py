@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
+import sympy as sp
 
 import fundsol as fs
 from fundsol import evaluator, textio
@@ -59,13 +60,13 @@ def imag_residual(values):
     return np.max(np.abs(values.imag), axis=(1, 2)) / np.max(np.abs(values.real), axis=(1, 2))
 
 
-def factor_series(L, I, theta):
+def factor_series(L, p, theta):
     """sum_k F[m, k, r] psi_k(theta) as (L+1, R, P) from the factor table of
-    degree L and order I: psi_k is cos(j theta) for even m and sin(j theta)
-    for odd m, j = I mod 2 + 2k, each correctly rounded by mpmath (cos of
-    the rounded product j * theta would err by ~j ulp)."""
-    F = evaluator._factors(L, I)
-    js = I % 2 + 2 * np.arange(F.shape[1])
+    degree L and parity p: psi_k is cos(j theta) for even m and sin(j theta)
+    for odd m, j = p + 2k, each correctly rounded by mpmath (cos of the
+    rounded product j * theta would err by ~j ulp)."""
+    F = evaluator._factors(L, p)
+    js = p + 2 * np.arange(F.shape[1])
     with mpmath.workdps(30):
         angles = [[int(j) * mpmath.mpf(float(t)) for t in theta] for j in js]
         cos = np.array([[float(mpmath.cos(a)) for a in row] for row in angles])
@@ -75,15 +76,13 @@ def factor_series(L, I, theta):
     return out
 
 
-def scipy_legendre(L, I, theta):
-    """P_l^I(0) Pbar_l^m(cos theta) as (L+1, R, P) for the degrees l of the
-    parity of I, from scipy's harmonics at phi = 0; zero where m > l."""
-    ls = np.arange(I % 2, L + 1, 2)
-    pref = np.array([fs.legendre_p_at_zero(l, I) for l in ls])[None, :, None]
+def scipy_legendre(L, p, theta):
+    """Pbar_l^m(cos theta) as (L+1, R, P) for the degrees l of parity p,
+    from scipy's harmonics at phi = 0; zero where m > l."""
+    ls = np.arange(p, L + 1, 2)[None, :, None]
     m = np.arange(L + 1)[:, None, None]
-    ls = ls[None, :, None]
     Y = sps.sph_harm_y(ls, m, np.asarray(theta)[None, None, :], 0.0).real
-    return np.where(m <= ls, pref * Y, 0.0)
+    return np.where(m <= ls, Y, 0.0)
 
 
 def mp_legendre(l, m, theta):
@@ -494,6 +493,52 @@ class TestDerivativeConsistency:
             assert np.max(np.abs(fd - series)) <= 1e-7 * scale
 
 
+# orders 5 to 8 against an independent oracle: the 1024-node contour, and
+# sympy's d^mi 1/(4 pi r) for Laplace.  Each case gives, at a lower and a
+# higher truncation L, the bound on max|series - oracle| / max|oracle| over
+# 64 seeded unit points, from a base table of degree L_high + |mi|, and the
+# error measured there; every bound is at most 3x its measurement.
+# Laplace's error grows with L: its truncation error is nil, and what is
+# left is the series' rounding plateau
+HIGH_ORDER_CASES = [
+    # name, mi, (L, bound, measured) low, (L, bound, measured) high
+    ("PZT-4", (3, 1, 1), (20, 3e-6, 1.11e-6), (40, 1e-10, 3.68e-11)),
+    ("PZT-4", (2, 2, 2), (20, 1e-5, 3.69e-6), (40, 3.5e-10, 1.25e-10)),
+    ("PZT-4", (3, 3, 2), (20, 4e-4, 1.55e-4), (40, 1.2e-9, 4.29e-10)),
+    ("M2", (3, 1, 1), (16, 1.4e-3, 4.99e-4), (32, 1.8e-9, 6.32e-10)),
+    ("M2", (2, 2, 2), (16, 1.6e-3, 5.73e-4), (32, 9e-9, 3.23e-9)),
+    ("M2", (3, 3, 2), (16, 1.8e-2, 6.21e-3), (32, 9e-8, 3.09e-8)),
+    ("Cu", (3, 1, 1), (40, 1.6e-3, 5.51e-4), (60, 3.4e-6, 1.17e-6)),
+    ("Cu", (2, 2, 2), (40, 2.5e-3, 8.50e-4), (60, 5e-6, 1.82e-6)),
+    ("Cu", (3, 3, 2), (40, 2e-2, 6.83e-3), (60, 1.1e-4, 3.83e-5)),
+    ("Laplace", (3, 1, 1), (20, 2e-13, 6.83e-14), (40, 1.5e-10, 5.11e-11)),
+    ("Laplace", (2, 2, 2), (20, 2.8e-12, 9.64e-13), (40, 4.5e-10, 1.52e-10)),
+    ("Laplace", (3, 3, 2), (20, 4e-12, 1.42e-12), (40, 1.7e-9, 5.92e-10)),
+]
+
+
+class TestHighOrderOracles:
+    @pytest.mark.parametrize(
+        "name,mi,low,high",
+        HIGH_ORDER_CASES,
+        ids=[f"{c[0]}-d{''.join(map(str, c[1]))}" for c in HIGH_ORDER_CASES],
+    )
+    def test_orders_5_to_8_match_oracle(self, name, mi, low, high, rng):
+        ext = fs.extend(fs.builtin(name))
+        pts = random_directions(rng, 64)
+        if name == "Laplace":
+            x = sp.symbols("x1:4", real=True)
+            kernel = 1 / (4 * sp.pi * sp.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2))
+            d = sp.diff(kernel, *(v for axis, count in zip(x, mi) for v in [axis] * count))
+            ref = sp.lambdify(x, d, "numpy")(*pts.T)[:, None, None]
+        else:
+            ref = fs.unit_circle_batch(ext, pts, mi, n_nodes=1024)
+        table = derive_multi(fs.base_coefficients(ext, high[0] + sum(mi)), mi)
+        for L, bound, _ in (low, high):
+            err = np.max(np.abs(fs.evaluate_batch(table.truncated(L), pts) - ref))
+            assert err <= bound * np.max(np.abs(ref)), L
+
+
 class TestGaoDaviesVanishing:
     @pytest.mark.parametrize("name", ["Cu", "PZT-4", "M2"])
     def test_regular_part_integral_vanishes(self, name):
@@ -865,28 +910,30 @@ class TestRegularPart:
             assert np.max(np.abs(moved - value)) <= 6e-15 * np.max(np.abs(value))
 
     @pytest.mark.parametrize("L", [16, 40, 80])
-    @pytest.mark.parametrize("I", [0, 1, 3])
-    def test_factor_table_matches_scipy(self, L, I, rng):
-        # the factor table's theta series against P_l^I(0) Pbar_l^m(cos
-        # theta) from scipy, at random theta and within 1e-9 of both poles,
-        # per (l, m) against that function's largest value on a grid.
-        # Measured worst over rng seeds 0-5 and 42: 8.0e-15 (L = 16),
-        # 3.7e-14 (L = 40), 1.3e-13 (L = 80), mostly scipy's own error: its
-        # recurrence errs by up to 1.1e-13 near the poles at L = 80, and
-        # the factor table by up to 2e-14, both against mpmath
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_factor_table_matches_scipy(self, L, p, rng):
+        # the factor table's theta series against Pbar_l^m(cos theta) from
+        # scipy, at random theta and within 1e-9 of both poles, per (l, m)
+        # against that function's largest value on a grid.  Measured worst
+        # over rng seeds 0-5 and 42: 8.0e-15 (L = 16), 3.7e-14 (L = 40),
+        # 1.3e-13 (L = 80), mostly scipy's own error: its recurrence errs by
+        # up to 1.1e-13 near the poles at L = 80, and the factor table by up
+        # to 2e-14, both against mpmath.  The weights P_l^I(0) of a table of
+        # order I are applied in the contraction, whose values the
+        # complex-sum and oracle tests check
         theta = np.concatenate(
             [rng.uniform(0, np.pi, 32), [0.0, 1e-12, 1e-9], np.pi - np.array([0.0, 1e-12, 1e-9])]
         )
-        got = factor_series(L, I, theta)
+        got = factor_series(L, p, theta)
         grid = np.linspace(0, np.pi, 2 * L + 2)
-        scale = np.max(np.abs(scipy_legendre(L, I, np.concatenate([grid, theta]))), axis=2)
-        err = np.max(np.abs(got - scipy_legendre(L, I, theta)), axis=2)
+        scale = np.max(np.abs(scipy_legendre(L, p, np.concatenate([grid, theta]))), axis=2)
+        err = np.max(np.abs(got - scipy_legendre(L, p, theta)), axis=2)
         live = scale > 0
-        assert np.all(err[~live] == 0.0)  # m > l, and P_l^I(0) = 0 for l < I
+        assert np.all(err[~live] == 0.0)  # m > l
         assert np.all(err[live] <= 3e-15 * L * scale[live])
 
-    @pytest.mark.parametrize("I", [0, 1])
-    def test_factor_table_matches_mpmath(self, I):
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_factor_table_matches_mpmath(self, p):
         # the top two degrees at L = 160, every order m, against the
         # terminating hypergeometric form in 40 digits, per (l, m) against
         # that function's largest value on a grid.  Measured: 6.3e-14 at
@@ -894,14 +941,13 @@ class TestRegularPart:
         # Legendre recurrence reads 5.9e-13 at 3e-7
         L = 160
         theta = np.array([3e-7, 0.7, 2.0, np.pi - 3e-7])
-        got = factor_series(L, I, theta)
+        got = factor_series(L, p, theta)
         grid = np.linspace(0, np.pi, 2 * L + 2)
-        for l in (L - 2 - I, L - I):
-            pref = fs.legendre_p_at_zero(l, I)
+        for l in (L - 2 - p, L - p):
             for m in range(l + 1):
-                exact = pref * np.array([mp_legendre(l, m, t) for t in theta])
-                scale = abs(pref) * np.max(np.abs(sps.sph_harm_y(l, m, grid, 0.0).real))
-                assert np.max(np.abs(got[m, (l - I) // 2] - exact)) <= 1e-13 * scale, (l, m)
+                exact = np.array([mp_legendre(l, m, t) for t in theta])
+                scale = np.max(np.abs(sps.sph_harm_y(l, m, grid, 0.0).real))
+                assert np.max(np.abs(got[m, (l - p) // 2] - exact)) <= 1e-13 * scale, (l, m)
 
     def test_below_order_degrees_drop_out(self, base_laplace):
         # degrees below the derivative order never contribute: their

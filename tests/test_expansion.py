@@ -556,7 +556,7 @@ class TestDeriveTree:
         d1 = derive_coefficients(base_laplace, 1)
         with pytest.raises(TableRangeError):
             derive_tree(d1, 1)
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(TableRangeError, match="build to L [+] 5 with L >= 5"):
             derive_tree(base_laplace, 5)
         with pytest.raises(TableRangeError):
             derive_tree(base_laplace.truncated(1), 2)
@@ -571,14 +571,25 @@ class TestDeriveMulti:
         with pytest.raises(TableRangeError):
             derive_multi(d1, (1, 0, 0))
 
-    def test_order_cap(self, base_laplace):
-        with pytest.raises(ValueError, match="exceeds"):
-            derive_multi(base_laplace, (3, 2, 0))
-
     def test_insufficient_degrees(self, ext_laplace):
         tiny = fs.base_coefficients(ext_laplace, 1)
         with pytest.raises(TableRangeError):
             derive_multi(tiny, (1, 1, 0))
+
+    def test_base_degree_below_twice_the_order(self, ext_laplace):
+        # a base of degree 2I - 1 would end the ladder below the order
+        base = fs.base_coefficients(ext_laplace, 5)
+        assert derive_multi(base.truncated(4), (1, 1, 0)).max_degree == 2
+        with pytest.raises(TableRangeError, match="build to L [+] 3 with L >= 3"):
+            derive_multi(base, (1, 1, 1))
+
+    @pytest.mark.parametrize("L", [0, 1])
+    def test_step_below_the_order_refused_by_its_target(self, ext_laplace, L):
+        # a first derivative needs degree >= 1, so its source needs L >= 2
+        base = fs.base_coefficients(ext_laplace, L)
+        for axis in (1, 2, 3):
+            with pytest.raises(TableRangeError, match=f"needs L >= its order, got L={L - 1}"):
+                derive_coefficients(base, axis)
 
     def test_multi_index_helpers(self):
         assert len(multi_indices_up_to(2)) == 10  # 1 + 3 + 6
@@ -778,6 +789,19 @@ class TestPersistence:
                 assert np.array_equal(entry(small, l, m), entry(base_cu, l, m))
         with pytest.raises(TableRangeError):
             small.truncated(20)
+
+    def test_degree_below_order_refused(self, base_laplace):
+        # a table of order I is zero below degree I, so it refuses L < I,
+        # whether made directly or by truncation
+        table = derive_multi(base_laplace, (2, 1, 0))
+        assert table.truncated(3).max_degree == 3
+        with pytest.raises(TableRangeError, match=r"\(2, 1, 0\) needs L >= its order, got L=2"):
+            table.truncated(2)
+        coeffs = table.coeffs[:1, :3].copy()
+        with pytest.raises(TableRangeError, match="got L=2"):
+            fs.CoeffTable(table.material_hash, 1, 2, (2, 1, 0), coeffs)
+        with pytest.raises(TableRangeError, match="got L=-1"):
+            base_laplace.truncated(-1)
 
 
 class TestPackedIndex:
