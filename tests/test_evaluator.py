@@ -910,26 +910,28 @@ class TestRegularPart:
             assert np.max(np.abs(moved - value)) <= 6e-15 * np.max(np.abs(value))
 
     @pytest.mark.parametrize("L", [16, 40, 80])
-    @pytest.mark.parametrize("p", [0, 1])
-    def test_factor_table_matches_scipy(self, L, p, rng):
-        # the factor table's theta series against Pbar_l^m(cos theta) from
-        # scipy, at random theta and within 1e-9 of both poles, per (l, m)
-        # against that function's largest value on a grid.  Measured worst
-        # over rng seeds 0-5 and 42: 8.0e-15 (L = 16), 3.7e-14 (L = 40),
-        # 1.3e-13 (L = 80), mostly scipy's own error: its recurrence errs by
-        # up to 1.1e-13 near the poles at L = 80, and the factor table by up
-        # to 2e-14, both against mpmath.  The weights P_l^I(0) of a table of
-        # order I are applied in the contraction, whose values the
-        # complex-sum and oracle tests check
+    @pytest.mark.parametrize("I", [0, 1, 3])
+    def test_factor_table_matches_scipy(self, L, I, rng):
+        # the factor table of parity I mod 2, weighted by P_l^I(0) as the
+        # contraction of a table of order I weights it, against P_l^I(0)
+        # Pbar_l^m(cos theta) from scipy, at random theta and within 1e-9 of
+        # both poles, per (l, m) against that function's largest value on a
+        # grid.  Measured worst over rng seeds 0-5 and 42: 8.0e-15 (L = 16),
+        # 3.7e-14 (L = 40), 1.3e-13 (L = 80), mostly scipy's own error: its
+        # recurrence errs by up to 1.1e-13 near the poles at L = 80, and the
+        # factor table by up to 2e-14, both against mpmath.  Orders 1 and 3
+        # share one table; I = 3 zeroes its rows l < 3
         theta = np.concatenate(
             [rng.uniform(0, np.pi, 32), [0.0, 1e-12, 1e-9], np.pi - np.array([0.0, 1e-12, 1e-9])]
         )
-        got = factor_series(L, p, theta)
+        p = I % 2
+        w = np.array([fs.legendre_p_at_zero(l, I) for l in range(p, L + 1, 2)])[None, :, None]
+        got = w * factor_series(L, p, theta)
         grid = np.linspace(0, np.pi, 2 * L + 2)
-        scale = np.max(np.abs(scipy_legendre(L, p, np.concatenate([grid, theta]))), axis=2)
-        err = np.max(np.abs(got - scipy_legendre(L, p, theta)), axis=2)
+        scale = np.max(np.abs(w * scipy_legendre(L, p, np.concatenate([grid, theta]))), axis=2)
+        err = np.max(np.abs(got - w * scipy_legendre(L, p, theta)), axis=2)
         live = scale > 0
-        assert np.all(err[~live] == 0.0)  # m > l
+        assert np.all(err[~live] == 0.0)  # m > l, and P_l^I(0) = 0 for l < I
         assert np.all(err[live] <= 3e-15 * L * scale[live])
 
     @pytest.mark.parametrize("p", [0, 1])
