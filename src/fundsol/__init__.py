@@ -51,8 +51,6 @@ from .materials import (
     iso_elastic,
     load_material_json,
     rotate,
-    rotation_from_angles,
-    save_material_json,
     validate,
     zener_family,
 )
@@ -65,7 +63,6 @@ from .reference import (
     unit_circle_batch,
     unit_circle_field,
 )
-from .special import legendre_p_at_zero
 from .textio import export_field_csv, export_field_mesh, spherical_plot_mesh
 
 __version__ = "0.1.0"

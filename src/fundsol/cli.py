@@ -12,9 +12,12 @@ Exit codes are stable and documented:
        the kernel value overflows float64; the message names the row
 
 The default tables directory is taken from the FUNDSOL_TABLES_DIR environment
-variable when --tables-dir is not given.  `build` writes FSCT version 3
-files, which store the entries i <= j of each symmetric block; files of
-earlier versions exit 2 with a pointer to `fundsol build`.  All
+variable when --tables-dir is not given.  `build` writes FSCT version 4
+files, which store the real channels of the entries i <= j of each
+symmetric block, one per entry for a mirror-symmetric material; files of
+earlier versions exit 2 with a pointer to `fundsol build`.  `eval` exits 2
+when the table it loads holds another degree or multi-index than the one
+asked for (a file copied over another's name).  All
 floating-point output is printed with 17 significant digits ("%.17g") so
 reruns can be diffed byte for byte.
 
@@ -52,6 +55,7 @@ from .errors import (
     MaterialValidationError,
     SingularPointError,
     SingularSymbolError,
+    TableConsistencyError,
     TableHashMismatchError,
 )
 from .evaluator import evaluate_batch, sample_sphere
@@ -218,6 +222,11 @@ def cmd_eval(args) -> int:
     if not path.exists():
         raise ValueError(f"table {path} not found; run build first")
     table = load_table(path, expected_material_hash=material_hash)
+    if (table.max_degree, table.multi_index) != (args.L, mi.astuple()):
+        raise TableConsistencyError(
+            f"table {path} holds L={table.max_degree}, multi-index {table.multi_index}; "
+            f"eval asked for L={args.L}, multi-index {mi.astuple()}"
+        )
     points = _read_points(args.points)
     values = evaluate_batch(table, points)
     write_bytes(args.out, _eval_text(points, values))

@@ -31,12 +31,18 @@ The contraction W = F @ (P_l^I(0) C) over l and its pole row depend on the
 table alone.  They are built on a table's first evaluation and kept with
 the table, read-only like its coefficients: (2L+2) J E doubles, with
 J = (L - p) // 2 + 1 theta frequencies and E = N(N+1)/2 entries, ~83 KB at
-Cu L = 40 and ~0.8 MB at N = 5, L = 80.  Two products over m (even and odd)
-of W with the per-point basis give the theta coefficients, each as one gemm
-per block of _BLOCK points, the last block padded with zero rows; a
-per-point product over theta then gives the E stored entries i <= j (see
-CoeffTable), mirrored into (N, N), so every matrix is exactly symmetric.  A gemm over the whole batch would round a row differently as
-the row count changes.  Every block gemm has the same shape, and OpenBLAS
+Cu L = 40 and ~0.8 MB at N = 5, L = 80.  C comes from the table's real
+channels as Re and Im of every order and entry (CoeffTable.dense); the
+classes a mirror-symmetric material's table does not hold enter as exact
+zeros, so a symmetry-forced zero, such as G12 on the x1 axis, is a sum of
+zeros.  P_l^I(0) comes from an exact integer recurrence
+(`_legendre_weights`).  Two products over m (even and odd) of W with the
+per-point basis give the theta coefficients, each as one gemm per block of
+_BLOCK points, the last block padded with zero rows; a per-point product
+over theta then gives the E stored entries i <= j (see CoeffTable),
+mirrored into (N, N), so every matrix is exactly symmetric.  A gemm over
+the whole batch would round a row differently as the row count changes.
+Every block gemm has the same shape, and OpenBLAS
 sums each of its output rows from that row alone in an order the shape
 sets, so a point gets the same bits alone, at any place in a block and in
 any batch.  This rests on the BLAS, not on numpy; the tests check it at
@@ -52,6 +58,7 @@ values in (base kernel units) * m^-(I+1).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,7 +68,7 @@ import numpy as np
 from .errors import SingularPointError, TableConsistencyError, TableRangeError
 from .expansion import CoeffTable, packed_index
 from .materials import ExtendedTensor
-from .special import gauss_legendre, legendre_p_at_zero, norm_legendre_rows
+from .special import gauss_legendre, norm_legendre_rows
 
 __all__ = [
     "evaluate_batch",
@@ -155,14 +162,14 @@ def _contraction(table: CoeffTable) -> tuple[np.ndarray, np.ndarray]:
         return cached
     n, L, I, p = table.field_dim, table.max_degree, table.order, table.parity
     try:
-        w = np.array([legendre_p_at_zero(l, I) for l in range(p, L + 1, 2)])[:, None, None]
+        w = _legendre_weights(L, I)[:, None, None, None]
     except OverflowError:
         raise TableRangeError(f"P_l^I(0) overflows float64 at degree L={L}, order I={I}") from None
     F = _factors(L, p)
     J = F.shape[1]
     E = n * (n + 1) // 2
-    # G[m, k] = sum_r F[m, k, r] w[r] C[r, m], real and imaginary parts side by side
-    C = np.ascontiguousarray(table.coeffs).view(np.float64) * w
+    # G[m, k] = sum_r F[m, k, r] w[r] C[r, m], Re and Im side by side
+    C = (table.dense() * w).reshape(J, L + 1, 2 * E)
     G = (F @ C.transpose(1, 0, 2)).reshape(L + 1, J, E, 2)
     G[1:] *= 2.0
     W = G[np.r_[0 : L + 1 : 2, 1 : L + 1 : 2]].transpose(0, 3, 1, 2).reshape(2 * L + 2, J * E)
@@ -173,6 +180,22 @@ def _contraction(table: CoeffTable) -> tuple[np.ndarray, np.ndarray]:
     # threads building at once set the same bits
     object.__setattr__(table, "_contraction", (W, pole))
     return W, pole
+
+
+def _legendre_weights(L: int, I: int) -> np.ndarray:
+    """P_l^I(0) for l = p, p + 2, ..., L (p = I mod 2), zero below degree I,
+    with the bits of `special.legendre_p_at_zero`: the exact integers
+    (l + I - 1)!! and (l - I)!! go from row to row by
+    P_{l+2}^I(0) / P_l^I(0) = -(l + I + 1) / (l - I + 2), and each row
+    divides them once, correctly rounded.  A value beyond float64 raises
+    OverflowError."""
+    p = I % 2
+    w = np.zeros((L - p) // 2 + 1)
+    num, den, sign = math.prod(range(2 * I - 1, 0, -2)), 1, (-1) ** I
+    for r, l in enumerate(range(I, L + 1, 2), start=(I - p) // 2):
+        w[r] = sign * num / den
+        num, den, sign = num * (l + I + 1), den * (l - I + 2), -sign
+    return w
 
 
 @lru_cache(maxsize=32)

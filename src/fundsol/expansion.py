@@ -8,8 +8,8 @@ conjugate spherical harmonics,
 for orders 0 <= m <= l (negative orders follow from the conjugation rule
 C[l, -m] = (-1)^m conj(C[l, m])).  The integral is a product rule: the
 inverse symbol at its nodes, the azimuthal sums as one real FFT per polar
-node and entry, and the polar sums as one batched real matrix product over
-the orders m.  That product applies one operator per rule, the normalised
+node and entry, and the polar sums as batched real matrix products over
+the orders m.  Those apply one operator per rule, the normalised
 Legendre values at the Gauss nodes times the weights.  It depends on the
 rule alone and is cached (`_projection`), so the base tables of many
 materials of one degree (every grain of a polycrystal is one crystal in
@@ -39,6 +39,25 @@ m - 1 (x1, x2).  Each step is a fixed set of whole-array shifted-slice
 multiply-adds over the (l, m) grid, two for x3 and four for x1 and x2;
 order -1 at m = 0 follows from order 1 through the conjugation rule.
 
+Real channels and mirror classes.  A table holds Re C[l, m] (the weight of
+cos(m phi)) and Im C[l, m] (of sin(m phi)) as real channels, each for the
+orders m of one parity pi (CoeffTable).  The x1 and x3 factors are real and
+the x2 factors are real times -i, so a step maps a channel to one channel:
+x1 flips pi, x2 flips pi and swaps Re and Im, x3 keeps both.  Every builtin
+is invariant under the mirrors x1 -> -x1 and x2 -> -x2
+(ExtendedTensor.mirror_symmetric).  Entry (i, j) of its inverse symbol then
+changes sign by (-1)^x under the first and (-1)^y under the second, x and y
+the counts of the spatial indices 1 and 2 in (i, j), so its coefficients
+vanish except at the orders of parity x + y and in Re (y even) or Im
+(y odd).  A mirror table keeps that one channel per entry, and the ladder
+carries each class to exactly one class, so the base's classes decide every
+table's: entry (i, j) of derivative (i1, i2, i3) lives at
+pi = (x + y + i1 + i2) mod 2, Re or Im by (y + i2) mod 2.  The other three
+quarters are neither inverted, projected, stepped nor stored, and the
+evaluator sums them as exact zeros, where a dense layout carried roundoff.
+A material without the mirrors, a rotated crystal or a triclinic one,
+keeps all four channels per entry, through the same code.
+
 Parity.  The inverse symbol is even, invsymbol(-xi) = invsymbol(xi), so its
 coefficients of odd degree vanish, and the kernel of derivative order I has
 the parity of I: its coefficients vanish at every degree of the other
@@ -46,7 +65,8 @@ parity.  A ladder step reads degrees l - 1 and l + 1 only, so the two parity
 classes never mix, and evaluation of order I reads degrees of the parity of
 I only.  A table therefore stores the degrees of parity p = I mod 2 alone
 (see CoeffTable), and the base projection inverts the symbol at half the
-quadrature nodes: the rule holds every node's antipode (make_quadrature).
+quadrature nodes, or for a mirror material at an eighth: the rule holds
+every node's antipode and mirror images (SphereQuadrature.nodes).
 """
 
 from __future__ import annotations
@@ -66,7 +86,7 @@ from .errors import (
     TableHashMismatchError,
     TableRangeError,
 )
-from .materials import ExtendedTensor
+from .materials import ExtendedTensor, field_axes
 from .special import gauss_legendre, norm_legendre_table
 from .symbol import inverse_symbol_batch
 
@@ -83,10 +103,11 @@ __all__ = [
     "load_table",
     "multi_indices_up_to",
     "packed_index",
+    "channel_layout",
 ]
 
 _MAGIC = b"FSCT"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -153,16 +174,26 @@ class SphereQuadrature:
     def nodes(self) -> np.ndarray:
         """All quadrature directions as a (node_count, 3) array, theta-major.
 
-        The Gauss-Legendre nodes are exactly symmetric, and the cosines and
-        sines of the second azimuthal half are taken as the exact negatives of
-        the first (rather than rounded on their own), so node
-        (a, b + n_phi/2) is the exact antipode of node (n_theta - 1 - a, b).
+        The Gauss-Legendre nodes are exactly symmetric, and the azimuthal
+        cosines and sines are rounded on the quarter 0 <= phi <= pi/2 only
+        (azimuths b <= n_phi/4): azimuth n_phi/2 - b takes (-cos, sin) of
+        azimuth b, and the second half the exact negatives of the first.  So
+        the image of a node under each of the mirrors x1 -> -x1, x2 -> -x2
+        and x3 -> -x3 is a node with that coordinate exactly negated, and
+        node (a, b + n_phi/2) is the exact antipode of node
+        (n_theta - 1 - a, b).
         """
         t = self.cos_nodes[:, None]
         s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        half = self.phi_nodes[: self.phi_nodes.size // 2]
-        cp = np.concatenate([np.cos(half), -np.cos(half)])[None, :]
-        sp = np.concatenate([np.sin(half), -np.sin(half)])[None, :]
+        half = self.phi_nodes.size // 2
+        quarter = self.phi_nodes[: half // 2 + 1]
+        back = slice(half - quarter.size, 0, -1)  # azimuths n_phi/2 - b past the quarter
+        c, sn = np.cos(quarter), np.sin(quarter)
+        if half % 2 == 0:
+            c[-1] = 0.0  # phi = pi/2, its own image under x1 -> -x1
+        c, sn = np.concatenate([c, -c[back]]), np.concatenate([sn, sn[back]])
+        cp = np.concatenate([c, -c])[None, :]
+        sp = np.concatenate([sn, -sn])[None, :]
         xyz = np.stack(
             [s * cp, s * sp, np.broadcast_to(t, (t.size, cp.size))], axis=-1
         )
@@ -220,7 +251,7 @@ def _degree_rows(L: int, parity: int) -> int:
 
 
 def _stored_block_count(L: int, parity: int) -> int:
-    """Number of stored (l, m) blocks, l <= L of the given parity and
+    """Number of (l, m) blocks of a table, l <= L of the given parity and
     0 <= m <= l: degrees parity + 2j for j < rows hold rows * (rows + parity)."""
     rows = _degree_rows(L, parity)
     return rows * (rows + parity)
@@ -228,8 +259,8 @@ def _stored_block_count(L: int, parity: int) -> int:
 
 @lru_cache(maxsize=None)
 def packed_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, mirror) of the entries of a symmetric N x N block as a
-    CoeffTable stores them: entry e is (rows[e], cols[e]), rows <= cols, in
+    """(rows, cols, mirror) of the entries of a symmetric N x N block in
+    packed order: entry e is (rows[e], cols[e]), rows <= cols, in
     `np.triu_indices(N)` order, and mirror[i, j] = mirror[j, i] is the entry
     holding (i, j).  One read-only set per N."""
     rows, cols = np.triu_indices(n)
@@ -240,19 +271,88 @@ def packed_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, mirror
 
 
+def _class_sizes(n: int, mirror: bool) -> tuple[int, int, int, int]:
+    """Channels of each base class c = 2 pi + rho, in Python integers (a
+    file header may claim any N): E each for a general table; for a mirror
+    one (channel_layout), u1 u1, u2 u2 and the o = N - 2 other fields among
+    themselves in class 0, u1 u2 in class 1, u1 or u2 with another field in
+    class 2 or 3."""
+    E = n * (n + 1) // 2
+    if not mirror:
+        return (E, E, E, E)
+    if n < 3:
+        return (E, 0, 0, 0)
+    o = n - 2
+    return (E - 1 - 2 * o, 1, o, o)
+
+
+@lru_cache(maxsize=None)
+def channel_layout(n: int, mirror: bool) -> tuple[np.ndarray, tuple[slice, ...]]:
+    """(entries, runs) of the channels of a table of field dimension n.
+
+    Channel k holds packed entry entries[k]; runs[c] is the contiguous run
+    of the channels of base class c = 2 pi + rho, the class they hold in the
+    base (0, 0, 0) table.  A mirror table keeps each entry once, at
+    pi = (x + y) mod 2 and rho = y mod 2 (see _class_sizes), in packed order
+    within a run; a general table keeps all the entries in each of the four
+    classes.  entries is read-only."""
+    rows, cols, _ = packed_index(n)
+    if mirror:
+        xy = field_axes(n)[rows] + field_axes(n)[cols]
+        entries = np.argsort(2 * (xy.sum(axis=1) % 2) + xy[:, 1] % 2, kind="stable")
+    else:
+        entries = np.tile(np.arange(rows.size), 4)
+    entries.setflags(write=False)
+    ends = np.cumsum((0,) + _class_sizes(n, mirror))
+    return entries, tuple(slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:]))
+
+
+def _class_flip(multi_index) -> int:
+    """The class code a table's derivatives XOR onto its base classes: a step
+    along x1 or x2 flips the order parity pi, and one along x2 also swaps Re
+    and Im (its phase is -i)."""
+    i1, i2, _ = multi_index
+    return 2 * ((i1 + i2) % 2) + i2 % 2
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int, mirror: bool, flip: int) -> tuple[tuple[slice, int, int], ...]:
+    """(run, pi, rho) of every nonempty run of channels of a table whose
+    base classes are XORed by `flip` (_class_flip)."""
+    return tuple(
+        (run, (c ^ flip) >> 1, (c ^ flip) & 1)
+        for c, run in enumerate(channel_layout(n, mirror)[1])
+        if run.stop > run.start
+    )
+
+
+def _check_degree(multi_index, L: int) -> None:
+    if L < sum(multi_index):
+        raise TableRangeError(f"multi-index {multi_index} needs L >= its order, got L={L}")
+
+
 @dataclass(frozen=True)
 class CoeffTable:
     """Expansion coefficients of one kernel (one derivative multi-index).
 
-    Only the degrees of the table's parity p = order mod 2 are stored: the
-    others vanish (see the module docstring).  coeffs is complex128 of shape
-    (n_p, L+1, N(N+1)/2) indexed [j, m, e], where row j holds degree
-    l = p + 2j for the orders m >= 0, entries with m > l are zero, and e
-    runs over the entries (i, k) with i <= k of the symmetric N x N block in
-    `np.triu_indices(N)` order; n_p counts the degrees of parity p in 0..L.
-    Negative orders follow from the conjugation rule
-    C[l, -m] = (-1)^m conj(C[l, m]).  A table of order I is zero below
-    degree I (P_l^I(0) = 0 there), so it refuses L < I with TableRangeError.
+    The coefficients C[l, m] (N x N blocks, symmetric, orders 0 <= m <= l;
+    C[l, -m] = (-1)^m conj(C[l, m])) are held as real channels.  A channel
+    is (entry e, order parity pi, part rho): Re C[l, m] (rho = 0, the
+    weight of cos(m phi)) or Im C[l, m] (rho = 1, of sin(m phi)) of one
+    entry i <= j for the orders m = 2h + pi.  coeffs is float64 of shape
+    (K, n_p, L//2 + 1) indexed [k, j, h]: channel k, row j of degree
+    l = p + 2j, where p = order mod 2 (the other degrees vanish, see the
+    module docstring), and column h of order m = 2h + pi; zero for m > l
+    and, for rho = 1, at m = 0 (Im C[l, 0] = 0).  Channel-major, so the
+    ladder steps whole (l, m) planes of the channels of one pi at once.
+
+    The channels are `channel_layout(N, mirror)`: for a mirror-symmetric
+    material (ExtendedTensor.mirror_symmetric) every other part of an entry
+    is zero by symmetry, so a table keeps one channel per entry, K = E =
+    N(N+1)/2; any other material keeps all four, K = 4E.  The class of a
+    channel is its base class XOR (i1 + i2, i2) mod 2 (`classes`).  A table
+    of order I is zero below degree I (P_l^I(0) = 0 there), so it refuses
+    L < I with TableRangeError.
 
     A table owns its coefficient array and makes it read-only at
     construction, so anything derived from a table stays valid with it
@@ -268,12 +368,15 @@ class CoeffTable:
 
     def __post_init__(self):
         L, n = self.max_degree, self.field_dim
-        if L < self.order:
-            raise TableRangeError(f"multi-index {self.multi_index} needs L >= its order, got L={L}")
-        if self.coeffs.shape != (_degree_rows(L, self.parity), L + 1, n * (n + 1) // 2):
+        _check_degree(self.multi_index, L)
+        E = n * (n + 1) // 2
+        planes = (_degree_rows(L, self.parity), L // 2 + 1)
+        if self.coeffs.dtype != np.float64 or self.coeffs.shape not in (
+            (E,) + planes, (4 * E,) + planes
+        ):
             raise ValueError(
-                f"coefficient array shape {self.coeffs.shape} inconsistent with "
-                f"L={L}, N={n}, parity {self.parity}"
+                f"coefficient array {self.coeffs.dtype} {self.coeffs.shape} inconsistent "
+                f"with L={L}, N={n}, parity {self.parity}"
             )
         self.coeffs.setflags(write=False)
 
@@ -284,6 +387,29 @@ class CoeffTable:
     @property
     def parity(self) -> int:
         return self.order % 2
+
+    @property
+    def mirror(self) -> bool:
+        """True for the one-channel-per-entry layout of a mirror-symmetric material."""
+        return 2 * self.coeffs.shape[0] == self.field_dim * (self.field_dim + 1)
+
+    @property
+    def classes(self) -> tuple[tuple[slice, int, int], ...]:
+        """(run, pi, rho) of every nonempty run of channels: channels run
+        hold Re (rho = 0) or Im (rho = 1) of the orders m of parity pi."""
+        return _classes(self.field_dim, self.mirror, _class_flip(self.multi_index))
+
+    def dense(self) -> np.ndarray:
+        """Re and Im of C[l, m] for every order 0 <= m <= L and entry, as
+        (n_p, L+1, N(N+1)/2, 2) indexed [j, m, e, part]: the classes the
+        table does not hold are exact zeros."""
+        L, n = self.max_degree, self.field_dim
+        entries = channel_layout(n, self.mirror)[0]
+        out = np.zeros((self.coeffs.shape[1], L + 1, n * (n + 1) // 2, 2))
+        for run, pi, rho in self.classes:
+            planes = self.coeffs[run, :, : (L - pi) // 2 + 1]
+            out[:, pi::2, entries[run], rho] = planes.transpose(1, 2, 0)
+        return out
 
     def truncated(self, max_degree: int) -> "CoeffTable":
         """Copy of the table keeping only degrees 0..max_degree (>= its order)."""
@@ -296,7 +422,7 @@ class CoeffTable:
             self.field_dim,
             max_degree,
             self.multi_index,
-            self.coeffs[: _degree_rows(max_degree, self.parity), : max_degree + 1].copy(),
+            self.coeffs[:, : _degree_rows(max_degree, self.parity), : max_degree // 2 + 1].copy(),
         )
 
 
@@ -338,25 +464,46 @@ def base_coefficients(
     The symbol is inverted at the nodes with azimuth in [0, pi) only.  It is
     even, and its inverse at -xi has the same bits as at xi, so the other
     half are copies: node (a, b + n_phi/2) takes node (n_theta - 1 - a, b).
+    A mirror-symmetric material (ExtendedTensor.mirror_symmetric) is
+    inverted on the octant 0 <= phi <= pi/2, cos(theta) >= 0 alone.  Its
+    symbol at the image of xi under x1 -> -x1 is D S(xi) D, D = diag(-1 for
+    u1, 1 otherwise), and that image is a node with x1 exactly negated
+    (SphereQuadrature.nodes); assembly, equilibration and elimination
+    (pivoting on |.|) commute with the sign flips, so entry (i, j) times
+    (-1)^x, x the count of index 1 in (i, j), has the bits an inversion
+    would give.  So azimuth n_phi/2 - b takes azimuth b times (-1)^x, and
+    cos(theta) < 0 takes -cos(theta) times (-1)^(x + y) (both mirrors and
+    the antipode).
+
     The azimuthal sums are one real FFT per polar node and entry: with
     phi_b = 2 pi b / n_phi, the kernel exp(-i m phi_b) is the FFT's own, so
     no phase is rounded from a rounded azimuth.  The polar sums are one
-    batched real matrix product over the orders m, of the cached weighted
-    Legendre operator of the rule (`_projection`) with the FFT output's
-    real and imaginary parts side by side, so a call evaluates no Legendre
-    value and forms no weighted copy of the FFT output.
+    batched real matrix product over the orders m of each class of
+    channels (CoeffTable), of the cached weighted Legendre operator of the
+    rule (`_projection`) with the FFT output's part of that class, so a
+    call evaluates no Legendre value and projects no part a mirror table
+    does not hold.
     """
     if quad_degree is None:
         quad_degree = 2 * L + 12
     Pw, dirs = _projection(L, quad_degree)
-    n = ext.field_dim
+    n, mirror = ext.field_dim, ext.mirror_symmetric
     half, n_theta = dirs.shape[:2]
     # the entries i <= j of each symmetric inverse symbol, azimuth-major
     rows, cols, _ = packed_index(n)
     inv = np.empty((2 * half, n_theta, rows.size))
-    inv[:half] = inverse_symbol_batch(ext, dirs.reshape(-1, 3))[:, rows, cols].reshape(
-        half, n_theta, -1
-    )
+    if mirror:
+        quarter, top = half // 2 + 1, n_theta // 2  # azimuths <= pi/2, cos(theta) >= 0
+        inv[:quarter, top:] = inverse_symbol_batch(
+            ext, dirs[:quarter, top:].reshape(-1, 3)
+        )[:, rows, cols].reshape(quarter, n_theta - top, -1)
+        x, y = (field_axes(n)[rows] + field_axes(n)[cols]).T
+        inv[quarter:half, top:] = (1 - 2 * (x % 2)) * inv[half - quarter : 0 : -1, top:]
+        inv[:half, :top] = (1 - 2 * ((x + y) % 2)) * inv[:half, : n_theta - 1 - top : -1]
+    else:
+        inv[:half] = inverse_symbol_batch(ext, dirs.reshape(-1, 3))[:, rows, cols].reshape(
+            half, n_theta, -1
+        )
     inv[half:] = inv[:half, ::-1]
     # azimuthal transform: G[m, a] = sum_b inv[b, a] exp(-i m phi_b) for the
     # orders m <= n_phi/2 the FFT returns; on a rule with fewer than 2L
@@ -365,10 +512,14 @@ def base_coefficients(
     G = np.fft.rfft(inv, axis=0)[: L + 1]
     if L > half:
         G = np.concatenate([G, np.conj(G[half - 1 : 2 * half - L - 1 : -1])])
-    # polar projection: C[j, m] = sum_a Pw[m, j, a] G[m, a], on Re and Im at
-    # once, written straight into the (n_0, L+1, entries) layout
-    C = np.empty((Pw.shape[1], L + 1, rows.size), dtype=np.complex128)
-    np.matmul(Pw, G.view(np.float64), out=C.view(np.float64).transpose(1, 0, 2))
+    G = G.view(np.float64).reshape(L + 1, n_theta, rows.size, 2)
+    # polar projection: C[k, j, h] = sum_a Pw[m, j, a] G[m, a, e_k, rho]
+    # for m = 2h + pi, per class
+    entries = channel_layout(n, mirror)[0]
+    C = np.zeros((entries.size, Pw.shape[1], L // 2 + 1))
+    for run, pi, rho in _classes(n, mirror, 0):
+        projected = Pw[pi::2] @ G[pi::2, :, entries[run], rho]
+        C[run, :, : (L - pi) // 2 + 1] = projected.transpose(2, 1, 0)
     return CoeffTable(ext.material_hash, n, L, (0, 0, 0), C)
 
 
@@ -378,12 +529,12 @@ def _step_terms(Lt: int, axis: int) -> tuple[tuple[int, int, np.ndarray], ...]:
 
     Each term is (d, shift, factor): target (l, m) takes factor[l, m] times
     the source block of degree l + d and order m + shift, on the target grid
-    l, m = 0..Lt, and the terms are listed in the order they are summed.
-    A factor is the square root of one ratio of exact integers times a sign
-    (x1, x3) or a phase (x2); it is zero outside m <= l and
-    |m + shift| <= l + d, masked before any sqrt or division.  Cached, as
-    every step to the same degree and axis reads the same factors; the
-    arrays are read-only.
+    l, m = 0..Lt, and the terms are listed in the order they are summed;
+    along x2 the factor carries the phase -i as well.  A factor is the
+    square root of one ratio of exact integers times a sign; it is zero
+    outside m <= l and |m + shift| <= l + d, masked before any sqrt or
+    division.  Cached, as every step to the same degree and axis reads the
+    same factors; the arrays are read-only.
     """
     l = np.arange(Lt + 1)[:, None]
     m = np.arange(Lt + 1)[None, :]
@@ -402,10 +553,48 @@ def _step_terms(Lt: int, axis: int) -> tuple[tuple[int, int, np.ndarray], ...]:
                 np.divide(num, den * (4 if shift else 1), out=np.zeros(valid.shape), where=valid)
             )
             # x1 = (s+ + s-) / 2 and x2 = (s+ - s-) / 2i, s+- = sin(theta) e^{+-i phi}:
-            # the x1 sign is -d shift, and x2 = i shift x1 is the phase -i d
-            factor = {1: -d * shift, 2: -1j * d, 3: 1}[axis] * magnitude
+            # the x1 sign is -d shift, and x2 = i shift x1 is -i times d
+            factor = {1: -d * shift, 2: d, 3: 1}[axis] * magnitude
             factor.setflags(write=False)
             terms.append((d, shift, factor))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=128)
+def _parity_terms(Lt: int, axis: int, p: int, pi: int) -> tuple[tuple, ...]:
+    """The terms of `_step_terms(Lt, axis)` for the source channels of
+    order parity pi and a target of parity p, as (rows, src_rows, cols,
+    src_cols, factor): target[rows, cols] += factor * source[src_rows,
+    src_cols] over those channels, in the order of the terms.
+
+    Target row j (degree p + 2j) reads source degree p + 2j + d; target
+    column h holds order m = 2h + pt, pt = pi XOR (axis is x1 or x2), and
+    reads source order m + shift.  Target m = 0 reads order -1 through
+    C[l, -1] = -conj(C[l, 1]), and there the factor of order -1 is minus
+    (x1) or equal to (x2) that of order +1: so the order -1 term is the
+    order +1 term again for a Re target and its negative for an Im target
+    (whose sum is zero, which the caller sets).  Cached; the factors are
+    read-only."""
+    pt = pi ^ (axis != 3)
+    rows_t = _degree_rows(Lt, p)
+    cols_t = (Lt - pt) // 2 + 1
+    terms = []
+    for d, shift, factor in _step_terms(Lt, axis):
+        # target degree 0 has no degree -1 to read
+        first = p + (d - 1) // 2
+        rows, src_rows = (
+            (slice(1, None), slice(0, rows_t - 1)) if first < 0
+            else (slice(None), slice(first, first + rows_t))
+        )
+        f = factor[p::2, pt::2][rows]
+        f.setflags(write=False)
+        offset = (pt + shift - pi) // 2  # source column of target column h, less h
+        if offset < 0:
+            terms.append((rows, src_rows, slice(0, 1), slice(0, 1), plus[:, :1]))
+            terms.append((rows, src_rows, slice(1, cols_t), slice(0, cols_t - 1), f[:, 1:]))
+        else:
+            terms.append((rows, src_rows, slice(0, cols_t), slice(offset, offset + cols_t), f))
+        plus = f
     return tuple(terms)
 
 
@@ -414,31 +603,37 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
 
     The result keeps degrees 0..L-1, one less than the source, because each
     target degree l consumes source degrees l-1 and l+1.  Those are of the
-    source's parity, so the result holds the other parity, p.  A source of
-    degree L <= its order raises TableRangeError, as the result would.
+    source's parity, so the result holds the other parity, p.  Every
+    channel steps to the same channel of the result: x1 flips its order
+    parity pi, x2 flips pi and takes Re to Im and Im to Re, x3 keeps both
+    (CoeffTable.classes); the channels of one pi step together.  The phase
+    -i of x2 negates Re into Im.  A source of degree L <= its order raises
+    TableRangeError, as the result would.
     """
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    Lt = table.max_degree - 1
-    p = 1 - table.parity
-    rows_t, entries = _degree_rows(Lt, p), table.coeffs.shape[2]
-    # column c holds source order c - 1: x1 and x2 read order -1 at m = 0,
-    # which is -conj(order 1); a source of degree 0 has none, nor a target
-    src = np.concatenate([-np.conj(table.coeffs[:, 1:2]), table.coeffs], axis=1)
-    acc = np.zeros((rows_t, Lt + 1, entries), dtype=np.complex128)
-    for d, shift, factor in _step_terms(Lt, axis):
-        # target row j (degree p + 2j) reads source degree p + 2j + d, which
-        # is source row j + first; target degree 0 has no degree -1 to read
-        first = p + (d - 1) // 2
-        rows, src_rows = (
-            (slice(1, None), slice(0, rows_t - 1)) if first < 0
-            else (slice(None), slice(first, first + rows_t))
-        )
-        cols = slice(1 + shift, 2 + shift + Lt)
-        acc[rows] += factor[p::2][rows, :, None] * src[src_rows, cols]
     mi = list(table.multi_index)
     mi[axis - 1] += 1
-    return CoeffTable(table.material_hash, table.field_dim, Lt, tuple(mi), acc)
+    mi = tuple(mi)
+    Lt, p = table.max_degree - 1, 1 - table.parity
+    _check_degree(mi, Lt)
+    src = table.coeffs
+    acc = np.zeros((src.shape[0], _degree_rows(Lt, p), Lt // 2 + 1))
+    # the channels of base classes 2 pi0 and 2 pi0 + 1 are adjacent runs
+    runs = channel_layout(table.field_dim, table.mirror)[1]
+    flip = _class_flip(table.multi_index) >> 1
+    for pi0 in (0, 1):
+        group = slice(runs[2 * pi0].start, runs[2 * pi0 + 1].stop)
+        if group.stop > group.start:
+            for rows, src_rows, cols, src_cols, factor in _parity_terms(Lt, axis, p, pi0 ^ flip):
+                acc[group, rows, cols] += factor * src[group, src_rows, src_cols]
+    if axis != 3:
+        for run, pi, rho in _classes(table.field_dim, table.mirror, _class_flip(mi)):
+            if rho and axis == 2:
+                np.negative(acc[run], out=acc[run])
+            if rho and not pi:
+                acc[run, :, 0] = 0.0  # Im C[l, 0] = 0
+    return CoeffTable(table.material_hash, table.field_dim, Lt, mi, acc)
 
 
 def _check_ladder_start(table: CoeffTable, order: int) -> None:
@@ -492,31 +687,46 @@ def derive_tree(table: CoeffTable, order: int) -> Iterator[tuple[MultiIndex, Coe
 # ---------------------------------------------------------------------------
 # persistence
 #
-# Layout (format version 3): magic "FSCT" | u16 version | u32 header length |
+# Layout (format version 4): magic "FSCT" | u16 version | u32 header length |
 # header JSON | payload | first 16 bytes of the sha256 of all bytes before
 # it, header included, so an edited header fails the checksum as a damaged
-# payload does.  The payload is one little-endian complex128 array
-# CoeffTable.coeffs[js, ms] without its m > l zeros: the stored (l, m)
-# pairs, degrees l of the table's parity in increasing order and m = 0..l
-# within each, each the N(N+1)/2 entries i <= j of its block in
-# np.triu_indices(N) order, with no per-record length.  The m = 0 entries
-# must be real up to quadrature noise, which acts as an integrity check.
-# Version 1 stored both parities and hashed the blocks only, version 2 every
-# entry of each block behind a u32 length; their files are refused, as a
-# table rebuilds in milliseconds.
+# payload does.  The header records the class layout: "mirror" is true for
+# one channel per entry, false for four (CoeffTable, channel_layout).  The
+# payload is one little-endian float64 array, CoeffTable.coeffs[k, j, h] in
+# that index order at the values a table can hold (_stored_mask): the
+# orders m = 2h + pi <= l of each channel, without m = 0 of an Im channel,
+# with no per-record length.  Version 1 stored both parities and hashed the
+# blocks only, version 2 every entry of each block behind a u32 length,
+# version 3 every complex (l, m >= 0) block of the entries i <= j; their
+# files are refused, as a table rebuilds in milliseconds.
 
 
-@lru_cache(maxsize=32)
-def _stored_blocks(L: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, m) of every stored block, in file order.  Cached, as every save
-    and load of a table of the same degree and parity reads the same index
-    arrays; they are read-only."""
+def _stored_count(L: int, parity: int, n: int, mirror: bool, flip: int) -> int:
+    """Number of values in a file's payload, in Python integers, so a header
+    claiming a huge N or L cannot allocate or overflow: per class, the
+    orders m = 2h + pi <= l of the rows degrees, less m = 0 for Im."""
+    rows = _degree_rows(L, parity)
+    total = 0
+    for c, size in enumerate(_class_sizes(n, mirror)):
+        pi, rho = divmod(c ^ flip, 2)
+        per_channel = rows * (rows + 1 if parity >= pi else rows - 1) // 2
+        total += size * (per_channel - (rows if (pi, rho) == (0, 1) else 0))
+    return total
+
+
+@lru_cache(maxsize=64)
+def _stored_mask(L: int, parity: int, n: int, mirror: bool, flip: int) -> np.ndarray:
+    """Boolean (K, rows, L//2 + 1) mask of the values of a table that its file
+    stores (module comment above).  Cached, as every save and load of a
+    table of the same shape and classes reads the same mask; read-only."""
     j = np.arange(_degree_rows(L, parity))[:, None]
-    m = np.arange(L + 1)[None, :]
-    js, ms = np.nonzero(m <= parity + 2 * j)
-    for a in (js, ms):
-        a.setflags(write=False)
-    return js, ms
+    h = np.arange(L // 2 + 1)[None, :]
+    mask = np.zeros((channel_layout(n, mirror)[0].size, j.size, h.size), dtype=bool)
+    for run, pi, rho in _classes(n, mirror, flip):
+        m = 2 * h + pi
+        mask[run] = (m <= parity + 2 * j) & ((m > 0) | (rho == 0))
+    mask.setflags(write=False)
+    return mask
 
 
 def save_table(table: CoeffTable, path) -> None:
@@ -526,10 +736,14 @@ def save_table(table: CoeffTable, path) -> None:
         "N": table.field_dim,
         "L": table.max_degree,
         "multi_index": list(table.multi_index),
+        "mirror": table.mirror,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    js, ms = _stored_blocks(table.max_degree, table.parity)
-    payload = table.coeffs[js, ms].astype("<c16", copy=False)
+    mask = _stored_mask(
+        table.max_degree, table.parity, table.field_dim, table.mirror,
+        _class_flip(table.multi_index),
+    )
+    payload = table.coeffs[mask].astype("<f8", copy=False)
     prefix = _MAGIC + struct.pack("<HI", _FORMAT_VERSION, len(header_bytes)) + header_bytes
     digest = hashlib.sha256(prefix)
     digest.update(payload)
@@ -544,21 +758,22 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return data
 
 
-def _header_fields(header) -> tuple[int, int, tuple[int, int, int], str]:
-    """(N, L, multi-index, material hash) of a parsed header.
+def _header_fields(header) -> tuple[int, int, tuple[int, int, int], str, bool]:
+    """(N, L, multi-index, material hash, mirror) of a parsed header.
 
     A missing or ill-typed key raises TableFormatError naming it.
     """
     if not isinstance(header, dict):
         raise TableFormatError("table header is not a JSON object")
-    for key in ("N", "L", "multi_index", "material_hash"):
+    keys = ("N", "L", "multi_index", "material_hash", "mirror")
+    for key in keys:
         if key not in header:
             raise TableFormatError(f"table header lacks {key!r}")
 
     def is_count(v, low):
         return type(v) is int and v >= low
 
-    n, L, mi, file_hash = (header[k] for k in ("N", "L", "multi_index", "material_hash"))
+    n, L, mi, file_hash, mirror = (header[k] for k in keys)
     if not is_count(n, 1):
         raise TableFormatError(f"table header 'N' must be an integer >= 1, got {n!r}")
     if not is_count(L, 0):
@@ -569,13 +784,15 @@ def _header_fields(header) -> tuple[int, int, tuple[int, int, int], str]:
         )
     if not isinstance(file_hash, str):
         raise TableFormatError(f"table header 'material_hash' must be a string, got {file_hash!r}")
-    return n, L, tuple(mi), file_hash
+    if type(mirror) is not bool:
+        raise TableFormatError(f"table header 'mirror' must be true or false, got {mirror!r}")
+    return n, L, tuple(mi), file_hash, mirror
 
 
 def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
     """Read a coefficient table; verifies format version, header fields,
-    payload size, checksum, finite entries, real m = 0 blocks and, when an
-    expectation is supplied, the material hash."""
+    payload size, checksum, finite values and, when an expectation is
+    supplied, the material hash."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
@@ -594,12 +811,10 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
             header = json.loads(header_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TableCorruptionError(f"unreadable table header: {exc}") from exc
-        n, L, mi, file_hash = _header_fields(header)
+        n, L, mi, file_hash, mirror = _header_fields(header)
         rest = f.read()
-    parity = sum(mi) % 2
-    # in Python integers, so a header claiming a huge N or L cannot overflow
-    rows, entries = _degree_rows(L, parity), n * (n + 1) // 2
-    expected = _stored_block_count(L, parity) * entries * 16 + 16
+    parity, flip = sum(mi) % 2, _class_flip(mi)
+    expected = _stored_count(L, parity, n, mirror, flip) * 8 + 16
     if len(rest) != expected:
         raise TableCorruptionError(
             f"table file holds {len(rest)} bytes after its header; N={n}, L={L}, "
@@ -616,22 +831,18 @@ def load_table(path, expected_material_hash: str | None = None) -> CoeffTable:
             f"{expected_material_hash[:12]}..."
         )
 
-    stored = np.frombuffer(payload, dtype="<c16").reshape(-1, entries)
-    js, ms = _stored_blocks(L, parity)
-    bad = np.argwhere(~np.isfinite(stored))
+    stored = np.frombuffer(payload, dtype="<f8")
+    mask = _stored_mask(L, parity, n, mirror, flip)
+    bad = np.flatnonzero(~np.isfinite(stored))
     if bad.size:
-        k, e = bad[0]
-        i, j = (int(v[e]) + 1 for v in packed_index(n)[:2])
+        k, j, h = (int(v[bad[0]]) for v in np.nonzero(mask))
+        pi, rho = next((pi, rho) for run, pi, rho in _classes(n, mirror, flip) if k < run.stop)
+        e = channel_layout(n, mirror)[0][k]
+        i, j2 = (int(v[e]) + 1 for v in packed_index(n)[:2])
         raise TableCorruptionError(
-            f"block (l={parity + 2 * js[k]}, m={ms[k]}) is not finite at entry "
-            f"(i={i}, j={j}); file damaged"
+            f"block (l={parity + 2 * j}, m={2 * h + pi}) is not finite at entry "
+            f"(i={i}, j={j2}), {'Im' if rho else 'Re'} part; file damaged"
         )
-    coeffs = np.zeros((rows, L + 1, entries), dtype=np.complex128)
-    coeffs[js, ms] = stored
-    table = CoeffTable(file_hash, n, L, mi, coeffs)
-    worst_im = float(np.max(np.abs(coeffs[:, 0].imag)))
-    if worst_im > 1e-6 * float(np.max(np.abs(stored))):
-        raise TableCorruptionError(
-            f"m = 0 blocks are not real (max imag {worst_im:.3e}); file damaged"
-        )
-    return table
+    coeffs = np.zeros(mask.shape)
+    coeffs[mask] = stored
+    return CoeffTable(file_hash, n, L, mi, coeffs)

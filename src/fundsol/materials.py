@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -28,6 +27,7 @@ from .errors import MaterialValidationError, UnknownMaterialError
 __all__ = [
     "MaterialConstants",
     "ExtendedTensor",
+    "field_axes",
     "validate",
     "extend",
     "rotate",
@@ -37,9 +37,7 @@ __all__ = [
     "zener_family",
     "voigt_to_full",
     "full_to_voigt",
-    "rotation_from_angles",
     "load_material_json",
-    "save_material_json",
     "format_material",
 ]
 
@@ -112,6 +110,17 @@ class MaterialConstants:
                 object.__setattr__(self, attr, _ro(val))
 
 
+def field_axes(n: int) -> np.ndarray:
+    """(N, 2) counts of the spatial indices 1 and 2 per field index: the
+    displacement components u1 and u2 of an elastic, piezoelectric or
+    magneto-electro-elastic field (N >= 3) count once each; u3, the
+    potentials and the one field of N = 1 count none."""
+    axes = np.zeros((n, 2), dtype=int)
+    if n >= 3:
+        axes[:2] = np.eye(2, dtype=int)
+    return axes
+
+
 @dataclass(frozen=True)
 class ExtendedTensor:
     """Unified coupling array c[i, J, K, l] of shape (3, N, N, 3).
@@ -130,6 +139,22 @@ class ExtendedTensor:
         n = self.field_dim
         if self.c.shape != (3, n, n, 3):
             raise ValueError(f"extended tensor shape {self.c.shape} != (3,{n},{n},3)")
+
+    @property
+    def mirror_symmetric(self) -> bool:
+        """True when the material is invariant under the mirrors x1 -> -x1
+        and x2 -> -x2: every component of c with an odd count of spatial
+        index 1, or of spatial index 2, among (i, J, K, l) is exactly 0.
+        Exact zeros, so a rotated material, whose such components are
+        rounding residues at best, is never taken for a mirror one."""
+        axes = field_axes(self.field_dim)
+        counts = (
+            np.eye(3, dtype=int)[:, None, None, None, :2]
+            + axes[None, :, None, None]
+            + axes[None, None, :, None]
+            + np.eye(3, dtype=int)[None, None, None, :, :2]
+        )
+        return not np.any(self.c[np.any(counts % 2 == 1, axis=-1)])
 
     @property
     def material_hash(self) -> str:
@@ -226,15 +251,6 @@ def extend(material: MaterialConstants) -> ExtendedTensor:
         c[:, 4, 3, :] = -material.lam
         c[:, 4, 4, :] = -material.kappa
     return ExtendedTensor(n, c, name=material.name)
-
-
-def rotation_from_angles(incline_deg: float, azimuth_deg: float) -> np.ndarray:
-    """Proper rotation: tilt by incline_deg about x2, then spin by azimuth_deg about x3."""
-    a = math.radians(incline_deg)
-    b = math.radians(azimuth_deg)
-    ry = np.array([[math.cos(a), 0, math.sin(a)], [0, 1, 0], [-math.sin(a), 0, math.cos(a)]])
-    rz = np.array([[math.cos(b), -math.sin(b), 0], [math.sin(b), math.cos(b), 0], [0, 0, 1]])
-    return rz @ ry
 
 
 def rotate(material: MaterialConstants, R: np.ndarray) -> MaterialConstants:
@@ -493,21 +509,6 @@ def load_material_json(path) -> MaterialConstants:
         if doc.get(key) is not None:
             kw[attr] = block(key)
     return MaterialConstants(name, n, elastic, **kw)
-
-
-def save_material_json(material: MaterialConstants, path) -> None:
-    doc = {
-        "name": material.name,
-        "field_dim": material.field_dim,
-        "elastic_voigt": (material.elastic / _JSON_SCALE["elastic_voigt"]).tolist(),
-    }
-    for key, attr in (("e", "e"), ("q", "q"), ("eps", "eps"), ("lambda", "lam"), ("kappa", "kappa")):
-        val = getattr(material, attr)
-        if val is not None:
-            doc[key] = (val / _JSON_SCALE.get(key, 1.0)).tolist()
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
 
 
 def _fmt_matrix(mat, scale, indent="    "):

@@ -1,7 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 import fundsol as fs
+from fundsol.materials import _JSON_SCALE
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +49,15 @@ def base_m2(ext_m2):
     return fs.base_coefficients(ext_m2, 24)
 
 
+@pytest.fixture(scope="session")
+def triclinic():
+    """A seeded random triclinic elastic material, positive definite by
+    construction (A A^T plus a multiple of the identity); no component of
+    its tensor is zero, so it takes the general four-class table layout."""
+    A = np.random.default_rng(2024).normal(size=(6, 6))
+    return fs.MaterialConstants("Triclinic", 3, 1e10 * (A @ A.T + 2.0 * np.eye(6)))
+
+
 @pytest.fixture
 def rng():
     # a fresh stream per test, so a test draws the same values alone or in
@@ -57,6 +70,14 @@ def random_directions(rng, count):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def complex_coeffs(table):
+    """The table's channels as complex blocks: C[j, m, e] of shape
+    (n_p, L+1, N(N+1)/2), row j degree p + 2j, orders m >= 0, entries i <= j
+    in np.triu_indices order; the classes a table does not hold are zero."""
+    D = table.dense()
+    return D[..., 0] + 1j * D[..., 1]
+
+
 def entry(table, ell, m):
     """Block C[l, m] (N, N) of a table for any -l <= m <= l, unpacked from
     the stored entries i <= j: a zero block at a degree of the other parity,
@@ -66,7 +87,7 @@ def entry(table, ell, m):
     if (ell - table.parity) % 2:
         return block
     rows, cols = np.triu_indices(n)
-    block[rows, cols] = block[cols, rows] = table.coeffs[(ell - table.parity) // 2, abs(m)]
+    block[rows, cols] = block[cols, rows] = complex_coeffs(table)[(ell - table.parity) // 2, abs(m)]
     if m >= 0:
         return block
     block = np.conj(block)
@@ -75,4 +96,30 @@ def entry(table, ell, m):
 
 def max_abs(table):
     """Largest coefficient magnitude of a table, 0 for an empty one."""
-    return float(np.max(np.abs(table.coeffs))) if table.coeffs.size else 0.0
+    return float(np.max(np.abs(complex_coeffs(table)))) if table.coeffs.size else 0.0
+
+
+def rotation_from_angles(incline_deg, azimuth_deg):
+    """Proper rotation: tilt by incline_deg about x2, then spin by azimuth_deg about x3."""
+    a = math.radians(incline_deg)
+    b = math.radians(azimuth_deg)
+    ry = np.array([[math.cos(a), 0, math.sin(a)], [0, 1, 0], [-math.sin(a), 0, math.cos(a)]])
+    rz = np.array([[math.cos(b), -math.sin(b), 0], [math.sin(b), math.cos(b), 0], [0, 0, 1]])
+    return rz @ ry
+
+
+def save_material_json(material, path):
+    """Write a material in the JSON interchange format that
+    fs.load_material_json reads."""
+    doc = {
+        "name": material.name,
+        "field_dim": material.field_dim,
+        "elastic_voigt": (material.elastic / _JSON_SCALE["elastic_voigt"]).tolist(),
+    }
+    for key, attr in (("e", "e"), ("q", "q"), ("eps", "eps"), ("lambda", "lam"), ("kappa", "kappa")):
+        val = getattr(material, attr)
+        if val is not None:
+            doc[key] = (val / _JSON_SCALE.get(key, 1.0)).tolist()
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")

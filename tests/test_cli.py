@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import shutil
 import struct
 import types
 
@@ -16,8 +17,9 @@ import fundsol as fs
 from fundsol import cli
 from fundsol.cli import main, table_path
 from fundsol.errors import TableCorruptionError, TableFormatError
+from fundsol.expansion import channel_layout
 
-from conftest import entry, max_abs
+from conftest import entry, max_abs, save_material_json
 
 
 def run(capsys, *argv):
@@ -169,7 +171,7 @@ class TestMaterialsShow:
     )
     def test_malformed_material_file_exits_2(self, capsys, tmp_path, command, edit, named):
         path = tmp_path / "bad.json"
-        fs.save_material_json(fs.builtin("Cu"), path)
+        save_material_json(fs.builtin("Cu"), path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         if command == "show":
             argv = ["materials", "show", str(path)]
@@ -254,7 +256,7 @@ class TestBuild:
     def test_non_finite_material_file_exits_2(self, capsys, tmp_path):
         # json writes NaN as the bare token NaN, which json.load reads back
         path = tmp_path / "nan.json"
-        fs.save_material_json(fs.builtin("PZT-4"), path)
+        save_material_json(fs.builtin("PZT-4"), path)
         doc = json.loads(path.read_text())
         doc["eps"][2][2] = math.nan
         path.write_text(json.dumps(doc))
@@ -420,7 +422,7 @@ class TestEval:
         table = fs.load_table(table_path(tmp_path, cu.material_hash, 3, (2, 1, 0)))
         cut = types.SimpleNamespace(
             material_hash=table.material_hash, field_dim=3, max_degree=2,
-            multi_index=(2, 1, 0), parity=1, coeffs=table.coeffs[:1, :3],
+            multi_index=(2, 1, 0), parity=1, coeffs=table.coeffs[:, :1, :2], mirror=True,
         )
         fs.save_table(cut, table_path(tmp_path, cu.material_hash, 2, (2, 1, 0)))
         pts = tmp_path / "pts.csv"
@@ -436,8 +438,8 @@ class TestEval:
         # P_152^152(0) ~ 1e311 overflows float64: the OverflowError of
         # its evaluation ended eval in a traceback
         lap = fs.extend(fs.builtin("Laplace"))
-        coeffs = np.zeros((77, 153, 1), dtype=np.complex128)
-        coeffs[-1, 0] = 1.0
+        coeffs = np.zeros((1, 77, 77))
+        coeffs[0, -1, 0] = 1.0
         table = fs.CoeffTable(lap.material_hash, 1, 152, (152, 0, 0), coeffs)
         fs.save_table(table, table_path(tmp_path, lap.material_hash, 152, (152, 0, 0)))
         pts = tmp_path / "pts.csv"
@@ -474,6 +476,27 @@ class TestEval:
         # version 2 stored every entry of each block behind a u32 length
         self.check_old_version_exit_2(capsys, tmp_path, 2)
 
+    def test_version_3_table_exit_2(self, capsys, tmp_path):
+        # version 3 stored complex blocks of every order m >= 0
+        self.check_old_version_exit_2(capsys, tmp_path, 3)
+
+    def test_table_copied_over_another_exit_2(self, capsys, tmp_path):
+        # a d100 table copied over the d001 file of the same material and L
+        # passes every file check; eval printed d/dx1 for d/dx3 with exit 0
+        self.setup_tables(capsys, tmp_path, order=1)
+        lap = fs.extend(fs.builtin("Laplace"))
+        target = table_path(tmp_path, lap.material_hash, 4, (0, 0, 1))
+        shutil.copyfile(table_path(tmp_path, lap.material_hash, 4, (1, 0, 0)), target)
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[0.0, 0.0, 1.0]])
+        code, out, err = run(
+            capsys, "eval", "--material", "Laplace", "--L", "4", "--multi-index", "0,0,1",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert "holds L=4, multi-index (1, 0, 0)" in err
+        assert "asked for L=4, multi-index (0, 0, 1)" in err
+
     def check_old_version_exit_2(self, capsys, tmp_path, version):
         self.setup_tables(capsys, tmp_path)
         lap = fs.extend(fs.builtin("Laplace"))
@@ -494,14 +517,16 @@ class TestEval:
 
     def test_non_finite_packed_entry_exit_2(self, capsys, tmp_path):
         # a table stores the entries i <= j of each block, so it cannot be
-        # asymmetric; a damaged entry under a valid checksum is named by its
-        # block and its (i, j), mapped back through np.triu_indices; a
-        # table's coefficients are read-only, so the damage goes into a copy
+        # asymmetric; a damaged value under a valid checksum is named by its
+        # block and its (i, j), mapped back through its channel and
+        # np.triu_indices; a table's coefficients are read-only, so the
+        # damage goes into a copy.  Cu entry (1, 3) is Re of the odd orders,
+        # so (l=2, m=1) is row 1, column 0 of its channel
         ext = fs.extend(fs.builtin("Cu"))
         table = fs.base_coefficients(ext, 4)
         e = list(zip(*np.triu_indices(3))).index((0, 2))
         coeffs = table.coeffs.copy()
-        coeffs[1, 1, e] = math.nan
+        coeffs[list(channel_layout(3, True)[0]).index(e), 1, 0] = math.nan
         table = dataclasses.replace(table, coeffs=coeffs)
         path = table_path(tmp_path, ext.material_hash, 4, (0, 0, 0))
         fs.save_table(table, path)
@@ -642,8 +667,9 @@ class TestEval:
 
     def test_zero_coordinates_match_per_value_format(self, capsys, tmp_path):
         # points on the axes and in the coordinate planes: zero and -0.0
-        # coordinates, and entries that vanish there by symmetry, which come
-        # out as rounding noise down to 1e-47
+        # coordinates, and entries that vanish there by symmetry; those the
+        # mirror classes force come out as exact zeros (G12 on the x1 axis),
+        # the others as rounding noise down to 1e-42 (G12 on the x2 axis)
         self.setup_tables(capsys, tmp_path, material="M2", L=6, order=1)
         rows = [
             (0.0, 0.0, 1.0), (0.0, 0.0, -2.5), (3.0, 0.0, 0.0), (0.0, -0.5, 0.0),
@@ -653,7 +679,8 @@ class TestEval:
         code, _, _, data = self.eval_m2(capsys, tmp_path, text)
         assert code == 0
         assert data == self.m2_oracle(tmp_path, rows)
-        assert b"\n0,0,1,1,1," in data and b"\n-0,1,1,1,1," in data and b"e-47\n" in data
+        assert b"\n0,0,1,1,1," in data and b"\n-0,1,1,1,1," in data and b"e-42\n" in data
+        assert b"\n3,0,0,1,2,0\n" in data
 
     def test_stdout_without_binary_buffer(self, capsys, tmp_path):
         # the benchmark and callers in process capture stdout as an
@@ -1041,7 +1068,7 @@ class TestPlot:
         # material name now cannot make a directory
         monkeypatch.chdir(tmp_path)
         material = tmp_path / "sub.json"
-        fs.save_material_json(fs.builtin("Laplace"), material)
+        save_material_json(fs.builtin("Laplace"), material)
         doc = json.loads(material.read_text())
         doc["name"] = "my/lap\\lace"
         material.write_text(json.dumps(doc))

@@ -19,7 +19,7 @@ from fundsol import evaluator, textio
 from fundsol.errors import SingularPointError, TableConsistencyError
 from fundsol.evaluator import regular_part_at
 from fundsol.expansion import derive_multi
-from fundsol.special import gauss_legendre
+from fundsol.special import gauss_legendre, legendre_p_at_zero
 
 from conftest import entry, random_directions
 
@@ -423,7 +423,7 @@ class TestContractionCache:
             base_cu.truncated(6),
             derive_multi(base_cu, (1, 0, 0)),
             fs.load_table(tmp_path / "cu.fsct"),
-            fs.CoeffTable("x", 1, 2, (0, 0, 0), np.zeros((2, 3, 1), dtype=np.complex128)),
+            fs.CoeffTable("x", 1, 2, (0, 0, 0), np.zeros((1, 2, 2))),
         ]
         for table in tables:
             fs.evaluate_batch(table, [[0.3, 0.4, 0.5]])[0]
@@ -432,6 +432,21 @@ class TestContractionCache:
             for cached in evaluator._contraction(table):
                 with pytest.raises(ValueError, match="read-only"):
                     cached[0] = 1.0
+
+    @pytest.mark.parametrize("I", [0, 1, 2, 3, 4, 7, 8, 40, 141])
+    def test_legendre_weights_have_the_oracle_bits(self, I):
+        # the row-to-row integer recurrence gives every P_l^I(0) the bits
+        # of the double-factorial oracle, zeros below degree I included
+        L, p = 160, I % 2
+        expect = np.array([legendre_p_at_zero(l, I) for l in range(p, L + 1, 2)])
+        assert evaluator._legendre_weights(L, I).tobytes() == expect.tobytes()
+
+    def test_legendre_weights_overflow_like_the_oracle(self):
+        # P_152^152(0) ~ 1e311; _contraction turns this into TableRangeError
+        with pytest.raises(OverflowError):
+            legendre_p_at_zero(152, 152)
+        with pytest.raises(OverflowError):
+            evaluator._legendre_weights(152, 152)
 
     def test_w_goes_with_its_table(self, base_cu):
         table = base_cu.truncated(20)
@@ -551,7 +566,7 @@ class TestGaoDaviesVanishing:
             assert np.max(integral / np.maximum(norm, 1e-300)) < 1e-9
         # the degree-zero projection is annihilated by the prefactor itself
         for order in (1, 2, 3, 4):
-            assert fs.legendre_p_at_zero(0, order) == 0.0
+            assert legendre_p_at_zero(0, order) == 0.0
 
 
 class TestTraction:
@@ -925,7 +940,7 @@ class TestRegularPart:
             [rng.uniform(0, np.pi, 32), [0.0, 1e-12, 1e-9], np.pi - np.array([0.0, 1e-12, 1e-9])]
         )
         p = I % 2
-        w = np.array([fs.legendre_p_at_zero(l, I) for l in range(p, L + 1, 2)])[None, :, None]
+        w = np.array([legendre_p_at_zero(l, I) for l in range(p, L + 1, 2)])[None, :, None]
         got = w * factor_series(L, p, theta)
         grid = np.linspace(0, np.pi, 2 * L + 2)
         scale = np.max(np.abs(w * scipy_legendre(L, p, np.concatenate([grid, theta]))), axis=2)

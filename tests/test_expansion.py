@@ -18,7 +18,11 @@ from fundsol.errors import (
 )
 from fundsol.expansion import (
     MultiIndex,
+    _class_flip,
     _projection,
+    _stored_count,
+    _stored_mask,
+    channel_layout,
     base_quadrature,
     derive_coefficients,
     derive_multi,
@@ -27,10 +31,11 @@ from fundsol.expansion import (
     multi_indices_up_to,
     packed_index,
 )
+from fundsol.materials import field_axes
 from fundsol.special import norm_legendre_table
 from fundsol.symbol import inverse_symbol_batch
 
-from conftest import entry, max_abs
+from conftest import complex_coeffs, entry, max_abs, random_directions
 
 SQRT_PI = math.sqrt(math.pi)
 ALL_BUILTINS = ["Laplace", "Cu", "Au", "Ni", "PZT-4", "PVDF", "M1", "M2"]
@@ -204,9 +209,8 @@ class TestQuadrature:
         # with this rule, 3.4e-16 with 40-digit weights, 1.4e-14 with
         # numpy's leggauss
         base = fs.base_coefficients(fs.extend(fs.builtin("PZT-4")), 64)
-        norms = np.array([
-            np.linalg.norm(base.coeffs[r, : 2 * r + 1]) for r in range(base.coeffs.shape[0])
-        ])
+        C = complex_coeffs(base)
+        norms = np.array([np.linalg.norm(C[r, : 2 * r + 1]) for r in range(C.shape[0])])
         assert np.median(norms[20:]) <= 1e-15 * norms[0]
 
     def test_pzt4_order0_series_against_contour_at_L44(self):
@@ -271,19 +275,28 @@ class TestBaseCoefficients:
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_mirrored_inversion_matches_full_inversion(self, name):
-        # base_coefficients inverts the symbol on half the nodes and mirrors
-        # it, as the inverse at -xi has the bits of the inverse at xi; the
-        # reference inverts at every node and projects every degree
+        # base_coefficients inverts the symbol of a mirror material on the
+        # octant 0 <= phi <= pi/2, cos(theta) >= 0 and fills the other
+        # nodes by sign flips, as the inverse at a mirror image has the bits
+        # of the inverse at xi, entries negated by their mirror signs; the
+        # reference inverts at every node and projects every degree, order
+        # and part
         ext = fs.extend(fs.builtin(name))
+        assert ext.mirror_symmetric
         nodes = make_quadrature(2 * 24 + 12).nodes()
         assert np.array_equal(inverse_symbol_batch(ext, -nodes), inverse_symbol_batch(ext, nodes))
         table = fs.base_coefficients(ext, 24)
         full = full_inversion_base(ext, 24)
         scale = np.max(np.abs(full))
         rows, cols = np.triu_indices(ext.field_dim)
-        assert np.max(np.abs(table.coeffs - full[0::2, :, rows, cols])) <= 1e-15 * scale
-        # the odd degrees it does not store are rounding noise
+        expect = full[0::2, :, rows, cols]
+        C = complex_coeffs(table)
+        assert np.max(np.abs(C - expect)) <= 1e-15 * scale
+        # the odd degrees, and the orders and parts a mirror table does not
+        # hold, are rounding noise
         assert np.max(np.abs(full[1::2])) <= 1e-14 * scale
+        held = C != 0
+        assert np.max(np.abs(np.where(held, 0, expect))) <= 1e-14 * scale
 
     @pytest.mark.parametrize("L", [20, 43, 84])
     @pytest.mark.parametrize(
@@ -296,15 +309,16 @@ class TestBaseCoefficients:
         # order is rounding of the azimuthal sums; an FFT puts it at
         # 1.3-3.2e-17 of the largest coefficient, where phases rounded from
         # rounded azimuths read 5.6e-16-1.7e-15
-        C = fs.base_coefficients(fs.extend(fs.builtin(name)), L).coeffs
+        C = complex_coeffs(fs.base_coefficients(fs.extend(fs.builtin(name)), L))
         assert np.max(np.abs(C[:, first_zero_order:])) <= 2e-16 * np.max(np.abs(C))
 
     def test_other_parity_entries_are_zero_blocks(self, base_m2):
         d = derive_coefficients(base_m2, 3)
-        # degrees of the table's parity x orders 0..L x the 15 entries i <= j
-        assert base_m2.coeffs.shape == (13, 25, 15)
-        assert d.coeffs.shape == (12, 24, 15)
-        assert d.truncated(10).coeffs.shape == (5, 11, 15)
+        # one channel for each of the 15 entries i <= j of a mirror
+        # material x degrees of the table's parity x orders 2h + pi, h <= L/2
+        assert base_m2.coeffs.shape == (15, 13, 13)
+        assert d.coeffs.shape == (15, 12, 12)
+        assert d.truncated(10).coeffs.shape == (15, 5, 6)
         for table in (base_m2, d):
             for l in range(1 - table.parity, table.max_degree + 1, 2):
                 for m in (-l, 0, l):
@@ -325,7 +339,7 @@ class TestProjection:
         ext = fs.extend(fs.builtin(name))
         # (8, 11) has 14 azimuths, so orders 8 and 7 alias onto 6 and 7
         for L, degree in ((8, None), (24, None), (43, None), (8, 11), (20, 82)):
-            table = fs.base_coefficients(ext, L, degree).coeffs
+            table = complex_coeffs(fs.base_coefficients(ext, L, degree))
             expect = unfused_base(ext, L, degree)
             scale = np.max(np.abs(expect))
             assert np.max(np.abs(table - expect)) <= 1e-15 * scale, (L, degree)
@@ -514,20 +528,122 @@ class TestDeriveAnisotropic:
 
 class TestLoopReference:
     @pytest.mark.parametrize("axis", [1, 2, 3])
-    def test_vectorised_step_matches_loop_bit_for_bit(self, base_cu, base_m2, axis):
-        for base in (base_cu.truncated(12), base_m2.truncated(9)):
+    def test_vectorised_step_matches_loop_bit_for_bit(self, base_cu, base_m2, triclinic, axis):
+        # mirror tables (one channel per entry) and a general one (four)
+        general = fs.base_coefficients(fs.extend(triclinic), 10)
+        for base in (base_cu.truncated(12), base_m2.truncated(9), general):
             table = base
             for _ in range(2):
                 expect = loop_ladder_step(table, axis)
                 table = derive_coefficients(table, axis)
                 # the stored degrees are the loop's degrees of the table's
-                # parity and its entries i <= j, bit for bit; the loop's
-                # other degrees are zeros and its blocks stay symmetric
+                # parity and its entries i <= j, bit for bit (a class the
+                # table does not hold is zero in both, of either sign); the
+                # loop's other degrees are zeros and its blocks stay symmetric
                 rows, cols = np.triu_indices(table.field_dim)
                 kept = expect[table.parity :: 2, :, rows, cols]
-                assert table.coeffs.tobytes() == kept.tobytes()
+                assert np.array_equal(complex_coeffs(table), kept)
                 assert np.array_equal(expect, expect.swapaxes(-1, -2))
                 assert not np.any(expect[1 - table.parity :: 2])
+
+
+def mirror_signs(n, axis):
+    """(N, N) signs of the inverse symbol of a mirror-symmetric material
+    under x_axis -> -x_axis: (-1)^x, (-1)^y and (-1)^(x + y) for axes 1, 2
+    and 3 (the x3 mirror is both others and the antipode), x and y the
+    counts of the spatial indices 1 and 2 in the entry."""
+    counts = field_axes(n)[:, None, :] + field_axes(n)[None, :, :]
+    exponent = counts[..., 0] if axis == 1 else counts[..., 1] if axis == 2 else counts.sum(-1)
+    return 1 - 2 * (exponent % 2)
+
+
+def rotated(name, radians=1.0):
+    c, s = math.cos(radians), math.sin(radians)
+    return fs.rotate(fs.builtin(name), np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]))
+
+
+class TestMirrorClasses:
+    def test_octant_inversion_count(self, ext_cu, monkeypatch):
+        # the default rule at L = 43 has 51 x 100 nodes: the half-plane of
+        # a general material holds 51 x 50 = 2,550, the octant of a mirror
+        # one 26 x 26 = 676
+        counts = []
+        invert = fs.expansion.inverse_symbol_batch
+        monkeypatch.setattr(
+            fs.expansion, "inverse_symbol_batch", lambda e, d: counts.append(len(d)) or invert(e, d)
+        )
+        fs.base_coefficients(ext_cu, 43)
+        fs.base_coefficients(fs.extend(rotated("Cu")), 43)
+        assert counts == [676, 2550]
+
+    @pytest.mark.parametrize("name", ALL_BUILTINS)
+    def test_mirrored_node_inverts_to_sign_flips_bit_for_bit(self, name):
+        # the image of every node under each mirror is a node with that
+        # coordinate exactly negated, and its inverse symbol is the node's
+        # with the mirror signs, bit for bit: what base_coefficients fills
+        # in is what an inversion would give.  Exactness 98 and 92 are the
+        # rules of L = 43 and 40 (100 and 94 azimuths), 11 has 14
+        ext = fs.extend(fs.builtin(name))
+        n = ext.field_dim
+        for degree in (98, 92, 11):
+            quad = make_quadrature(degree)
+            n_phi = quad.phi_nodes.size
+            xyz = quad.nodes().reshape(quad.cos_nodes.size, n_phi, 3)
+            b = np.arange(n_phi)
+            images = {1: xyz[:, (n_phi // 2 - b) % n_phi], 2: xyz[:, -b % n_phi], 3: xyz[::-1]}
+            inv = inverse_symbol_batch(ext, xyz.reshape(-1, 3))
+            for axis, image in images.items():
+                flipped = xyz.copy()
+                flipped[..., axis - 1] *= -1
+                assert np.array_equal(image, flipped), (degree, axis)
+                at_image = inverse_symbol_batch(ext, image.reshape(-1, 3))
+                assert np.array_equal(at_image, mirror_signs(n, axis) * inv), (degree, axis)
+
+    def test_general_materials_keep_four_classes(self, triclinic):
+        # a rotated crystal and a triclinic material take the general
+        # layout, every class of it live, and meet the contour as before
+        # the layout split (measured at L = 24, the same before and after:
+        # 9.9e-6 and at most 4.1e-4 for rotated Cu at orders 0 and 1,
+        # 5.1e-6 and at most 2.4e-4 triclinic)
+        pts = random_directions(np.random.default_rng(3), 64)
+        for material, bounds in ((rotated("Cu"), (3e-5, 1.2e-3)), (triclinic, (1.5e-5, 7e-4))):
+            ext = fs.extend(material)
+            assert not ext.mirror_symmetric
+            base = fs.base_coefficients(ext, 26)
+            assert not base.mirror and base.coeffs.shape[0] == 4 * 6
+            for mi in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):
+                table = derive_multi(base, mi).truncated(24)
+                assert len(table.classes) == 4
+                for run, pi, rho in table.classes:
+                    assert np.max(np.abs(table.coeffs[run])) > 1e-3 * max_abs(table)
+                oracle = fs.unit_circle_batch(ext, pts, mi, n_nodes=1024)
+                err = np.max(np.abs(fs.evaluate_batch(table, pts) - oracle))
+                assert err <= bounds[sum(mi)] * np.max(np.abs(oracle)), (material.name, mi)
+
+    @pytest.mark.parametrize("name", ALL_BUILTINS)
+    def test_forced_zeros_are_exact(self, name):
+        # on the x1 axis (x2 = x3 = 0) an entry held as Im (y + i2 odd) is
+        # odd under x2 -> -x2 and vanishes: it comes out as exactly 0.0 at
+        # any radius, where the dense layout summed roundoff
+        ext = fs.extend(fs.builtin(name))
+        base = fs.base_coefficients(ext, 18)
+        n = ext.field_dim
+        y = field_axes(n)[:, None, 1] + field_axes(n)[None, :, 1]
+        for mi, table in derive_tree(base, 2):
+            values = fs.evaluate_batch(table.truncated(16), [[1.0, 0, 0], [2.5, 0, 0]])
+            forced = (y + mi.i2) % 2 == 1
+            assert np.all(values[:, forced] == 0.0), mi
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("mirror", [True, False])
+    def test_stored_count_matches_mask(self, n, mirror):
+        # the closed-form payload size the loader checks before allocating
+        # is the number of values the mask stores
+        for L in range(0, 7):
+            for mi in multi_indices_up_to(2):
+                parity, flip = mi.order % 2, _class_flip(mi.astuple())
+                mask = _stored_mask(L, parity, n, mirror, flip)
+                assert _stored_count(L, parity, n, mirror, flip) == np.count_nonzero(mask)
 
 
 class TestDeriveTree:
@@ -624,30 +740,49 @@ class TestPersistence:
         fs.save_table(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_file_layout(self, base_m2, tmp_path):
+    def test_file_layout(self, base_m2, triclinic, tmp_path):
         # magic | u16 version | u32 header length | header JSON | one
-        # little-endian complex128 array: the 15 entries i <= j of each
-        # (l, m >= 0) block, l of the table's parity only, with no record
-        # lengths | first 16 bytes of the sha256 of all bytes before it
-        rows, cols = np.triu_indices(5)
-        for mi, degrees in (((0, 0, 0), (0, 2, 4)), ((0, 1, 0), (1, 3))):
-            table = derive_multi(base_m2, mi).truncated(4)
+        # little-endian float64 array: the values the table holds in
+        # coeffs[k, j, h] order, channel by channel, row j of degree l = p + 2j, order
+        # m = 2h + pi <= l of channel k, Re or Im of one entry i <= j of the
+        # (l, m) block, no Im at m = 0, with no record lengths | first 16
+        # bytes of the sha256 of all bytes before it.  M2 keeps one channel
+        # per entry, the triclinic material four
+        tri = fs.base_coefficients(fs.extend(triclinic), 5)
+        for table, mirror in (
+            (base_m2.truncated(4), True),
+            (derive_multi(base_m2, (0, 1, 0)).truncated(4), True),
+            (derive_multi(tri, (1, 1, 0)).truncated(3), False),
+        ):
             path = tmp_path / "m2.fsct"
             fs.save_table(table, path)
             data = path.read_bytes()
             assert data[:4] == b"FSCT"
             (version,) = struct.unpack_from("<H", data, 4)
             (hlen,) = struct.unpack_from("<I", data, 6)
-            assert version == 3
+            assert version == 4
             header = json.loads(data[10 : 10 + hlen].decode("utf-8"))
-            assert header["N"] == 5 and header["L"] == 4
-            assert header["multi_index"] == list(mi)
+            assert header["N"] == table.field_dim and header["L"] == table.max_degree
+            assert header["multi_index"] == list(table.multi_index)
+            assert header["mirror"] is mirror is table.mirror
+            rows, cols = np.triu_indices(table.field_dim)
+            entries = channel_layout(table.field_dim, mirror)[0]
+            assert table.coeffs.shape[0] == entries.size == (1 if mirror else 4) * rows.size
+            cls = {k: (pi, rho) for run, pi, rho in table.classes
+                   for k in range(run.start, run.stop)}
+            expect = []
+            for k in range(entries.size):
+                pi, rho = cls[k]
+                for j in range(table.coeffs.shape[1]):
+                    l = table.parity + 2 * j
+                    for h in range(table.coeffs.shape[2]):
+                        m = 2 * h + pi
+                        if m <= l and (m > 0 or rho == 0):
+                            value = entry(table, l, m)[rows[entries[k]], cols[entries[k]]]
+                            expect.append(value.imag if rho else value.real)
             offset = 10 + hlen
-            for l in degrees:
-                for m in range(l + 1):
-                    stored = np.frombuffer(data, "<c16", 15, offset)
-                    assert np.array_equal(stored, entry(table, l, m)[rows, cols])
-                    offset += 16 * 15
+            assert np.array_equal(np.frombuffer(data, "<f8", len(expect), offset), expect)
+            offset += 8 * len(expect)
             assert len(data) == offset + 16
             assert data[offset:] == hashlib.sha256(data[:offset]).digest()[:16]
 
@@ -690,10 +825,11 @@ class TestPersistence:
         path.write_bytes(bytes(wrong_version))
         with pytest.raises(TableFormatError, match="version 99"):
             fs.load_table(path)
-        # version 1 files (both parities, payload-only checksum) and version
-        # 2 files (full blocks behind u32 lengths) are refused with a
-        # pointer to the rebuild
-        for version in (1, 2):
+        # version 1 files (both parities, payload-only checksum), version 2
+        # files (full blocks behind u32 lengths) and version 3 files
+        # (complex blocks of every order m >= 0) are refused with a pointer
+        # to the rebuild
+        for version in (1, 2, 3):
             old = bytearray(data)
             old[4:6] = struct.pack("<H", version)
             path.write_bytes(bytes(old))
@@ -712,7 +848,7 @@ class TestPersistence:
         with pytest.raises(TableCorruptionError, match="checksum"):
             fs.load_table(path)
 
-    @pytest.mark.parametrize("key", ["N", "L", "multi_index", "material_hash"])
+    @pytest.mark.parametrize("key", ["N", "L", "multi_index", "material_hash", "mirror"])
     def test_missing_header_key(self, base_m2, tmp_path, key):
         path = tmp_path / "m2.fsct"
         fs.save_table(base_m2.truncated(3), path)
@@ -727,7 +863,7 @@ class TestPersistence:
         for key, value in [
             ("N", "5"), ("N", 5.0), ("N", 0), ("N", True), ("L", -1), ("L", None),
             ("multi_index", [1, 0]), ("multi_index", [0, 0, -1]), ("multi_index", "000"),
-            ("material_hash", 42),
+            ("material_hash", 42), ("mirror", 1), ("mirror", "true"), ("mirror", None),
         ]:
             path.write_bytes(good)
             rewrite_header(path, lambda h: {**h, key: value})
@@ -757,27 +893,31 @@ class TestPersistence:
             fs.load_table(path)
 
     def test_truncated_payload_names_byte_count(self, base_m2, tmp_path):
-        # degrees 0 and 2 at L = 3: 1 + 3 blocks of 15 entries, 16 bytes
-        # each, and the 16-byte checksum
+        # degrees 0 and 2 at L = 3 of M2's 15 channels: m = 0 of the 8 Re
+        # even-order channels at degree 0, m = 0 and 2 of those, m = 2 of
+        # the Im even-order channel and m = 1 of the 6 odd-order channels at
+        # degree 2, so 31 values of 8 bytes, and the 16-byte checksum
         path = tmp_path / "m2.fsct"
         fs.save_table(base_m2.truncated(3), path)
         data = path.read_bytes()
         path.write_bytes(data[:-40])
-        with pytest.raises(TableCorruptionError, match=r"holds 936 bytes .* need 976 "):
+        with pytest.raises(TableCorruptionError, match=r"holds 224 bytes .* need 264 "):
             fs.load_table(path)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_block_names_entry(self, base_m2, tmp_path, value):
         # packed entry 7 of a 5 x 5 block is (i, j) = (1, 3) in
-        # np.triu_indices order, named 1-based; the damage goes into a copy
-        # of the read-only coefficients
+        # np.triu_indices order, named 1-based: u2 with the electric
+        # potential, so Im of the odd orders, and (l=4, m=3) is row 2,
+        # column 1 of its channel; the damage goes into a copy of the
+        # read-only coefficients
         small = base_m2.truncated(4)
         coeffs = small.coeffs.copy()
-        coeffs[2, 3, 7] = value  # (l=4, m=3)
+        coeffs[list(channel_layout(5, True)[0]).index(7), 2, 1] = value
         table = dataclasses.replace(small, coeffs=coeffs)
         path = tmp_path / "m2.fsct"
         fs.save_table(table, path)
-        message = r"\(l=4, m=3\) is not finite at entry \(i=2, j=4\)"
+        message = r"\(l=4, m=3\) is not finite at entry \(i=2, j=4\), Im part"
         with pytest.raises(TableCorruptionError, match=message):
             fs.load_table(path)
 
@@ -797,7 +937,7 @@ class TestPersistence:
         assert table.truncated(3).max_degree == 3
         with pytest.raises(TableRangeError, match=r"\(2, 1, 0\) needs L >= its order, got L=2"):
             table.truncated(2)
-        coeffs = table.coeffs[:1, :3].copy()
+        coeffs = table.coeffs[:, :1, :2].copy()
         with pytest.raises(TableRangeError, match="got L=2"):
             fs.CoeffTable(table.material_hash, 1, 2, (2, 1, 0), coeffs)
         with pytest.raises(TableRangeError, match="got L=-1"):

@@ -11,12 +11,12 @@ from fundsol.materials import (
     MaterialConstants,
     full_to_voigt,
     load_material_json,
-    rotation_from_angles,
-    save_material_json,
     voigt_to_full,
     format_material,
 )
 from fundsol.symbol import symbol_matrix_batch
+
+from conftest import rotation_from_angles, save_material_json
 
 ALL_BUILTINS = ["Laplace", "Cu", "Au", "Ni", "PZT-4", "PVDF", "M1", "M2"]
 
@@ -165,6 +165,29 @@ class TestVoigt:
         assert np.array_equal(c, np.transpose(c, (1, 0, 2, 3)))
         assert np.array_equal(c, np.transpose(c, (0, 1, 3, 2)))
         assert np.array_equal(c, np.transpose(c, (2, 3, 0, 1)))
+
+
+class TestMirrorSymmetry:
+    @pytest.mark.parametrize("name", ALL_BUILTINS + ["IsoElastic(1,0.3)"])
+    def test_builtins_are_mirror_symmetric(self, name):
+        assert fs.extend(fs.builtin(name)).mirror_symmetric
+
+    def test_rotated_and_triclinic_are_not(self, triclinic):
+        # a rotation about x3 leaves rounding residues where the mirror
+        # classes need exact zeros; the triclinic tensor has no zero at all
+        assert not fs.extend(fs.rotate(fs.builtin("Cu"), rot_z(np.degrees(1.0)))).mirror_symmetric
+        assert not fs.extend(triclinic).mirror_symmetric
+
+    def test_one_odd_component_breaks_it(self):
+        # c_1112 (Voigt slot [0, 5]) holds index 1 three times
+        elastic = fs.builtin("Cu").elastic.copy()
+        elastic[0, 5] = elastic[5, 0] = 1e-3
+        assert not fs.extend(MaterialConstants("Cu'", 3, elastic)).mirror_symmetric
+        # an even count of both indices keeps it: c_1122 and c_1212
+        elastic = fs.builtin("Cu").elastic.copy()
+        elastic[0, 1] = elastic[1, 0] = 1e11
+        elastic[5, 5] = 3e10
+        assert fs.extend(MaterialConstants("Cu''", 3, elastic)).mirror_symmetric
 
 
 class TestRotate:

@@ -2,12 +2,20 @@
 derivative ladder on rotated builtins (and, for the series and the ladder,
 cubic crystals of any Zener ratio)."""
 
+import types
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import fundsol as fs
+import fundsol
 from fundsol.expansion import derive_coefficients, derive_multi, multi_indices_up_to
+
+from conftest import rotation_from_angles
+
+# the package plus the rotation helper of the tests: hypothesis derives the
+# examples of a derandomized test from its source text, which this keeps
+fs = types.SimpleNamespace(**vars(fundsol), rotation_from_angles=rotation_from_angles)
 
 BUILTINS = ["Laplace", "Cu", "Au", "Ni", "PZT-4", "PVDF", "M1", "M2"]
 # highest derivative order the contour property test draws

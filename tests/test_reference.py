@@ -308,8 +308,8 @@ class TestFiniteDiff:
         # with zeros to degree 44, gives it, so truncation error drops out;
         # the even degrees 0..42 are rows 0..21 of the 23 rows of degree 44
         trunc = base_cu.truncated(42)
-        padded = np.zeros((23, 45, 6), dtype=np.complex128)
-        padded[:22, :43] = trunc.coeffs
+        padded = np.zeros((6, 23, 23))
+        padded[:, :22, :22] = trunc.coeffs
         base = fs.CoeffTable(trunc.material_hash, 3, 44, (0, 0, 0), padded)
         tables = [derive_coefficients(base, axis) for axis in (1, 2, 3)]
         for r in random_directions(rng, 20):

@@ -333,8 +333,9 @@ class TestClebschGordan:
         assert f[3][1, 0][0, 0] == pytest.approx(1 / math.sqrt(3), rel=1e-15)
         assert f[1][-1, -1][1, 1] == pytest.approx(-1 / math.sqrt(6), rel=1e-15)
         assert f[1][1, 1][0, 0] == pytest.approx(-1 / math.sqrt(6), rel=1e-15)
-        assert f[2][-1, -1][1, 1] == pytest.approx(1j / math.sqrt(6), rel=1e-15)
-        assert f[2][1, 1][0, 0] == pytest.approx(-1j / math.sqrt(6), rel=1e-15)
+        # the x2 factors carry the phase -i
+        assert -1j * f[2][-1, -1][1, 1] == pytest.approx(1j / math.sqrt(6), rel=1e-15)
+        assert -1j * f[2][1, 1][0, 0] == pytest.approx(-1j / math.sqrt(6), rel=1e-15)
 
     def test_selection_rules_return_zero(self):
         # k = l: c^{1ll}_{000} vanishes, so the ladder never reads it ...
@@ -345,17 +346,17 @@ class TestClebschGordan:
         # degrees 1, 3, 5 (rows 0..2); bumping source degree 4 moves target
         # degrees 3 and 5 and leaves degree 1
         rng = np.random.default_rng(5)
-        shape = (4, 8, 3)  # N = 2: three entries i <= j
-        src = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        shape = (12, 4, 4)  # N = 2: three entries i <= j in four classes
+        src = rng.normal(size=shape)
         bumped = src.copy()
-        bumped[2] += 1.0
+        bumped[:, 2] += 1.0
         for axis in (1, 2, 3):
             a = derive_coefficients(CoeffTable("x", 2, 7, (0, 0, 0), src), axis)
             b = derive_coefficients(CoeffTable("x", 2, 7, (0, 0, 0), bumped), axis)
-            assert a.coeffs.shape == b.coeffs.shape == (3, 7, 3)
-            assert np.array_equal(a.coeffs[0], b.coeffs[0])
-            assert not np.array_equal(a.coeffs[1], b.coeffs[1])
-            assert not np.array_equal(a.coeffs[2], b.coeffs[2])
+            assert a.coeffs.shape == b.coeffs.shape == (12, 3, 4)
+            assert np.array_equal(a.coeffs[:, 0], b.coeffs[:, 0])
+            assert not np.array_equal(a.coeffs[:, 1], b.coeffs[:, 1])
+            assert not np.array_equal(a.coeffs[:, 2], b.coeffs[:, 2])
 
     def test_factors_match_cg_products_exactly(self):
         # every factor is the square root of one ratio of exact integers, so
@@ -389,7 +390,8 @@ class TestClebschGordan:
                         magnitude = math.sqrt(float(pref * c0 * c1 / (2 * k + 1)))
                         sign = -s0 * s1 if axis == 1 and shift == 1 else s0 * s1
                         expect = -1j * sign * magnitude if axis == 2 else sign * magnitude
-                        assert factor[ell, m] == expect, (axis, d, shift, ell, m)
+                        phase = -1j if axis == 2 else 1
+                        assert phase * factor[ell, m] == expect, (axis, d, shift, ell, m)
 
     def test_edge_rows_finite_without_warnings(self):
         # l = 0 (where l + d = -1) and m = l sit on the edge of the valid
