@@ -15,10 +15,14 @@ The default tables directory is taken from the FUNDSOL_TABLES_DIR environment
 variable when --tables-dir is not given.  `build` writes FSCT version 4
 files, which store the real channels of the entries i <= j of each
 symmetric block, one per entry for a mirror-symmetric material; files of
-earlier versions exit 2 with a pointer to `fundsol build`.  `eval` exits 2
-when the table it loads holds another degree or multi-index than the one
-asked for (a file copied over another's name).  All
-floating-point output is printed with 17 significant digits ("%.17g") so
+earlier versions exit 2 with a pointer to `fundsol build`.  `build`
+projects on one fixed rule, of exactness 2(L + order) + 12
+(expansion.base_quadrature), and no option picks another.  That rule keeps
+its alias error below the series truncation error, which is why the header
+does not record it.  `build` prints the size in bytes of every file it
+writes.  `eval` exits 2 when the table it loads holds another degree or
+multi-index than the one asked for (a file copied over another's name).
+All floating-point output is printed with 17 significant digits ("%.17g") so
 reruns can be diffed byte for byte.
 
 `eval` reads its points file with one np.loadtxt call (a first line that
@@ -65,7 +69,6 @@ from .expansion import (
     base_quadrature,
     derive_multi,
     derive_tree,
-    _stored_block_count,
     load_table,
     packed_index,
     save_table,
@@ -192,9 +195,9 @@ def cmd_build(args) -> int:
     base_degree = args.L + order
 
     t0 = time.perf_counter()
-    base = base_coefficients(ext, base_degree, args.quad_degree)
+    base = base_coefficients(ext, base_degree)
     base_time = time.perf_counter() - t0
-    nodes = base_quadrature(base_degree, args.quad_degree).node_count
+    nodes = base_quadrature(base_degree).node_count
     print(f"base table: L={base_degree} nodes={nodes} build={base_time:.3f}s")
     # each table is one ladder step from its parent, in depth-first order
     t0 = time.perf_counter()
@@ -204,8 +207,7 @@ def cmd_build(args) -> int:
         path = table_path(tables_dir, material_hash, args.L, mi.astuple())
         save_table(tab, path)
         print(
-            f"table {mi.astuple()}: L={tab.max_degree} "
-            f"entries={_stored_block_count(tab.max_degree, tab.parity)} "
+            f"table {mi.astuple()}: L={tab.max_degree} bytes={path.stat().st_size} "
             f"derive={dt:.3f}s -> {path}"
         )
         t0 = time.perf_counter()
@@ -344,9 +346,11 @@ def cmd_bench(args) -> int:
     n_pts = args.points_count
     if n_pts < 1:
         raise ValueError(f"--points-count: expected a positive int, got {str(n_pts)!r}")
+    warmup = args.warmup
+    if warmup < 1:
+        raise ValueError(f"--warmup: expected a positive int, got {str(warmup)!r}")
     pts = rng.normal(size=(n_pts, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    warmup = max(1, args.warmup)
 
     L_list = _parse_values("--L-list", args.L_list)
     _check_degrees("--L-list", L_list, mi.order, "the order of --multi-index")
@@ -446,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="precompute coefficient tables")
     _add_shared(p, "--material", "--L", "--tables-dir")
     p.add_argument("--order", type=int, default=0, help="max total derivative order")
-    p.add_argument("--quad-degree", type=int)
 
     p = sub.add_parser("eval", help="evaluate kernels at points from a CSV")
     _add_shared(p, "--material", "--L", "--tables-dir", "--out", "--multi-index")

@@ -10,10 +10,11 @@ C[l, -m] = (-1)^m conj(C[l, m])).  The integral is a product rule: the
 inverse symbol at its nodes, the azimuthal sums as one real FFT per polar
 node and entry, and the polar sums as batched real matrix products over
 the orders m.  Those apply one operator per rule, the normalised
-Legendre values at the Gauss nodes times the weights.  It depends on the
-rule alone and is cached (`_projection`), so the base tables of many
-materials of one degree (every grain of a polycrystal is one crystal in
-another orientation) evaluate no Legendre value after the first.
+Legendre values at the Gauss nodes times the weights.  The rule is a
+function of the degree alone (base_quadrature), so the operator is cached
+on the degree (`_projection`), and the base tables of many materials of
+one degree (every grain of a polycrystal is one crystal in another
+orientation) evaluate no Legendre value after the first.
 
 Each C[l, m] is an N x N block, and it is symmetric: the operators are
 self-adjoint and `inverse_symbol_batch` symmetrises the inverse symbol.  A
@@ -223,38 +224,25 @@ def make_quadrature(exactness_degree: int) -> SphereQuadrature:
     )
 
 
-def base_quadrature(L: int, quad_degree: int | None = None) -> SphereQuadrature:
-    """The rule base_coefficients(ext, L, quad_degree) projects with.
+def base_quadrature(L: int) -> SphereQuadrature:
+    """The rule base_coefficients(ext, L) projects with, of exactness 2L + 12.
 
-    By default of exactness 2L + 12.  The doubling is not cosmetic: an
-    azimuthal rule with n nodes aliases spectral content at frequency n - m
-    onto order m, so a rule sized close to L pollutes the top coefficients
-    with low-frequency energy of the symbol (measured at ~1e-4 relative for
-    cubic crystals at L = 40 with exactness L + 12).  With 2L + 12 the alias
-    floor sits below the series truncation error at every L.  A
-    caller-supplied exactness must at least resolve degree-L harmonics.
+    The doubling is not cosmetic: an azimuthal rule with n nodes aliases
+    spectral content at frequency n - m onto order m, so a rule sized close
+    to L pollutes the top coefficients with low-frequency energy of the
+    symbol (measured at ~1e-4 relative for cubic crystals at L = 40 with
+    exactness L + 12).  With 2L + 12 the alias floor sits below the series
+    truncation error at every L.  This is the one base rule: no caller picks
+    another, so the degree of a base table names its rule.
     """
     if L < 0:
         raise ValueError("truncation degree must be nonnegative")
-    if quad_degree is None:
-        quad_degree = 2 * L + 12
-    elif quad_degree < L:
-        raise ValueError(
-            f"quadrature exactness {quad_degree} cannot project onto degree {L}"
-        )
-    return make_quadrature(quad_degree)
+    return make_quadrature(2 * L + 12)
 
 
 def _degree_rows(L: int, parity: int) -> int:
     """Number of degrees of the given parity in 0..L (0 when L < parity)."""
     return (L - parity) // 2 + 1
-
-
-def _stored_block_count(L: int, parity: int) -> int:
-    """Number of (l, m) blocks of a table, l <= L of the given parity and
-    0 <= m <= l: degrees parity + 2j for j < rows hold rows * (rows + parity)."""
-    rows = _degree_rows(L, parity)
-    return rows * (rows + parity)
 
 
 @lru_cache(maxsize=None)
@@ -427,22 +415,22 @@ class CoeffTable:
 
 
 @lru_cache(maxsize=4)
-def _projection(L: int, quad_degree: int) -> tuple[np.ndarray, np.ndarray]:
+def _projection(L: int) -> tuple[np.ndarray, np.ndarray]:
     """(Pw, dirs): the weighted Legendre operator and the inversion
-    directions of base_coefficients(ext, L, quad_degree) on its rule.
+    directions of base_coefficients(ext, L) on base_quadrature(L).
 
     Pw[m, j, a] = Pbar_{2j}^m(t_a) w_a 2 pi / n_phi, of shape
     (L+1, n_0, n_theta), zero where m > 2j: the normalised Legendre values
     of even degree at the Gauss nodes t_a times the node's polar weight and
     the azimuthal weight.  dirs, of shape (n_phi/2, n_theta, 3), are the
     nodes with azimuth in [0, pi), azimuth-major.  Neither depends on the
-    material, so every base table of one degree and rule reads the same
-    pair.  Cached, four entries; the arrays are read-only and C-contiguous.
-    One entry holds (L+1) n_0 n_theta + 3 n_theta n_phi / 2 doubles: on the
-    default rule Pw takes ~0.4 MB at L = 43 and ~2.3 MB at L = 80, dirs
-    ~0.06 and ~0.18 MB, so the cache stays below 4 x 2.6 MB up to L = 80.
+    material, so every base table of one degree reads the same pair.
+    Cached on L, four entries; the arrays are read-only and C-contiguous.
+    One entry holds (L+1) n_0 n_theta + 3 n_theta n_phi / 2 doubles: Pw
+    takes ~0.4 MB at L = 43 and ~2.3 MB at L = 80, dirs ~0.06 and ~0.18 MB,
+    so the cache stays below 4 x 2.6 MB up to L = 80.
     """
-    quad = base_quadrature(L, quad_degree)
+    quad = base_quadrature(L)
     t = quad.cos_nodes
     half = quad.phi_nodes.size // 2
     dirs = quad.nodes().reshape(t.size, 2 * half, 3)[:, :half].transpose(1, 0, 2).copy()
@@ -453,13 +441,11 @@ def _projection(L: int, quad_degree: int) -> tuple[np.ndarray, np.ndarray]:
     return Pw, dirs
 
 
-def base_coefficients(
-    ext: ExtendedTensor, L: int, quad_degree: int | None = None
-) -> CoeffTable:
+def base_coefficients(ext: ExtendedTensor, L: int) -> CoeffTable:
     """Project the inverse symbol onto conjugate harmonics of even degree up to L.
 
-    The rule is base_quadrature(L, quad_degree), by default of exactness
-    2L + 12.
+    The rule is base_quadrature(L), of exactness 2L + 12.  Its n_phi =
+    2L + 14 azimuths resolve every order m <= L, so no order aliases.
 
     The symbol is inverted at the nodes with azimuth in [0, pi) only.  It is
     even, and its inverse at -xi has the same bits as at xi, so the other
@@ -484,9 +470,7 @@ def base_coefficients(
     call evaluates no Legendre value and projects no part a mirror table
     does not hold.
     """
-    if quad_degree is None:
-        quad_degree = 2 * L + 12
-    Pw, dirs = _projection(L, quad_degree)
+    Pw, dirs = _projection(L)
     n, mirror = ext.field_dim, ext.mirror_symmetric
     half, n_theta = dirs.shape[:2]
     # the entries i <= j of each symmetric inverse symbol, azimuth-major
@@ -505,13 +489,8 @@ def base_coefficients(
             half, n_theta, -1
         )
     inv[half:] = inv[:half, ::-1]
-    # azimuthal transform: G[m, a] = sum_b inv[b, a] exp(-i m phi_b) for the
-    # orders m <= n_phi/2 the FFT returns; on a rule with fewer than 2L
-    # azimuths, a higher order m aliases onto n_phi - m, whose sum is the
-    # conjugate as inv is real
+    # azimuthal transform: G[m, a] = sum_b inv[b, a] exp(-i m phi_b)
     G = np.fft.rfft(inv, axis=0)[: L + 1]
-    if L > half:
-        G = np.concatenate([G, np.conj(G[half - 1 : 2 * half - L - 1 : -1])])
     G = G.view(np.float64).reshape(L + 1, n_theta, rows.size, 2)
     # polar projection: C[k, j, h] = sum_a Pw[m, j, a] G[m, a, e_k, rho]
     # for m = 2h + pi, per class
