@@ -20,7 +20,7 @@ from fundsol.cli import main, table_path
 from fundsol.errors import TableCorruptionError, TableFormatError
 from fundsol.expansion import channel_layout
 
-from conftest import entry, max_abs, save_material_json
+from conftest import entry, save_material_json
 
 
 def run(capsys, *argv):
