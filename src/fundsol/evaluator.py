@@ -14,9 +14,8 @@ Fourier sphere: Merilees 1973; Townsend, Wilber & Wright 2016), a cos series
 for even m and a sin series for odd m, with frequencies j <= l of the parity
 of l.  The factor table `_factors(L, p)` holds these series for degrees of
 parity p, built once per (L, p) by an rfft of `special.norm_legendre_rows`
-and cached (O(L^3) numbers, ~1.1 MB per entry at L = 80).  One batched
-product per table contracts it with P_l^I(0) C over l, so the per-point
-basis is O(L):
+and cached (O(L^3) numbers, ~1.1 MB per entry at L = 80).  Contracted with
+P_l^I(0) C over l, it leaves a per-point basis of O(L):
 
 - cos(m phi), -sin(m phi), m = 0..L, as powers of exp(-2 i phi) by angle
   addition, times exp(-i phi) for odd m (error 1.8e-15 at L = 40, 8.3e-15 at
@@ -27,27 +26,42 @@ basis is O(L):
   the error near the z axis relative to the terms summed, as the Legendre
   recurrence did; m = 0 adds its pole value times cos(p theta).
 
-The contraction W = F @ (P_l^I(0) C) over l and its pole row depend on the
-table alone.  They are built on a table's first evaluation and kept with
-the table, read-only like its coefficients: (2L+2) J E doubles, with
-J = (L - p) // 2 + 1 theta frequencies and E = N(N+1)/2 entries, ~83 KB at
-Cu L = 40 and ~0.8 MB at N = 5, L = 80.  C comes from the table's real
-channels as Re and Im of every order and entry (CoeffTable.dense); the
-classes a mirror-symmetric material's table does not hold enter as exact
-zeros, so a symmetry-forced zero, such as G12 on the x1 axis, is a sum of
-zeros.  P_l^I(0) comes from an exact integer recurrence
-(`_legendre_weights`).  Two products over m (even and odd) of W with the
-per-point basis give the theta coefficients, each as one gemm per block of
-_BLOCK points, the last block padded with zero rows; a per-point product
-over theta then gives the E stored entries i <= j (see CoeffTable),
-mirrored into (N, N), so every matrix is exactly symmetric.  A gemm over
-the whole batch would round a row differently as the row count changes.
-Every block gemm has the same shape, and OpenBLAS
-sums each of its output rows from that row alone in an order the shape
-sets, so a point gets the same bits alone, at any place in a block and in
-any batch.  This rests on the BLAS, not on numpy; the tests check it at
-every place of a block, for widths 1 to 4097, and with one BLAS thread
-against the default.  So `evaluate_batch` may evaluate a batch in input
+The powers of exp(-2 i phi) and of exp(i theta) come from one recurrence
+over both angles of a chunk of points.
+
+The contraction runs per channel class (CoeffTable.classes): the Re or the
+Im part of the orders m of one parity pi.  For a class,
+W_c = F[orders of parity pi] @ (P_l^I(0) C[run]) over l, with orders m >= 1
+doubled for -m, and it is evaluated against its own basis only:
+cos(m phi) (Re) or -sin(m phi) (Im) of its orders, and the theta series of
+its pi.  The term j = p of the even-m series, cos(p theta) - cos(p theta),
+is zero, so its column carries the pole value instead, in the row of m = 0,
+whose basis is exactly 1: the class gemm reproduces the pole.  The Ws are
+built on a table's first evaluation, one batched product per pi, and kept
+with the table, read-only like its coefficients.  A mirror-symmetric
+material's table holds one class per entry, so its contraction holds a
+quarter of the numbers of a W over every order, part and entry: 2,604
+doubles (~21 KB) against 10,332 (~83 KB) at Cu L = 40, ~200 KB against
+~0.8 MB at N = 5, L = 80.  The classes it does not hold are not multiplied
+at all, and a symmetry-forced zero, such as G12 on the x1 axis, is a sum of
+exact zeros.  A general table (triclinic, or any rotated crystal) holds the
+four classes of every entry through the same code, and their
+contributions are summed.  P_l^I(0) comes from an exact integer recurrence
+(`_legendre_weights`).
+
+Per chunk of _CHUNK points, each class takes one gemm per block of _BLOCK
+points, the last block padded with zero rows, writing the theta
+coefficients of its channels; one per-point product then gives each
+channel the theta series of its pi.  Those outputs are gathered into the
+E stored entries i <= j (see CoeffTable) and mirrored into (N, N) once per
+call, so every matrix is exactly symmetric.  A gemm over the whole batch
+would round a row differently as the row count changes.  Every block gemm
+of a class has the same shape, and OpenBLAS sums each of its output rows
+from that row alone in an order the shape sets, so a point gets the same
+bits alone, at any place in a block and in any batch.  This rests on the
+BLAS, not on numpy; the tests check it at every place of a block, for
+widths 1 to 4097, and with one BLAS thread against the default, for mirror
+and general tables.  So `evaluate_batch` may evaluate a batch in input
 order when its unit vectors have distinct x coordinates, which one sort
 shows, and otherwise evaluates each distinct direction once (a lexsort and
 a run-length pass), with the same bits either way.
@@ -66,7 +80,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SingularPointError, TableConsistencyError, TableRangeError
-from .expansion import CoeffTable, packed_index
+from .expansion import CoeffTable, channel_layout, packed_index
 from .materials import ExtendedTensor
 from .special import gauss_legendre, norm_legendre_rows
 
@@ -78,108 +92,161 @@ __all__ = [
     "regular_part_at",
 ]
 
-_BLOCK = 16  # rows of every m-product gemm, padded with zero rows
+_BLOCK = 16  # rows of every class gemm, padded with zero rows
 _CHUNK = 16 * _BLOCK  # directions per basis chunk
 _TINY = np.finfo(np.float64).tiny  # below it, p . p has lost digits
 _WORK = threading.local()  # each thread's work buffer of regular_part_at
 
 
-def _work_arrays(L: int, J: int, E: int):
-    """v (_CHUNK, L+1) complex, H (_CHUNK, 2J+1, E) and t (_CHUNK, 1, 2J+1):
-    views of one buffer per thread, kept between calls and grown as needed.
-    Work arrays allocated on every call let glibc hand the freed heap top
-    back to the OS and fault it in again on the next call; with chunks of
-    4096 directions that cost 2,870 page faults and 25 ms per 8192-point
-    Cu L = 40 call, against 14 ms with this buffer."""
-    sizes = np.cumsum([2 * _CHUNK * (L + 1), _CHUNK * (2 * J + 1) * E, _CHUNK * (2 * J + 1)])
+def _work_arrays(shapes):
+    """Views of the given shapes on one buffer per thread, kept between
+    calls and grown as needed.  Work arrays allocated on every call let
+    glibc hand the freed heap top back to the OS and fault it in again on
+    the next call; with chunks of 4096 directions that cost 2,870 page
+    faults and 25 ms per 8192-point Cu L = 40 call, against 14 ms with this
+    buffer."""
+    sizes = [math.prod(shape) for shape in shapes]
     buf = getattr(_WORK, "buf", None)
-    if buf is None or buf.size < sizes[-1]:
-        buf = _WORK.buf = np.empty(sizes[-1])
-    v = buf[: sizes[0]].view(np.complex128).reshape(_CHUNK, L + 1)
-    H = buf[sizes[0] : sizes[1]].reshape(_CHUNK, 2 * J + 1, E)
-    t = buf[sizes[1] : sizes[2]].reshape(_CHUNK, 1, 2 * J + 1)
-    return v, H, t
+    if buf is None or buf.size < sum(sizes):
+        buf = _WORK.buf = np.empty(sum(sizes))
+    views, at = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buf[at : at + size].reshape(shape))
+        at += size
+    return views
 
 
 def regular_part_at(table: CoeffTable, theta, phi) -> np.ndarray:
     """Angular (regular) factor sum_l P_l^I(0) sum_m C[l,m] Y_l^m at directions.
 
-    Returns real (P, N, N), exactly symmetric; the physical kernel is this
-    / (4 pi r^(I+1)).  Orders m and -m together weight cos(m phi) by 2 Re C
-    and sin(m phi) by -2 Im C (m = 0 once, not twice).
+    theta and phi are 1-D of one size (or scalars); a size mismatch or a
+    non-finite angle raises ValueError, the latter naming the first
+    offending index.  Returns real (P, N, N), exactly symmetric; the
+    physical kernel is this / (4 pi r^(I+1)).  Orders m and -m together
+    weight cos(m phi) by 2 Re C and sin(m phi) by -2 Im C (m = 0 once, not
+    twice).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-    n, L, p = table.field_dim, table.max_degree, table.parity
-    W, pole = _contraction(table)
-    E = pole.size
-    J = W.shape[1] // E
-    even = L // 2 + 1
-    upper = np.empty((theta.size, E))
-    work = _work_arrays(L, J, E)
+    if theta.ndim != 1 or theta.shape != phi.shape:
+        raise ValueError(
+            f"theta of shape {theta.shape} and phi of shape {phi.shape} must be 1-D of one size"
+        )
+    bad = np.flatnonzero(~(np.isfinite(theta) & np.isfinite(phi)))
+    if bad.size:
+        raise ValueError(f"non-finite angle (direction index {int(bad[0])})")
+    L, p = table.max_degree, table.parity
+    K, J = table.coeffs.shape[:2]  # channels, theta frequencies (degrees of parity p)
+    parts, cols = _contraction(table)
+    even, odd = L // 2 + 1, (L + 1) // 2
+    upper = np.empty((theta.size, K, 2))
+    basis, H, t = _work_arrays([(_CHUNK, 2, 2, even), (_CHUNK, K, J), (_CHUNK, J, 2)])
+    # each class multiplies its own basis, (cos m phi | -sin m phi) of the
+    # orders of its parity, into the theta coefficients of its channels
+    blocked = basis.reshape(-1, _BLOCK, 2, 2, even)
+    products = H.reshape(-1, _BLOCK, K * J)
+    gemms = [
+        (blocked[:, :, pi, rho, : W.shape[0]], W, products[:, :, run.start * J : run.stop * J])
+        for pi, rho, run, W in parts
+    ]
     for start in range(0, theta.size, _CHUNK):
         sl = slice(start, min(start + _CHUNK, theta.size))
         P = sl.stop - start
         blocks = -(-P // _BLOCK)
-        v, H, t = (a[: blocks * _BLOCK] for a in work)
-        # (cos m phi, -sin m phi) per point, even m first; zero rows pad the
-        # chunk to whole blocks
-        w = _trig_rows(even, -2.0 * phi[sl]).T
-        v[P:] = 0.0
-        v[:P, :even] = w
-        v[:P, even:] = w[:, : L + 1 - even] * _trig_rows(2, -phi[sl])[1, :, None]
-        v = v.view(np.float64).reshape(blocks, _BLOCK, 2 * L + 2)
-        # cos(j theta) - cos(p theta), sin(j theta), cos(p theta); j = 2k + p
-        q = _trig_rows(J + 1, theta[sl])
-        t = t[:P]
-        t[:, 0, :J] = (-2.0 * q[p : p + J].imag * q[:J].imag).T
-        t[:, 0, J : 2 * J] = (q[p : p + J] * q[:J]).imag.T
-        t[:, 0, 2 * J] = q[p].real
-        # even m, then odd m: one gemm per block of _BLOCK rows, so every
-        # row is summed by a gemm of one shape and gets the same bits at any
-        # place in any batch (a gemm over the whole batch would not: its
-        # rounding depends on the row count); then theta, per point
-        flat = H.reshape(blocks, _BLOCK, (2 * J + 1) * E)
-        np.matmul(v[:, :, : 2 * even], W[: 2 * even], out=flat[:, :, : J * E])
-        np.matmul(v[:, :, 2 * even :], W[2 * even :], out=flat[:, :, J * E : 2 * J * E])
-        H[:, 2 * J] = pole
-        np.matmul(t, H[:P], out=upper[sl, None, :])
-    return upper[:, packed_index(n)[2]]
+        # exp(-i m phi) for even m and exp(i j theta) from one recurrence,
+        # exp(-i m phi) for odd m as the even ones times exp(-i phi); zero
+        # rows pad the chunk to whole blocks
+        x = _trig_rows(max(even, J + 1), np.concatenate((-2.0 * phi[sl], theta[sl])))
+        e, q = x[:even, :P], x[: J + 1, P:]
+        z = e[:odd] * _trig_rows(2, -phi[sl])[1]
+        basis[:P, 0] = e.view(np.float64).reshape(even, P, 2).transpose(1, 2, 0)
+        basis[:P, 1, :, :odd] = z.view(np.float64).reshape(odd, P, 2).transpose(1, 2, 0)
+        basis[P : blocks * _BLOCK] = 0.0
+        # one gemm per class and block of _BLOCK rows, so every row is summed
+        # by a gemm of one shape and gets the same bits at any place in any
+        # batch (a gemm over the whole batch would not: its rounding depends
+        # on the row count)
+        for a, W, out in gemms:
+            np.matmul(a[:blocks], W, out=out[:blocks])
+        # theta, per point: the even-m series (cos(j theta) - cos(p theta)
+        # for j > p, then cos(p theta) for the pole) and the odd-m series
+        # (sin(j theta)) side by side; j = 2k + p
+        t[:P, : J - 1, 0] = (-2.0 * q[p + 1 : p + J].imag * q[1:J].imag).T
+        t[:P, J - 1, 0] = q[p].real
+        t[:P, :, 1] = (q[p : p + J] * q[:J]).imag.T
+        np.matmul(H[:P], t[:P], out=upper[sl])
+    # each channel's own series, summed per entry (four channels of a general
+    # table, one of a mirror table) and mirrored into (N, N)
+    upper = upper.reshape(theta.size, 2 * K)
+    values = upper[:, cols[0]]
+    for c in cols[1:]:
+        values += upper[:, c]
+    return values
 
 
-def _contraction(table: CoeffTable) -> tuple[np.ndarray, np.ndarray]:
-    """(W, pole) of a table of degree L >= its order I, read-only, built on
-    first use and kept on the table, so they go when it goes.  A P_l^I(0)
-    beyond float64 (from I ~ 150) raises TableRangeError.
+def _contraction(table: CoeffTable):
+    """(parts, cols) of a table of degree L >= its order I, read-only,
+    built on first use and kept on the table, so they go when it goes.  A
+    P_l^I(0) beyond float64 (from I ~ 150) raises TableRangeError.
 
-    W[m, k, e] = sum_r F[m, k, r] P_l^I(0) C[r, m, e] (l = p + 2r), shape
-    (2L+2, J E): rows (m, Re | Im), even m first, orders m >= 1 doubled for
-    -m; columns (k, e).  pole (E,) is the order-0 series at the poles, where
-    the even orders m >= 2 vanish.  The table's coefficients are read-only,
-    so neither can go stale."""
+    parts holds (pi, rho, run, W) per class of channels run (see the module
+    docstring): W[h, (e, k)] = sum_r F[m, k, r] P_l^I(0) C[e, r, h]
+    (l = p + 2r, m = 2h + pi), orders m >= 1 doubled, with the pole column
+    last for pi = 0.  The Ws of one pi, adjacent runs (channel_layout), are
+    column blocks of one array.  cols is `_entry_columns`.  The table's
+    coefficients are read-only, so none of it can go stale."""
     cached = vars(table).get("_contraction")
     if cached is not None:
         return cached
     n, L, I, p = table.field_dim, table.max_degree, table.order, table.parity
     try:
-        w = _legendre_weights(L, I)[:, None, None, None]
+        w = _legendre_weights(L, I)[:, None]
     except OverflowError:
         raise TableRangeError(f"P_l^I(0) overflows float64 at degree L={L}, order I={I}") from None
     F = _factors(L, p)
     J = F.shape[1]
-    E = n * (n + 1) // 2
-    # G[m, k] = sum_r F[m, k, r] w[r] C[r, m], Re and Im side by side
-    C = (table.dense() * w).reshape(J, L + 1, 2 * E)
-    G = (F @ C.transpose(1, 0, 2)).reshape(L + 1, J, E, 2)
-    G[1:] *= 2.0
-    W = G[np.r_[0 : L + 1 : 2, 1 : L + 1 : 2]].transpose(0, 3, 1, 2).reshape(2 * L + 2, J * E)
-    pole = W[0].reshape(J, E).sum(axis=0)
-    for a in (W, pole):
-        a.setflags(write=False)
+    classes = table.classes
+    parts = []
+    for pi in (0, 1):
+        own = [c for c in classes if c[1] == pi]
+        if not own:
+            continue
+        group = slice(own[0][0].start, own[-1][0].stop)
+        orders = (L - pi) // 2 + 1
+        # G[h, k, e] = sum_r F[m, k, r] w[r] C[e, r, h]
+        G = F[pi::2] @ (table.coeffs[group, :, :orders] * w).transpose(2, 1, 0)
+        G[1 - pi :] *= 2.0
+        if pi == 0:
+            G[0, 0] = G[0].sum(axis=0)
+            G[1:, 0] = 0.0
+        # columns (e, k), for pi = 0 with k = 0 moved last
+        width = J * (group.stop - group.start)
+        W = G.transpose(0, 2, 1)[:, :, (np.arange(J) + 1 - pi) % J].reshape(orders, width)
+        W.setflags(write=False)
+        for run, _, rho in own:
+            cut = slice((run.start - group.start) * J, (run.stop - group.start) * J)
+            parts.append((pi, rho, run, W[:, cut]))
+    cols = _entry_columns(n, table.mirror, classes[0][1])
+    cached = (tuple(parts), cols)
     # a frozen dataclass: the cache is set around its __setattr__; two
     # threads building at once set the same bits
-    object.__setattr__(table, "_contraction", (W, pole))
-    return W, pole
+    object.__setattr__(table, "_contraction", cached)
+    return cached
+
+
+@lru_cache(maxsize=None)
+def _entry_columns(n: int, mirror: bool, pi0: int) -> np.ndarray:
+    """(K/E, N, N) read-only: the columns 2 k + pi of the per-channel outputs
+    of regular_part_at that sum to entry (i, j), channels k in ascending
+    order, for a table whose channels of base classes 0 and 1 (the first
+    two runs of channel_layout) hold orders of parity pi0 and the others
+    1 - pi0.  One channel per entry for a mirror table, four otherwise."""
+    entries, runs = channel_layout(n, mirror)
+    pis = np.where(np.arange(entries.size) < runs[1].stop, pi0, 1 - pi0)
+    order = np.argsort(entries, kind="stable")
+    cols = (2 * order + pis[order]).reshape(n * (n + 1) // 2, -1).T[:, packed_index(n)[2]]
+    cols.setflags(write=False)
+    return cols
 
 
 def _legendre_weights(L: int, I: int) -> np.ndarray:
@@ -297,18 +364,12 @@ def _unique_rows(rhat) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first], inverse
 
 
-def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
-    """Kernel values (P, N, N) at a batch of field points (P x 3, meters).
-
-    Points sharing a direction reuse one basis evaluation; rows follow the
-    input order.  A non-finite point raises ValueError; a zero-length point,
-    or one so near zero length that its kernel value overflows, raises
-    SingularPointError; each names the first offending index.
-    """
+def _angles(points) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """(theta, phi, inverse, radii) of a batch of field points: the angles of
+    its distinct directions, with reg[inverse] mapping their rows back to
+    the points (None when every point is its own direction), and its radii.
+    Raises as _directions does."""
     rhat, radii = _directions(points)
-    n = table.field_dim
-    if radii.size == 0:
-        return np.zeros((0, n, n))
     # distinct x coordinates mean distinct directions: then every row is
     # evaluated in input order, with no sort of whole rows and no gathers
     # (-0.0 read as 0.0, as _unique_rows does)
@@ -320,12 +381,29 @@ def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
     # relatively accurate there, so scaled points get the same theta
     theta = np.arctan2(np.hypot(uniq[:, 0], uniq[:, 1]), uniq[:, 2])
     phi = np.arctan2(uniq[:, 1], uniq[:, 0])
+    return theta, phi, inverse, radii
+
+
+def _kernel_values(table: CoeffTable, angles) -> np.ndarray:
+    """Kernel values (P, N, N) of a table at the points of `_angles`."""
+    theta, phi, inverse, radii = angles
     reg = regular_part_at(table, theta, phi)
     if inverse is not None:
         reg = reg[inverse]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = 1.0 / (4.0 * np.pi * radii ** (table.order + 1))
         return _finite_rows(reg * scale[:, None, None])
+
+
+def evaluate_batch(table: CoeffTable, points) -> np.ndarray:
+    """Kernel values (P, N, N) at a batch of field points (P x 3, meters).
+
+    Points sharing a direction reuse one basis evaluation; rows follow the
+    input order.  A non-finite point raises ValueError; a zero-length point,
+    or one so near zero length that its kernel value overflows, raises
+    SingularPointError; each names the first offending index.
+    """
+    return _kernel_values(table, _angles(points))
 
 
 def traction_kernel(
@@ -335,11 +413,12 @@ def traction_kernel(
 
     T[q, P, J] = n_i c[i, J, K, l] d(Phi[P, K])/d(r_l) at point q with
     n = normals[q], assembled from the three first-derivative tables (axes
-    1, 2, 3 in order), each evaluated once over the batch.  points and
-    normals (Q, 3) give (Q, N, N); one point and one normal (3,) give
-    (N, N), with the bits of that point's row in any batch.  All tables must
-    carry the material hash of `ext`.  A non-finite point or normal raises
-    ValueError naming the first offending index.
+    1, 2, 3 in order), each evaluated once over the batch, at directions and
+    angles formed once for the three.  points and normals (Q, 3) give
+    (Q, N, N); one point and one normal (3,) give (N, N), with the bits of
+    that point's row in any batch.  All tables must carry the material hash
+    of `ext`.  A non-finite point or normal raises ValueError naming the
+    first offending index.
     """
     tables = list(first_deriv_tables)
     if len(tables) != 3:
@@ -365,7 +444,8 @@ def traction_kernel(
     bad = np.nonzero(~np.isfinite(nrm).all(axis=1))[0]
     if bad.size:
         raise ValueError(f"non-finite normal (point index {int(bad[0])})")
-    grads = np.stack([evaluate_batch(tab, pts) for tab in tables])  # (l, q, P, K)
+    angles = _angles(pts)
+    grads = np.stack([_kernel_values(tab, angles) for tab in tables])  # (l, q, P, K)
     T = np.einsum("qi,ijkl,lqpk->qpj", nrm, ext.c, grads)
     return T[0] if points.ndim == 1 else T
 

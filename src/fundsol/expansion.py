@@ -54,8 +54,9 @@ vanish except at the orders of parity x + y and in Re (y even) or Im
 carries each class to exactly one class, so the base's classes decide every
 table's: entry (i, j) of derivative (i1, i2, i3) lives at
 pi = (x + y + i1 + i2) mod 2, Re or Im by (y + i2) mod 2.  The other three
-quarters are neither inverted, projected, stepped nor stored, and the
-evaluator sums them as exact zeros, where a dense layout carried roundoff.
+quarters are neither inverted, projected, stepped, stored nor multiplied:
+the evaluator contracts each class against its own basis only, so an entry
+never reads the parts a dense layout filled with roundoff.
 A material without the mirrors, a rotated crystal or a triclinic one,
 keeps all four channels per entry, through the same code.
 
@@ -386,18 +387,6 @@ class CoeffTable:
         """(run, pi, rho) of every nonempty run of channels: channels run
         hold Re (rho = 0) or Im (rho = 1) of the orders m of parity pi."""
         return _classes(self.field_dim, self.mirror, _class_flip(self.multi_index))
-
-    def dense(self) -> np.ndarray:
-        """Re and Im of C[l, m] for every order 0 <= m <= L and entry, as
-        (n_p, L+1, N(N+1)/2, 2) indexed [j, m, e, part]: the classes the
-        table does not hold are exact zeros."""
-        L, n = self.max_degree, self.field_dim
-        entries = channel_layout(n, self.mirror)[0]
-        out = np.zeros((self.coeffs.shape[1], L + 1, n * (n + 1) // 2, 2))
-        for run, pi, rho in self.classes:
-            planes = self.coeffs[run, :, : (L - pi) // 2 + 1]
-            out[:, pi::2, entries[run], rho] = planes.transpose(1, 2, 0)
-        return out
 
     def truncated(self, max_degree: int) -> "CoeffTable":
         """Copy of the table keeping only degrees 0..max_degree (>= its order)."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fundsol as fs
+from fundsol.expansion import channel_layout
 from fundsol.materials import _JSON_SCALE
 
 
@@ -58,6 +59,21 @@ def triclinic():
     return fs.MaterialConstants("Triclinic", 3, 1e10 * (A @ A.T + 2.0 * np.eye(6)))
 
 
+@pytest.fixture(scope="session")
+def base_triclinic(triclinic):
+    # degree 41 supports truncation 40 after one derivative step
+    return fs.base_coefficients(fs.extend(triclinic), 41)
+
+
+@pytest.fixture(scope="session")
+def base_cu_rotated():
+    """Cu turned by 1 rad about x3: its tensor loses the exact zeros of the
+    mirrors, so its tables take the general four-class layout."""
+    c, s = math.cos(1.0), math.sin(1.0)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return fs.base_coefficients(fs.extend(fs.rotate(fs.builtin("Cu"), R)), 41)
+
+
 @pytest.fixture
 def rng():
     # a fresh stream per test, so a test draws the same values alone or in
@@ -74,8 +90,13 @@ def complex_coeffs(table):
     """The table's channels as complex blocks: C[j, m, e] of shape
     (n_p, L+1, N(N+1)/2), row j degree p + 2j, orders m >= 0, entries i <= j
     in np.triu_indices order; the classes a table does not hold are zero."""
-    D = table.dense()
-    return D[..., 0] + 1j * D[..., 1]
+    L, n = table.max_degree, table.field_dim
+    entries = channel_layout(n, table.mirror)[0]
+    out = np.zeros((table.coeffs.shape[1], L + 1, n * (n + 1) // 2, 2))
+    for run, pi, rho in table.classes:
+        planes = table.coeffs[run, :, : (L - pi) // 2 + 1]
+        out[:, pi::2, entries[run], rho] = planes.transpose(1, 2, 0)
+    return out[..., 0] + 1j * out[..., 1]
 
 
 def entry(table, ell, m):

@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -95,6 +96,29 @@ def mp_legendre(l, m, theta):
         c /= (-2) ** m * mpmath.factorial(m)
         hyp = mpmath.hyp2f1(m - l, l + m + 1, m + 1, mpmath.sin(th / 2) ** 2)
         return float(c * mpmath.sin(th) ** m * hyp)
+
+
+@pytest.fixture
+def table_of(base_cu, base_m2, base_triclinic, base_cu_rotated):
+    """table_of(name, L, mi): the derivative table mi of a session base,
+    truncated to degree L; "Triclinic" and "Cu-rotated" take the general
+    four-class layout, "Cu" and "M2" one class per entry."""
+    bases = {
+        "Cu": base_cu,
+        "M2": base_m2,
+        "Triclinic": base_triclinic,
+        "Cu-rotated": base_cu_rotated,
+    }
+    return lambda name, L, mi: derive_multi(bases[name], mi).truncated(L)
+
+
+# general tables (four classes per entry, an even and an odd order) and an
+# odd-order mirror table, for the bit tests that also run the builtins
+GENERAL_AND_ODD = [
+    ("Triclinic", 40, (0, 0, 0)),
+    ("Cu-rotated", 40, (0, 0, 1)),
+    ("Cu", 40, (1, 0, 0)),
+]
 
 
 class TestEvaluate:
@@ -206,16 +230,17 @@ class TestEvaluateBatch:
             ("M2", 16, (0, 0, 1)),
             ("Cu", 40, (2, 1, 0)),
             ("M2", 22, (1, 1, 0)),
-        ],
+        ]
+        + GENERAL_AND_ODD,
     )
-    def test_rows_bit_identical_across_batch_widths(self, name, L, mi, base_cu, base_m2, rng):
-        # every point goes through m-product gemms of one fixed block shape
+    def test_rows_bit_identical_across_batch_widths(self, name, L, mi, table_of, rng):
+        # every point goes through class gemms of one fixed block shape each
         # (the chunk padded with zero rows to whole blocks) and a per-point
         # theta product, so its row has the same bits alone and in any batch,
         # also across basis chunk boundaries (4097 points are 17 chunks);
-        # even and odd orders I, so both theta bases, and N = 3 and N = 5
-        base = {"Cu": base_cu, "M2": base_m2}[name]
-        table = derive_multi(base, mi).truncated(L)
+        # even and odd orders I, so both theta bases, N = 3 and N = 5, one
+        # class per entry and four
+        table = table_of(name, L, mi)
         pts = rng.normal(size=(4097, 3))
         full = fs.evaluate_batch(table, pts)
         for width in (1, 2, 3, 64, 1000, 4097):
@@ -239,12 +264,13 @@ class TestEvaluateBatch:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
-    @pytest.mark.parametrize("name,L,mi", [("Cu", 40, (0, 0, 0)), ("M2", 16, (0, 0, 1))])
-    def test_row_bits_independent_of_place_in_block(self, name, L, mi, base_cu, base_m2, rng):
+    @pytest.mark.parametrize(
+        "name,L,mi", [("Cu", 40, (0, 0, 0)), ("M2", 16, (0, 0, 1))] + GENERAL_AND_ODD
+    )
+    def test_row_bits_independent_of_place_in_block(self, name, L, mi, table_of, rng):
         # one point at every place of a block of otherwise distinct points
         # gives the bits it gets alone (the only row of a zero-padded block)
-        base = {"Cu": base_cu, "M2": base_m2}[name]
-        table = derive_multi(base, mi).truncated(L)
+        table = table_of(name, L, mi)
         theta = rng.uniform(0.0, np.pi, size=evaluator._BLOCK)
         phi = rng.uniform(-np.pi, np.pi, size=evaluator._BLOCK)
         alone = regular_part_at(table, theta[:1], phi[:1])[0]
@@ -253,10 +279,11 @@ class TestEvaluateBatch:
             rows = regular_part_at(table, theta[order], phi[order])
             assert np.array_equal(rows[place], alone)
 
-    def test_values_independent_of_blas_threads(self, ext_cu, rng, tmp_path):
+    @pytest.mark.parametrize("name,L,mi", [("Cu", 80, (0, 0, 0))] + GENERAL_AND_ODD)
+    def test_values_independent_of_blas_threads(self, name, L, mi, ext_cu, table_of, rng, tmp_path):
         # Cu L=80 runs the largest block products of any test; one BLAS
         # thread in a subprocess gives the bits of the default thread count
-        table = fs.base_coefficients(ext_cu, 80)
+        table = fs.base_coefficients(ext_cu, 80) if L == 80 else table_of(name, L, mi)
         fs.save_table(table, tmp_path / "cu.fsct")
         np.save(tmp_path / "pts.npy", rng.normal(size=(3000, 3)))
         script = (
@@ -429,9 +456,10 @@ class TestContractionCache:
             fs.evaluate_batch(table, [[0.3, 0.4, 0.5]])[0]
             with pytest.raises(ValueError, match="read-only"):
                 table.coeffs[0, 0, 0] = 1.0
-            for cached in evaluator._contraction(table):
+            parts, cols = evaluator._contraction(table)
+            for cached in [W for *_, W in parts] + [cols]:
                 with pytest.raises(ValueError, match="read-only"):
-                    cached[0] = 1.0
+                    cached[0] = 1
 
     @pytest.mark.parametrize("I", [0, 1, 2, 3, 4, 7, 8, 40, 141])
     def test_legendre_weights_have_the_oracle_bits(self, I):
@@ -451,9 +479,9 @@ class TestContractionCache:
     def test_w_goes_with_its_table(self, base_cu):
         table = base_cu.truncated(20)
         fs.evaluate_batch(table, [[0.3, 0.4, 0.5]])[0]
-        W, pole = evaluator._contraction(table)
-        refs = [weakref.ref(a) for a in (table, W, pole)]
-        del table, W, pole
+        Ws = [W for *_, W in evaluator._contraction(table)[0]]
+        refs = [weakref.ref(a) for a in [table] + Ws + [W.base for W in Ws]]
+        del table, Ws
         gc.collect()
         assert all(ref() is None for ref in refs)
 
@@ -465,10 +493,31 @@ class TestContractionCache:
         fs.evaluate_batch(full, pts)
         small = full.truncated(16)
         got = fs.evaluate_batch(small, pts)
-        assert evaluator._contraction(small)[0].shape == (34, 9 * 15)
-        assert evaluator._contraction(full)[0].shape == (50, 13 * 15)
+        # (pi, rho, W shape) per class: M2 holds 8 + 1 channels (Re, Im) at
+        # the J = L/2 + 1 even orders m and 3 + 3 at the J - 1 odd ones, each
+        # channel J columns wide
+        for table, J in ((small, 9), (full, 13)):
+            shapes = [(pi, rho, W.shape) for pi, rho, _, W in evaluator._contraction(table)[0]]
+            assert shapes == [
+                (0, 0, (J, 8 * J)),
+                (0, 1, (J, J)),
+                (1, 0, (J - 1, 3 * J)),
+                (1, 1, (J - 1, 3 * J)),
+            ]
         fs.save_table(small, tmp_path / "m2.fsct")
         assert np.array_equal(fs.evaluate_batch(fs.load_table(tmp_path / "m2.fsct"), pts), got)
+
+    def test_contraction_holds_only_live_classes(self, table_of):
+        # the cached contraction of a mirror table holds its one class per
+        # entry, about a quarter of the (2L + 2) J E numbers of a dense W
+        # over every order, part and entry (measured 25.2 % for Cu L=40:
+        # 2,604 of 10,332); a general table holds all four classes and no more
+        dense = (2 * 40 + 2) * 21 * 6
+        size = {
+            name: sum(W.size for *_, W in evaluator._contraction(table_of(name, 40, (0, 0, 0)))[0])
+            for name in ("Cu", "Triclinic")
+        }
+        assert size["Cu"] <= 0.26 * dense and size["Triclinic"] == dense
 
     def test_threads_building_w_at_once_get_serial_bits(self, base_cu, base_m2, rng):
         # threads that reach one uncached table at once may each build W;
@@ -616,6 +665,30 @@ class TestTraction:
             assert one.shape == (n, n) and np.array_equal(one, T[q])
             grads = np.stack([fs.evaluate_batch(tab, [pts[q]])[0] for tab in tables])
             assert np.array_equal(one, np.einsum("i,ijkl,lpk->pj", normals[q], ext.c, grads))
+
+    def test_angles_formed_once_with_the_bits_of_three_batches(
+        self, base_cu, ext_cu, rng, monkeypatch
+    ):
+        # the three tables share one pass of directions, dedup and angles,
+        # and T keeps the bits of contracting three evaluate_batch calls;
+        # half the points repeat the other half's directions at twice the
+        # radius (exact), so the dedup path runs
+        tables = [t.truncated(40) for t in first_derivative_tables(base_cu)]
+        pts = rng.normal(size=(1024, 3))
+        pts[512:] = 2.0 * pts[:512]
+        normals = random_directions(rng, 1024)
+        grads = np.stack([fs.evaluate_batch(tab, pts) for tab in tables])
+        expect = np.einsum("qi,ijkl,lqpk->qpj", normals, ext_cu.c, grads)
+        calls = []
+        directions = evaluator._directions
+
+        def counting(points):
+            calls.append(len(points))
+            return directions(points)
+
+        monkeypatch.setattr(evaluator, "_directions", counting)
+        T = fs.traction_kernel(ext_cu, tables, pts, normals)
+        assert calls == [1024] and np.array_equal(T, expect)
 
     def test_normals_are_validated(self, base_iso, ext_iso):
         tables = first_derivative_tables(base_iso)
@@ -965,6 +1038,24 @@ class TestRegularPart:
                 exact = np.array([mp_legendre(l, m, t) for t in theta])
                 scale = np.max(np.abs(sps.sph_harm_y(l, m, grid, 0.0).real))
                 assert np.max(np.abs(got[m, (l - p) // 2] - exact)) <= 1e-13 * scale, (l, m)
+
+    @pytest.mark.parametrize(
+        "theta,phi", [([0.3, 0.4], [0.1]), ([0.3], [0.1, 0.2]), ([[0.3, 0.4]], [0.1, 0.2])]
+    )
+    def test_mismatched_angles_refused(self, base_cu, theta, phi):
+        # no broadcast: a lone phi would stand in for every theta, and a
+        # lone theta would drop the other azimuths
+        message = f"theta of shape {np.shape(theta)} and phi of shape {np.shape(phi)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            regular_part_at(base_cu.truncated(8), theta, phi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_angle_names_index(self, base_cu, which, bad):
+        angles = [np.array([0.3, 0.5, 0.7, 0.9]), np.array([0.1, 0.2, 0.3, 0.4])]
+        angles[which][2:] = bad
+        with pytest.raises(ValueError, match=r"non-finite angle \(direction index 2\)"):
+            regular_part_at(base_cu.truncated(8), *angles)
 
     def test_below_order_degrees_drop_out(self, base_laplace):
         # degrees below the derivative order never contribute: their
