@@ -265,14 +265,12 @@ def _eval_text(points, values) -> Iterator[bytes]:
 
 
 def _convergence_rows(ext, L_list, order_mi, grid, n_nodes, label):
-    base_degree = max(L_list) + order_mi.order
-    base = base_coefficients(ext, base_degree)
-    derived = derive_multi(base, order_mi)
-    ref_grid = sample_sphere(derived.truncated(L_list[0]), *grid)
-    ref = reference.unit_circle_field(ext, ref_grid, order_mi, n_nodes=n_nodes)
+    derived = derive_multi(base_coefficients(ext, max(L_list) + order_mi.order), order_mi)
+    fields = [sample_sphere(derived.truncated(L), *grid) for L in L_list]
+    # the contour reference on the directions of the fields
+    ref = reference.unit_circle_field(ext, fields[0], order_mi, n_nodes=n_nodes)
     rows = []
-    for L in L_list:
-        test = sample_sphere(derived.truncated(L), *grid)
+    for L, test in zip(L_list, fields):
         e_s1 = reference.error_over_sphere(test, ref)
         n = e_s1.shape[0]
         for i in range(n):
@@ -282,7 +280,13 @@ def _convergence_rows(ext, L_list, order_mi, grid, n_nodes, label):
 
 
 def cmd_sweep(args) -> int:
-    material = _load_material(args.material)
+    # argparse admits exactly one of --material and --zener-list
+    if args.material is None:
+        ratios = _parse_values("--zener-list", args.zener_list, kind=float)
+        cases = [(extend(zener_family(A)), f"A={A:g}") for A in ratios]
+    else:
+        material = _load_material(args.material)
+        cases = [(extend(material), material.name)]
     L_list = _parse_values("--L-list", args.L_list)
     if L_list != sorted(L_list):
         raise ValueError("--L-list must be ascending")
@@ -291,14 +295,8 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     _check_nodes("--nodes", [args.nodes])
     rows = ["case,L,i,j,e_S1"]
-    if args.zener_list:
-        for A in _parse_values("--zener-list", args.zener_list, kind=float):
-            ext = extend(zener_family(A))
-            rows += _convergence_rows(ext, L_list, mi, grid, args.nodes, f"A={A:g}")
-    else:
-        rows += _convergence_rows(
-            extend(material), L_list, mi, grid, args.nodes, material.name
-        )
+    for ext, label in cases:
+        rows += _convergence_rows(ext, L_list, mi, grid, args.nodes, label)
     write_bytes(args.out, [("\n".join(rows) + "\n").encode()])
     return EXIT_OK
 
@@ -339,16 +337,14 @@ def _median_seconds(fn):
 
 def cmd_bench(args) -> int:
     """Series and contour rows; each ns_per_point is the median of
-    _BENCH_REPEATS timed calls, as a single call swung 2-4x between runs."""
+    _BENCH_REPEATS timed calls, as a single call swung 2-4x between runs,
+    after one warm-up call per row (which builds a table's contraction)."""
     ext = extend(_load_material(args.material))
     mi = _parse_multi_index(args.multi_index)
     rng = np.random.default_rng(args.seed)
     n_pts = args.points_count
     if n_pts < 1:
         raise ValueError(f"--points-count: expected a positive int, got {str(n_pts)!r}")
-    warmup = args.warmup
-    if warmup < 1:
-        raise ValueError(f"--warmup: expected a positive int, got {str(warmup)!r}")
     pts = rng.normal(size=(n_pts, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
 
@@ -366,16 +362,14 @@ def cmd_bench(args) -> int:
     build_time = time.perf_counter() - t0
     for L in L_list:
         tab = derived.truncated(L)
-        for _ in range(warmup):
-            evaluate_batch(tab, pts[: min(64, n_pts)])
+        evaluate_batch(tab, pts[:64])
         dt, vals = _median_seconds(lambda: evaluate_batch(tab, pts))
         err = float(np.max(np.abs(vals - ref))) / ref_scale
         rows.append(f"series,{L},{dt / n_pts * 1e9:.17g},{err:.17g},{build_time:.17g}")
     # the contender is the batched contour; one unit_circle call per point
     # would time Python overhead
     for nodes in node_list:
-        for _ in range(warmup):
-            reference.unit_circle_batch(ext, pts[:64], mi, n_nodes=nodes)
+        reference.unit_circle_batch(ext, pts[:64], mi, n_nodes=nodes)
         dt, vals = _median_seconds(
             lambda: reference.unit_circle_batch(ext, pts, mi, n_nodes=nodes)
         )
@@ -456,12 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help="CSV of x,y,z rows (meters)")
 
     p = sub.add_parser("sweep", help="convergence sweep against the contour oracle")
-    _add_shared(p, "--material", "--out", "--multi-index")
+    _add_shared(p, "--out", "--multi-index")
+    cases = p.add_mutually_exclusive_group(required=True)
+    cases.add_argument("--material", help=_SHARED["--material"]["help"])
+    cases.add_argument("--zener-list", help="sweep cubic anisotropy ratios instead of one material")
     p.add_argument("--L-list", default="8,16,24,32,40")
     p.add_argument("--grid", default="24x48")
     p.add_argument("--nodes", type=int, default=512, help="contour oracle nodes")
-    p.add_argument("--zener-list", default=None,
-                   help="sweep cubic anisotropy ratios instead of one material")
 
     p = sub.add_parser(
         "bench", help="series vs contour timing at matched accuracy (median of 5 runs each)"
@@ -470,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L-list", default="10,20,40")
     p.add_argument("--nodes-list", default="16,32,64,128")
     p.add_argument("--points-count", type=int, default=512)
-    p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("plot", help="spherical amplitude-plot CSV / mesh export")

@@ -28,7 +28,7 @@ of degrees k - 1 and k + 1 only, so each derivative costs one pass over the
 table and lowers the usable truncation by one degree.
 
 The ladder factors are the integrals of x_a Y_{l+-1}^m' conj(Y_l^m), which
-have closed forms for the Condon-Shortley phase (`_step_terms`).  With
+have closed forms for the Condon-Shortley phase (`_ladder_factor`).  With
 a(l, m) = sqrt((l^2 - m^2) / ((2l - 1)(2l + 1))),
 
     x3 Y_l^m = a(l + 1, m) Y_{l+1}^m + a(l, m) Y_{l-1}^m,
@@ -491,78 +491,65 @@ def base_coefficients(ext: ExtendedTensor, L: int) -> CoeffTable:
     return CoeffTable(ext.material_hash, n, L, (0, 0, 0), C)
 
 
-@lru_cache(maxsize=32)
-def _step_terms(Lt: int, axis: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """Ladder terms of one derivative step to target degree Lt.
-
-    Each term is (d, shift, factor): target (l, m) takes factor[l, m] times
-    the source block of degree l + d and order m + shift, on the target grid
-    l, m = 0..Lt, and the terms are listed in the order they are summed;
-    along x2 the factor carries the phase -i as well.  A factor is the
-    square root of one ratio of exact integers times a sign; it is zero
-    outside m <= l and |m + shift| <= l + d, masked before any sqrt or
-    division.  Cached, as every step to the same degree and axis reads the
-    same factors; the arrays are read-only.
-    """
-    l = np.arange(Lt + 1)[:, None]
-    m = np.arange(Lt + 1)[None, :]
-    terms = []
-    for d in (-1, 1):
-        q = l + (d + 1) // 2  # the larger of the degrees l and l + d
-        den = (2 * l + 1) * (2 * l + 1 + 2 * d)
-        for shift in (0,) if axis == 3 else (1, -1):
-            # shift 0: (q^2 - m^2) / den; shift +-1: j (j + d) / (4 den) with
-            # j = q + d shift m, e.g. (l - m)(l - m - 1) / (4 (2l - 1)(2l + 1))
-            # for source (l - 1, m + 1)
-            j = q + d * shift * m
-            num = q * q - m * m if shift == 0 else j * (j + d)
-            valid = (m <= l) & (np.abs(m + shift) <= l + d)
-            magnitude = np.sqrt(
-                np.divide(num, den * (4 if shift else 1), out=np.zeros(valid.shape), where=valid)
-            )
-            # x1 = (s+ + s-) / 2 and x2 = (s+ - s-) / 2i, s+- = sin(theta) e^{+-i phi}:
-            # the x1 sign is -d shift, and x2 = i shift x1 is -i times d
-            factor = {1: -d * shift, 2: d, 3: 1}[axis] * magnitude
-            factor.setflags(write=False)
-            terms.append((d, shift, factor))
-    return tuple(terms)
+def _ladder_factor(l, m, d: int, shift: int, axis: int) -> np.ndarray:
+    """Factor of one ladder term on integer grids l and m (broadcast):
+    target (l, m) takes it times the source block of degree l + d and order
+    m + shift in a step along `axis`; along x2 it carries the phase -i as
+    well.  It is the square root of one ratio of exact integers times a
+    sign, and zero outside m <= l and |m + shift| <= l + d, masked before
+    any sqrt or division."""
+    q = l + (d + 1) // 2  # the larger of the degrees l and l + d
+    den = (2 * l + 1) * (2 * l + 1 + 2 * d)
+    # shift 0: (q^2 - m^2) / den; shift +-1: j (j + d) / (4 den) with
+    # j = q + d shift m, e.g. (l - m)(l - m - 1) / (4 (2l - 1)(2l + 1))
+    # for source (l - 1, m + 1)
+    j = q + d * shift * m
+    num = q * q - m * m if shift == 0 else j * (j + d)
+    valid = (m <= l) & (np.abs(m + shift) <= l + d)
+    magnitude = np.sqrt(
+        np.divide(num, den * (4 if shift else 1), out=np.zeros(valid.shape), where=valid)
+    )
+    # x1 = (s+ + s-) / 2 and x2 = (s+ - s-) / 2i, s+- = sin(theta) e^{+-i phi}:
+    # the x1 sign is -d shift, and x2 = i shift x1 is -i times d
+    return {1: -d * shift, 2: d, 3: 1}[axis] * magnitude
 
 
 @lru_cache(maxsize=128)
-def _parity_terms(Lt: int, axis: int, p: int, pi: int) -> tuple[tuple, ...]:
-    """The terms of `_step_terms(Lt, axis)` for the source channels of
-    order parity pi and a target of parity p, as (rows, src_rows, cols,
-    src_cols, factor): target[rows, cols] += factor * source[src_rows,
-    src_cols] over those channels, in the order of the terms.
+def _ladder_terms(Lt: int, axis: int, p: int, pi: int) -> tuple[tuple, ...]:
+    """Terms of one derivative step along `axis` to target degree Lt, for
+    source channels of order parity pi and a target of parity p, as (rows,
+    src_rows, cols, src_cols, factor): target[rows, cols] += factor *
+    source[src_rows, src_cols], in the order they are summed.
 
-    Target row j (degree p + 2j) reads source degree p + 2j + d; target
-    column h holds order m = 2h + pt, pt = pi XOR (axis is x1 or x2), and
-    reads source order m + shift.  Target m = 0 reads order -1 through
-    C[l, -1] = -conj(C[l, 1]), and there the factor of order -1 is minus
-    (x1) or equal to (x2) that of order +1: so the order -1 term is the
-    order +1 term again for a Re target and its negative for an Im target
-    (whose sum is zero, which the caller sets).  Cached; the factors are
-    read-only."""
+    Target row j (degree p + 2j) reads source degree p + 2j + d, d = -1 then
+    +1; target column h (order m = 2h + pt, pt = pi XOR (axis is x1 or x2))
+    reads source order m + shift, shift 0 along x3 and +1 then -1 along x1
+    and x2.  `_ladder_factor` is evaluated at those degrees and orders only.
+    Target m = 0 reads order -1 through C[l, -1] = -conj(C[l, 1]), and the
+    factor of order -1 is minus (x1) or equal to (x2) that of order +1 of
+    the same d there: so that term is the order +1 term again for a Re
+    target and its negative for an Im target (whose sum is zero, which the
+    caller sets).  Cached; the factors are read-only."""
     pt = pi ^ (axis != 3)
     rows_t = _degree_rows(Lt, p)
     cols_t = (Lt - pt) // 2 + 1
+    l = p + 2 * np.arange(rows_t)[:, None]
+    m = pt + 2 * np.arange(cols_t)[None, :]
     terms = []
-    for d, shift, factor in _step_terms(Lt, axis):
-        # target degree 0 has no degree -1 to read
+    for d in (-1, 1):
         first = p + (d - 1) // 2
-        rows, src_rows = (
-            (slice(1, None), slice(0, rows_t - 1)) if first < 0
-            else (slice(None), slice(first, first + rows_t))
-        )
-        f = factor[p::2, pt::2][rows]
-        f.setflags(write=False)
-        offset = (pt + shift - pi) // 2  # source column of target column h, less h
-        if offset < 0:
-            terms.append((rows, src_rows, slice(0, 1), slice(0, 1), plus[:, :1]))
-            terms.append((rows, src_rows, slice(1, cols_t), slice(0, cols_t - 1), f[:, 1:]))
-        else:
-            terms.append((rows, src_rows, slice(0, cols_t), slice(offset, offset + cols_t), f))
-        plus = f
+        skip = max(-first, 0)  # target degree 0 has no degree -1 to read
+        rows, src_rows = slice(skip, None), slice(first + skip, first + rows_t)
+        factors = {}
+        for shift in (0,) if axis == 3 else (1, -1):
+            f = factors[shift] = _ladder_factor(l[rows], m, d, shift, axis)
+            f.setflags(write=False)
+            offset = (pt + shift - pi) // 2  # source column of target column h, less h
+            if offset < 0:
+                terms.append((rows, src_rows, slice(0, 1), slice(0, 1), factors[1][:, :1]))
+                terms.append((rows, src_rows, slice(1, cols_t), slice(0, cols_t - 1), f[:, 1:]))
+            else:
+                terms.append((rows, src_rows, slice(0, cols_t), slice(offset, offset + cols_t), f))
     return tuple(terms)
 
 
@@ -593,7 +580,7 @@ def derive_coefficients(table: CoeffTable, axis: int) -> CoeffTable:
     for pi0 in (0, 1):
         group = slice(runs[2 * pi0].start, runs[2 * pi0 + 1].stop)
         if group.stop > group.start:
-            for rows, src_rows, cols, src_cols, factor in _parity_terms(Lt, axis, p, pi0 ^ flip):
+            for rows, src_rows, cols, src_cols, factor in _ladder_terms(Lt, axis, p, pi0 ^ flip):
                 acc[group, rows, cols] += factor * src[group, src_rows, src_cols]
     if axis != 3:
         for run, pi, rho in _classes(table.field_dim, table.mirror, _class_flip(mi)):

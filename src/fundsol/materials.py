@@ -11,6 +11,14 @@ coupling in N s/(A m), magnetic permeability in N s^2/C^2.
 Voigt convention: the 6x6 stiffness matrix holds tensor components directly
 (c_1212 sits in slot [3][3] unscaled); there is no engineering-strain factor
 of two anywhere, because the operator symbol contracts full tensor indices.
+
+The tabulated materials (`builtin`) are values built once at import and
+shared by every caller, which is safe because MaterialConstants is frozen
+and its arrays are read-only.  Every stiffness comes from one orthotropic
+constructor (PVDF, M2); the cubic one (Cu, Au, Ni, IsoElastic, the Zener
+family) and the transversely isotropic one (PZT-4, M1) are calls of it.
+Every coupling block, e or q, comes from one constructor of the five
+components x113, x223, x333, x311 and x322 that those classes allow.
 """
 
 from __future__ import annotations
@@ -286,28 +294,8 @@ def rotate(material: MaterialConstants, R: np.ndarray) -> MaterialConstants:
     return MaterialConstants(material.name, n, full_to_voigt(c_rot), **kw)
 
 
-def _cubic_voigt(c11: float, c12: float, c44: float) -> np.ndarray:
-    C = np.zeros((6, 6))
-    C[:3, :3] = c12
-    np.fill_diagonal(C[:3, :3], c11)
-    C[3, 3] = C[4, 4] = C[5, 5] = c44
-    return C
-
-
-def _hex_voigt(c11, c33, c12, c13, c44, c66=None) -> np.ndarray:
-    if c66 is None:
-        c66 = 0.5 * (c11 - c12)
-    C = np.zeros((6, 6))
-    C[0, 0] = C[1, 1] = c11
-    C[2, 2] = c33
-    C[0, 1] = C[1, 0] = c12
-    C[0, 2] = C[2, 0] = C[1, 2] = C[2, 1] = c13
-    C[3, 3] = C[4, 4] = c44
-    C[5, 5] = c66
-    return C
-
-
 def _ortho_voigt(c11, c12, c13, c22, c23, c33, c44, c55, c66) -> np.ndarray:
+    """Voigt stiffness of an orthotropic material in its symmetry axes."""
     C = np.zeros((6, 6))
     C[0, 0], C[1, 1], C[2, 2] = c11, c22, c33
     C[0, 1] = C[1, 0] = c12
@@ -315,6 +303,24 @@ def _ortho_voigt(c11, c12, c13, c22, c23, c33, c44, c55, c66) -> np.ndarray:
     C[1, 2] = C[2, 1] = c23
     C[3, 3], C[4, 4], C[5, 5] = c44, c55, c66
     return C
+
+
+def _cubic_voigt(c11: float, c12: float, c44: float) -> np.ndarray:
+    return _ortho_voigt(c11, c12, c12, c11, c12, c11, c44, c44, c44)
+
+
+def _hex_voigt(c11, c33, c12, c13, c44) -> np.ndarray:
+    """Transversely isotropic about x3, where c66 = (c11 - c12) / 2."""
+    return _ortho_voigt(c11, c12, c13, c11, c13, c33, c44, c44, 0.5 * (c11 - c12))
+
+
+def _coupling(x113, x223, x333, x311, x322) -> np.ndarray:
+    """3x6 Voigt coupling block (piezoelectric e or piezomagnetic q) of an
+    orthotropic or transversely isotropic material: the five components
+    x_kij its symmetry allows."""
+    x = np.zeros((3, 6))
+    x[0, 4], x[1, 3], x[2, 2], x[2, 0], x[2, 1] = x113, x223, x333, x311, x322
+    return x
 
 
 def iso_elastic(mu: float, nu: float, name: str | None = None) -> MaterialConstants:
@@ -340,104 +346,42 @@ def zener_family(A: float) -> MaterialConstants:
 
 # Values as tabulated in the source database.  Scale factors: stiffness 1e9 Pa,
 # dielectric 1e-9 C/(V m), permeability 1e-6 N s^2/C^2; e, q, lam unscaled.
-def _pvdf_elastic() -> np.ndarray:
-    return 1e9 * _ortho_voigt(3.61, 1.61, 1.42, 3.13, 1.31, 1.63, 0.55, 0.59, 0.69)
-
-
-def _pvdf_e() -> np.ndarray:
-    e = np.zeros((3, 6))
-    e[0, 4] = -0.016  # e_113
-    e[1, 3] = -0.013  # e_223
-    e[2, 2] = -0.021  # e_333
-    e[2, 0] = 0.032   # e_311
-    e[2, 1] = -0.004  # e_322
-    return e
-
-
-def _m_q(q113, q223, q333, q311, q322) -> np.ndarray:
-    q = np.zeros((3, 6))
-    q[0, 4] = q113
-    q[1, 3] = q223
-    q[2, 2] = q333
-    q[2, 0] = q311
-    q[2, 1] = q322
-    return q
-
-
-def _builtin_factories():
-    def laplace():
-        el = np.zeros((6, 6))
-        el[:3, :3] = np.eye(3)
-        return MaterialConstants("Laplace", 1, el)
-
-    def cu():
-        return MaterialConstants("Cu", 3, _cubic_voigt(168e9, 121e9, 75e9))
-
-    def au():
-        return MaterialConstants("Au", 3, _cubic_voigt(185e9, 158e9, 39.7e9))
-
-    def ni():
-        return MaterialConstants("Ni", 3, _cubic_voigt(251e9, 150e9, 124e9))
-
-    def pzt4():
-        e = np.zeros((3, 6))
-        e[0, 4] = 12.7   # e_113
-        e[1, 3] = 12.7   # e_223
-        e[2, 2] = 15.1   # e_333
-        e[2, 0] = -5.2   # e_311
-        e[2, 1] = -5.2   # e_322
-        return MaterialConstants(
-            "PZT-4", 4,
-            1e9 * _hex_voigt(139.0, 115.0, 77.8, 74.3, 25.6),
-            e=e,
-            eps=1e-9 * np.diag([6.461, 6.461, 5.620]),
-        )
-
-    def pvdf():
-        return MaterialConstants(
-            "PVDF", 4, _pvdf_elastic(), e=_pvdf_e(),
-            eps=1e-9 * np.diag([0.054, 0.066, 0.059]),
-        )
-
-    def m1():
-        e = np.zeros((3, 6))
-        e[0, 4] = 11.6
-        e[1, 3] = 11.6
-        e[2, 2] = 18.6
-        e[2, 0] = -4.4
-        e[2, 1] = -4.4
-        return MaterialConstants(
-            "M1", 5,
-            1e9 * _hex_voigt(166.0, 162.0, 77.0, 78.0, 43.0),
-            e=e,
-            q=_m_q(550.0, 550.0, 699.7, 580.3, 580.3),
-            eps=1e-9 * np.diag([11.2, 11.2, 12.6]),
-            lam=np.zeros((3, 3)),
-            kappa=1e-6 * np.diag([5.0, 5.0, 10.0]),
-        )
-
-    def m2():
-        return MaterialConstants(
-            "M2", 5, _pvdf_elastic(), e=_pvdf_e(),
-            q=_m_q(550.0, 570.0, 699.7, 580.3, 590.0),
-            eps=1e-9 * np.diag([0.054, 0.066, 0.059]),
-            lam=np.diag([0.6, 0.8, 1.0]),
-            kappa=1e-6 * np.diag([5.0, 7.0, 10.0]),
-        )
-
-    return {
-        "Laplace": laplace,
-        "Cu": cu,
-        "Au": au,
-        "Ni": ni,
-        "PZT-4": pzt4,
-        "PVDF": pvdf,
-        "M1": m1,
-        "M2": m2,
-    }
-
-
-_BUILTINS = _builtin_factories()
+# M2 is PVDF's elastic and electric blocks with magnetic ones added.
+_PVDF = MaterialConstants(
+    "PVDF", 4,
+    1e9 * _ortho_voigt(3.61, 1.61, 1.42, 3.13, 1.31, 1.63, 0.55, 0.59, 0.69),
+    e=_coupling(-0.016, -0.013, -0.021, 0.032, -0.004),
+    eps=1e-9 * np.diag([0.054, 0.066, 0.059]),
+)
+_BUILTINS = {m.name: m for m in (
+    MaterialConstants("Laplace", 1, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])),
+    MaterialConstants("Cu", 3, _cubic_voigt(168e9, 121e9, 75e9)),
+    MaterialConstants("Au", 3, _cubic_voigt(185e9, 158e9, 39.7e9)),
+    MaterialConstants("Ni", 3, _cubic_voigt(251e9, 150e9, 124e9)),
+    MaterialConstants(
+        "PZT-4", 4,
+        1e9 * _hex_voigt(139.0, 115.0, 77.8, 74.3, 25.6),
+        e=_coupling(12.7, 12.7, 15.1, -5.2, -5.2),
+        eps=1e-9 * np.diag([6.461, 6.461, 5.620]),
+    ),
+    _PVDF,
+    MaterialConstants(
+        "M1", 5,
+        1e9 * _hex_voigt(166.0, 162.0, 77.0, 78.0, 43.0),
+        e=_coupling(11.6, 11.6, 18.6, -4.4, -4.4),
+        q=_coupling(550.0, 550.0, 699.7, 580.3, 580.3),
+        eps=1e-9 * np.diag([11.2, 11.2, 12.6]),
+        lam=np.zeros((3, 3)),
+        kappa=1e-6 * np.diag([5.0, 5.0, 10.0]),
+    ),
+    MaterialConstants(
+        "M2", 5, _PVDF.elastic, e=_PVDF.e,
+        q=_coupling(550.0, 570.0, 699.7, 580.3, 590.0),
+        eps=_PVDF.eps,
+        lam=np.diag([0.6, 0.8, 1.0]),
+        kappa=1e-6 * np.diag([5.0, 7.0, 10.0]),
+    ),
+)}
 _ISO_RE = re.compile(r"^IsoElastic\(\s*([^,]+?)\s*,\s*([^)]+?)\s*\)$")
 
 
@@ -450,10 +394,11 @@ def builtin(name: str) -> MaterialConstants:
 
     Accepts the tabulated names (Cu, Au, Ni, PZT-4, PVDF, M1, M2, Laplace)
     plus the parametric form "IsoElastic(mu,nu)" with numbers for mu and nu,
-    e.g. "IsoElastic(1,0.3)".
+    e.g. "IsoElastic(1,0.3)".  A tabulated name returns the one shared
+    value: MaterialConstants is frozen and its arrays are read-only.
     """
     if name in _BUILTINS:
-        return _BUILTINS[name]()
+        return _BUILTINS[name]
     match = _ISO_RE.match(name)
     if match:
         try:

@@ -78,6 +78,7 @@ class TestOptions:
             ("sweep", "--quad-degree"), ("sweep", "--tables-dir"), ("sweep", "--seed"),
             ("sweep", "--max-order"),
             ("bench", "--quad-degree"), ("bench", "--tables-dir"), ("bench", "--max-order"),
+            ("bench", "--warmup"),
             ("plot", "--quad-degree"), ("plot", "--tables-dir"), ("plot", "--seed"),
             ("plot", "--max-order"),
         ],
@@ -135,12 +136,12 @@ class TestOptions:
             ("bench", "--multi-index", "1,0,0,0"),
             ("bench", "--points-count", "0"),
             ("bench", "--points-count", "-3"),
-            ("bench", "--warmup", "0"),
-            ("bench", "--warmup", "-3"),
         ],
     )
     def test_malformed_flag_value_names_flag_exit_2(self, capsys, command, flag, text):
-        code, out, err = run(capsys, command, "--material", "Laplace", flag, text)
+        # a Zener sweep takes no --material
+        material = () if flag == "--zener-list" else ("--material", "Laplace")
+        code, out, err = run(capsys, command, *material, flag, text)
         assert code == 2
         assert err.startswith(f"error: {flag}: expected ") and err.rstrip().endswith(repr(text))
         assert out == ""
@@ -862,7 +863,7 @@ class TestSweep:
 
     def test_stdout_bytes_equal_out_file(self, capsys, monkeypatch, tmp_path):
         stdout, written = stdout_and_file_bytes(
-            capsys, monkeypatch, tmp_path, "sweep", "--material", "Cu", "--L-list", "4,8",
+            capsys, monkeypatch, tmp_path, "sweep", "--L-list", "4,8",
             "--zener-list", "0.5,2", "--grid", "4x6", "--nodes", "16",
         )
         assert stdout == written and written.count(b"\n") == 1 + 2 * 2 * 9
@@ -877,7 +878,7 @@ class TestSweep:
     def test_zener_sweep_minimum_at_unity(self, capsys, tmp_path):
         out_file = tmp_path / "zener.csv"
         code, _, _ = run(
-            capsys, "sweep", "--material", "Cu", "--L-list", "16",
+            capsys, "sweep", "--L-list", "16",
             "--zener-list", "0.1,1,10", "--grid", "12x24", "--nodes", "256",
             "--out", str(out_file),
         )
@@ -888,6 +889,29 @@ class TestSweep:
             worst[case] = max(worst.get(case, 0.0), float(e))
         assert worst["A=1"] < worst["A=0.1"]
         assert worst["A=1"] < worst["A=10"]
+
+    def test_zener_sweep_loads_no_material(self, capsys, monkeypatch):
+        # --material was required beside --zener-list, loaded and ignored:
+        # --material Nope exited 2 though no Nope was swept
+        monkeypatch.setattr(cli, "_load_material", lambda spec: pytest.fail(f"loaded {spec}"))
+        code, out, _ = run(
+            capsys, "sweep", "--zener-list", "1", "--L-list", "4", "--grid", "4x6", "--nodes", "16",
+        )
+        assert code == 0 and out.startswith("case,L,i,j,e_S1\nA=1,4,1,1,")
+        assert out.count("\n") == 1 + 9
+
+    @pytest.mark.parametrize(
+        "cases", [(), ("--material", "Cu", "--zener-list", "1")], ids=["neither", "both"]
+    )
+    def test_not_one_of_material_and_zener_list_exits_2_before_any_work(
+        self, capsys, monkeypatch, cases
+    ):
+        refuse_work(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *cases, "--L-list", "4", "--grid", "4x6", "--nodes", "16"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--material" in err and "--zener-list" in err
 
 
 class TestBench:

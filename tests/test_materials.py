@@ -152,6 +152,29 @@ class TestExtend:
         assert ext_cu.material_hash != ext_m2.material_hash
         assert ext_cu.material_hash == fs.extend(fs.builtin("Cu")).material_hash
 
+    # Table files are named by the first 16 hex digits of the material hash,
+    # so a constant that moves by one bit orphans every table built before.
+    @pytest.mark.parametrize(
+        "name, prefix",
+        [
+            ("Laplace", "72754b108cf98e4c"),
+            ("Cu", "8cd59ccaffdaf9dc"),
+            ("Au", "feac06700db7b352"),
+            ("Ni", "093c36af005097c4"),
+            ("PZT-4", "db3cd5b2a4fec6a2"),
+            ("PVDF", "7ef8d7979e852a5d"),
+            ("M1", "b2e5fb03ed49478c"),
+            ("M2", "577ba122b675209d"),
+            ("IsoElastic(1,0.3)", "e8b92e0d0e7edce0"),
+            (0.2, "9fcf9363b6a0891e"),
+            (1.0, "05fbe169b27f25ad"),
+            (8.0, "3be813279e46cdcb"),
+        ],
+    )
+    def test_table_file_hash_prefix_pinned(self, name, prefix):
+        material = fs.zener_family(name) if isinstance(name, float) else fs.builtin(name)
+        assert fs.extend(material).material_hash[:16] == prefix
+
 
 class TestVoigt:
     def test_round_trip_bijection(self):

@@ -12,7 +12,7 @@ from sympy.physics.quantum.cg import CG
 
 from fundsol.expansion import (
     CoeffTable,
-    _step_terms,
+    _ladder_factor,
     derive_coefficients,
     make_quadrature,
 )
@@ -315,8 +315,16 @@ def racah_cg(l1, l2, l3, m1, m2, m3):
     return (-1 if total < 0 else 1), pref * total * total
 
 
+def step_terms(Lt, axis):
+    """(d, shift, factor) of every term of a step along `axis`, with the
+    factor of `_ladder_factor` on the full grid l, m = 0..Lt."""
+    l, m = np.arange(Lt + 1)[:, None], np.arange(Lt + 1)[None, :]
+    shifts = (0,) if axis == 3 else (1, -1)
+    return [(d, s, _ladder_factor(l, m, d, s, axis)) for d in (-1, 1) for s in shifts]
+
+
 class TestClebschGordan:
-    """The ladder factors of `_step_terms` against the same integrals
+    """The ladder factors of `_ladder_factor` against the same integrals
     written as Clebsch-Gordan products,
     pref c^{1lk}_{000} c^{1lk}_{m',-m,m'-m} / sqrt(2k + 1) for source degree
     k = l + d and order m - m' = m + shift, with pref sqrt((2l + 1) / 2) on
@@ -328,7 +336,7 @@ class TestClebschGordan:
         # x2 Y_0^0 = i (Y_1^-1 + Y_1^1) / sqrt(6): target (1, 0) or (1, 1)
         # reads source (0, 0), and target (0, 0) reads source (1, 0) or
         # (1, 1) with the conjugate factor
-        f = {axis: {(d, shift): fac for d, shift, fac in _step_terms(1, axis)} for axis in (1, 2, 3)}
+        f = {axis: {(d, shift): fac for d, shift, fac in step_terms(1, axis)} for axis in (1, 2, 3)}
         assert f[3][-1, 0][1, 0] == pytest.approx(1 / math.sqrt(3), rel=1e-15)
         assert f[3][1, 0][0, 0] == pytest.approx(1 / math.sqrt(3), rel=1e-15)
         assert f[1][-1, -1][1, 1] == pytest.approx(-1 / math.sqrt(6), rel=1e-15)
@@ -377,7 +385,7 @@ class TestClebschGordan:
             return sign, square
 
         for axis in (1, 2, 3):
-            for d, shift, factor in _step_terms.__wrapped__(Lt, axis):
+            for d, shift, factor in step_terms(Lt, axis):
                 for ell in range(Lt + 1):
                     k = ell + d
                     assert np.all(factor[ell, ell + 1 :] == 0.0)
@@ -400,7 +408,7 @@ class TestClebschGordan:
             warnings.simplefilter("error")
             for ell in (0, 1, 5):
                 for axis in (1, 2, 3):
-                    for d, shift, factor in _step_terms.__wrapped__(ell, axis):
+                    for d, shift, factor in step_terms(ell, axis):
                         assert np.all(np.isfinite(factor))
                         if d < 0:
                             assert np.all(factor[0] == 0.0)
