@@ -38,7 +38,6 @@ from .expansion import (
     derive_multi,
     derive_tree,
     load_table,
-    make_quadrature,
     multi_indices_up_to,
     save_table,
 )

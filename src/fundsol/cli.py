@@ -22,8 +22,10 @@ its alias error below the series truncation error, which is why the header
 does not record it.  `build` prints the size in bytes of every file it
 writes.  `eval` exits 2 when the table it loads holds another degree or
 multi-index than the one asked for (a file copied over another's name).
-All floating-point output is printed with 17 significant digits ("%.17g") so
-reruns can be diffed byte for byte.
+Floating-point output is printed with 17 significant digits ("%.17g") so
+reruns can be diffed byte for byte, with two exceptions: `plot --mesh`
+writes its vertices as "%.9g", and `materials show` its tables as "%10.4g"
+(`build`'s timings are seconds to "%.3f").
 
 `eval` reads its points file with one np.loadtxt call (a first line that
 does not parse is a header; blank lines are skipped; a file numpy refuses is
@@ -197,8 +199,8 @@ def cmd_build(args) -> int:
     t0 = time.perf_counter()
     base = base_coefficients(ext, base_degree)
     base_time = time.perf_counter() - t0
-    nodes = base_quadrature(base_degree).node_count
-    print(f"base table: L={base_degree} nodes={nodes} build={base_time:.3f}s")
+    half, n_theta = base_quadrature(base_degree)[2].shape[:2]
+    print(f"base table: L={base_degree} nodes={2 * half * n_theta} build={base_time:.3f}s")
     # each table is one ladder step from its parent, in depth-first order
     t0 = time.perf_counter()
     for mi, tab in derive_tree(base, order):
@@ -283,7 +285,7 @@ def cmd_sweep(args) -> int:
     # argparse admits exactly one of --material and --zener-list
     if args.material is None:
         ratios = _parse_values("--zener-list", args.zener_list, kind=float)
-        cases = [(extend(zener_family(A)), f"A={A:g}") for A in ratios]
+        cases = [(extend(zener_family(A)), "A=" + repr(A).removesuffix(".0")) for A in ratios]
     else:
         material = _load_material(args.material)
         cases = [(extend(material), material.name)]

@@ -68,7 +68,7 @@ classes never mix, and evaluation of order I reads degrees of the parity of
 I only.  A table therefore stores the degrees of parity p = I mod 2 alone
 (see CoeffTable), and the base projection inverts the symbol at half the
 quadrature nodes, or for a mirror material at an eighth: the rule holds
-every node's antipode and mirror images (SphereQuadrature.nodes).
+every node's antipode and mirror images (base_quadrature).
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ from .symbol import inverse_symbol_batch
 
 __all__ = [
     "MultiIndex",
-    "make_quadrature",
     "base_quadrature",
     "CoeffTable",
     "base_coefficients",
@@ -148,85 +147,20 @@ def multi_indices_up_to(order: int) -> list[MultiIndex]:
     return out
 
 
-@dataclass(frozen=True)
-class SphereQuadrature:
-    """Product rule on the unit sphere: Gauss-Legendre in cos(theta) x uniform azimuth.
-
-    Node (a, b) sits at cos(theta) = cos_nodes[a], phi = phi_nodes[b] =
-    2 pi b / n_phi, with weight theta_weights[a] * phi_weight; the weights
-    are positive and sum to 4 pi.  The azimuthal node count is even, so
-    azimuth b + n_phi/2 is azimuth b plus pi.  A sum over the uniform
-    azimuths against exp(-i m phi_b) is a discrete Fourier transform, which
-    base_coefficients takes as one FFT per polar node.
-    """
-
-    cos_nodes: np.ndarray  # (n_theta,)
-    theta_weights: np.ndarray  # (n_theta,)
-    phi_nodes: np.ndarray  # (n_phi,)
-    phi_weight: float
-
-    def __post_init__(self):
-        if self.phi_nodes.size % 2:
-            raise ValueError(f"azimuthal node count must be even, got {self.phi_nodes.size}")
-
-    @property
-    def node_count(self) -> int:
-        return self.cos_nodes.size * self.phi_nodes.size
-
-    def nodes(self) -> np.ndarray:
-        """All quadrature directions as a (node_count, 3) array, theta-major.
-
-        The Gauss-Legendre nodes are exactly symmetric, and the azimuthal
-        cosines and sines are rounded on the quarter 0 <= phi <= pi/2 only
-        (azimuths b <= n_phi/4): azimuth n_phi/2 - b takes (-cos, sin) of
-        azimuth b, and the second half the exact negatives of the first.  So
-        the image of a node under each of the mirrors x1 -> -x1, x2 -> -x2
-        and x3 -> -x3 is a node with that coordinate exactly negated, and
-        node (a, b + n_phi/2) is the exact antipode of node
-        (n_theta - 1 - a, b).
-        """
-        t = self.cos_nodes[:, None]
-        s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        half = self.phi_nodes.size // 2
-        quarter = self.phi_nodes[: half // 2 + 1]
-        back = slice(half - quarter.size, 0, -1)  # azimuths n_phi/2 - b past the quarter
-        c, sn = np.cos(quarter), np.sin(quarter)
-        if half % 2 == 0:
-            c[-1] = 0.0  # phi = pi/2, its own image under x1 -> -x1
-        c, sn = np.concatenate([c, -c[back]]), np.concatenate([sn, sn[back]])
-        cp = np.concatenate([c, -c])[None, :]
-        sp = np.concatenate([sn, -sn])[None, :]
-        xyz = np.stack(
-            [s * cp, s * sp, np.broadcast_to(t, (t.size, cp.size))], axis=-1
-        )
-        return xyz.reshape(-1, 3)
-
-
 @lru_cache(maxsize=16)
-def make_quadrature(exactness_degree: int) -> SphereQuadrature:
-    """Quadrature exact for spherical polynomials up to the given degree.
+def base_quadrature(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, w, dirs): the rule base_coefficients(ext, L) projects with.
 
-    The rule integrates every product Y_l1^m1 conj(Y_l2^m2) with
-    l1 + l2 <= exactness_degree exactly.  The azimuthal node count
-    exactness + 2 is rounded up to an even number, which keeps the rule at
-    least as exact and makes it hold every node's antipode
-    (SphereQuadrature.nodes).  The polar rule is `special.gauss_legendre`.
-    Cached; the arrays are read-only.
-    """
-    if exactness_degree < 0:
-        raise ValueError("exactness degree must be nonnegative")
-    n_theta = (exactness_degree + 1 + 1) // 2 + 1
-    n_phi = exactness_degree + 2 + exactness_degree % 2
-    t, w = gauss_legendre(n_theta)
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    phis.setflags(write=False)
-    return SphereQuadrature(
-        cos_nodes=t, theta_weights=w, phi_nodes=phis, phi_weight=2.0 * np.pi / n_phi
-    )
-
-
-def base_quadrature(L: int) -> SphereQuadrature:
-    """The rule base_coefficients(ext, L) projects with, of exactness 2L + 12.
+    A product rule on the unit sphere, exact for every product
+    Y_l1^m1 conj(Y_l2^m2) with l1 + l2 <= 2L + 12: n_theta = L + 8
+    Gauss-Legendre nodes t_a in cos(theta) (`special.gauss_legendre`) times
+    n_phi = 2L + 14 uniform azimuths phi_b = 2 pi b / n_phi.  w[a] is the
+    polar weight times the azimuthal weight 2 pi / n_phi.  dirs, of shape
+    (n_phi/2, n_theta, 3), are the nodes with azimuth in [0, pi),
+    azimuth-major; node (a, b + n_phi/2) is the antipode of node
+    (n_theta - 1 - a, b), so the rule holds n_theta n_phi nodes, and a sum
+    over the azimuths against exp(-i m phi_b) is a discrete Fourier
+    transform.
 
     The doubling is not cosmetic: an azimuthal rule with n nodes aliases
     spectral content at frequency n - m onto order m, so a rule sized close
@@ -235,10 +169,31 @@ def base_quadrature(L: int) -> SphereQuadrature:
     exactness L + 12).  With 2L + 12 the alias floor sits below the series
     truncation error at every L.  This is the one base rule: no caller picks
     another, so the degree of a base table names its rule.
+
+    Every mirror image is exact.  The Gauss-Legendre nodes are exactly
+    antisymmetric, and the azimuthal cosines and sines are rounded on the
+    quarter 0 <= phi <= pi/2 only (azimuths b <= n_phi/4): azimuth
+    n_phi/2 - b takes (-cos, sin) of azimuth b, and cos is exactly 0 at
+    pi/2.  So the image of a node under each of the mirrors x1 -> -x1,
+    x2 -> -x2 and x3 -> -x3, and its antipode, are nodes with those
+    coordinates exactly negated.  Cached on L; the arrays are read-only.
     """
     if L < 0:
         raise ValueError("truncation degree must be nonnegative")
-    return make_quadrature(2 * L + 12)
+    half = L + 7  # n_phi / 2
+    t, w = gauss_legendre(L + 8)
+    quarter = 2.0 * np.pi * np.arange(half // 2 + 1) / (2 * half)
+    c, sn = np.cos(quarter), np.sin(quarter)
+    if half % 2 == 0:
+        c[-1] = 0.0  # phi = pi/2, its own image under x1 -> -x1
+    back = slice(half - quarter.size, 0, -1)  # azimuths n_phi/2 - b past the quarter
+    c, sn = np.concatenate([c, -c[back]])[:, None], np.concatenate([sn, sn[back]])[:, None]
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    dirs = np.stack([s * c, s * sn, np.broadcast_to(t, (half, t.size))], axis=-1)
+    w = w * (2.0 * np.pi / (2 * half))
+    for a in (w, dirs):
+        a.setflags(write=False)
+    return t, w, dirs
 
 
 def _degree_rows(L: int, parity: int) -> int:
@@ -404,30 +359,19 @@ class CoeffTable:
 
 
 @lru_cache(maxsize=4)
-def _projection(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Pw, dirs): the weighted Legendre operator and the inversion
-    directions of base_coefficients(ext, L) on base_quadrature(L).
-
-    Pw[m, j, a] = Pbar_{2j}^m(t_a) w_a 2 pi / n_phi, of shape
-    (L+1, n_0, n_theta), zero where m > 2j: the normalised Legendre values
-    of even degree at the Gauss nodes t_a times the node's polar weight and
-    the azimuthal weight.  dirs, of shape (n_phi/2, n_theta, 3), are the
-    nodes with azimuth in [0, pi), azimuth-major.  Neither depends on the
-    material, so every base table of one degree reads the same pair.
-    Cached on L, four entries; the arrays are read-only and C-contiguous.
-    One entry holds (L+1) n_0 n_theta + 3 n_theta n_phi / 2 doubles: Pw
-    takes ~0.4 MB at L = 43 and ~2.3 MB at L = 80, dirs ~0.06 and ~0.18 MB,
-    so the cache stays below 4 x 2.6 MB up to L = 80.
+def _projection(L: int) -> np.ndarray:
+    """Pw, the weighted Legendre operator of base_coefficients(ext, L):
+    Pw[m, j, a] = Pbar_{2j}^m(t_a) w_a on base_quadrature(L), of shape
+    (L+1, n_0, n_theta), zero where m > 2j.  It does not depend on the
+    material, so every base table of one degree reads the same operator.
+    Cached on L, four entries; read-only and C-contiguous.  One entry
+    holds (L+1) n_0 n_theta doubles: ~0.4 MB at L = 43 and ~2.3 MB at
+    L = 80.
     """
-    quad = base_quadrature(L)
-    t = quad.cos_nodes
-    half = quad.phi_nodes.size // 2
-    dirs = quad.nodes().reshape(t.size, 2 * half, 3)[:, :half].transpose(1, 0, 2).copy()
-    weights = quad.theta_weights * quad.phi_weight
-    Pw = (norm_legendre_table(L, t)[0::2] * weights).transpose(1, 0, 2).copy()
-    for a in (Pw, dirs):
-        a.setflags(write=False)
-    return Pw, dirs
+    t, w, _ = base_quadrature(L)
+    Pw = (norm_legendre_table(L, t)[0::2] * w).transpose(1, 0, 2).copy()
+    Pw.setflags(write=False)
+    return Pw
 
 
 def base_coefficients(ext: ExtendedTensor, L: int) -> CoeffTable:
@@ -443,7 +387,7 @@ def base_coefficients(ext: ExtendedTensor, L: int) -> CoeffTable:
     inverted on the octant 0 <= phi <= pi/2, cos(theta) >= 0 alone.  Its
     symbol at the image of xi under x1 -> -x1 is D S(xi) D, D = diag(-1 for
     u1, 1 otherwise), and that image is a node with x1 exactly negated
-    (SphereQuadrature.nodes); assembly, equilibration and elimination
+    (base_quadrature); assembly, equilibration and elimination
     (pivoting on |.|) commute with the sign flips, so entry (i, j) times
     (-1)^x, x the count of index 1 in (i, j), has the bits an inversion
     would give.  So azimuth n_phi/2 - b takes azimuth b times (-1)^x, and
@@ -459,7 +403,7 @@ def base_coefficients(ext: ExtendedTensor, L: int) -> CoeffTable:
     call evaluates no Legendre value and projects no part a mirror table
     does not hold.
     """
-    Pw, dirs = _projection(L)
+    Pw, dirs = _projection(L), base_quadrature(L)[2]
     n, mirror = ext.field_dim, ext.mirror_symmetric
     half, n_theta = dirs.shape[:2]
     # the entries i <= j of each symmetric inverse symbol, azimuth-major

@@ -323,25 +323,27 @@ def _coupling(x113, x223, x333, x311, x322) -> np.ndarray:
     return x
 
 
-def iso_elastic(mu: float, nu: float, name: str | None = None) -> MaterialConstants:
+def iso_elastic(mu: float, nu: float) -> MaterialConstants:
     """Isotropic elastic material from shear modulus and Poisson ratio."""
     if mu <= 0 or not (-1.0 < nu < 0.5):
         raise ValueError(f"require mu > 0 and -1 < nu < 0.5, got mu={mu}, nu={nu}")
     lam = 2.0 * mu * nu / (1.0 - 2.0 * nu)
     C = _cubic_voigt(lam + 2.0 * mu, lam, mu)
-    return MaterialConstants(name or f"IsoElastic({mu:g},{nu:g})", 3, C)
+    return MaterialConstants(f"IsoElastic({mu:g},{nu:g})", 3, C)
 
 
 def zener_family(A: float) -> MaterialConstants:
     """Cubic crystal with copper's c11, c12 and c44 = A (c11 - c12) / 2.
 
     A is the Zener anisotropy ratio; A = 1 is the elastically isotropic
-    member of the family.
+    member of the family.  The name spells A as its shortest round-trip
+    repr less a trailing ".0", so distinct ratios get distinct names.
     """
     if A <= 0:
         raise ValueError(f"Zener ratio must be positive, got {A}")
     c11, c12 = 168e9, 121e9
-    return MaterialConstants(f"Zener(A={A:g})", 3, _cubic_voigt(c11, c12, A * (c11 - c12) / 2.0))
+    name = f"Zener(A={float(A)!r}".removesuffix(".0") + ")"
+    return MaterialConstants(name, 3, _cubic_voigt(c11, c12, A * (c11 - c12) / 2.0))
 
 
 # Values as tabulated in the source database.  Scale factors: stiffness 1e9 Pa,

@@ -5,14 +5,15 @@ derivative ladder are closed forms of x_a Y_l^m and live with the ladder in
 
 `norm_legendre_rows` yields the Legendre rows one degree at a time, m-major
 (l+1, P), from cos(theta) and sin(theta).  The base projection reads them
-whole through `norm_legendre_table` at the Gauss nodes, with sin(theta)
-formed from cos(theta), once per quadrature rule: `expansion` folds the
-weights into that table and caches the product as one operator, which
-every base table on the rule applies with one batched real matrix product
-over the orders.  The evaluator reads them only to build its factor
-table (the theta Fourier series of each row), on a uniform theta grid over
-the full circle with sin(theta) signed: the rows are then the analytic
-trigonometric polynomials sin^m(theta) times a polynomial in cos(theta).
+whole through `norm_legendre_table` at the Gauss nodes of
+`expansion.base_quadrature`, with sin(theta) formed from cos(theta), once
+per degree: `expansion` folds the weights into that table and caches the
+product as one operator, which every base table of the degree applies
+with one batched real matrix product over the orders.  The evaluator reads
+them only to build its factor table (the theta Fourier series of each
+row), on a uniform theta grid over the full circle with sin(theta) signed:
+the rows are then the analytic trigonometric polynomials sin^m(theta) times
+a polynomial in cos(theta).
 
 Convention note: the Condon-Shortley phase (-1)^m is INCLUDED in P_l^m and
 therefore in Y_l^m = norm_legendre_table[l, m] * exp(i m phi).  Libraries and

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fundsol as fs
-from fundsol.expansion import channel_layout
+from fundsol.expansion import base_quadrature, channel_layout
 from fundsol.materials import _JSON_SCALE
 
 
@@ -84,6 +84,16 @@ def rng():
 def random_directions(rng, count):
     v = rng.normal(size=(count, 3))
     return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def full_rule(L):
+    """(xyz, w): every node of the base rule of degree L, theta-major as
+    (n_theta, n_phi, 3), and the weight of polar node a, w[a].  The first
+    n_phi/2 azimuths are the directions base_quadrature(L) builds; the other
+    half are their exact antipodes, node (a, b + n_phi/2) = -node
+    (n_theta - 1 - a, b)."""
+    _, w, dirs = base_quadrature(L)
+    return np.concatenate([dirs, -dirs[:, ::-1]]).transpose(1, 0, 2), w
 
 
 def complex_coeffs(table):

@@ -188,6 +188,130 @@ class TestMaterialsShow:
         assert out == "" and not list(tmp_path.glob("*.fsct"))
 
 
+    def test_laplace_shows_its_coefficient_matrix(self, capsys):
+        # field dimension 1 shows the 3x3 coefficient matrix alone, as "%10.4g"
+        code, out, _ = run(capsys, "materials", "show", "Laplace")
+        assert code == 0
+        assert out == (
+            "material: Laplace   field dimension N = 1\n"
+            "coefficient matrix [-]\n"
+            "             1           0           0\n"
+            "             0           1           0\n"
+            "             0           0           1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name,edit,violations",
+        [
+            ("Cu", lambda doc: {**doc, "field_dim": 2}, ["field_dim must be 1, 3, 4 or 5, got 2"]),
+            (
+                "PZT-4",
+                lambda doc: {
+                    **doc,
+                    "q": [[0.0] * 6] * 3,
+                    "e": [row[:5] for row in doc["e"]],
+                    "eps": [[6.0, 1.0, 0.0], [0.0, 6.0, 0.0], [0.0, 0.0, 5.0]],
+                },
+                [
+                    "block 'q' not allowed for field_dim 4",
+                    "block 'e' must have shape (3, 6), got (3, 5)",
+                    "block 'eps' is not symmetric",
+                ],
+            ),
+            (
+                "M2",
+                lambda doc: {
+                    **doc,
+                    "lambda": [[0.6, 0.1, 0.0], [0.0, 0.8, 0.0], [0.0, 0.0, 1.0]],
+                    "kappa": [[5.0, 0.0, 0.0], [0.0, 7.0, 0.0], [2.0, 0.0, 10.0]],
+                },
+                ["block 'lam' is not symmetric", "block 'kappa' is not symmetric"],
+            ),
+        ],
+        ids=["field-dim-2", "pzt4-blocks", "m2-asymmetric"],
+    )
+    def test_invalid_material_lists_each_violation_exit_2(
+        self, capsys, tmp_path, name, edit, violations
+    ):
+        path = tmp_path / "bad.json"
+        save_material_json(fs.builtin(name), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        code, out, err = run(capsys, "materials", "show", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: material validation failed:\n" + "".join(
+            f"  - {v}\n" for v in violations
+        )
+
+
+def save_singular_material_json(path):
+    """A piezoelectric material of Cu's stiffness with all-zero coupling and
+    permittivity: it validates, but its symbol has a zero potential row at
+    every direction."""
+    cu = fs.builtin("Cu")
+    save_material_json(
+        fs.MaterialConstants("Singular", 4, cu.elastic, e=np.zeros((3, 6)), eps=np.zeros((3, 3))),
+        path,
+    )
+
+
+class TestExitCodes:
+    """One run for each exit code the module docstring documents."""
+
+    def test_docstring_documents_these_codes(self):
+        assert {int(c) for c in re.findall(r"^    (\d)  ", cli.__doc__, re.M)} == {0, 2, 3, 4, 5}
+
+    def build_laplace(self, capsys, tables):
+        code, _, _ = run(capsys, "build", "--material", "Laplace", "--L", "2", "--tables-dir", str(tables))
+        assert code == 0
+
+    def test_0_success(self, capsys):
+        code, out, err = run(capsys, "materials", "show", "Cu")
+        assert code == 0 and out.startswith("material: Cu   field dimension N = 3\n") and err == ""
+
+    def test_2_invalid_input(self, capsys, tmp_path):
+        tables = tmp_path / "tables"
+        code, out, err = run(capsys, "build", "--material", "Nope", "--L", "2", "--tables-dir", str(tables))
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown material 'Nope'; available: ")
+        assert not tables.exists()
+
+    def test_3_singular_symbol(self, capsys, tmp_path):
+        path = tmp_path / "singular.json"
+        save_singular_material_json(path)
+        assert fs.validate(fs.load_material_json(path)) == []
+        code, out, err = run(capsys, "build", "--material", str(path), "--L", "4", "--tables-dir", str(tmp_path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: singular operator symbol at direction (")
+        assert not list(tmp_path.glob("*.fsct"))
+
+    def test_4_hash_mismatch(self, capsys, tmp_path):
+        self.build_laplace(capsys, tmp_path)
+        lap = fs.extend(fs.builtin("Laplace")).material_hash
+        iso = fs.extend(fs.iso_elastic(1.0, 0.3)).material_hash
+        table_path(tmp_path, iso, 2, (0, 0, 0)).write_bytes(
+            table_path(tmp_path, lap, 2, (0, 0, 0)).read_bytes()
+        )
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[0.0, 0.0, 1.0]])
+        code, out, err = run(
+            capsys, "eval", "--material", "IsoElastic(1,0.3)", "--L", "2",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 4 and out == ""
+        assert err == f"error: table belongs to material {lap[:12]}..., expected {iso[:12]}...\n"
+
+    def test_5_bad_point(self, capsys, tmp_path):
+        self.build_laplace(capsys, tmp_path)
+        pts = tmp_path / "pts.csv"
+        write_points(pts, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        code, out, err = run(
+            capsys, "eval", "--material", "Laplace", "--L", "2",
+            "--points", str(pts), "--tables-dir", str(tmp_path),
+        )
+        assert code == 5 and out == ""
+        assert err == "error: kernel evaluation at zero distance (point index 1)\n"
+
+
 class TestBuild:
     def test_laplace_build_counts(self, capsys, tmp_path):
         code, out, _ = run(
@@ -195,6 +319,8 @@ class TestBuild:
             "--tables-dir", str(tmp_path),
         )
         assert code == 0
+        # the base rule of degree 7 has (7 + 8)(2 * 7 + 14) nodes
+        assert out.startswith("base table: L=7 nodes=420 build=")
         files = sorted(tmp_path.glob("*.fsct"))
         assert len(files) == 20  # 1 + 3 + 6 + 10 multi-indices through order 3
 
@@ -889,6 +1015,17 @@ class TestSweep:
             worst[case] = max(worst.get(case, 0.0), float(e))
         assert worst["A=1"] < worst["A=0.1"]
         assert worst["A=1"] < worst["A=10"]
+
+    def test_zener_labels_tell_ratios_apart(self, capsys):
+        # labels were "%g", so 1.0000001 and 1.0000002 both read A=1
+        ratios = ("1.0000001", "1.0000002", "0.2", "0.5", "1", "2", "8")
+        code, out, _ = run(
+            capsys, "sweep", "--zener-list", ",".join(ratios), "--L-list", "4",
+            "--grid", "4x6", "--nodes", "16",
+        )
+        assert code == 0
+        labels = [row.split(",")[0] for row in out.splitlines()[1:]]
+        assert labels == [f"A={A}" for A in ratios for _ in range(9)]
 
     def test_zener_sweep_loads_no_material(self, capsys, monkeypatch):
         # --material was required beside --zener-list, loaded and ignored:

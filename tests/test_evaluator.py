@@ -215,6 +215,12 @@ class TestEvaluateBatch:
     def test_empty_list(self, base_laplace):
         assert fs.evaluate_batch(base_laplace, np.zeros((0, 3))).shape == (0, 1, 1)
 
+    @pytest.mark.parametrize("shape", [(4, 2), (1, 4), (2,)])
+    def test_points_must_be_3_vectors(self, base_laplace, shape):
+        seen = (1,) + shape if len(shape) == 1 else shape  # after np.atleast_2d
+        with pytest.raises(ValueError, match=re.escape(f"points must be 3-vectors, got shape {seen}")):
+            fs.evaluate_batch(base_laplace, np.ones(shape))
+
     def test_batch_matches_single(self, base_cu, rng):
         pts = rng.normal(size=(100, 3))
         batch = fs.evaluate_batch(base_cu, pts)
@@ -700,6 +706,12 @@ class TestTraction:
             fs.traction_kernel(ext_iso, tables, np.ones((4, 3)), normals)
         with pytest.raises(ValueError, match=r"non-finite normal \(point index 0\)"):
             fs.traction_kernel(ext_iso, tables, [1.0, 0, 0], [0, math.inf, 1.0])
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_three_tables_required(self, base_laplace, ext_laplace, count):
+        tables = (first_derivative_tables(base_laplace) * 2)[:count]
+        with pytest.raises(TableConsistencyError, match="^need exactly three first-derivative tables$"):
+            fs.traction_kernel(ext_laplace, tables, [0, 0, 1.0], [0, 0, 1.0])
 
     def test_hash_mismatch_rejected(self, base_laplace, base_iso, ext_laplace):
         tables = first_derivative_tables(base_laplace)

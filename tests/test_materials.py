@@ -8,6 +8,7 @@ import pytest
 import fundsol as fs
 from fundsol.errors import FundsolError, MaterialValidationError, UnknownMaterialError
 from fundsol.materials import (
+    ExtendedTensor,
     MaterialConstants,
     full_to_voigt,
     load_material_json,
@@ -183,6 +184,11 @@ class TestVoigt:
         v = 0.5 * (v + v.T)
         assert np.array_equal(full_to_voigt(voigt_to_full(v)), v)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (6,), (6, 7)])
+    def test_voigt_to_full_refuses_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected 6x6 Voigt matrix, got shape {shape}")):
+            voigt_to_full(np.zeros(shape))
+
     def test_full_has_minor_symmetries(self):
         c = voigt_to_full(fs.builtin("Cu").elastic)
         assert np.array_equal(c, np.transpose(c, (1, 0, 2, 3)))
@@ -260,6 +266,21 @@ class TestRotate:
         assert np.allclose(rot.elastic[:3, :3], np.eye(3), rtol=0, atol=1e-14)
 
 
+class TestExtendedTensor:
+    def test_refuses_wrong_shape(self):
+        with pytest.raises(ValueError, match=re.escape("extended tensor shape (3, 4, 4, 3) != (3,3,3,3)")):
+            ExtendedTensor(3, np.zeros((3, 4, 4, 3)))
+
+
+class TestIsoElastic:
+    @pytest.mark.parametrize("mu,nu", [(0.0, 0.3), (-1.0, 0.3), (1.0, 0.5), (1.0, -1.0), (1.0, 0.7)])
+    def test_refuses_bad_moduli(self, mu, nu):
+        with pytest.raises(
+            ValueError, match=re.escape(f"require mu > 0 and -1 < nu < 0.5, got mu={mu}, nu={nu}")
+        ):
+            fs.iso_elastic(mu, nu)
+
+
 class TestZenerFamily:
     def test_c44_values(self):
         assert fs.zener_family(1.0).elastic[3, 3] == pytest.approx(23.5e9)
@@ -268,6 +289,16 @@ class TestZenerFamily:
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
             fs.zener_family(0.0)
+
+    def test_names_tell_distinct_ratios_apart(self):
+        # the shortest repr less ".0": "%g" named 1.0000001 and 1.0000002
+        # both Zener(A=1)
+        names = {A: fs.zener_family(A).name for A in (0.2, 0.5, 1.0, 2.0, 8.0, 1.0000001, 1.0000002)}
+        assert list(names.values()) == [
+            "Zener(A=0.2)", "Zener(A=0.5)", "Zener(A=1)", "Zener(A=2)", "Zener(A=8)",
+            "Zener(A=1.0000001)", "Zener(A=1.0000002)",
+        ]
+        assert fs.zener_family(np.float64(1e16)).name == "Zener(A=1e+16)"
 
     def test_unit_ratio_is_isotropic(self):
         # symbol eigenvalues must be direction-independent

@@ -302,6 +302,11 @@ class TestFiniteDiff:
         with pytest.raises(ValueError):
             fs.finite_diff(base_laplace, [1.0, 0, 0], 1, 0.5)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3])
+    def test_step_not_positive(self, base_laplace, h):
+        with pytest.raises(ValueError, match="^step must be positive$"):
+            fs.finite_diff(base_laplace, [1.0, 0, 0], 1, h)
+
     def test_cu_matches_series_derivative(self, base_cu, rng):
         # finite_diff differences the degree-42 truncation, whose exact
         # derivative has degree 43: the ladder from that truncation, padded
@@ -333,7 +338,14 @@ class TestErrorOverSphere:
     def test_grid_mismatch(self, base_laplace):
         a = fs.sample_sphere(base_laplace, 8, 16)
         b = fs.sample_sphere(base_laplace, 6, 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"grid mismatch: test \(8, 16, 1, 1\) vs ref \(6, 16, 1, 1\)"):
+            fs.error_over_sphere(a, b)
+
+    def test_theta_grid_mismatch(self, base_laplace):
+        # same shapes, other polar angles
+        a = fs.sample_sphere(base_laplace, 8, 16)
+        b = dataclasses.replace(a, theta=a.theta + 1e-3)
+        with pytest.raises(ValueError, match="^fields sampled on different theta grids$"):
             fs.error_over_sphere(a, b)
 
     def test_self_reference_convergence(self, base_cu):

@@ -13,8 +13,8 @@ from sympy.physics.quantum.cg import CG
 from fundsol.expansion import (
     CoeffTable,
     _ladder_factor,
+    base_quadrature,
     derive_coefficients,
-    make_quadrature,
 )
 from fundsol.special import gauss_legendre, legendre_p_at_zero, norm_legendre_table
 
@@ -87,7 +87,7 @@ class TestAssocLegendre:
 class TestNormLegendreTable:
     def test_bit_identical_to_double_loop(self):
         rng = np.random.default_rng(8)
-        nodes = make_quadrature(2 * 43 + 12).cos_nodes
+        nodes = base_quadrature(43)[0]
         assert nodes.size == 51
         for L, t in (
             (43, nodes),
@@ -243,18 +243,18 @@ class TestSphHarm:
 
     def test_orthonormality_over_sphere(self):
         # quadrature of Y_l1^m1 conj(Y_l2^m2) = delta delta for all l <= 12
+        # on the base rule of degree 6, of exactness 24: wt holds the polar
+        # weights times the azimuthal weight, and the azimuths are uniform
         L = 12
-        quad = make_quadrature(2 * L)
-        t = quad.cos_nodes
+        t, wt, dirs = base_quadrature(6)
         tab = norm_legendre_table(L, t)
-        phase = np.exp(1j * np.outer(np.arange(L + 1), quad.phi_nodes))
-        wt = quad.theta_weights
-        wp = quad.phi_weight
+        n_phi = 2 * dirs.shape[0]
+        phase = np.exp(1j * np.outer(np.arange(L + 1), 2 * np.pi * np.arange(n_phi) / n_phi))
         for l1 in range(L + 1):
             for l2 in range(l1, L + 1):
                 for m1 in range(0, l1 + 1):
                     for m2 in range(0, l2 + 1):
-                        phi_int = wp * np.sum(phase[m1] * np.conj(phase[m2]))
+                        phi_int = np.sum(phase[m1] * np.conj(phase[m2]))
                         th_int = np.sum(wt * tab[l1, m1] * tab[l2, m2])
                         val = th_int * phi_int
                         expect = 1.0 if (l1 == l2 and m1 == m2) else 0.0
