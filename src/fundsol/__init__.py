@@ -3,8 +3,7 @@
 Kernels (and their derivatives to arbitrary order) of second-order
 homogeneous elliptic operators -- elastic, piezoelectric and
 magneto-electro-elastic -- evaluated from precomputed spherical-harmonics
-coefficient tables, with contour-integration and closed-form oracles for
-verification.
+coefficient tables, with a contour-integration oracle for verification.
 
 Typical use:
 
@@ -27,7 +26,6 @@ from .errors import (
     TableHashMismatchError,
     TableRangeError,
     UnknownMaterialError,
-    UnsupportedOracleError,
 )
 from .evaluator import SphereField, evaluate_batch, sample_sphere, traction_kernel
 from .expansion import (
@@ -56,8 +54,6 @@ from .materials import (
 from .reference import (
     error_over_sphere,
     finite_diff,
-    kelvin_closed,
-    laplace_closed,
     unit_circle,
     unit_circle_batch,
     unit_circle_field,

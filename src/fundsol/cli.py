@@ -192,13 +192,14 @@ def cmd_build(args) -> int:
     _check_degrees("--L", [args.L], order, "--order")
     ext = extend(_load_material(args.material))
     material_hash = ext.material_hash  # a SHA-256 of the tensor per read
-    tables_dir = _tables_dir(args)
-    tables_dir.mkdir(parents=True, exist_ok=True)
     base_degree = args.L + order
 
     t0 = time.perf_counter()
     base = base_coefficients(ext, base_degree)
     base_time = time.perf_counter() - t0
+    # made only now, so a refused material leaves no directory behind
+    tables_dir = _tables_dir(args)
+    tables_dir.mkdir(parents=True, exist_ok=True)
     half, n_theta = base_quadrature(base_degree)[2].shape[:2]
     print(f"base table: L={base_degree} nodes={2 * half * n_theta} build={base_time:.3f}s")
     # each table is one ladder step from its parent, in depth-first order

@@ -3,6 +3,8 @@
 The CLI maps these onto stable exit codes (see fundsol.cli).
 """
 
+import math
+
 
 class FundsolError(Exception):
     """Base class for all package-specific errors."""
@@ -30,7 +32,9 @@ class SingularSymbolError(FundsolError, ValueError):
         self.direction = tuple(float(x) for x in direction)
         self.cond = cond
         msg = f"singular operator symbol at direction {self.direction}"
-        if cond is not None:
+        if cond == math.inf:
+            msg += " (inverse not finite)"
+        elif cond is not None:
             msg += f" (condition estimate {cond:.3e})"
         super().__init__(msg)
 
@@ -65,7 +69,3 @@ class TableHashMismatchError(FundsolError, ValueError):
 
 class TableCorruptionError(FundsolError, ValueError):
     """Coefficient-table file is truncated or fails its checksum."""
-
-
-class UnsupportedOracleError(FundsolError, ValueError):
-    """Closed-form oracle does not cover the requested case."""

@@ -250,12 +250,11 @@ def _entry_columns(n: int, mirror: bool, pi0: int) -> np.ndarray:
 
 
 def _legendre_weights(L: int, I: int) -> np.ndarray:
-    """P_l^I(0) for l = p, p + 2, ..., L (p = I mod 2), zero below degree I,
-    with the bits of `special.legendre_p_at_zero`: the exact integers
-    (l + I - 1)!! and (l - I)!! go from row to row by
+    """P_l^I(0) = (-1)^((l+I)/2) (l+I-1)!! / (l-I)!! for l = p, p + 2, ...,
+    L (p = I mod 2), zero below degree I, each the exact ratio rounded once:
+    the exact integers (l + I - 1)!! and (l - I)!! go from row to row by
     P_{l+2}^I(0) / P_l^I(0) = -(l + I + 1) / (l - I + 2), and each row
-    divides them once, correctly rounded.  A value beyond float64 raises
-    OverflowError."""
+    divides them once.  A value beyond float64 raises OverflowError."""
     p = I % 2
     w = np.zeros((L - p) // 2 + 1)
     num, den, sign = math.prod(range(2 * I - 1, 0, -2)), 1, (-1) ** I

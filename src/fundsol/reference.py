@@ -1,9 +1,8 @@
 """Independent reference oracles and error metrics.
 
 Everything in this module deliberately avoids the spherical-harmonics
-machinery so it can arbitrate it: exact closed forms for the scalar-potential
-and isotropic-elastic kernels, the classical unit-circle contour integral for
-general materials, finite differences for derivatives, and the
+machinery so it can arbitrate it: the classical unit-circle contour integral
+for every material, finite differences for derivatives, and the
 sphere-integrated relative L1 error.  The contour has one implementation,
 `unit_circle_batch`; `unit_circle`, `unit_circle_field` and the CLI's
 `sweep` and `bench` all call it.
@@ -22,20 +21,16 @@ A_k = -A_0 (K1 A_(k-1) + K2 A_(k-2)), with no further inversion.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .errors import UnsupportedOracleError
 from .evaluator import SphereField, _directions, _finite_rows, evaluate_batch
 from .expansion import MultiIndex
 from .materials import ExtendedTensor
 from .symbol import inverse_symbol_batch, symbol_matrix_batch
 
 __all__ = [
-    "laplace_closed",
-    "kelvin_closed",
     "unit_circle",
     "unit_circle_batch",
     "unit_circle_field",
@@ -46,76 +41,6 @@ __all__ = [
 
 _CONTOUR_BUDGET = 4096  # directions x contour nodes per batched inversion
 CONTOUR_MIN_NODES = 16  # the fewest nodes a contour rule may have
-
-
-def _finite_closed_form(fn):
-    """A closed form whose value is refused by SingularPointError where it
-    overflows, at a point this near zero distance, as evaluate_batch does."""
-
-    @functools.wraps(fn)
-    def closed_form(*args, **kwargs):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            value = fn(*args, **kwargs)
-        _finite_rows(np.reshape(value, (1, 1, 1)))
-        return value
-
-    return closed_form
-
-
-@_finite_closed_form
-def laplace_closed(mi, r) -> float:
-    """Closed-form scalar-potential kernel derivatives.
-
-    Supported multi-indices: (0,0,0), single derivatives, mixed second
-    derivatives and the (2,1,0) family, under every axis permutation.  These
-    are the patterns with compact textbook expressions; anything else raises
-    UnsupportedOracleError.
-    """
-    mi = MultiIndex.coerce(mi).astuple()
-    (rhat,), (rn,) = _directions([r])
-    four_pi = 4.0 * np.pi
-    srt = tuple(sorted(mi, reverse=True))
-    if srt == (0, 0, 0):
-        return 1.0 / (four_pi * rn)
-    if srt == (1, 0, 0):
-        a = mi.index(1)
-        return -rhat[a] / (four_pi * rn**2)
-    if srt == (1, 1, 0):
-        a, b = (k for k in range(3) if mi[k] == 1)
-        return 3.0 * rhat[a] * rhat[b] / (four_pi * rn**3)
-    if srt == (2, 1, 0):
-        a = mi.index(2)
-        b = mi.index(1)
-        return 3.0 * rhat[b] * (1.0 - 5.0 * rhat[a] ** 2) / (four_pi * rn**4)
-    raise UnsupportedOracleError(
-        f"no closed form for multi-index {mi}; supported patterns: "
-        "(0,0,0), (1,0,0), (1,1,0), (2,1,0) and axis permutations"
-    )
-
-
-@_finite_closed_form
-def kelvin_closed(mu: float, nu: float, selector: str, r) -> float:
-    """Isotropic-elasticity closed forms for the 11 component.
-
-    selector "phi11" gives the kernel itself; "phi11_1123" its fourth
-    derivative d^4 / dr1^2 dr2 dr3.
-    """
-    if mu <= 0:
-        raise ValueError(f"shear modulus must be positive, got {mu}")
-    if not (-1.0 < nu < 0.5):
-        raise ValueError(f"Poisson ratio must lie in (-1, 0.5), got {nu}")
-    (rhat,), (rn,) = _directions([r])
-    den = 16.0 * np.pi * mu * (1.0 - nu)
-    if selector == "phi11":
-        return (3.0 - 4.0 * nu + rhat[0] ** 2) / (den * rn)
-    if selector == "phi11_1123":
-        # exact derivative of the phi11 form above; verified symbolically and
-        # by finite differences (tests pin both routes)
-        poly = 4.0 * nu - 1.0 - 14.0 * (1.0 + 2.0 * nu) * rhat[0] ** 2 + 63.0 * rhat[0] ** 4
-        return 15.0 * poly * rhat[1] * rhat[2] / (den * rn**5)
-    raise UnsupportedOracleError(
-        f"unknown selector {selector!r}; use 'phi11' or 'phi11_1123'"
-    )
 
 
 def contour_frame(rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,8 @@
-"""Normalised associated Legendre values and P_l^m(0), the special functions
-the coefficient tables and the evaluator read.  (The factors of the
-derivative ladder are closed forms of x_a Y_l^m and live with the ladder in
-`expansion`.)
+"""Normalised associated Legendre values and the Gauss-Legendre rule, the
+special functions the coefficient tables and the evaluator read.  (The
+factors of the derivative ladder are closed forms of x_a Y_l^m and live
+with the ladder in `expansion`; P_l^I(0) lives with the contraction in
+`evaluator`.)
 
 `norm_legendre_rows` yields the Legendre rows one degree at a time, m-major
 (l+1, P), from cos(theta) and sin(theta).  The base projection reads them
@@ -18,7 +19,7 @@ a polynomial in cos(theta).
 Convention note: the Condon-Shortley phase (-1)^m is INCLUDED in P_l^m and
 therefore in Y_l^m = norm_legendre_table[l, m] * exp(i m phi).  Libraries and
 tables differ on this point; everything in this package (coefficient tables,
-recurrences, closed-form checks) assumes the phase is present.
+recurrences, ladder factors) assumes the phase is present.
 
 All functions here are pure and thread-safe.
 """
@@ -27,35 +28,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
 __all__ = [
     "gauss_legendre",
-    "legendre_p_at_zero",
     "norm_legendre_rows",
     "norm_legendre_table",
 ]
-
-
-def legendre_p_at_zero(ell: int, m: int) -> float:
-    """P_l^m(0) = (-1)^((l+m)/2) (l+m-1)!! / (l-m)!!, correctly rounded.
-
-    The double factorials are exact integers, and their ratio is rounded
-    once.  Defined for l, m >= 0: exactly zero when l+m is odd (P_l^m is
-    then odd about t = 0) and when m > l.  l and m may be any integer type
-    (numpy integers too, which would overflow in the sign); a non-integer
-    raises TypeError.
-    """
-    ell, m = operator.index(ell), operator.index(m)
-    if ell < 0 or m < 0:
-        raise ValueError(f"require l, m >= 0, got l={ell}, m={m}")
-    if (ell + m) % 2 == 1 or m > ell:
-        return 0.0
-    num = math.prod(range(ell + m - 1, 0, -2))
-    den = math.prod(range(ell - m, 0, -2))
-    return (-1) ** ((ell + m) // 2) * num / den
 
 
 @functools.lru_cache(maxsize=32)

@@ -151,7 +151,9 @@ def inverse_symbol_batch(ext: ExtendedTensor, dirs: np.ndarray) -> np.ndarray:
     worst = np.max(np.abs(inv_eq), axis=(0, 1))
     if worst.size:  # an empty batch has no worst direction
         bad = np.argmax(worst)
-        if not np.isfinite(worst[bad]) or worst[bad] > COND_LIMIT:
+        if not np.isfinite(worst[bad]):
+            raise SingularSymbolError(dirs[bad], cond=np.inf)
+        if worst[bad] > COND_LIMIT:
             raise SingularSymbolError(dirs[bad], cond=float(worst[bad]))
     inv = inv_eq * d[:, np.newaxis, :] * d[np.newaxis, :, :]
     # the true inverse of the symmetric symbol is symmetric; remove the

@@ -1,8 +1,13 @@
+import functools
+import itertools
 import json
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
 import fundsol as fs
 from fundsol.expansion import base_quadrature, channel_layout
@@ -84,6 +89,50 @@ def rng():
 def random_directions(rng, count):
     v = rng.normal(size=(count, 3))
     return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _rounded_once(x, expr):
+    """The sympy expression expr of the symbols x as a callable that
+    evaluates it at a float point in 40-digit arithmetic, rounded once."""
+    f = sp.lambdify(x, expr, modules="mpmath")
+
+    def at(point):
+        with mpmath.workdps(40):
+            return float(f(*(mpmath.mpf(float(v)) for v in point)))
+
+    return at
+
+
+@functools.lru_cache(maxsize=None)
+def laplace_symbolic(mi):
+    """Exact d^mi 1/(4 pi r) for any multi-index mi, (0, 0, 0) included, as
+    a callable of a float point (_rounded_once)."""
+    x = sp.symbols("x1:4", real=True)
+    expr = 1 / (4 * sp.pi * sp.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2))
+    return _rounded_once(x, sp.diff(expr, *itertools.chain(*zip(x, mi))))
+
+
+@functools.lru_cache(maxsize=None)
+def kelvin_phi11_symbolic(*axes):
+    """Exact phi11 of the isotropic kernel at mu = 1, nu = 3/10,
+    differentiated once along each 1-based axis in `axes`, as a callable of
+    a float point (_rounded_once)."""
+    r = sp.symbols("r1:4", real=True)
+    rn = sp.sqrt(r[0] ** 2 + r[1] ** 2 + r[2] ** 2)
+    nu = sp.Rational(3, 10)
+    expr = (3 - 4 * nu + r[0] ** 2 / rn**2) / (16 * sp.pi * (1 - nu) * rn)
+    return _rounded_once(r, sp.diff(expr, *(r[axis - 1] for axis in axes)) if axes else expr)
+
+
+def legendre_at_zero(ell, m):
+    """P_l^m(0), l, m >= 0: (-1)^((l+m)/2) (l+m)! / (2^l ((l+m)/2)! ((l-m)/2)!)
+    rounded once (OverflowError beyond float64); 0 for odd l + m or m > l."""
+    if (ell + m) % 2 or m > ell:
+        return 0.0
+    f = math.factorial
+    return float(
+        Fraction((-1) ** ((ell + m) // 2) * f(ell + m), 2**ell * f((ell + m) // 2) * f((ell - m) // 2))
+    )
 
 
 def full_rule(L):

@@ -13,16 +13,15 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
-import sympy as sp
 
 import fundsol as fs
 from fundsol import evaluator, textio
 from fundsol.errors import SingularPointError, TableConsistencyError
 from fundsol.evaluator import regular_part_at
 from fundsol.expansion import derive_multi
-from fundsol.special import gauss_legendre, legendre_p_at_zero
+from fundsol.special import gauss_legendre
 
-from conftest import entry, random_directions
+from conftest import entry, laplace_symbolic, legendre_at_zero, random_directions
 
 FOUR_PI = 4 * math.pi
 
@@ -470,15 +469,15 @@ class TestContractionCache:
     @pytest.mark.parametrize("I", [0, 1, 2, 3, 4, 7, 8, 40, 141])
     def test_legendre_weights_have_the_oracle_bits(self, I):
         # the row-to-row integer recurrence gives every P_l^I(0) the bits
-        # of the double-factorial oracle, zeros below degree I included
+        # of the factorial form rounded once, zeros below degree I included
         L, p = 160, I % 2
-        expect = np.array([legendre_p_at_zero(l, I) for l in range(p, L + 1, 2)])
+        expect = np.array([legendre_at_zero(l, I) for l in range(p, L + 1, 2)])
         assert evaluator._legendre_weights(L, I).tobytes() == expect.tobytes()
 
     def test_legendre_weights_overflow_like_the_oracle(self):
         # P_152^152(0) ~ 1e311; _contraction turns this into TableRangeError
         with pytest.raises(OverflowError):
-            legendre_p_at_zero(152, 152)
+            legendre_at_zero(152, 152)
         with pytest.raises(OverflowError):
             evaluator._legendre_weights(152, 152)
 
@@ -564,10 +563,11 @@ class TestDerivativeConsistency:
 
 
 # orders 5 to 8 against an independent oracle: the 1024-node contour, and
-# sympy's d^mi 1/(4 pi r) for Laplace.  Each case gives, at a lower and a
-# higher truncation L, the bound on max|series - oracle| / max|oracle| over
-# 64 seeded unit points, from a base table of degree L_high + |mi|, and the
-# error measured there; every bound is at most 3x its measurement.
+# the exact d^mi 1/(4 pi r) of laplace_symbolic for Laplace.  Each case
+# gives, at a lower and a higher truncation L, the bound on
+# max|series - oracle| / max|oracle| over 64 seeded unit points, from a base
+# table of degree L_high + |mi|, and the error measured there; every bound
+# is at most 3x its measurement.
 # Laplace's error grows with L: its truncation error is nil, and what is
 # left is the series' rounding plateau
 HIGH_ORDER_CASES = [
@@ -597,10 +597,8 @@ class TestHighOrderOracles:
         ext = fs.extend(fs.builtin(name))
         pts = random_directions(rng, 64)
         if name == "Laplace":
-            x = sp.symbols("x1:4", real=True)
-            kernel = 1 / (4 * sp.pi * sp.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2))
-            d = sp.diff(kernel, *(v for axis, count in zip(x, mi) for v in [axis] * count))
-            ref = sp.lambdify(x, d, "numpy")(*pts.T)[:, None, None]
+            exact = laplace_symbolic(mi)
+            ref = np.array([exact(p) for p in pts])[:, None, None]
         else:
             ref = fs.unit_circle_batch(ext, pts, mi, n_nodes=1024)
         table = derive_multi(fs.base_coefficients(ext, high[0] + sum(mi)), mi)
@@ -620,8 +618,9 @@ class TestGaoDaviesVanishing:
             norm = np.einsum("ab,abjk->jk", fld.weights, np.abs(fld.values))
             assert np.max(integral / np.maximum(norm, 1e-300)) < 1e-9
         # the degree-zero projection is annihilated by the prefactor itself
-        for order in (1, 2, 3, 4):
-            assert legendre_p_at_zero(0, order) == 0.0
+        # (odd orders weight odd degrees only)
+        for order in (2, 4):
+            assert evaluator._legendre_weights(order, order)[0] == 0.0
 
 
 class TestTraction:
@@ -1025,7 +1024,7 @@ class TestRegularPart:
             [rng.uniform(0, np.pi, 32), [0.0, 1e-12, 1e-9], np.pi - np.array([0.0, 1e-12, 1e-9])]
         )
         p = I % 2
-        w = np.array([legendre_p_at_zero(l, I) for l in range(p, L + 1, 2)])[None, :, None]
+        w = evaluator._legendre_weights(L, I)[None, :, None]
         got = w * factor_series(L, p, theta)
         grid = np.linspace(0, np.pi, 2 * L + 2)
         scale = np.max(np.abs(w * scipy_legendre(L, p, np.concatenate([grid, theta]))), axis=2)

@@ -1,144 +1,87 @@
 import dataclasses
-import functools
 import itertools
 import math
 
-import mpmath
 import numpy as np
 import pytest
-import sympy as sp
 
 import fundsol as fs
-from fundsol.errors import SingularPointError, SingularSymbolError, UnsupportedOracleError
-from fundsol.expansion import derive_coefficients, derive_multi
+from fundsol.errors import SingularPointError, SingularSymbolError
+from fundsol.expansion import derive_coefficients, derive_multi, multi_indices_up_to
 from fundsol.reference import _CONTOUR_BUDGET, contour_frame, unit_circle_field
 
-from conftest import random_directions
+from conftest import kelvin_phi11_symbolic, laplace_symbolic, random_directions
 from test_symbol import degenerate_scalar_material
 
 FOUR_PI = 4 * math.pi
 
 
-@functools.lru_cache(maxsize=None)
-def kelvin_phi11_symbolic(*axes):
-    """Exact phi11 of the isotropic kernel at mu = 1, nu = 3/10, differentiated
-    symbolically once along each 1-based axis in `axes`; returns a callable
-    that evaluates it at a float point in 40-digit arithmetic."""
-    r = sp.symbols("r1:4", real=True)
-    rn = sp.sqrt(r[0] ** 2 + r[1] ** 2 + r[2] ** 2)
-    nu = sp.Rational(3, 10)
-    expr = (3 - 4 * nu + r[0] ** 2 / rn**2) / (16 * sp.pi * (1 - nu) * rn)
-    for axis in axes:
-        expr = sp.diff(expr, r[axis - 1])
-    f = sp.lambdify(r, expr, modules="mpmath")
-
-    def at(point):
-        with mpmath.workdps(40):
-            return float(f(*(mpmath.mpf(float(x)) for x in point)))
-
-    return at
-
-
 class TestLaplaceClosed:
-    def test_base_kernel(self):
-        assert fs.laplace_closed((0, 0, 0), [0.6, 0.8, 0.0]) == pytest.approx(
-            1 / FOUR_PI, rel=1e-15
-        )
+    """The Laplace series against the exact kernel d^mi 1/(4 pi r)."""
 
-    def test_first_derivative(self):
-        assert fs.laplace_closed((1, 0, 0), [1.0, 0, 0]) == pytest.approx(
-            -1 / FOUR_PI, rel=1e-15
-        )
+    def test_base_kernel(self, base_laplace):
+        got = fs.evaluate_batch(base_laplace, [[0.6, 0.8, 0.0]])[0, 0, 0]
+        assert got == pytest.approx(1 / FOUR_PI, rel=1e-15)
 
-    def test_mixed_second(self):
+    def test_first_derivative(self, base_laplace):
+        table = derive_multi(base_laplace, (1, 0, 0)).truncated(1)
+        got = fs.evaluate_batch(table, [[1.0, 0, 0]])[0, 0, 0]
+        assert got == pytest.approx(-1 / FOUR_PI, rel=1e-15)
+
+    def test_mixed_second(self, base_laplace):
         r = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
-        assert fs.laplace_closed((1, 1, 0), r) == pytest.approx(
-            3 / (8 * math.pi), rel=1e-14
-        )
+        table = derive_multi(base_laplace, (1, 1, 0)).truncated(2)
+        got = fs.evaluate_batch(table, [r])[0, 0, 0]
+        assert got == pytest.approx(3 / (8 * math.pi), rel=1e-14)
 
     def test_axis_permutations_match_series(self, base_laplace):
-        mis = [
-            (0, 0, 0),
-            (1, 0, 0), (0, 1, 0), (0, 0, 1),
-            (1, 1, 0), (1, 0, 1), (0, 1, 1),
-            (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2),
-        ]
         rng = np.random.default_rng(17)
-        for mi in mis:
+        for mi in multi_indices_up_to(3):
+            mi = mi.astuple()
+            exact = laplace_symbolic(mi)
             table = derive_multi(base_laplace, mi).truncated(sum(mi))
             for _ in range(5):
                 r = rng.normal(size=3)
                 got = fs.evaluate_batch(table, [r])[0, 0, 0]
-                assert got == pytest.approx(fs.laplace_closed(mi, r), rel=1e-12)
-
-    def test_unsupported_multi_index(self):
-        with pytest.raises(UnsupportedOracleError):
-            fs.laplace_closed((2, 0, 0), [1.0, 0, 0])
-        with pytest.raises(UnsupportedOracleError):
-            fs.laplace_closed((1, 1, 1), [1.0, 0, 0])
-
-    def test_overflowing_value_refused(self):
-        # |r|^2 underflows to 0 at 1e-170; the radius does not, and the
-        # value overflows: refused as evaluate_batch refuses it, no warning
-        assert fs.laplace_closed((0, 0, 0), [1e-170, 0, 0]) == pytest.approx(1e170 / (4 * math.pi))
-        for r in ([1e-160, 0, 0], [1e-170, 0, 0]):
-            with pytest.raises(SingularPointError, match="overflows"):
-                fs.laplace_closed((1, 0, 0), r)
-        with pytest.raises(SingularPointError, match="overflows"):
-            fs.kelvin_closed(1.0, 0.3, "phi11_1123", [1e-70, 1e-70, 1e-70])
+                assert got == pytest.approx(exact(r), rel=1e-12), mi
 
 
 class TestKelvinClosed:
-    def test_phi11_values(self):
-        assert fs.kelvin_closed(1.0, 0.3, "phi11", [1.0, 0, 0]) == pytest.approx(
-            0.07957747154594767, rel=1e-12
-        )
-        assert fs.kelvin_closed(1.0, 0.25, "phi11", [0, 0, 1.0]) == pytest.approx(
-            1 / (6 * math.pi), rel=1e-14
-        )
+    """The isotropic-elastic series against exact values of phi11."""
 
-    def test_fourth_derivative_vanishes_off_plane(self):
-        # the r2 r3 factor kills the kernel whenever r2 = 0
-        assert fs.kelvin_closed(1.0, 0.3, "phi11_1123", [0.6, 0.0, 0.8]) == 0.0
+    def test_phi11_values(self, base_iso):
+        got = fs.evaluate_batch(base_iso, [[1.0, 0, 0]])[0, 0, 0]
+        assert got == pytest.approx(0.07957747154594767, rel=1e-12)
+        base = fs.base_coefficients(fs.extend(fs.iso_elastic(1.0, 0.25)), 4)
+        got = fs.evaluate_batch(base, [[0, 0, 1.0]])[0, 0, 0]
+        assert got == pytest.approx(1 / (6 * math.pi), rel=1e-14)
 
-    def test_fourth_derivative_matches_finite_difference(self):
-        # independent check of the closed form: nested central differences of
-        # phi11 (this pins the overall sign)
-        mu, nu = 1.0, 0.3
-        r0 = np.array([0.3, 1.1, -0.7])
-        h = 0.01
+    def test_fourth_derivative_vanishes_off_plane(self, base_iso):
+        # d^4 phi11 / dr1^2 dr2 dr3 is odd in r2, so it vanishes whenever
+        # r2 = 0: a symmetry zero of the table, exact in the sum
+        table = derive_multi(base_iso, (2, 1, 1))
+        assert fs.evaluate_batch(table, [[0.6, 0.0, 0.8]])[0, 0, 0] == 0.0
 
-        def phi11(r):
-            return fs.kelvin_closed(mu, nu, "phi11", r)
+    def test_fourth_derivative_matches_finite_difference(self, base_iso):
+        # an independent route to the ladder's fourth derivative (this pins
+        # the sign): nested central differences of the series kernel, three
+        # points along r1 and two along each of r2 and r3
+        r0, h = np.array([0.3, 1.1, -0.7]), 0.01
+        steps = np.array(list(itertools.product((-1, 0, 1), (-1, 1), (-1, 1))))
+        weights = (1 - 3 * (steps[:, 0] == 0)) * steps[:, 1] * steps[:, 2] / (4 * h**4)
+        fd = weights @ fs.evaluate_batch(base_iso, r0 + h * steps)[:, 0, 0]
+        series = fs.evaluate_batch(derive_multi(base_iso, (2, 1, 1)), [r0])[0, 0, 0]
+        assert series == pytest.approx(fd, rel=5e-3)
 
-        def d11(r):
-            e = np.array([h, 0, 0])
-            return (phi11(r + e) - 2 * phi11(r) + phi11(r - e)) / h**2
-
-        def d112(r):
-            e = np.array([0, h, 0])
-            return (d11(r + e) - d11(r - e)) / (2 * h)
-
-        e3 = np.array([0, 0, h])
-        fd = (d112(r0 + e3) - d112(r0 - e3)) / (2 * h)
-        closed = fs.kelvin_closed(mu, nu, "phi11_1123", r0)
-        assert closed == pytest.approx(fd, rel=5e-3)
-
-    def test_fourth_derivative_matches_symbolic(self, rng):
-        # the symbolic route: d^4 phi11 / dr1^2 dr2 dr3 of the exact phi11
+    def test_fourth_derivative_matches_symbolic(self, base_iso, rng):
+        # the isotropic kernel has degrees <= 2, so the degree-6 ladder table
+        # of (2, 1, 1) is exact up to rounding
         exact = kelvin_phi11_symbolic(1, 1, 2, 3)
+        table = derive_multi(base_iso, (2, 1, 1))
         points = random_directions(rng, 20) * rng.uniform(0.5, 2.0, size=(20, 1))
-        for r in [np.array([0.3, 1.1, -0.7]), *points]:
-            closed = fs.kelvin_closed(1.0, 0.3, "phi11_1123", r)
-            assert closed == pytest.approx(exact(r), rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            fs.kelvin_closed(1.0, 0.6, "phi11", [1, 0, 0])
-        with pytest.raises(ValueError):
-            fs.kelvin_closed(-1.0, 0.3, "phi11", [1, 0, 0])
-        with pytest.raises(UnsupportedOracleError):
-            fs.kelvin_closed(1.0, 0.3, "phi12", [1, 0, 0])
+        points = np.concatenate([[[0.3, 1.1, -0.7]], points])
+        for r, got in zip(points, fs.evaluate_batch(table, points)[:, 0, 0]):
+            assert got == pytest.approx(exact(r), rel=1e-12)
 
 
 class TestUnitCircle:
@@ -149,11 +92,10 @@ class TestUnitCircle:
             assert got[0, 0] == pytest.approx(1 / (FOUR_PI * rn), rel=1e-14)
 
     def test_kelvin_cross_oracle(self, ext_iso, rng):
+        phi11 = kelvin_phi11_symbolic()
         for r in random_directions(rng, 20):
             got = fs.unit_circle(ext_iso, r, order=0, n_nodes=256)
-            assert got[0, 0] == pytest.approx(
-                fs.kelvin_closed(1.0, 0.3, "phi11", r), rel=1e-12
-            )
+            assert got[0, 0] == pytest.approx(phi11(r), rel=1e-12)
 
     def test_cu_node_refinement_converged(self, ext_cu):
         r = np.array([1.0, 1.0, 1.0])
@@ -173,11 +115,7 @@ class TestUnitCircle:
         # the reference is the exact derivative, not a difference: a central
         # difference at h = 1e-5 carries ~eps * |phi11| / h ~ 2e-12 absolute
         # rounding error, coarser than rel 1e-8 wherever the derivative is small
-        phi11 = kelvin_phi11_symbolic()
         for r in random_directions(rng, 10):
-            assert phi11(r) == pytest.approx(
-                fs.kelvin_closed(1.0, 0.3, "phi11", r), rel=1e-14
-            )
             for axis in (1, 3):
                 got = fs.unit_circle(ext_iso, r, order=1, axis=axis, n_nodes=256)
                 expect = kelvin_phi11_symbolic(axis)(r)
@@ -249,14 +187,14 @@ class TestUnitCircle:
     def test_kelvin_fourth_derivative(self, ext_iso, rng):
         pts = random_directions(rng, 20) * rng.uniform(0.5, 2.0, size=(20, 1))
         got = fs.unit_circle_batch(ext_iso, pts, (2, 1, 1), n_nodes=256)[:, 0, 0]
-        expect = [fs.kelvin_closed(1.0, 0.3, "phi11_1123", p) for p in pts]
+        expect = [kelvin_phi11_symbolic(1, 1, 2, 3)(p) for p in pts]
         assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
 
     def test_laplace_second_and_third_derivatives(self, ext_laplace, rng):
         pts = random_directions(rng, 20) * rng.uniform(0.5, 2.0, size=(20, 1))
         for mi in set(itertools.permutations((2, 1, 0))) | set(itertools.permutations((1, 1, 0))):
             got = fs.unit_circle_batch(ext_laplace, pts, mi, n_nodes=64)[:, 0, 0]
-            expect = [fs.laplace_closed(mi, p) for p in pts]
+            expect = [laplace_symbolic(mi)(p) for p in pts]
             assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect), mi
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

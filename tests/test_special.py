@@ -16,7 +16,10 @@ from fundsol.expansion import (
     base_quadrature,
     derive_coefficients,
 )
-from fundsol.special import gauss_legendre, legendre_p_at_zero, norm_legendre_table
+from fundsol.evaluator import _legendre_weights
+from fundsol.special import gauss_legendre, norm_legendre_table
+
+from conftest import legendre_at_zero
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -147,66 +150,39 @@ class TestGaussLegendre:
 
 
 class TestLegendreAtZero:
+    # P_l^I(0) for l = I mod 2, ..., L, as the evaluator's contraction reads it
     def test_classical_values(self):
-        assert legendre_p_at_zero(2, 0) == pytest.approx(-0.5, rel=1e-14)
-        assert legendre_p_at_zero(1, 1) == pytest.approx(-1.0, rel=1e-14)
-        assert legendre_p_at_zero(3, 0) == 0.0
-
-    def test_odd_sum_exactly_zero(self):
-        for ell in range(12):
-            for m in range(ell + 1):
-                if (ell + m) % 2 == 1:
-                    assert legendre_p_at_zero(ell, m) == 0.0
+        assert _legendre_weights(2, 0).tolist() == [1.0, -0.5]
+        assert _legendre_weights(1, 1).tolist() == [-1.0]
 
     def test_above_degree_is_zero(self):
-        assert legendre_p_at_zero(0, 2) == 0.0
-        assert legendre_p_at_zero(1, 3) == 0.0
-        assert legendre_p_at_zero(4, 6) == 0.0
+        assert _legendre_weights(0, 2).tolist() == [0.0]
+        assert _legendre_weights(1, 3).tolist() == [0.0]
+        assert _legendre_weights(4, 6).tolist() == [0.0, 0.0, 0.0]
 
     def test_matches_recurrence_at_zero(self):
-        for ell in range(21):
-            for m in range(ell + 1):
+        for m in range(21):
+            weights = _legendre_weights(20, m)
+            for ell in range(m, 21, 2):
                 direct = float(sps.lpmv(m, ell, 0.0))
-                closed = legendre_p_at_zero(ell, m)
                 scale = max(abs(direct), 1.0)
-                assert abs(direct - closed) <= 1e-13 * scale
+                assert abs(direct - weights[(ell - m % 2) // 2]) <= 1e-13 * scale
 
     def test_correctly_rounded(self):
-        # against the factorial form (l+m)! / (2^l ((l+m)/2)! ((l-m)/2)!)
-        # rounded once, bit for bit; where that overflows a float, so does
-        # the function
-        f = math.factorial
-        for ell in range(201):
-            for m in range(ell % 2, ell + 1, 2):
-                exact = Fraction(
-                    (-1) ** ((ell + m) // 2) * f(ell + m),
-                    2**ell * f((ell + m) // 2) * f((ell - m) // 2),
-                )
-                try:
-                    expect = float(exact)
-                except OverflowError:
-                    with pytest.raises(OverflowError):
-                        legendre_p_at_zero(ell, m)
-                    continue
-                assert legendre_p_at_zero(ell, m) == expect, (ell, m)
-
-    def test_negative_index_raises(self):
-        for ell, m in [(3, -1), (-1, 0), (0, -2)]:
-            with pytest.raises(ValueError, match="l, m >= 0"):
-                legendre_p_at_zero(ell, m)
-
-    @pytest.mark.parametrize("itype", [np.int32, np.int64])
-    def test_numpy_integers(self, itype):
-        # a numpy-integer sign (-1)**k times a Python big integer overflowed
-        # from l = 40 on
-        for ell in (40, 80):
-            for m in (0, 1, 3, 4):
-                assert legendre_p_at_zero(itype(ell), itype(m)) == legendre_p_at_zero(ell, m)
-
-    @pytest.mark.parametrize("ell,m", [(4.0, 0), (4, 2.0), (np.float64(4), 0)])
-    def test_non_integer_raises(self, ell, m):
-        with pytest.raises(TypeError):
-            legendre_p_at_zero(ell, m)
+        # against the factorial form rounded once, bit for bit, zeros below
+        # degree I included; where some value overflows a float, so does
+        # the function (I = 137..200)
+        L, overflowed = 200, 0
+        for I in range(L + 1):
+            try:
+                expect = np.array([legendre_at_zero(ell, I) for ell in range(I % 2, L + 1, 2)])
+            except OverflowError:
+                overflowed += 1
+                with pytest.raises(OverflowError):
+                    _legendre_weights(L, I)
+                continue
+            assert _legendre_weights(L, I).tobytes() == expect.tobytes(), I
+        assert overflowed == 64
 
 
 class TestSphHarm:

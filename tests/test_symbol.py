@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -215,7 +216,15 @@ class TestInverseSymbol:
             with pytest.raises(SingularSymbolError) as err:
                 inverse_symbol_batch(ext, dirs)
         assert err.value.direction == (0.0, 0.6, 0.8)
-        assert not err.value.cond <= COND_LIMIT
+        assert err.value.cond == math.inf
+
+    def test_near_singular_symbol_names_its_estimate(self):
+        # symbol |xi|^2 [[1, 1 - d], [1 - d, 1]], d = 1e-15: a finite inverse
+        # of condition ~1 / (2 d)
+        c = np.einsum("il,jk->ijkl", np.eye(3), [[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]])
+        with pytest.raises(SingularSymbolError, match=r"\(condition estimate 5\.\d{3}e\+14\)$") as err:
+            inverse_symbol_batch(ExtendedTensor(2, c, name="near-singular"), np.array([[0.6, 0.8, 0.0]]))
+        assert COND_LIMIT < err.value.cond < math.inf
 
     @pytest.mark.parametrize("name,n", [("Laplace", 1), ("Cu", 3), ("M2", 5)])
     def test_empty_batch(self, name, n):
