@@ -208,9 +208,9 @@ def cmd_build(args) -> int:
         tab = tab.truncated(args.L)
         dt = time.perf_counter() - t0
         path = table_path(tables_dir, material_hash, args.L, mi.astuple())
-        save_table(tab, path)
+        size = save_table(tab, path)
         print(
-            f"table {mi.astuple()}: L={tab.max_degree} bytes={path.stat().st_size} "
+            f"table {mi.astuple()}: L={tab.max_degree} bytes={size} "
             f"derive={dt:.3f}s -> {path}"
         )
         t0 = time.perf_counter()

@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -311,8 +312,17 @@ class CoeffTable:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        # three Python ints: the P_l^I(0) of the evaluator are exact big
+        # integers only for an int I, where numpy integers overflow
+        try:
+            mi = tuple(operator.index(v) for v in self.multi_index)
+        except TypeError:
+            raise TypeError(f"multi_index entries must be integers, got {self.multi_index!r}") from None
+        if len(mi) != 3:
+            raise ValueError(f"multi_index must hold three counts, got {self.multi_index!r}")
+        object.__setattr__(self, "multi_index", mi)
         L, n = self.max_degree, self.field_dim
-        _check_degree(self.multi_index, L)
+        _check_degree(mi, L)
         E = n * (n + 1) // 2
         planes = (_degree_rows(L, self.parity), L // 2 + 1)
         if self.coeffs.dtype != np.float64 or self.coeffs.shape not in (
@@ -628,7 +638,8 @@ def _stored_mask(L: int, parity: int, n: int, mirror: bool, flip: int) -> np.nda
     return mask
 
 
-def save_table(table: CoeffTable, path) -> None:
+def save_table(table: CoeffTable, path) -> int:
+    """Write the table to path; returns the number of bytes written."""
     header = {
         "format_version": _FORMAT_VERSION,
         "material_hash": table.material_hash,
@@ -647,7 +658,7 @@ def save_table(table: CoeffTable, path) -> None:
     digest = hashlib.sha256(prefix)
     digest.update(payload)
     with open(path, "wb") as f:
-        f.write(b"".join((prefix, payload, digest.digest()[:16])))
+        return f.write(b"".join((prefix, payload, digest.digest()[:16])))
 
 
 def _read_exact(f, count: int, what: str) -> bytes:

@@ -44,13 +44,11 @@ __all__ = [
     "iso_elastic",
     "zener_family",
     "voigt_to_full",
-    "full_to_voigt",
     "load_material_json",
     "format_material",
 ]
 
 # Voigt pair order: 11, 22, 33, 23, 13, 12
-_VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 _VOIGT_INDEX = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]], dtype=int)
 
 
@@ -62,27 +60,10 @@ def voigt_to_full(c_voigt: np.ndarray) -> np.ndarray:
     return c_voigt[_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX[None, None, :, :]]
 
 
-def full_to_voigt(c_full: np.ndarray) -> np.ndarray:
-    """Collapse a minor-symmetric 3x3x3x3 tensor back to 6x6 Voigt form."""
-    c_full = np.asarray(c_full, dtype=np.float64)
-    out = np.empty((6, 6))
-    for a, (i, j) in enumerate(_VOIGT_PAIRS):
-        for b, (k, l) in enumerate(_VOIGT_PAIRS):
-            out[a, b] = c_full[i, j, k, l]
-    return out
-
-
 def _coupling_to_full(e_voigt: np.ndarray) -> np.ndarray:
     """3x6 Voigt coupling matrix -> 3x3x3 tensor e[k, i, j], symmetric in (i, j)."""
     e_voigt = np.asarray(e_voigt, dtype=np.float64)
     return e_voigt[:, _VOIGT_INDEX]
-
-
-def _coupling_to_voigt(e_full: np.ndarray) -> np.ndarray:
-    out = np.empty((3, 6))
-    for b, (i, j) in enumerate(_VOIGT_PAIRS):
-        out[:, b] = e_full[:, i, j]
-    return out
 
 
 def _ro(a):
@@ -261,37 +242,26 @@ def extend(material: MaterialConstants) -> ExtendedTensor:
     return ExtendedTensor(n, c, name=material.name)
 
 
-def rotate(material: MaterialConstants, R: np.ndarray) -> MaterialConstants:
-    """Rotate every property tensor of the material into a new frame.
+def rotate(ext: ExtendedTensor, R: np.ndarray) -> ExtendedTensor:
+    """The coupling array of the material turned by the rotation R.
 
-    R must be a proper rotation (orthogonal within 1e-12, det +1).  Rank-4,
-    rank-3 and rank-2 tensors are rotated index-wise.
+    R must be a proper rotation (orthogonal within 1e-12, det +1).  Each
+    spatial index of c turns with R and each field index with
+    Q = diag(R, 1, ...) (Q = 1 for a scalar field), so the kernel of the
+    result is Q G(R^T x) Q^T.  The result is averaged with its (3, 2, 1, 0)
+    transpose, which keeps the major symmetry exact.
     """
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3) or np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12:
         raise ValueError("R is not orthogonal within 1e-12")
     if np.linalg.det(R) < 0:
         raise ValueError("R must be a proper rotation (det = +1)")
-    n = material.field_dim
-    if n == 1:
-        k3 = material.elastic[:3, :3]
-        el = np.zeros((6, 6))
-        el[:3, :3] = R @ k3 @ R.T
-        return MaterialConstants(material.name, 1, el)
-
-    c_full = voigt_to_full(material.elastic)
-    c_rot = np.einsum("ia,jb,kc,ld,abcd->ijkl", R, R, R, R, c_full, optimize=True)
-    kw = {}
-    for attr in ("e", "q"):
-        val = getattr(material, attr)
-        if val is not None:
-            t = _coupling_to_full(val)
-            kw[attr] = _coupling_to_voigt(np.einsum("ka,ib,jc,abc->kij", R, R, R, t))
-    for attr in ("eps", "lam", "kappa"):
-        val = getattr(material, attr)
-        if val is not None:
-            kw[attr] = R @ val @ R.T
-    return MaterialConstants(material.name, n, full_to_voigt(c_rot), **kw)
+    n = ext.field_dim
+    Q = np.eye(n)
+    if n >= 3:
+        Q[:3, :3] = R
+    c = np.einsum("ia,JA,KB,lb,aABb->iJKl", R, Q, Q, R, ext.c, optimize=True)
+    return ExtendedTensor(n, 0.5 * (c + c.transpose(3, 2, 1, 0)), name=ext.name)
 
 
 def _ortho_voigt(c11, c12, c13, c22, c23, c33, c44, c55, c66) -> np.ndarray:

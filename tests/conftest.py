@@ -76,7 +76,7 @@ def base_cu_rotated():
     mirrors, so its tables take the general four-class layout."""
     c, s = math.cos(1.0), math.sin(1.0)
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return fs.base_coefficients(fs.extend(fs.rotate(fs.builtin("Cu"), R)), 41)
+    return fs.base_coefficients(fs.rotate(fs.extend(fs.builtin("Cu")), R), 41)
 
 
 @pytest.fixture

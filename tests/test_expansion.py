@@ -445,6 +445,23 @@ class TestRefusals:
             )):
                 fs.CoeffTable("0" * 64, 3, 4, (0, 0, 0), coeffs)
 
+    @pytest.mark.parametrize("mi", [(0.0, 0, 0), (0, 0), (0, 0, 0, 0), None])
+    def test_coeff_table_refuses_other_multi_index(self, mi):
+        with pytest.raises((TypeError, ValueError), match="^multi_index .*" + re.escape(repr(mi))):
+            fs.CoeffTable("0" * 64, 3, 4, mi, np.zeros((6, 3, 3)))
+
+    def test_numpy_integer_multi_index_evaluates_as_ints(self, ext_laplace):
+        # the P_l^I(0) weights are exact big integers only from Python
+        # ints; from np.int64 entries those of the (2, 1, 0) table at
+        # L = 70 overflow
+        table = derive_multi(fs.base_coefficients(ext_laplace, 73), (2, 1, 0)).truncated(70)
+        rebuilt = fs.CoeffTable(
+            table.material_hash, 1, 70, tuple(np.array([2, 1, 0])), table.coeffs.copy()
+        )
+        point = [[0.3, 0.4, 0.5]]
+        assert np.array_equal(fs.evaluate_batch(rebuilt, point), fs.evaluate_batch(table, point))
+        assert [type(v) for v in rebuilt.multi_index] == [int] * 3
+
     @pytest.mark.parametrize("axis", [0, 4, -1])
     def test_derive_refuses_axis_outside_1_to_3(self, base_laplace, axis):
         with pytest.raises(ValueError, match=f"^axis must be 1, 2 or 3, got {axis}$"):
@@ -600,7 +617,7 @@ def mirror_signs(n, axis):
 
 def rotated(name, radians=1.0):
     c, s = math.cos(radians), math.sin(radians)
-    return fs.rotate(fs.builtin(name), np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]))
+    return fs.rotate(fs.extend(fs.builtin(name)), np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]))
 
 
 class TestMirrorClasses:
@@ -614,7 +631,7 @@ class TestMirrorClasses:
             fs.expansion, "inverse_symbol_batch", lambda e, d: counts.append(len(d)) or invert(e, d)
         )
         fs.base_coefficients(ext_cu, 43)
-        fs.base_coefficients(fs.extend(rotated("Cu")), 43)
+        fs.base_coefficients(rotated("Cu"), 43)
         assert counts == [676, 2550]
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
@@ -646,8 +663,7 @@ class TestMirrorClasses:
         # 9.9e-6 and at most 4.1e-4 for rotated Cu at orders 0 and 1,
         # 5.1e-6 and at most 2.4e-4 triclinic)
         pts = random_directions(np.random.default_rng(3), 64)
-        for material, bounds in ((rotated("Cu"), (3e-5, 1.2e-3)), (triclinic, (1.5e-5, 7e-4))):
-            ext = fs.extend(material)
+        for ext, bounds in ((rotated("Cu"), (3e-5, 1.2e-3)), (fs.extend(triclinic), (1.5e-5, 7e-4))):
             assert not ext.mirror_symmetric
             base = fs.base_coefficients(ext, 26)
             assert not base.mirror and base.coeffs.shape[0] == 4 * 6
@@ -658,7 +674,7 @@ class TestMirrorClasses:
                     assert np.max(np.abs(table.coeffs[run])) > 1e-3 * max_abs(table)
                 oracle = fs.unit_circle_batch(ext, pts, mi, n_nodes=1024)
                 err = np.max(np.abs(fs.evaluate_batch(table, pts) - oracle))
-                assert err <= bounds[sum(mi)] * np.max(np.abs(oracle)), (material.name, mi)
+                assert err <= bounds[sum(mi)] * np.max(np.abs(oracle)), (ext.name, mi)
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_forced_zeros_are_exact(self, name):
@@ -770,7 +786,8 @@ class TestPersistence:
     def test_round_trip_bit_identical(self, base_m2, tmp_path):
         table = derive_multi(base_m2, (1, 0, 0))
         path = tmp_path / "m2.fsct"
-        fs.save_table(table, path)
+        # save_table returns what it wrote, the whole file
+        assert fs.save_table(table, path) == path.stat().st_size
         back = fs.load_table(path)
         assert np.array_equal(back.coeffs, table.coeffs)
         assert back.material_hash == table.material_hash

@@ -10,7 +10,6 @@ from fundsol.errors import FundsolError, MaterialValidationError, UnknownMateria
 from fundsol.materials import (
     ExtendedTensor,
     MaterialConstants,
-    full_to_voigt,
     load_material_json,
     voigt_to_full,
     format_material,
@@ -179,10 +178,13 @@ class TestExtend:
 
 class TestVoigt:
     def test_round_trip_bijection(self):
+        # the tensor holds each Voigt slot at its pair (11, 22, 33, 23, 13, 12)
         rng = np.random.default_rng(0)
         v = rng.normal(size=(6, 6))
         v = 0.5 * (v + v.T)
-        assert np.array_equal(full_to_voigt(voigt_to_full(v)), v)
+        i, j = np.array([0, 1, 2, 1, 0, 0]), np.array([0, 1, 2, 2, 2, 1])
+        full = voigt_to_full(v)
+        assert np.array_equal(full[i[:, None], j[:, None], i, j], v)
 
     @pytest.mark.parametrize("shape", [(3, 3), (6,), (6, 7)])
     def test_voigt_to_full_refuses_other_shapes(self, shape):
@@ -204,7 +206,7 @@ class TestMirrorSymmetry:
     def test_rotated_and_triclinic_are_not(self, triclinic):
         # a rotation about x3 leaves rounding residues where the mirror
         # classes need exact zeros; the triclinic tensor has no zero at all
-        assert not fs.extend(fs.rotate(fs.builtin("Cu"), rot_z(np.degrees(1.0)))).mirror_symmetric
+        assert not fs.rotate(fs.extend(fs.builtin("Cu")), rot_z(np.degrees(1.0))).mirror_symmetric
         assert not fs.extend(triclinic).mirror_symmetric
 
     def test_one_odd_component_breaks_it(self):
@@ -219,51 +221,78 @@ class TestMirrorSymmetry:
         assert fs.extend(MaterialConstants("Cu''", 3, elastic)).mirror_symmetric
 
 
+def blocks(c):
+    """The blocks of a coupling array, each a tensor that the material
+    tabulates: the stiffness (the 3x3 matrix for N = 1), and per potential
+    J its coupling c[:, :3, J, :] and its field entries c[:, J, K, :]."""
+    n = c.shape[1]
+    out = {"elastic": c[:, :3, :3, :] if n >= 3 else c[:, 0, 0, :]}
+    for J in range(3, n):
+        out[f"coupling {J}"] = c[:, :3, J, :]
+        for K in range(3, n):
+            out[f"field {J}{K}"] = c[:, J, K, :]
+    return out
+
+
+ROTATE_SPEC = {2: "ia,lb,ab->il", 3: "ia,jb,lc,abc->ijl", 4: "ia,jb,kc,ld,abcd->ijkl"}
+
+
 class TestRotate:
     def test_identity(self):
-        cu = fs.builtin("Cu")
-        rot = fs.rotate(cu, np.eye(3))
-        assert np.allclose(rot.elastic, cu.elastic, rtol=0, atol=0)
+        ext = fs.extend(fs.builtin("M2"))
+        assert np.array_equal(fs.rotate(ext, np.eye(3)).c, ext.c)
+
+    @pytest.mark.parametrize("name", ALL_BUILTINS + ["IsoElastic(1,0.3)"])
+    def test_major_symmetry_exact(self, name):
+        rot = fs.rotate(fs.extend(fs.builtin(name)), rotation_from_angles(37.0, 61.0))
+        assert np.array_equal(rot.c, rot.c.transpose(3, 2, 1, 0))
+        assert rot.name == name
+
+    @pytest.mark.parametrize("name", ["Laplace", "Cu", "PZT-4", "M2"])
+    def test_blocks_turn_index_wise(self, name):
+        # each block is a tensor of its own rank and turns with one R per
+        # index, as its own einsum over that block alone
+        ext = fs.extend(fs.builtin(name))
+        R = rotation_from_angles(37.0, 61.0) @ rot_z(20.0)
+        got = blocks(fs.rotate(ext, R).c)
+        for key, block in blocks(ext.c).items():
+            expect = np.einsum(ROTATE_SPEC[block.ndim], *[R] * block.ndim, block)
+            assert np.max(np.abs(got[key] - expect)) <= 1e-15 * np.max(np.abs(expect)), key
 
     def test_isotropic_invariant(self):
-        iso = fs.iso_elastic(1.0, 0.25)  # lam = mu = 1
-        R = rotation_from_angles(37.0, 61.0)
-        rot = fs.rotate(iso, R)
-        assert np.allclose(rot.elastic, iso.elastic, rtol=1e-13, atol=1e-13)
+        ext = fs.extend(fs.iso_elastic(1.0, 0.25))  # lam = mu = 1
+        rot = fs.rotate(ext, rotation_from_angles(37.0, 61.0))
+        assert np.allclose(rot.c, ext.c, rtol=1e-13, atol=1e-13)
 
     def test_cubic_z90_invariant_against_brute_force(self):
-        cu = fs.builtin("Cu")
+        ext = fs.extend(fs.builtin("Cu"))
         R = rot_z(90.0)
         # brute-force index rotation as the oracle
-        c = voigt_to_full(cu.elastic)
-        brute = np.einsum("ia,jb,kc,ld,abcd->ijkl", R, R, R, R, c)
-        assert np.allclose(full_to_voigt(brute), cu.elastic, rtol=1e-12, atol=1e-3)
-        rot = fs.rotate(cu, R)
-        assert np.allclose(rot.elastic, cu.elastic, rtol=1e-12, atol=1e-3)
+        brute = np.einsum("ia,jb,kc,ld,abcd->ijkl", R, R, R, R, ext.c)
+        assert np.allclose(brute, ext.c, rtol=1e-12, atol=1e-3)
+        assert np.allclose(fs.rotate(ext, R).c, ext.c, rtol=1e-12, atol=1e-3)
 
     def test_composition(self):
-        m2 = fs.builtin("M2")
+        ext = fs.extend(fs.builtin("M2"))
         R1 = rotation_from_angles(60.0, 30.0)
         R2 = rot_z(45.0)
-        a = fs.rotate(fs.rotate(m2, R1), R2)
-        b = fs.rotate(m2, R2 @ R1)
-        for attr in ("elastic", "e", "q", "eps", "lam", "kappa"):
-            va, vb = getattr(a, attr), getattr(b, attr)
-            scale = np.max(np.abs(vb)) or 1.0
-            assert np.max(np.abs(va - vb)) <= 1e-10 * scale
+        a = blocks(fs.rotate(fs.rotate(ext, R1), R2).c)
+        for key, b in blocks(fs.rotate(ext, R2 @ R1).c).items():
+            scale = np.max(np.abs(b)) or 1.0
+            assert np.max(np.abs(a[key] - b)) <= 1e-10 * scale, key
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
-            fs.rotate(fs.builtin("Cu"), np.eye(3) * 1.001)
+            fs.rotate(fs.extend(fs.builtin("Cu")), np.eye(3) * 1.001)
 
     def test_rejects_improper(self):
         with pytest.raises(ValueError):
-            fs.rotate(fs.builtin("Cu"), -np.eye(3))
+            fs.rotate(fs.extend(fs.builtin("Cu")), -np.eye(3))
 
     def test_laplace_rotation(self):
-        lap = fs.builtin("Laplace")
-        rot = fs.rotate(lap, rotation_from_angles(10.0, 20.0))
-        assert np.allclose(rot.elastic[:3, :3], np.eye(3), rtol=0, atol=1e-14)
+        ext = fs.extend(fs.builtin("Laplace"))
+        rot = fs.rotate(ext, rotation_from_angles(10.0, 20.0))
+        assert np.allclose(rot.c[:, 0, 0, :], np.eye(3), rtol=0, atol=1e-14)
 
 
 class TestExtendedTensor:

@@ -42,7 +42,7 @@ SERIES_TOL = 2e-14
 def test_contour_parity_homogeneity_symmetry(name, incline, azimuth, mi, r, scale):
     r = np.asarray(r)
     assume(np.linalg.norm(r) > 0.1)
-    ext = fs.extend(fs.rotate(fs.builtin(name), fs.rotation_from_angles(incline, azimuth)))
+    ext = fs.rotate(fs.extend(fs.builtin(name)), fs.rotation_from_angles(incline, azimuth))
     at_r, at_minus_r, at_scaled = fs.unit_circle_batch(ext, [r, -r, scale * r], mi, n_nodes=32)
     n = mi.order
     # where d^mi G vanishes by symmetry, rounding is measured against the
@@ -55,16 +55,17 @@ def test_contour_parity_homogeneity_symmetry(name, incline, azimuth, mi, r, scal
     assert np.max(np.abs(at_r - at_r.T)) <= tol
 
 
+# coupling arrays of rotated builtins and of the Zener family
 materials = st.one_of(
     st.builds(
         lambda name, incline, azimuth: fs.rotate(
-            fs.builtin(name), fs.rotation_from_angles(incline, azimuth)
+            fs.extend(fs.builtin(name)), fs.rotation_from_angles(incline, azimuth)
         ),
         st.sampled_from(BUILTINS),
         st.floats(0.0, 180.0),
         st.floats(0.0, 360.0),
     ),
-    st.builds(fs.zener_family, st.floats(0.1, 10.0)),
+    st.builds(lambda A: fs.extend(fs.zener_family(A)), st.floats(0.1, 10.0)),
 )
 
 
@@ -78,7 +79,7 @@ materials = st.one_of(
 def test_series_parity_homogeneity_symmetry(material, mi, r, scale):
     r = np.asarray(r)
     assume(np.linalg.norm(r) > 0.1)
-    base = fs.base_coefficients(fs.extend(material), SERIES_L + 2)
+    base = fs.base_coefficients(material, SERIES_L + 2)
     table = derive_multi(base, mi).truncated(SERIES_L)
     values = fs.evaluate_batch(table, [r, -r, scale * r])
     # the evaluator mirrors its entries i <= j, so symmetry is exact
@@ -107,9 +108,9 @@ ROTATION_L = 24
 ROTATION_TOL = (5e-14, 6e-13)
 
 
-def kernel_tables(material):
+def kernel_tables(ext):
     """The L = 24 tables of orders 0 and 1, as (G, [d1 G, d2 G, d3 G])."""
-    base = fs.base_coefficients(fs.extend(material), ROTATION_L + 1)
+    base = fs.base_coefficients(ext, ROTATION_L + 1)
     return base.truncated(ROTATION_L), [derive_coefficients(base, axis) for axis in (1, 2, 3)]
 
 
@@ -122,19 +123,19 @@ def kernel_tables(material):
     r=st.tuples(coordinate, coordinate, coordinate),
 )
 def test_series_rotation_equivariance(name, incline, azimuth, spin, r):
-    # the kernel of rotate(material, R) is Q G(R^T x) Q^T with Q = diag(R, 1, ...)
+    # the kernel of rotate(ext, R) is Q G(R^T x) Q^T with Q = diag(R, 1, ...)
     # (Q = 1 for a scalar field), and its gradient R_ij Q d_j G(R^T x) Q^T;
     # R runs over all of SO(3) by its z-y-z Euler angles
     x = np.asarray(r)
     assume(np.linalg.norm(x) > 0.1)
     R = fs.rotation_from_angles(incline, azimuth) @ fs.rotation_from_angles(0.0, spin)
-    material = fs.builtin(name)
-    n = material.field_dim
+    ext = fs.extend(fs.builtin(name))
+    n = ext.field_dim
     Q = np.eye(n)
     if n > 1:
         Q[:3, :3] = R
-    G, dG = kernel_tables(material)
-    G_rot, dG_rot = kernel_tables(fs.rotate(material, R))
+    G, dG = kernel_tables(ext)
+    G_rot, dG_rot = kernel_tables(fs.rotate(ext, R))
     y = R.T @ x
     expect = Q @ fs.evaluate_batch(G, [y])[0] @ Q.T
     grad = np.stack([Q @ fs.evaluate_batch(t, [y])[0] @ Q.T for t in dG])
@@ -159,7 +160,7 @@ MIXED_TOL = 2e-15
 def test_ladder_mixed_partials_commute(material):
     # x_a x_b = x_b x_a, so two ladder steps give the same table in either
     # order up to rounding
-    base = fs.base_coefficients(fs.extend(material), SERIES_L + 2)
+    base = fs.base_coefficients(material, SERIES_L + 2)
     for a, b in ((1, 2), (1, 3), (2, 3)):
         ab = derive_coefficients(derive_coefficients(base, a), b)
         ba = derive_coefficients(derive_coefficients(base, b), a)
